@@ -1,8 +1,9 @@
 """Build an executable aggregated-repeater plan for a seven-node network.
 
-Each channel edge is expanded into its integer stack of Bell pairs
-(floor(floor(l) * R) per edge), then the maximum set of edge-disjoint
-Alice-Bob paths through the Bell multigraph is extracted. Every path
+Each channel edge holds an integer number of Bell pairs
+(floor(floor(l) * R) per edge), which is its capacity in an integer
+max-flow; the flow splits into the maximum set of edge-disjoint
+Alice-Bob paths through the pairs. Every path
 becomes one swap schedule; the whole plan delivers one ebit per path with
 a total trace-norm error of (number of active edges) * epsilon.
 """
@@ -26,7 +27,7 @@ def main():
     print("Bell pairs generated per edge:")
     for edge_id, n in bell.pair_counts.items():
         print(f"  {edge_id}: {n}")
-    print(f"total: {len(bell.bell_edges)} pairs")
+    print(f"total: {sum(bell.pair_counts.values())} pairs")
     print()
 
     result = plan(net, epsilon=0.001)
@@ -38,7 +39,7 @@ def main():
     print()
 
     cut = bell_min_cut_bruteforce(bell)
-    print(f"exhaustive check: minimum cut of the Bell graph = {cut.value}")
+    print(f"exhaustive check: minimum cut of the Bell network = {cut.value}")
     print(f"  witness V_A = {list(cut.v_a.sorted_nodes())}")
     print("The path count meets the cut exactly: no protocol on this Bell")
     print("network can beat it.")

@@ -8,7 +8,6 @@ exact density-matrix oracle for the swap-chain error bookkeeping.
 
 from .aggregator import (
     AsymptoticQCap,
-    BellEdge,
     BellNetwork,
     FixedFraction,
     PerEdgeTable,

@@ -1,11 +1,12 @@
 """Bell-pair network construction, protocol plans, and sandwich reports.
 
-The aggregated protocol turns each channel edge into an integer stack of
+The aggregated protocol gives each channel edge an integer number of
 Bell pairs (floor(floor(l) * R) per edge), extracts the maximum set of
-edge-disjoint Alice-Bob paths through the resulting multigraph, and swaps
-along each path. Its yield and the converse cut bound sandwich the best
-achievable performance; on all-lossy networks the two sides differ by at
-most a factor of two.
+edge-disjoint Alice-Bob paths through the pairs, and swaps along each
+path. A channel enters only through its pair count, which is the integer
+capacity of its arc in the max-flow. The protocol's yield and the
+converse cut bound sandwich the best achievable performance; on
+all-lossy networks the two sides differ by at most a factor of two.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from enum import Enum
 from typing import Mapping, Union
 
 from .capacity import (
+    EpsilonBudget,
     Vacuous,
     WeightKind,
     edge_weight,
@@ -88,27 +90,18 @@ def resolve_rate(edge: EdgeSpec, model: RateModel) -> float:
 
 
 @dataclass(frozen=True)
-class BellEdge:
-    """One Bell pair, an undirected unit edge inheriting its parent's endpoints."""
-
-    id: str
-    u: NodeId
-    v: NodeId
-    parent: str
-
-
-@dataclass(frozen=True)
 class BellNetwork:
-    """Undirected multigraph of distributed Bell pairs."""
+    """Distributed Bell pairs: one undirected (channel id, u, v, pairs) row per channel."""
 
     vertices: tuple[NodeId, ...]
     alice: NodeId
     bob: NodeId
-    bell_edges: tuple[BellEdge, ...]
-    pair_counts: Mapping[str, int]  # parent edge id -> pairs generated
+    channels: tuple[tuple[str, NodeId, NodeId, int], ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "pair_counts", dict(self.pair_counts))
+    @property
+    def pair_counts(self) -> dict[str, int]:
+        """Channel id -> pairs generated."""
+        return {cid: n for cid, _, _, n in self.channels}
 
 
 def pair_count(edge: EdgeSpec, model: RateModel) -> int:
@@ -123,19 +116,9 @@ def pair_count(edge: EdgeSpec, model: RateModel) -> int:
 
 
 def build_bell_network(net: Network, rate_model: RateModel = AsymptoticQCap()) -> BellNetwork:
-    """Expand every edge into its integer stack of unit Bell edges.
-
-    Bell edge ids are '<parent>#<index>', so the construction is
-    deterministic and each pair is traceable to its parent channel.
-    """
-    counts = {}
-    bells = []
-    for e in net.edges:
-        n = pair_count(e, rate_model)
-        counts[e.id] = n
-        for i in range(n):
-            bells.append(BellEdge(f"{e.id}#{i}", e.tail, e.head, e.id))
-    return BellNetwork(net.nodes, net.alice, net.bob, tuple(bells), counts)
+    """Count the Bell pairs every channel holds, in network edge order."""
+    channels = tuple((e.id, e.tail, e.head, pair_count(e, rate_model)) for e in net.edges)
+    return BellNetwork(net.nodes, net.alice, net.bob, channels)
 
 
 @dataclass(frozen=True)
@@ -148,7 +131,7 @@ class ProtocolPlan:
     epsilon: float
     error_budget: float
     counted_edges: int
-    unused_pairs: Mapping[str, int]  # parent edge id -> pairs left idle
+    unused_pairs: Mapping[str, int]  # channel id -> pairs left idle
 
     def __post_init__(self):
         object.__setattr__(self, "unused_pairs", dict(self.unused_pairs))
@@ -167,22 +150,16 @@ def plan(
     generate pairs (edges with zero pairs run no distribution protocol);
     pass count_all_edges=True for the literal every-edge count.
     """
-    if epsilon < 0:
-        raise ValueError(f"epsilon must be >= 0, got {epsilon}")
+    epsilon = EpsilonBudget(epsilon).epsilon
     bell = build_bell_network(net, rate_model)
     m, paths = max_disjoint_paths(bell)
     schedules = tuple(p.nodes[1:-1] for p in paths)
-
-    parent_of = {b.id: b.parent for b in bell.bell_edges}
-    consumed: dict[str, int] = {eid: 0 for eid in bell.pair_counts}
-    for eid in paths.consumed_edge_ids():
-        consumed[parent_of[eid]] += 1
-    unused = {eid: bell.pair_counts[eid] - consumed[eid] for eid in bell.pair_counts}
-
+    generated = bell.pair_counts
+    unused = {cid: n - paths.pairs_used.get(cid, 0) for cid, n in generated.items()}
     counted = (
         len(net.edges)
         if count_all_edges
-        else sum(1 for n in bell.pair_counts.values() if n > 0)
+        else sum(1 for n in generated.values() if n > 0)
     )
     return ProtocolPlan(m, paths, schedules, epsilon, counted * epsilon, counted, unused)
 
@@ -208,6 +185,7 @@ def sandwich_report(net: Network, regime: Regime, epsilon: float = 0.0) -> Sandw
     un-floored budgets. The finite-error correction applies only to the
     per-protocol regime; the asymptotic regimes take their error to zero.
     """
+    epsilon = EpsilonBudget(epsilon).epsilon
     if net.budget_kind is not None and net.budget_kind is not regime.budget_cls:
         raise ValueError(
             f"regime {regime.value!r} needs {regime.budget_cls.__name__} budgets, "
@@ -237,17 +215,12 @@ def lossy_gap_ratio(report: SandwichReport) -> float:
 
 def plan_to_dot(net: Network, protocol_plan: ProtocolPlan) -> str:
     """DOT rendering with consumed pair fractions; fully idle edges are dashed."""
-    consumed: dict[str, int] = {}
-    for p in protocol_plan.paths:
-        for bell_id in p.bell_edges:
-            parent = bell_id.rsplit("#", 1)[0]
-            consumed[parent] = consumed.get(parent, 0) + 1
-    annotations = {}
-    for e in net.edges:
-        k = consumed.get(e.id, 0)
-        total = k + protocol_plan.unused_pairs.get(e.id, 0)
-        if k > 0:
-            annotations[e.id] = f"{k}/{total} used"
+    unused = protocol_plan.unused_pairs
+    annotations = {
+        cid: f"{k}/{k + unused.get(cid, 0)} used"
+        for cid, k in protocol_plan.paths.pairs_used.items()
+        if k > 0
+    }
     return export_dot(net, annotations)
 
 

@@ -128,9 +128,7 @@ def epsilon_corrected_upper(
     """
     if not math.isfinite(cut_value) or cut_value < 0:
         raise ValueError(f"cut value must be finite and >= 0, got {cut_value}")
-    if epsilon < 0:
-        raise ValueError(f"epsilon must be >= 0, got {epsilon}")
-    root = math.sqrt(epsilon)
+    root = math.sqrt(EpsilonBudget(epsilon).epsilon)
     if 16.0 * root >= 1.0:
         return VACUOUS
     return (cut_value + 4.0 * binary_entropy(2.0 * root)) / (1.0 - 16.0 * root)

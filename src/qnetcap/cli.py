@@ -55,7 +55,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _print_json(obj) -> None:
-    sys.stdout.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    sys.stdout.write(json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def _fmt(x: float) -> str:
@@ -239,8 +239,6 @@ def _sweep_row(net: Network, args, fields: Sequence[str], value: float) -> list[
             row.append(_fmt(report.upper_esq))
         elif name == "upper_eps_corrected":
             corrected = report.upper_eps_corrected
-            if regime is not Regime.PER_PROTOCOL:
-                corrected = report.upper_esq  # asymptotic regimes take eps -> 0
             row.append("vacuous" if is_vacuous(corrected) else _fmt(corrected))
         elif name == "ratio":
             if report.lower > 0:
@@ -266,8 +264,6 @@ def cmd_sweep(args) -> int:
             raise ValueError("--param eta requires --edge naming the swept edge")
         if not all(0.0 <= v < 1.0 for v in grid):
             raise ValueError("eta grid values must lie in [0, 1)")
-    if args.param == "epsilon" and grid[0] < 0:
-        raise ValueError("epsilon grid values must be >= 0")
     if "m" in fields and net.budget_kind is not Count:
         raise ValueError("field 'm' needs Count budgets (protocol plans)")
 

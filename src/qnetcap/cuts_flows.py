@@ -4,18 +4,20 @@ Channels are directed but cuts and Bell pairs are not, so every edge is
 modeled as traversable in both directions at its full weight. The fast
 path is shortest-augmenting-path max-flow (BFS, lexicographic neighbor
 order, hence deterministic); the independent oracle enumerates every
-bipartition. Integer unit-capacity flow on the Bell multigraph realizes
-the edge-disjoint path count, which equals the minimum number of edges
-in any Alice/Bob cut.
+bipartition. Integer flow on the Bell network, with each channel's
+capacity equal to the number of Bell pairs it holds, realizes the
+edge-disjoint path count, which equals the minimum number of Bell pairs
+crossing any Alice/Bob cut.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 
 from .capacity import WeightKind, edge_weight
 from .netmodel import Bipartition, Network, NodeId, crossing_edges
@@ -66,9 +68,8 @@ def flow_graph_from_network(
 
 
 def flow_graph_from_bell(bell: "BellNetwork") -> FlowGraph:
-    """Unit-capacity instance with one arc row per Bell pair."""
-    arcs = tuple((b.id, b.u, b.v, 1) for b in bell.bell_edges)
-    return FlowGraph(bell.vertices, bell.alice, bell.bob, arcs, CapacityKind.INTEGER)
+    """Integer instance with one arc row per channel, capacity = its pair count."""
+    return FlowGraph(bell.vertices, bell.alice, bell.bob, bell.channels, CapacityKind.INTEGER)
 
 
 class _ResidualSolver:
@@ -155,15 +156,15 @@ class _ResidualSolver:
                     queue.append(w)
         return frozenset(seen)
 
-    def used_directions(self) -> dict[str, tuple[NodeId, NodeId]]:
-        """Map of edge id -> (from, to) for arcs carrying net flow."""
+    def net_flow(self) -> dict[str, tuple[NodeId, NodeId, float]]:
+        """Map of edge id -> (from, to, amount) for arcs carrying net flow."""
         used = {}
         for k in range(0, len(self.to), 2):
-            pushed = self.cap[k ^ 1] - self.cap[k]  # 2x net flow u->v
-            if pushed > self.tol:
-                used[self.eid[k]] = (self._tail_of(k), self.to[k])
-            elif pushed < -self.tol:
-                used[self.eid[k]] = (self.to[k], self._tail_of(k))
+            amount = (self.cap[k ^ 1] - self.cap[k]) / 2  # net flow u->v
+            if amount > self.tol:
+                used[self.eid[k]] = (self._tail_of(k), self.to[k], amount)
+            elif amount < -self.tol:
+                used[self.eid[k]] = (self.to[k], self._tail_of(k), -amount)
         return used
 
 
@@ -273,12 +274,10 @@ def min_cut_bruteforce(
 
 
 def bell_min_cut_bruteforce(bell: "BellNetwork") -> CutResult:
-    """Exhaustive minimum edge count over Alice/Bob cuts of the Bell multigraph."""
-    weighted = [(b.id, b.u, b.v, 1) for b in bell.bell_edges]
-    value, side = _enumerate_min_cut(bell.vertices, bell.alice, bell.bob, weighted)
-    part = Bipartition(side)
-    crossing = tuple(b.id for b in bell.bell_edges if (b.u in side) != (b.v in side))
-    return CutResult(value, part, crossing)
+    """Exhaustive minimum Bell-pair count over Alice/Bob cuts of the Bell network."""
+    value, side = _enumerate_min_cut(bell.vertices, bell.alice, bell.bob, bell.channels)
+    crossing = tuple(cid for cid, u, v, _ in bell.channels if (u in side) != (v in side))
+    return CutResult(value, Bipartition(side), crossing)
 
 
 @dataclass(frozen=True)
@@ -292,6 +291,10 @@ class DisjointPath:
 @dataclass(frozen=True)
 class PathSet:
     paths: tuple[DisjointPath, ...]
+    pairs_used: Mapping[str, int]  # channel id -> Bell pairs the paths consume
+
+    def __post_init__(self):
+        object.__setattr__(self, "pairs_used", dict(self.pairs_used))
 
     def __len__(self) -> int:
         return len(self.paths)
@@ -299,61 +302,78 @@ class PathSet:
     def __iter__(self):
         return iter(self.paths)
 
-    def consumed_edge_ids(self) -> tuple[str, ...]:
-        return tuple(eid for p in self.paths for eid in p.bell_edges)
-
 
 def max_disjoint_paths(bell: "BellNetwork") -> tuple[int, PathSet]:
-    """Maximum set of pairwise edge-disjoint Alice-Bob paths in the Bell graph.
+    """Maximum set of pairwise edge-disjoint Alice-Bob paths in the Bell network.
 
-    Integer unit-capacity max-flow followed by flow decomposition; cycles in
-    the used-arc set are excised since they contribute nothing end to end.
-    The count matches the minimum number of Bell pairs crossing any cut.
+    Integer max-flow with each channel's capacity equal to its pair count,
+    followed by decomposition of the net flow into unit paths; cycles in
+    the flow are excised since they contribute nothing end to end. Each
+    path takes the next free pair of every channel it crosses, so pair ids
+    read '<channel>#<index>'. The count matches the minimum number of Bell
+    pairs crossing any cut.
     """
     solver = _ResidualSolver(flow_graph_from_bell(bell))
     count = int(solver.flow_value)
-    used = solver.used_directions()
 
-    out: dict[NodeId, list[tuple[NodeId, str]]] = {v: [] for v in bell.vertices}
-    for eid, (u, v) in used.items():
-        out[u].append((v, eid))
-    for v in out:
-        out[v].sort()
+    # per vertex, sorted [next vertex, channel id, units of flow left]
+    out: dict[NodeId, list[list]] = {v: [] for v in bell.vertices}
+    for cid, (u, v, amount) in solver.net_flow().items():
+        out[u].append([v, cid, int(amount)])
+    for arcs in out.values():
+        arcs.sort()
     cursor = {v: 0 for v in out}
 
     def next_arc(v: NodeId) -> tuple[NodeId, str]:
-        i = cursor[v]
-        cursor[v] = i + 1
-        return out[v][i]
+        arc = out[v][cursor[v]]
+        arc[2] -= 1
+        if arc[2] == 0:
+            cursor[v] += 1
+        return arc[0], arc[1]
 
+    pairs_used: dict[str, int] = {}
     paths = []
     for _ in range(count):
         nodes = [bell.alice]
-        edges: list[str] = []
+        channels: list[str] = []
         position = {bell.alice: 0}
         v = bell.alice
         while v != bell.bob:
-            w, eid = next_arc(v)
+            w, cid = next_arc(v)
             if w in position:
                 # excise the cycle: drop everything after the revisited node
                 k = position[w]
                 for dropped in nodes[k + 1 :]:
                     del position[dropped]
                 nodes = nodes[: k + 1]
-                edges = edges[:k]
+                channels = channels[:k]
             else:
                 position[w] = len(nodes)
                 nodes.append(w)
-                edges.append(eid)
+                channels.append(cid)
             v = w
-        paths.append(DisjointPath(tuple(nodes), tuple(edges)))
-    return count, PathSet(tuple(paths))
+        bell_ids = []
+        for cid in channels:
+            index = pairs_used.get(cid, 0)
+            pairs_used[cid] = index + 1
+            bell_ids.append(f"{cid}#{index}")
+        paths.append(DisjointPath(tuple(nodes), tuple(bell_ids)))
+    return count, PathSet(tuple(paths), pairs_used)
+
+
+_PAIR_ID = re.compile(r"(.+)#(0|[1-9][0-9]*)")
 
 
 def check_path_set(bell: "BellNetwork", path_set: PathSet) -> None:
-    """Machine check of the path-set invariants; raises ValueError on breach."""
-    known = {b.id: b for b in bell.bell_edges}
+    """Machine check of the path-set invariants; raises ValueError on breach.
+
+    Every pair id must read '<channel>#<index>' with index below the
+    channel's pair count, no id may repeat, and the per-channel tallies of
+    the ids must equal path_set.pairs_used.
+    """
+    channels = {cid: (u, v, n) for cid, u, v, n in bell.channels}
     seen: set[str] = set()
+    tally: dict[str, int] = {}
     for p in path_set.paths:
         if len(p.nodes) < 2 or p.nodes[0] != bell.alice or p.nodes[-1] != bell.bob:
             raise ValueError(f"path {p.nodes} does not run alice -> bob")
@@ -365,8 +385,13 @@ def check_path_set(bell: "BellNetwork", path_set: PathSet) -> None:
             if eid in seen:
                 raise ValueError(f"bell edge {eid!r} consumed twice")
             seen.add(eid)
-            b = known.get(eid)
-            if b is None:
+            match = _PAIR_ID.fullmatch(eid)
+            row = channels.get(match[1]) if match else None
+            if row is None or int(match[2]) >= row[2]:
                 raise ValueError(f"unknown bell edge {eid!r}")
-            if {u, v} != {b.u, b.v}:
+            if {u, v} != {row[0], row[1]}:
                 raise ValueError(f"bell edge {eid!r} does not join {u!r} and {v!r}")
+            tally[match[1]] = tally.get(match[1], 0) + 1
+    claimed = {cid: n for cid, n in path_set.pairs_used.items() if n}
+    if claimed != tally:
+        raise ValueError(f"pairs_used {claimed} does not match the pair ids {tally}")

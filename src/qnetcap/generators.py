@@ -1,4 +1,4 @@
-"""Seeded random networks and Bell multigraphs for property tests and scans.
+"""Seeded random networks and Bell networks for property tests and scans.
 
 Every generator takes an explicit random.Random; default_seed() supplies
 the fixed package seed, which the QNETCAP_SEED environment variable
@@ -11,7 +11,7 @@ import os
 import random
 from typing import Optional
 
-from .aggregator import BellEdge, BellNetwork
+from .aggregator import BellNetwork
 from .netmodel import Count, CustomChannel, EdgeSpec, Frequency, LossyOptical, Network
 
 DEFAULT_SEED = 1601
@@ -95,7 +95,7 @@ def random_bell_network(
     max_nodes: int = 10,
     max_pairs: int = 30,
 ) -> BellNetwork:
-    """Random Bell multigraph with synthetic parent ids g0, g1, ..."""
+    """Random Bell network with synthetic channel ids g0, g1, ..."""
     nodes = _node_labels(rng, max_nodes)
     n_pairs = rng.randint(0, max_pairs)
     counts: dict[str, int] = {}
@@ -111,9 +111,5 @@ def random_bell_network(
             counts[key] = 0
             endpoints[key] = (u, v)
         counts[key] += 1
-    bells = []
-    for parent in sorted(counts):
-        u, v = endpoints[parent]
-        for i in range(counts[parent]):
-            bells.append(BellEdge(f"{parent}#{i}", u, v, parent))
-    return BellNetwork(tuple(nodes), "A", "B", tuple(bells), counts)
+    channels = tuple((cid, *endpoints[cid], counts[cid]) for cid in sorted(counts))
+    return BellNetwork(tuple(nodes), "A", "B", channels)

@@ -20,6 +20,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .capacity import EpsilonBudget
+
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
 EIGENVALUE_TOL = -1e-10
@@ -187,6 +189,7 @@ def verify_error_chain(
         raise ValueError(
             f"need one epsilon per pair: {len(pairs)} pairs, {len(per_pair_eps)} epsilons"
         )
+    per_pair_eps = tuple(EpsilonBudget(e).epsilon for e in per_pair_eps)
     target = bell_pair()
     per_pair = tuple(trace_distance(rho, target) for rho in pairs)
     violations = tuple(
@@ -201,7 +204,7 @@ def verify_error_chain(
         distance,
         budget,
         per_pair,
-        tuple(float(e) for e in per_pair_eps),
+        per_pair_eps,
         violations,
         bell_fidelity(final),
     )

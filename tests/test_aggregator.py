@@ -18,8 +18,10 @@ from qnetcap import (
     WeightKind,
     bell_min_cut_bruteforce,
     build_bell_network,
+    check_path_set,
     is_vacuous,
     lossy_gap_ratio,
+    max_disjoint_paths,
     min_cut_bruteforce,
     pair_count,
     plan,
@@ -76,10 +78,13 @@ def test_resolve_rate_table_missing_edge():
 def test_build_bell_network_ids_are_deterministic(triangle_net):
     bell = build_bell_network(triangle_net)
     assert bell.pair_counts == {"ac": 3, "cb": 2, "ab": 1}
-    assert [b.id for b in bell.bell_edges] == [
-        "ac#0", "ac#1", "ac#2", "cb#0", "cb#1", "ab#0",
+    assert bell.channels == (("ac", "A", "C", 3), ("cb", "C", "B", 2), ("ab", "A", "B", 1))
+    # pair ids are '<channel>#<index>', numbered per channel in path order
+    _, paths = max_disjoint_paths(bell)
+    assert [eid for p in paths for eid in p.bell_edges] == [
+        "ab#0", "ac#0", "cb#0", "ac#1", "cb#1",
     ]
-    assert all(b.parent == b.id.split("#")[0] for b in bell.bell_edges)
+    assert paths.pairs_used == {"ab": 1, "ac": 2, "cb": 2}
 
 
 def test_plan_triangle_via_per_edge_table():
@@ -235,14 +240,19 @@ def test_sandwich_order_on_custom_weight_networks():
 
 def test_plan_m_matches_bruteforce_cut_on_random_count_networks():
     rng = random.Random(32)
-    for _ in range(80):
-        net = random_count_network(rng, max_nodes=9, max_edges=10, max_count=4)
+    # small stacks, then stacks of up to 1000 pairs per channel
+    for max_count in [4] * 80 + [1000] * 40:
+        net = random_count_network(rng, max_nodes=9, max_edges=10, max_count=max_count)
         result = plan(net, 0.0)
         bell = build_bell_network(net)
         assert result.m == bell_min_cut_bruteforce(bell).value
-        # and conservation holds exactly
+        check_path_set(bell, result.paths)
+        # and conservation holds exactly, in total and per channel
         consumed = sum(len(p.bell_edges) for p in result.paths)
-        assert consumed + sum(result.unused_pairs.values()) == len(bell.bell_edges)
+        generated = bell.pair_counts
+        assert consumed + sum(result.unused_pairs.values()) == sum(generated.values())
+        for cid, n in generated.items():
+            assert result.paths.pairs_used.get(cid, 0) + result.unused_pairs[cid] == n
 
 
 def test_budget_scaling_covariance():

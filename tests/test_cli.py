@@ -5,12 +5,13 @@ import pytest
 
 from qnetcap.cli import main
 
-from conftest import NETWORKS_DIR, load_schema
+from conftest import NETWORKS_DIR, REPO_ROOT, load_schema
 
 DIAMOND = str(NETWORKS_DIR / "diamond.json")
 TRIANGLE = str(NETWORKS_DIR / "triangle_counts.json")
 SINGLE = str(NETWORKS_DIR / "single_edge.json")
 FIG2 = str(NETWORKS_DIR / "fig2_analog.json")
+DATA_DIR = REPO_ROOT / "tests" / "data"
 
 
 def run(capsys, *argv):
@@ -296,3 +297,32 @@ def test_fig2_plan_roundtrip_schema(capsys):
     doc = run_json(capsys, "plan", FIG2, "--epsilon", "0.001")
     assert doc["m"] == 7
     jsonschema.validate(doc, load_schema("protocol_plan.schema.json"))
+
+
+@pytest.mark.parametrize("name", ["fig2_analog", "triangle_counts"])
+def test_plan_stdout_matches_golden_bytes(capsys, name):
+    code, out, err = run(capsys, "plan", str(NETWORKS_DIR / f"{name}.json"), "--epsilon", "0.001")
+    assert code == 0, err
+    assert out.encode("utf-8") == (DATA_DIR / f"plan_{name}.json").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("plan", FIG2, "--epsilon", "nan"),
+        ("plan", FIG2, "--epsilon", "inf"),
+        ("bound", DIAMOND, "--epsilon", "nan"),
+        ("bound", DIAMOND, "--epsilon", "inf"),
+        ("bound", FIG2, "--epsilon", "nan"),
+        ("simulate-swap", "--chain", "0.01,0.01", "--eps", "nan"),
+        ("sweep", SINGLE, "--param", "eta", "--edge", "ab", "--values", "0.5",
+         "--epsilon", "nan"),
+        ("sweep", SINGLE, "--param", "epsilon", "--values=-0.1,0.1"),
+    ],
+    ids=lambda argv: " ".join(a.rsplit("/", 1)[-1] for a in argv),
+)
+def test_bad_epsilon_exits_one_naming_epsilon(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert "epsilon" in err

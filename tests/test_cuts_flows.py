@@ -119,8 +119,8 @@ def test_max_disjoint_paths_triangle():
     assert node_seqs == [("A", "B"), ("A", "C", "B"), ("A", "C", "B")]
     check_path_set(bell, paths)
     # one A-C pair is left unused
-    consumed = set(paths.consumed_edge_ids())
-    assert len([b for b in bell.bell_edges if b.id not in consumed]) == 1
+    idle = {cid: n - paths.pairs_used.get(cid, 0) for cid, n in bell.pair_counts.items()}
+    assert idle == {"A-C": 1, "C-B": 0, "A-B": 0}
 
 
 def test_max_disjoint_paths_bottleneck_chain():
@@ -198,9 +198,17 @@ def test_path_set_checker_catches_violations():
     check_path_set(bell, paths)
     from qnetcap import DisjointPath, PathSet
 
-    bad = PathSet((DisjointPath(("A", "B"), ("A-C#0",)),))
+    bad = PathSet((DisjointPath(("A", "B"), ("A-C#0",)),), {"A-C": 1})
     with pytest.raises(ValueError):
         check_path_set(bell, bad)
-    doubled = PathSet(tuple(paths) + tuple(paths))
+    doubled = PathSet(tuple(paths) + tuple(paths), paths.pairs_used)
     with pytest.raises(ValueError, match="twice"):
         check_path_set(bell, doubled)
+    hop = DisjointPath(("A", "C", "B"), ("A-C#0", "C-B#0"))
+    for ids in (("A-C#1", "C-B#0"), ("A-C#00", "C-B#0"), ("X#0", "C-B#0")):
+        forged = PathSet((DisjointPath(hop.nodes, ids),), {"A-C": 1, "C-B": 1})
+        with pytest.raises(ValueError, match="unknown"):
+            check_path_set(bell, forged)
+    miscounted = PathSet((hop,), {"A-C": 1, "C-B": 2})
+    with pytest.raises(ValueError, match="pairs_used"):
+        check_path_set(bell, miscounted)

@@ -31,5 +31,7 @@ def test_generated_networks_respect_bounds():
         assert 1 <= len(net.edges) <= 8
         assert all(0.2 <= e.channel.eta <= 0.4 for e in net.edges)
         bell = random_bell_network(rng, max_nodes=6, max_pairs=9)
-        assert len(bell.bell_edges) <= 9
-        assert sum(bell.pair_counts.values()) == len(bell.bell_edges)
+        assert sum(bell.pair_counts.values()) <= 9
+        # one row per endpoint pair, each holding at least one Bell pair
+        assert all(n >= 1 and {u, v} <= set(bell.vertices) for _, u, v, n in bell.channels)
+        assert len({frozenset((u, v)) for _, u, v, _ in bell.channels}) == len(bell.channels)
