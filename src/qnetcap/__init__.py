@@ -13,7 +13,6 @@ from .aggregator import (
     PerEdgeTable,
     ProtocolPlan,
     RateModel,
-    Regime,
     SandwichReport,
     build_bell_network,
     lossy_gap_ratio,
@@ -64,6 +63,7 @@ from .netmodel import (
     NetworkFormatError,
     NodeId,
     Rate,
+    Regime,
     UsageBudget,
     crossing_edges,
     export_dot,

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import Mapping, Union
 
 from .capacity import (
@@ -25,23 +24,7 @@ from .capacity import (
     is_vacuous,
 )
 from .cuts_flows import CutResult, PathSet, max_disjoint_paths, min_cut
-from .netmodel import Count, EdgeSpec, Frequency, Network, NodeId, Rate, export_dot
-
-
-class Regime(Enum):
-    """Which asymptotic reading of the budgets a report uses."""
-
-    PER_PROTOCOL = "per-protocol"
-    PER_CHANNEL_USE = "per-use"
-    PER_TIME = "per-time"
-
-    @property
-    def budget_cls(self) -> type:
-        return {
-            Regime.PER_PROTOCOL: Count,
-            Regime.PER_CHANNEL_USE: Frequency,
-            Regime.PER_TIME: Rate,
-        }[self]
+from .netmodel import Count, EdgeSpec, Network, NodeId, Regime, export_dot
 
 
 @dataclass(frozen=True)
@@ -111,7 +94,7 @@ def pair_count(edge: EdgeSpec, model: RateModel) -> int:
             f"edge {edge.id!r} carries a {type(edge.usage).__name__} budget; "
             "Bell-pair counts are defined only for Count budgets"
         )
-    uses = math.floor(edge.usage.l_bar)
+    uses = math.floor(edge.usage.value)
     return math.floor(uses * resolve_rate(edge, model))
 
 
@@ -183,21 +166,25 @@ def sandwich_report(net: Network, regime: Regime, epsilon: float = 0.0) -> Sandw
     The lower bound weights cuts by q_cap (budgets floored in the
     per-protocol regime); the upper bound weights them by esq_upper with
     un-floored budgets. The finite-error correction applies only to the
-    per-protocol regime; the asymptotic regimes take their error to zero.
+    per-protocol regime; the asymptotic regimes take their error to zero,
+    so a positive epsilon there is rejected.
     """
     epsilon = EpsilonBudget(epsilon).epsilon
-    if net.budget_kind is not None and net.budget_kind is not regime.budget_cls:
+    per_protocol = regime is Regime.PER_PROTOCOL
+    if epsilon > 0 and not per_protocol:
         raise ValueError(
-            f"regime {regime.value!r} needs {regime.budget_cls.__name__} budgets, "
-            f"network carries {net.budget_kind.__name__}"
+            f"epsilon={epsilon} applies only to the per-protocol regime; "
+            f"regime {regime.value!r} takes epsilon to 0"
         )
-    floor = regime is Regime.PER_PROTOCOL
-    lower_cut = min_cut(net, WeightKind.Q_CAP, floor_budgets=floor)
+    kind = net.budget_kind
+    if kind is not None and kind.regime is not regime:
+        raise ValueError(
+            f"regime {regime.value!r} does not match the network's {kind.__name__} "
+            f"budgets, which read as regime {kind.regime.value!r}"
+        )
+    lower_cut = min_cut(net, WeightKind.Q_CAP, floor_budgets=per_protocol)
     upper_cut = min_cut(net, WeightKind.ESQ_UPPER)
-    if regime is Regime.PER_PROTOCOL:
-        corrected = epsilon_corrected_upper(upper_cut.value, epsilon)
-    else:
-        corrected = upper_cut.value
+    corrected = epsilon_corrected_upper(upper_cut.value, epsilon)
     return SandwichReport(
         regime, epsilon, lower_cut.value, upper_cut.value, corrected, lower_cut, upper_cut
     )

@@ -29,7 +29,7 @@ from .aggregator import (
     sandwich_report_to_dict,
 )
 from .capacity import is_vacuous
-from .netmodel import Count, Frequency, LossyOptical, Network, Rate, load_network
+from .netmodel import Count, LossyOptical, Network, load_network
 from .qsim_oracle import (
     MAX_CHAIN_LENGTH,
     bell_pair,
@@ -43,7 +43,6 @@ EXIT_DOMAIN = 1
 EXIT_IO = 2
 
 _REGIMES = {r.value: r for r in Regime}
-_BUDGET_REGIME = {Count: Regime.PER_PROTOCOL, Frequency: Regime.PER_CHANNEL_USE, Rate: Regime.PER_TIME}
 SWEEP_FIELDS = ("lower", "upper_esq", "upper_eps_corrected", "ratio", "m")
 
 
@@ -62,27 +61,36 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
+def _float_flag(flag: str, text) -> float:
+    try:
+        return float(text)
+    except (TypeError, ValueError) as err:
+        raise ValueError(f"bad {flag} value: {err}") from err
+
+
 def _infer_regime(net: Network, flag: Optional[str]) -> Regime:
     if flag is not None:
         return _REGIMES[flag]
     kind = net.budget_kind
     if kind is None:
         return Regime.PER_CHANNEL_USE
-    return _BUDGET_REGIME[kind]
+    return kind.regime
 
 
 def _parse_rate_model(spec: str) -> RateModel:
     if spec == "asymptotic":
         return AsymptoticQCap()
     if spec.startswith("fraction:"):
-        return FixedFraction(float(spec.split(":", 1)[1]))
+        return FixedFraction(_float_flag("--rate-model", spec.split(":", 1)[1]))
     if spec.startswith("table:"):
         path = spec.split(":", 1)[1]
         with open(path, "r", encoding="utf-8") as fh:
             table = json.load(fh)
         if not isinstance(table, dict):
             raise ValueError(f"rate table {path!r} must be a JSON object")
-        return PerEdgeTable({str(k): float(v) for k, v in table.items()})
+        return PerEdgeTable(
+            {str(k): _float_flag(f"--rate-model table entry {k!r}", v) for k, v in table.items()}
+        )
     raise ValueError(
         f"unknown rate model {spec!r}; use 'asymptotic', 'fraction:<alpha>' or 'table:<file>'"
     )
@@ -123,10 +131,7 @@ def cmd_plan(args) -> int:
 
 def _chain_from_args(args) -> list[float]:
     if args.chain is not None:
-        try:
-            values = [float(v) for v in args.chain.split(",") if v.strip() != ""]
-        except ValueError as err:
-            raise ValueError(f"bad --chain value: {err}") from err
+        values = [_float_flag("--chain", v) for v in args.chain.split(",") if v.strip() != ""]
         if not values:
             raise ValueError("--chain must list at least one Werner parameter")
         return values
@@ -134,11 +139,18 @@ def _chain_from_args(args) -> list[float]:
         raise ValueError("give either --chain or --from-plan")
     with open(args.from_plan, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    paths = doc.get("paths", [])
+    paths = doc.get("paths") if isinstance(doc, dict) else None
+    if not isinstance(paths, list):
+        raise ValueError(f"{args.from_plan!r} is not a plan: it has no 'paths' list")
     if not 0 <= args.path_index < len(paths):
         raise ValueError(f"path index {args.path_index} out of range (plan has {len(paths)})")
-    hops = len(paths[args.path_index]["bell_edges"])
-    return [args.pair_p] * hops
+    path = paths[args.path_index]
+    hops = path.get("bell_edges") if isinstance(path, dict) else None
+    if not isinstance(hops, list):
+        raise ValueError(
+            f"{args.from_plan!r} is not a plan: path {args.path_index} has no 'bell_edges' list"
+        )
+    return [args.pair_p] * len(hops)
 
 
 def cmd_simulate_swap(args) -> int:
@@ -151,7 +163,7 @@ def cmd_simulate_swap(args) -> int:
         )
     pairs = [werner_pair(p) for p in chain]
     if args.eps is not None:
-        eps_values = [float(v) for v in args.eps.split(",")]
+        eps_values = [_float_flag("--eps", v) for v in args.eps.split(",")]
         if len(eps_values) == 1:
             eps_values = eps_values * len(chain)
         if len(eps_values) != len(chain):
@@ -182,12 +194,12 @@ def cmd_simulate_swap(args) -> int:
 
 def _parse_grid(args) -> list[float]:
     if args.values is not None:
-        grid = [float(v) for v in args.values.split(",") if v.strip() != ""]
+        grid = [_float_flag("--values", v) for v in args.values.split(",") if v.strip() != ""]
     elif args.grid is not None:
         parts = args.grid.split(":")
         if len(parts) != 3:
             raise ValueError(f"--grid must be start:stop:step, got {args.grid!r}")
-        start, stop, step = (float(p) for p in parts)
+        start, stop, step = (_float_flag("--grid", p) for p in parts)
         if step == 0 or not all(math.isfinite(v) for v in (start, stop, step)):
             raise ValueError(f"bad grid {args.grid!r}")
         n = int(math.floor((stop - start) / step + 1e-9)) + 1

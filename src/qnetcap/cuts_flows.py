@@ -194,19 +194,9 @@ def _cut_from_side(
     return CutResult(float(value), part, tuple(e.id for e in edges))
 
 
-def _check_budget_kind(net: Network, budget_kind: Optional[type]) -> None:
-    if budget_kind is None or net.budget_kind is None:
-        return
-    if net.budget_kind is not budget_kind:
-        raise ValueError(
-            f"network uses {net.budget_kind.__name__} budgets, expected {budget_kind.__name__}"
-        )
-
-
 def min_cut(
     net: Network,
     kind: WeightKind,
-    budget_kind: Optional[type] = None,
     *,
     floor_budgets: bool = False,
 ) -> CutResult:
@@ -216,7 +206,6 @@ def min_cut(
     recomputed from the crossing edges rather than taken from the flow, to
     keep floating-point drift out of the reported number.
     """
-    _check_budget_kind(net, budget_kind)
     solver = _ResidualSolver(flow_graph_from_network(net, kind, floor_budgets=floor_budgets))
     return _cut_from_side(solver.reachable_from_source(), net, kind, floor_budgets)
 
@@ -259,12 +248,10 @@ def _enumerate_min_cut(
 def min_cut_bruteforce(
     net: Network,
     kind: WeightKind,
-    budget_kind: Optional[type] = None,
     *,
     floor_budgets: bool = False,
 ) -> CutResult:
     """Exhaustive-enumeration oracle for min_cut; exact up to 20 vertices."""
-    _check_budget_kind(net, budget_kind)
     weighted = [
         (e.id, e.tail, e.head, _budget_multiplier(e, floor_budgets) * edge_weight(e, kind))
         for e in net.edges

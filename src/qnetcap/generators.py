@@ -33,7 +33,6 @@ def random_lossy_network(
     max_nodes: int = 10,
     max_edges: int = 25,
     eta_range: tuple[float, float] = (0.05, 0.95),
-    budget_cls: type = Frequency,
     max_budget: float = 5.0,
 ) -> Network:
     """All-lossy random multigraph between A and B; may be disconnected."""
@@ -43,7 +42,7 @@ def random_lossy_network(
     for i in range(n_edges):
         tail, head = rng.sample(nodes, 2)
         eta = rng.uniform(*eta_range)
-        budget = budget_cls(rng.uniform(0.0, max_budget))
+        budget = Frequency(rng.uniform(0.0, max_budget))
         edges.append(EdgeSpec(f"e{i}", tail, head, LossyOptical(eta), budget))
     return Network(tuple(nodes), "A", "B", tuple(edges))
 
@@ -54,7 +53,6 @@ def random_custom_network(
     max_nodes: int = 10,
     max_edges: int = 25,
     max_weight: float = 4.0,
-    budget_cls: type = Frequency,
     max_budget: float = 5.0,
 ) -> Network:
     """Random multigraph with arbitrary (q_cap <= esq_upper) edge weights."""
@@ -65,7 +63,7 @@ def random_custom_network(
         tail, head = rng.sample(nodes, 2)
         q = rng.uniform(0.0, max_weight)
         esq = q * rng.uniform(1.0, 2.0)
-        budget = budget_cls(rng.uniform(0.0, max_budget))
+        budget = Frequency(rng.uniform(0.0, max_budget))
         edges.append(EdgeSpec(f"e{i}", tail, head, CustomChannel(q, esq), budget))
     return Network(tuple(nodes), "A", "B", tuple(edges))
 

@@ -15,7 +15,8 @@ import json
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Mapping, Optional, Union
+from enum import Enum
+from typing import ClassVar, Mapping, Optional, Union
 
 NodeId = str
 
@@ -79,58 +80,55 @@ class CustomChannel:
 ChannelSpec = Union[LossyOptical, CustomChannel]
 
 
+class Regime(Enum):
+    """Which asymptotic reading of the budgets a report uses."""
+
+    PER_PROTOCOL = "per-protocol"
+    PER_CHANNEL_USE = "per-use"
+    PER_TIME = "per-time"
+
+
 @dataclass(frozen=True)
-class Count:
+class UsageBudget:
+    """A channel's usage budget, finite and >= 0.
+
+    Only the subclasses are budgets: each names its JSON key (also the
+    field named in error messages) and the regime its value is read in.
+    """
+
+    value: float
+    key: ClassVar[str] = "usage"
+    regime: ClassVar[Regime]
+
+    def __post_init__(self):
+        v = _require_finite(self.key, self.value)
+        if v < 0:
+            raise ValueError(f"{self.key} must be >= 0, got {v}")
+        object.__setattr__(self, "value", v)
+
+
+class Count(UsageBudget):
     """Budget as an absolute number of channel uses."""
 
-    l_bar: float
-
-    def __post_init__(self):
-        v = _require_finite("count", self.l_bar)
-        if v < 0:
-            raise ValueError(f"count must be >= 0, got {v}")
-        object.__setattr__(self, "l_bar", v)
-
-    @property
-    def value(self) -> float:
-        return self.l_bar
+    key = "count"
+    regime = Regime.PER_PROTOCOL
 
 
-@dataclass(frozen=True)
-class Frequency:
+class Frequency(UsageBudget):
     """Budget as uses per total channel use."""
 
-    f_bar: float
-
-    def __post_init__(self):
-        v = _require_finite("freq", self.f_bar)
-        if v < 0:
-            raise ValueError(f"freq must be >= 0, got {v}")
-        object.__setattr__(self, "f_bar", v)
-
-    @property
-    def value(self) -> float:
-        return self.f_bar
+    key = "freq"
+    regime = Regime.PER_CHANNEL_USE
 
 
-@dataclass(frozen=True)
-class Rate:
+class Rate(UsageBudget):
     """Budget as uses per unit time."""
 
-    r_bar: float
-
-    def __post_init__(self):
-        v = _require_finite("rate", self.r_bar)
-        if v < 0:
-            raise ValueError(f"rate must be >= 0, got {v}")
-        object.__setattr__(self, "r_bar", v)
-
-    @property
-    def value(self) -> float:
-        return self.r_bar
+    key = "rate"
+    regime = Regime.PER_TIME
 
 
-UsageBudget = Union[Count, Frequency, Rate]
+_BUDGET_KINDS = (Count, Frequency, Rate)
 
 
 @dataclass(frozen=True)
@@ -150,7 +148,7 @@ class EdgeSpec:
             raise ValueError(f"edge {self.id!r}: self-loop at {self.tail!r} rejected")
         if not isinstance(self.channel, (LossyOptical, CustomChannel)):
             raise ValueError(f"edge {self.id!r}: unknown channel spec {self.channel!r}")
-        if not isinstance(self.usage, (Count, Frequency, Rate)):
+        if not isinstance(self.usage, _BUDGET_KINDS):
             raise ValueError(f"edge {self.id!r}: unknown usage budget {self.usage!r}")
 
     def endpoints(self) -> frozenset[NodeId]:
@@ -203,7 +201,7 @@ class Network:
         return frozenset(self.nodes)
 
     @property
-    def budget_kind(self) -> Optional[type]:
+    def budget_kind(self) -> Optional[type[UsageBudget]]:
         """The single budget variant used by the edges, or None if edgeless."""
         return type(self.edges[0].usage) if self.edges else None
 
@@ -270,15 +268,13 @@ def _parse_channel(obj, edge_id: str) -> ChannelSpec:
 def _parse_usage(obj, edge_id: str) -> UsageBudget:
     if not isinstance(obj, dict):
         raise NetworkFormatError(f"edge {edge_id!r}: usage must be an object")
-    keys = set(obj) & {"count", "freq", "rate"}
-    if len(keys) != 1:
-        raise NetworkFormatError(
-            f"edge {edge_id!r}: usage must carry exactly one of 'count', 'freq', 'rate'"
-        )
-    key = keys.pop()
-    cls = {"count": Count, "freq": Frequency, "rate": Rate}[key]
+    kinds = [cls for cls in _BUDGET_KINDS if cls.key in obj]
+    if len(kinds) != 1:
+        names = ", ".join(repr(cls.key) for cls in _BUDGET_KINDS)
+        raise NetworkFormatError(f"edge {edge_id!r}: usage must carry exactly one of {names}")
+    cls, = kinds
     try:
-        return cls(obj[key])
+        return cls(obj[cls.key])
     except ValueError as err:
         raise NetworkFormatError(f"edge {edge_id!r}: {err}") from err
 
@@ -341,14 +337,6 @@ def _channel_to_obj(channel: ChannelSpec) -> dict:
     return {"type": "custom", "q_cap": channel.q_cap, "esq_upper": channel.esq_upper}
 
 
-def _usage_to_obj(usage: UsageBudget) -> dict:
-    if isinstance(usage, Count):
-        return {"count": usage.l_bar}
-    if isinstance(usage, Frequency):
-        return {"freq": usage.f_bar}
-    return {"rate": usage.r_bar}
-
-
 def serialize_network(net: Network) -> str:
     """Canonical JSON text; parse(serialize(net)) is structurally identical to net."""
     doc = {
@@ -361,7 +349,7 @@ def serialize_network(net: Network) -> str:
                 "tail": e.tail,
                 "head": e.head,
                 "channel": _channel_to_obj(e.channel),
-                "usage": _usage_to_obj(e.usage),
+                "usage": {e.usage.key: e.usage.value},
             }
             for e in net.edges
         ],
@@ -386,9 +374,7 @@ def _edge_label(e: EdgeSpec) -> str:
         chan = f"lossy eta={e.channel.eta:g}"
     else:
         chan = f"custom q={e.channel.q_cap:g} esq={e.channel.esq_upper:g}"
-    usage = _usage_to_obj(e.usage)
-    (ukey, uval), = usage.items()
-    return f"{e.id}: {chan}, {ukey}={uval:g}"
+    return f"{e.id}: {chan}, {e.usage.key}={e.usage.value:g}"
 
 
 def export_dot(net: Network, annotations: Optional[Mapping[str, str]] = None) -> str:

@@ -171,6 +171,18 @@ def test_sandwich_report_regime_mismatch(diamond_net):
         sandwich_report(diamond_net, Regime.PER_PROTOCOL)
 
 
+def test_sandwich_report_rejects_epsilon_outside_per_protocol(diamond_net):
+    with pytest.raises(ValueError, match="epsilon=0.3.*'per-use'"):
+        sandwich_report(diamond_net, Regime.PER_CHANNEL_USE, epsilon=0.3)
+    timed = dataclasses.replace(
+        diamond_net,
+        edges=tuple(dataclasses.replace(e, usage=Rate(e.usage.value)) for e in diamond_net.edges),
+    )
+    with pytest.raises(ValueError, match="'per-time'"):
+        sandwich_report(timed, Regime.PER_TIME, epsilon=1e-4)
+    assert sandwich_report(timed, Regime.PER_TIME, epsilon=0.0).epsilon == 0.0
+
+
 def test_sandwich_report_zero_budgets():
     edges = (
         EdgeSpec("e", "A", "B", LossyOptical(0.9), Frequency(0.0)),
@@ -263,7 +275,7 @@ def test_budget_scaling_covariance():
         scaled = dataclasses.replace(
             net,
             edges=tuple(
-                dataclasses.replace(e, usage=Frequency(e.usage.f_bar * c)) for e in net.edges
+                dataclasses.replace(e, usage=Frequency(e.usage.value * c)) for e in net.edges
             ),
         )
         base = sandwich_report(net, Regime.PER_CHANNEL_USE)
@@ -283,7 +295,7 @@ def test_per_time_report_scales_like_per_use():
         timed = dataclasses.replace(
             net,
             edges=tuple(
-                dataclasses.replace(e, usage=Rate(e.usage.f_bar * c)) for e in net.edges
+                dataclasses.replace(e, usage=Rate(e.usage.value * c)) for e in net.edges
             ),
         )
         per_use = sandwich_report(net, Regime.PER_CHANNEL_USE)

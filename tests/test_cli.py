@@ -3,6 +3,7 @@ import json
 import jsonschema
 import pytest
 
+from qnetcap import Count, Frequency, Rate, Regime, parse_network, serialize_network
 from qnetcap.cli import main
 
 from conftest import NETWORKS_DIR, REPO_ROOT, load_schema
@@ -180,6 +181,45 @@ def test_simulate_swap_from_plan(capsys, tmp_path):
     assert code == 1 and "out of range" in err
 
 
+@pytest.mark.parametrize(
+    "doc, problem",
+    [
+        (json.loads((NETWORKS_DIR / "diamond.json").read_text()), "no 'paths' list"),
+        ({"paths": [{"nodes": ["A", "B"]}]}, "path 0 has no 'bell_edges' list"),
+    ],
+    ids=["network-file", "path-without-bell-edges"],
+)
+def test_simulate_swap_from_plan_rejects_non_plan(capsys, tmp_path, doc, problem):
+    path = tmp_path / "not_a_plan.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "simulate-swap", "--from-plan", str(path))
+    assert code == 1
+    assert out == ""
+    assert "is not a plan" in err and problem in err
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("simulate-swap", "--chain", "0.9,0.9", "--eps", "abc"), "--eps"),
+        (("simulate-swap", "--chain", "0.9,0.9", "--eps", "0.1,"), "--eps"),
+        (("plan", FIG2, "--rate-model", "fraction:abc"), "--rate-model"),
+        (("plan", FIG2, "--rate-model", "table:{table}"), "--rate-model"),
+        (("sweep", SINGLE, "--param", "eta", "--edge", "ab", "--values", "abc"), "--values"),
+        (("sweep", SINGLE, "--param", "eta", "--edge", "ab", "--grid", "0.1:x:0.1"), "--grid"),
+    ],
+    ids=["eps-word", "eps-trailing-comma", "fraction-word", "table-word", "values-word",
+         "grid-word"],
+)
+def test_bad_flag_value_names_the_flag(capsys, tmp_path, argv, flag):
+    table = tmp_path / "rates.json"
+    table.write_text(json.dumps({"a-c1": "abc"}))
+    code, out, err = run(capsys, *(a.format(table=table) for a in argv))
+    assert code == 1
+    assert out == ""
+    assert f"bad {flag}" in err
+
+
 # --- sweep -------------------------------------------------------------------
 
 def test_sweep_eta_single_edge(capsys):
@@ -318,6 +358,10 @@ def test_plan_stdout_matches_golden_bytes(capsys, name):
         ("sweep", SINGLE, "--param", "eta", "--edge", "ab", "--values", "0.5",
          "--epsilon", "nan"),
         ("sweep", SINGLE, "--param", "epsilon", "--values=-0.1,0.1"),
+        # epsilon > 0 outside the per-protocol regime
+        ("bound", str(NETWORKS_DIR / "fig1_sample.json"), "--regime", "per-use",
+         "--epsilon", "0.3"),
+        ("sweep", DIAMOND, "--param", "epsilon", "--values", "0,0.3"),
     ],
     ids=lambda argv: " ".join(a.rsplit("/", 1)[-1] for a in argv),
 )
@@ -326,3 +370,29 @@ def test_bad_epsilon_exits_one_naming_epsilon(capsys, argv):
     assert code == 1
     assert out == ""
     assert "epsilon" in err
+
+
+@pytest.mark.parametrize(
+    "key, cls, regime, label",
+    [
+        ("count", Count, Regime.PER_PROTOCOL, "count"),
+        ("freq", Frequency, Regime.PER_CHANNEL_USE, "frequency"),
+        ("rate", Rate, Regime.PER_TIME, "rate"),
+    ],
+)
+def test_budget_kind_end_to_end(capsys, tmp_path, key, cls, regime, label):
+    doc = json.loads((NETWORKS_DIR / "diamond.json").read_text())
+    for i, edge in enumerate(doc["edges"]):
+        edge["usage"] = {key: 1.5 + i}
+    net = parse_network(json.dumps(doc))
+    assert parse_network(serialize_network(net)) == net
+    assert all(type(e.usage) is cls for e in net.edges)
+    assert type(net.edges[0].usage).regime is regime
+    assert json.loads(serialize_network(net))["edges"][0]["usage"] == {key: 1.5}
+    path = tmp_path / f"{key}.json"
+    path.write_text(serialize_network(net))
+    code, out, _ = run(capsys, "validate", str(path))
+    assert code == 0
+    assert out == f"ok: 4 nodes, 4 edges, {label} budgets\n"
+    for other in {Count, Frequency, Rate} - {cls}:
+        assert cls(1.0) != other(1.0)

@@ -54,8 +54,8 @@ def test_min_cut_single_edge():
 
 
 def test_min_cut_diamond(diamond_net):
-    lower = min_cut(diamond_net, WeightKind.Q_CAP, Frequency)
-    upper = min_cut(diamond_net, WeightKind.ESQ_UPPER, Frequency)
+    lower = min_cut(diamond_net, WeightKind.Q_CAP)
+    upper = min_cut(diamond_net, WeightKind.ESQ_UPPER)
     assert lower.value == pytest.approx(DIAMOND_LOWER, abs=1e-9)
     assert upper.value == pytest.approx(DIAMOND_UPPER, abs=1e-9)
     assert lower.v_a.sorted_nodes() == ("A", "C1")
@@ -72,11 +72,6 @@ def test_min_cut_isolated_alice():
     cut = min_cut(net, WeightKind.Q_CAP)
     assert cut.value == 0.0
     assert cut.crossing == ()
-
-
-def test_min_cut_budget_kind_mismatch(diamond_net):
-    with pytest.raises(ValueError, match="Frequency"):
-        min_cut(diamond_net, WeightKind.Q_CAP, Count)
 
 
 def test_bruteforce_matches_fast_path_on_diamond(diamond_net):

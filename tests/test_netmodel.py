@@ -12,6 +12,7 @@ from qnetcap import (
     Network,
     NetworkFormatError,
     Rate,
+    UsageBudget,
     crossing_edges,
     export_dot,
     parse_network,
@@ -241,6 +242,11 @@ def test_negative_budget_rejected():
         Count(-1.0)
     with pytest.raises(ValueError, match="finite"):
         Rate(float("inf"))
+
+
+def test_edge_spec_rejects_bare_usage_budget():
+    with pytest.raises(ValueError, match="unknown usage budget"):
+        EdgeSpec("e1", "A", "B", LossyOptical(0.5), UsageBudget(1.0))
 
 
 def test_edge_by_id(diamond_net):
