@@ -346,6 +346,36 @@ def test_plan_stdout_matches_golden_bytes(capsys, name):
     assert out.encode("utf-8") == (DATA_DIR / f"plan_{name}.json").read_bytes()
 
 
+LOSSY_FIELDS = "lower,upper_esq,upper_eps_corrected,ratio"
+ETA_GRID = ("--grid", "0:0.95:0.05")
+GOLDEN_SWEEPS = {
+    "sweep_eta_single_edge": ("single_edge", "--param", "eta", "--edge", "ab", *ETA_GRID,
+                              "--fields", LOSSY_FIELDS),
+    "sweep_eta_diamond": ("diamond", "--param", "eta", "--edge", "e3", *ETA_GRID,
+                          "--fields", LOSSY_FIELDS),
+    "sweep_eta_fig1_sample": ("fig1_sample", "--param", "eta", "--edge", "c3-b", *ETA_GRID,
+                              "--fields", LOSSY_FIELDS),
+    # 'ab' joins Alice and Bob directly, so every cut crosses the swept edge
+    "sweep_eta_triangle_counts": ("triangle_counts", "--param", "eta", "--edge", "ab", *ETA_GRID,
+                                  "--fields", LOSSY_FIELDS + ",m", "--epsilon", "0.001"),
+    "sweep_eta_fig2_analog": ("fig2_analog", "--param", "eta", "--edge", "c1-c3", *ETA_GRID,
+                              "--fields", LOSSY_FIELDS + ",m"),
+    "sweep_epsilon_triangle_counts": ("triangle_counts", "--param", "epsilon", "--values",
+                                      "0,0.0001,0.001,0.003,0.0039,0.00390625,0.004,0.01",
+                                      "--fields", "upper_eps_corrected,m"),
+    "sweep_budget_scale_diamond": ("diamond", "--param", "budget-scale", "--grid", "0:3:0.25",
+                                   "--fields", LOSSY_FIELDS),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SWEEPS))
+def test_sweep_csv_matches_golden_bytes(capsys, name):
+    network, *rest = GOLDEN_SWEEPS[name]
+    code, out, err = run(capsys, "sweep", str(NETWORKS_DIR / f"{network}.json"), *rest)
+    assert code == 0, err
+    assert out.encode("utf-8") == (DATA_DIR / f"{name}.csv").read_bytes()
+
+
 @pytest.mark.parametrize(
     "argv",
     [
