@@ -15,6 +15,7 @@ from .aggregator import (
     RateModel,
     SandwichReport,
     build_bell_network,
+    check_report_inputs,
     lossy_gap_ratio,
     pair_count,
     plan,
@@ -37,6 +38,7 @@ from .capacity import (
     lossy_q_cap,
 )
 from .cuts_flows import (
+    ArcSweep,
     CapacityKind,
     CutResult,
     DisjointPath,
@@ -44,6 +46,7 @@ from .cuts_flows import (
     PathSet,
     bell_min_cut_bruteforce,
     check_path_set,
+    edge_capacity,
     flow_graph_from_bell,
     flow_graph_from_network,
     max_disjoint_paths,
@@ -71,15 +74,31 @@ from .netmodel import (
     parse_network,
     serialize_network,
 )
-from .qsim_oracle import (
-    DensityMatrix,
-    SwapVerification,
-    bell_fidelity,
-    bell_pair,
-    swap_chain,
-    trace_distance,
-    verify_error_chain,
-    werner_pair,
-)
+
+# The swap oracle needs numpy, which nothing else does; its names are
+# imported on first use (PEP 562), so validate/bound/plan/sweep never load it.
+_ORACLE_NAMES = frozenset({
+    "DensityMatrix",
+    "SwapVerification",
+    "bell_fidelity",
+    "bell_pair",
+    "swap_chain",
+    "trace_distance",
+    "verify_error_chain",
+    "werner_pair",
+})
+
+
+def __getattr__(name: str):
+    if name in _ORACLE_NAMES:
+        from . import qsim_oracle
+
+        return getattr(qsim_oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | _ORACLE_NAMES)
+
 
 __version__ = "0.1.0"

@@ -160,18 +160,14 @@ class SandwichReport:
     upper_witness: CutResult
 
 
-def sandwich_report(net: Network, regime: Regime, epsilon: float = 0.0) -> SandwichReport:
-    """Two-sided bounds on the optimal performance under the given regime.
+def check_report_inputs(net: Network, regime: Regime, epsilon: float) -> float:
+    """The checks sandwich_report makes before any cut; returns epsilon as a float.
 
-    The lower bound weights cuts by q_cap (budgets floored in the
-    per-protocol regime); the upper bound weights them by esq_upper with
-    un-floored budgets. The finite-error correction applies only to the
-    per-protocol regime; the asymptotic regimes take their error to zero,
-    so a positive epsilon there is rejected.
+    Epsilon must be finite and >= 0, positive only in the per-protocol
+    regime, and the regime must be the one the network's budgets read as.
     """
     epsilon = EpsilonBudget(epsilon).epsilon
-    per_protocol = regime is Regime.PER_PROTOCOL
-    if epsilon > 0 and not per_protocol:
+    if epsilon > 0 and regime is not Regime.PER_PROTOCOL:
         raise ValueError(
             f"epsilon={epsilon} applies only to the per-protocol regime; "
             f"regime {regime.value!r} takes epsilon to 0"
@@ -182,6 +178,20 @@ def sandwich_report(net: Network, regime: Regime, epsilon: float = 0.0) -> Sandw
             f"regime {regime.value!r} does not match the network's {kind.__name__} "
             f"budgets, which read as regime {kind.regime.value!r}"
         )
+    return epsilon
+
+
+def sandwich_report(net: Network, regime: Regime, epsilon: float = 0.0) -> SandwichReport:
+    """Two-sided bounds on the optimal performance under the given regime.
+
+    The lower bound weights cuts by q_cap (budgets floored in the
+    per-protocol regime); the upper bound weights them by esq_upper with
+    un-floored budgets. The finite-error correction applies only to the
+    per-protocol regime; the asymptotic regimes take their error to zero,
+    so a positive epsilon there is rejected.
+    """
+    epsilon = check_report_inputs(net, regime, epsilon)
+    per_protocol = regime is Regime.PER_PROTOCOL
     lower_cut = min_cut(net, WeightKind.Q_CAP, floor_budgets=per_protocol)
     upper_cut = min_cut(net, WeightKind.ESQ_UPPER)
     corrected = epsilon_corrected_upper(upper_cut.value, epsilon)

@@ -21,22 +21,18 @@ from .aggregator import (
     PerEdgeTable,
     RateModel,
     Regime,
-    lossy_gap_ratio,
+    build_bell_network,
+    check_report_inputs,
+    pair_count,
     plan,
     plan_to_dict,
     plan_to_dot,
     sandwich_report,
     sandwich_report_to_dict,
 )
-from .capacity import is_vacuous
+from .capacity import WeightKind, epsilon_corrected_upper, is_vacuous
+from .cuts_flows import ArcSweep, edge_capacity, flow_graph_from_bell, flow_graph_from_network
 from .netmodel import Count, LossyOptical, Network, load_network
-from .qsim_oracle import (
-    MAX_CHAIN_LENGTH,
-    bell_pair,
-    trace_distance,
-    verify_error_chain,
-    werner_pair,
-)
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -85,12 +81,17 @@ def _parse_rate_model(spec: str) -> RateModel:
     if spec.startswith("table:"):
         path = spec.split(":", 1)[1]
         with open(path, "r", encoding="utf-8") as fh:
-            table = json.load(fh)
+            try:
+                table = json.load(fh)
+            except ValueError as err:  # JSON syntax or text encoding
+                raise ValueError(f"bad --rate-model table file {path!r}: {err}") from err
         if not isinstance(table, dict):
             raise ValueError(f"rate table {path!r} must be a JSON object")
-        return PerEdgeTable(
-            {str(k): _float_flag(f"--rate-model table entry {k!r}", v) for k, v in table.items()}
-        )
+        for k, v in table.items():
+            # bool is an int subclass, so float(True) would pass as a rate of 1
+            if isinstance(v, bool) or not isinstance(v, (int, float)):
+                raise ValueError(f"bad --rate-model table entry {k!r} value: {v!r} is not a number")
+        return PerEdgeTable({str(k): float(v) for k, v in table.items()})
     raise ValueError(
         f"unknown rate model {spec!r}; use 'asymptotic', 'fraction:<alpha>' or 'table:<file>'"
     )
@@ -154,6 +155,15 @@ def _chain_from_args(args) -> list[float]:
 
 
 def cmd_simulate_swap(args) -> int:
+    # the oracle is the one numpy user; no other subcommand pays for importing it
+    from .qsim_oracle import (
+        MAX_CHAIN_LENGTH,
+        bell_pair,
+        trace_distance,
+        verify_error_chain,
+        werner_pair,
+    )
+
     chain = _chain_from_args(args)
     if len(chain) > MAX_CHAIN_LENGTH:
         raise ValueError(
@@ -217,49 +227,95 @@ def _parse_grid(args) -> list[float]:
     return grid
 
 
-def _network_at(net: Network, param: str, edge_id: Optional[str], value: float) -> Network:
-    if param == "eta":
-        target = net.edge_by_id(edge_id)
-        if not isinstance(target.channel, LossyOptical):
-            raise ValueError(f"edge {edge_id!r} is not a lossy channel")
-        new_edges = tuple(
-            dataclasses.replace(e, channel=LossyOptical(value)) if e.id == edge_id else e
-            for e in net.edges
+def _eta_points(net: Network, edge_id: str, grid: Sequence[float], epsilon: float, want_m: bool):
+    """Two max-flows per weight kind (and two for m), whatever the grid size.
+
+    Only the swept edge's capacity changes from point to point, so each
+    cut value comes from an ArcSweep over the base network.
+    """
+    edge = net.edge_by_id(edge_id)
+    if not isinstance(edge.channel, LossyOptical):
+        raise ValueError(f"edge {edge_id!r} is not a lossy channel")
+    regime = _infer_regime(net, None)
+    epsilon = check_report_inputs(net, regime, epsilon)
+    floor = regime is Regime.PER_PROTOCOL
+    lower = ArcSweep(flow_graph_from_network(net, WeightKind.Q_CAP, floor_budgets=floor), edge_id)
+    upper = ArcSweep(flow_graph_from_network(net, WeightKind.ESQ_UPPER), edge_id)
+    pairs = ArcSweep(flow_graph_from_bell(build_bell_network(net)), edge_id) if want_m else None
+    for value in grid:
+        point = dataclasses.replace(edge, channel=LossyOptical(value))
+        upper_esq = upper.min_cut_value(edge_capacity(point, WeightKind.ESQ_UPPER))
+        yield (
+            value,
+            lower.min_cut_value(edge_capacity(point, WeightKind.Q_CAP, floor_budgets=floor)),
+            upper_esq,
+            epsilon_corrected_upper(upper_esq, epsilon),
+            pairs.min_cut_value(pair_count(point, AsymptoticQCap())) if want_m else None,
         )
-        return dataclasses.replace(net, edges=new_edges)
-    if param == "budget-scale":
+
+
+def _epsilon_points(net: Network, grid: Sequence[float], want_m: bool):
+    """One report (and one m): only the epsilon correction varies."""
+    regime = _infer_regime(net, None)
+    for value in grid:
+        check_report_inputs(net, regime, value)
+    report = sandwich_report(net, regime)
+    m = plan(net).m if want_m else None
+    for value in grid:
+        corrected = epsilon_corrected_upper(report.upper_esq, value)
+        yield value, report.lower, report.upper_esq, corrected, m
+
+
+def _budget_scale_points(net: Network, grid: Sequence[float], epsilon: float, want_m: bool):
+    """One report per point: scaling changes every capacity, and the
+    per-protocol floors make the cut non-linear in the scale."""
+    for value in grid:
         if value < 0:
             raise ValueError(f"budget scale must be >= 0, got {value}")
-        new_edges = tuple(
+        point_net = dataclasses.replace(net, edges=tuple(
             dataclasses.replace(e, usage=type(e.usage)(e.usage.value * value))
             for e in net.edges
-        )
-        return dataclasses.replace(net, edges=new_edges)
-    return net  # epsilon sweeps leave the network untouched
+        ))
+        report = sandwich_report(point_net, _infer_regime(point_net, None), epsilon)
+        m = plan(point_net, epsilon).m if want_m else None
+        yield value, report.lower, report.upper_esq, report.upper_eps_corrected, m
 
 
-def _sweep_row(net: Network, args, fields: Sequence[str], value: float) -> list[str]:
-    epsilon = value if args.param == "epsilon" else args.epsilon
-    point_net = _network_at(net, args.param, args.edge, value)
-    regime = _infer_regime(point_net, None)
-    report = sandwich_report(point_net, regime, epsilon)
-    row = [_fmt(value)]
-    for name in fields:
-        if name == "lower":
-            row.append(_fmt(report.lower))
-        elif name == "upper_esq":
-            row.append(_fmt(report.upper_esq))
-        elif name == "upper_eps_corrected":
-            corrected = report.upper_eps_corrected
-            row.append("vacuous" if is_vacuous(corrected) else _fmt(corrected))
-        elif name == "ratio":
-            if report.lower > 0:
-                row.append(_fmt(lossy_gap_ratio(report)))
-            else:
-                row.append("nan")
-        elif name == "m":
-            row.append(str(plan(point_net, epsilon).m))
-    return row
+def _sweep_row(fields: Sequence[str], value, lower, upper_esq, corrected, m) -> str:
+    cells = {
+        "lower": _fmt(lower),
+        "upper_esq": _fmt(upper_esq),
+        "upper_eps_corrected": "vacuous" if is_vacuous(corrected) else _fmt(corrected),
+        "ratio": _fmt(upper_esq / lower) if lower > 0 else "nan",
+        "m": str(m),
+    }
+    return ",".join([_fmt(value)] + [cells[name] for name in fields])
+
+
+def sweep_csv(
+    net: Network,
+    param: str,
+    grid: Sequence[float],
+    fields: Sequence[str],
+    *,
+    edge: Optional[str] = None,
+    epsilon: float = 0.0,
+) -> str:
+    """CSV of the report fields at each grid value, in grid order.
+
+    Every check runs before the first row is formatted, so a bad point
+    leaves no partial output.
+    """
+    want_m = "m" in fields
+    if param == "eta":
+        points = _eta_points(net, edge, grid, epsilon, want_m)
+    elif param == "epsilon":
+        points = _epsilon_points(net, grid, want_m)
+    else:
+        points = _budget_scale_points(net, grid, epsilon, want_m)
+    lines = [",".join([param, *fields])]
+    lines.extend(_sweep_row(fields, *point) for point in points)
+    return "\r\n".join(lines) + "\r\n"
 
 
 def cmd_sweep(args) -> int:
@@ -279,10 +335,7 @@ def cmd_sweep(args) -> int:
     if "m" in fields and net.budget_kind is not Count:
         raise ValueError("field 'm' needs Count budgets (protocol plans)")
 
-    lines = [",".join([args.param] + fields)]
-    for value in grid:
-        lines.append(",".join(_sweep_row(net, args, fields, value)))
-    text = "\r\n".join(lines) + "\r\n"
+    text = sweep_csv(net, args.param, grid, fields, edge=args.edge, epsilon=args.epsilon)
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)

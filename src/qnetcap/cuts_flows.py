@@ -12,6 +12,7 @@ crossing any Alice/Bob cut.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import re
 from collections import deque
@@ -20,7 +21,7 @@ from enum import Enum
 from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 
 from .capacity import WeightKind, edge_weight
-from .netmodel import Bipartition, Network, NodeId, crossing_edges
+from .netmodel import Bipartition, EdgeSpec, Network, NodeId, crossing_edges
 
 if TYPE_CHECKING:
     from .aggregator import BellNetwork
@@ -51,9 +52,11 @@ class FlowGraph:
                 raise ValueError(f"arc {eid!r}: self-loop at {u!r}")
 
 
-def _budget_multiplier(edge, floor_budgets: bool) -> float:
+def edge_capacity(edge: EdgeSpec, kind: WeightKind, *, floor_budgets: bool = False) -> float:
+    """Cut weight of one edge: budget (floored if asked) x per-use weight."""
     value = edge.usage.value
-    return float(math.floor(value)) if floor_budgets else value
+    budget = float(math.floor(value)) if floor_budgets else value
+    return budget * edge_weight(edge, kind)
 
 
 def flow_graph_from_network(
@@ -61,7 +64,7 @@ def flow_graph_from_network(
 ) -> FlowGraph:
     """Weighted flow instance: capacity = budget x per-use weight."""
     arcs = tuple(
-        (e.id, e.tail, e.head, _budget_multiplier(e, floor_budgets) * edge_weight(e, kind))
+        (e.id, e.tail, e.head, edge_capacity(e, kind, floor_budgets=floor_budgets))
         for e in net.edges
     )
     return FlowGraph(net.nodes, net.alice, net.bob, arcs, CapacityKind.REAL)
@@ -190,7 +193,7 @@ def _cut_from_side(
 ) -> CutResult:
     part = Bipartition(vertices_in_side)
     edges = crossing_edges(net, part)
-    value = sum(_budget_multiplier(e, floor_budgets) * edge_weight(e, kind) for e in edges)
+    value = sum(edge_capacity(e, kind, floor_budgets=floor_budgets) for e in edges)
     return CutResult(float(value), part, tuple(e.id for e in edges))
 
 
@@ -208,6 +211,37 @@ def min_cut(
     """
     solver = _ResidualSolver(flow_graph_from_network(net, kind, floor_budgets=floor_budgets))
     return _cut_from_side(solver.reachable_from_source(), net, kind, floor_budgets)
+
+
+class ArcSweep:
+    """Minimum-cut value of a flow instance as the capacity w of one arc varies.
+
+    Every cut either crosses the arc, at value A + w, or avoids it, at B, so
+    the minimum is F(w) = min(F(0) + w, F(inf)). Two max-flows give the Alice
+    sides of a minimum cut with the arc at 0 and with the arc above all other
+    arcs combined; at any w the smaller of those two cuts is a minimum cut.
+    When the arc joins source and sink, every cut crosses it and both sides
+    value at F(0) + w.
+    """
+
+    def __init__(self, fg: FlowGraph, arc_id: str):
+        self.arc_id = arc_id
+        self.zero = 0 if fg.capacity_kind is CapacityKind.INTEGER else 0.0
+        others = sum(cap for eid, _, _, cap in fg.arcs if eid != arc_id)
+        self.crossing = []  # per side, the arc rows it crosses, in arc order
+        for cap in (self.zero, others + 1):
+            arcs = tuple((eid, u, v, cap if eid == arc_id else c) for eid, u, v, c in fg.arcs)
+            side = _ResidualSolver(dataclasses.replace(fg, arcs=arcs)).reachable_from_source()
+            self.crossing.append(
+                tuple(row for row in fg.arcs if (row[1] in side) != (row[2] in side))
+            )
+
+    def min_cut_value(self, capacity: float) -> float:
+        """F(capacity), summed over the crossing arcs in arc order as min_cut does."""
+        return min(
+            sum((capacity if eid == self.arc_id else c for eid, _, _, c in rows), self.zero)
+            for rows in self.crossing
+        )
 
 
 def _enumerate_min_cut(
@@ -253,7 +287,7 @@ def min_cut_bruteforce(
 ) -> CutResult:
     """Exhaustive-enumeration oracle for min_cut; exact up to 20 vertices."""
     weighted = [
-        (e.id, e.tail, e.head, _budget_multiplier(e, floor_budgets) * edge_weight(e, kind))
+        (e.id, e.tail, e.head, edge_capacity(e, kind, floor_budgets=floor_budgets))
         for e in net.edges
     ]
     _, side = _enumerate_min_cut(net.nodes, net.alice, net.bob, weighted)

@@ -205,19 +205,29 @@ def test_simulate_swap_from_plan_rejects_non_plan(capsys, tmp_path, doc, problem
         (("simulate-swap", "--chain", "0.9,0.9", "--eps", "0.1,"), "--eps"),
         (("plan", FIG2, "--rate-model", "fraction:abc"), "--rate-model"),
         (("plan", FIG2, "--rate-model", "table:{table}"), "--rate-model"),
+        (("plan", TRIANGLE, "--rate-model", "table:{bool_table}"), "--rate-model"),
+        (("plan", TRIANGLE, "--rate-model", "table:{bad_json}"), "--rate-model"),
         (("sweep", SINGLE, "--param", "eta", "--edge", "ab", "--values", "abc"), "--values"),
         (("sweep", SINGLE, "--param", "eta", "--edge", "ab", "--grid", "0.1:x:0.1"), "--grid"),
     ],
-    ids=["eps-word", "eps-trailing-comma", "fraction-word", "table-word", "values-word",
-         "grid-word"],
+    ids=["eps-word", "eps-trailing-comma", "fraction-word", "table-word", "table-booleans",
+         "table-not-json", "values-word", "grid-word"],
 )
 def test_bad_flag_value_names_the_flag(capsys, tmp_path, argv, flag):
-    table = tmp_path / "rates.json"
-    table.write_text(json.dumps({"a-c1": "abc"}))
-    code, out, err = run(capsys, *(a.format(table=table) for a in argv))
+    files = {
+        "table": json.dumps({"a-c1": "abc"}),
+        "bool_table": json.dumps({"ac": True, "cb": True, "ab": True}),
+        "bad_json": "nope",
+    }
+    for name, text in files.items():
+        (tmp_path / f"{name}.json").write_text(text)
+    paths = {name: tmp_path / f"{name}.json" for name in files}
+    code, out, err = run(capsys, *(a.format(**paths) for a in argv))
     assert code == 1
     assert out == ""
     assert f"bad {flag}" in err
+    if "bad_json" in argv[-1]:
+        assert "bad_json.json" in err  # the message names the file
 
 
 # --- sweep -------------------------------------------------------------------
@@ -374,6 +384,44 @@ def test_sweep_csv_matches_golden_bytes(capsys, name):
     code, out, err = run(capsys, "sweep", str(NETWORKS_DIR / f"{network}.json"), *rest)
     assert code == 0, err
     assert out.encode("utf-8") == (DATA_DIR / f"{name}.csv").read_bytes()
+
+
+FIG1 = str(NETWORKS_DIR / "fig1_sample.json")
+PER_USE_ONLY = "applies only to the per-protocol regime; regime 'per-use' takes epsilon to 0"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ((DIAMOND, "--param", "eta", "--edge", "nope", "--values", "0.5"),
+         "\"no edge with id 'nope'\""),
+        # the edge is checked before the epsilon, as in the pointwise sweep
+        ((DIAMOND, "--param", "eta", "--edge", "nope", "--values", "0.5", "--epsilon", "nan"),
+         "\"no edge with id 'nope'\""),
+        ((FIG1, "--param", "eta", "--edge", "c2-c3", "--values", "0.5"),
+         "edge 'c2-c3' is not a lossy channel"),
+        ((DIAMOND, "--param", "epsilon", "--values", "0,0.3"), f"epsilon=0.3 {PER_USE_ONLY}"),
+        # a sweep reads its regime from the budgets; a fixed epsilon > 0 is
+        # the one way to ask a freq network for the per-protocol correction
+        ((DIAMOND, "--param", "eta", "--edge", "e1", "--values", "0.2,0.5", "--epsilon", "0.1"),
+         f"epsilon=0.1 {PER_USE_ONLY}"),
+        ((DIAMOND, "--param", "budget-scale", "--values", "1,2", "--epsilon", "0.1"),
+         f"epsilon=0.1 {PER_USE_ONLY}"),
+        ((TRIANGLE, "--param", "epsilon", "--values=-0.5,0.1", "--fields", "m"),
+         "epsilon must be finite and >= 0, got -0.5"),
+        ((TRIANGLE, "--param", "eta", "--edge", "ab", "--values", "0.5", "--epsilon", "inf",
+          "--fields", "m"),
+         "epsilon must be finite and >= 0, got inf"),
+    ],
+    ids=["unknown-edge", "unknown-edge-before-epsilon", "custom-edge", "epsilon-sweep-freq",
+         "eta-sweep-epsilon-freq", "budget-scale-epsilon-freq", "negative-epsilon",
+         "eta-sweep-epsilon-inf"],
+)
+def test_sweep_errors_match_pointwise_messages(capsys, argv, message):
+    code, out, err = run(capsys, "sweep", *argv)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize(
