@@ -303,8 +303,8 @@ def sweep_csv(
 ) -> str:
     """CSV of the report fields at each grid value, in grid order.
 
-    Every check runs before the first row is formatted, so a bad point
-    leaves no partial output.
+    The text is returned whole, so an error at any point leaves no partial
+    output; the eta and epsilon sweeps check every point before any cut.
     """
     want_m = "m" in fields
     if param == "eta":

@@ -12,11 +12,10 @@ crossing any Alice/Bob cut.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import re
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 
@@ -225,13 +224,15 @@ class ArcSweep:
     """
 
     def __init__(self, fg: FlowGraph, arc_id: str):
+        if all(eid != arc_id for eid, _, _, _ in fg.arcs):
+            raise KeyError(f"no arc with id {arc_id!r}")
         self.arc_id = arc_id
         self.zero = 0 if fg.capacity_kind is CapacityKind.INTEGER else 0.0
         others = sum(cap for eid, _, _, cap in fg.arcs if eid != arc_id)
         self.crossing = []  # per side, the arc rows it crosses, in arc order
         for cap in (self.zero, others + 1):
             arcs = tuple((eid, u, v, cap if eid == arc_id else c) for eid, u, v, c in fg.arcs)
-            side = _ResidualSolver(dataclasses.replace(fg, arcs=arcs)).reachable_from_source()
+            side = _ResidualSolver(replace(fg, arcs=arcs)).reachable_from_source()
             self.crossing.append(
                 tuple(row for row in fg.arcs if (row[1] in side) != (row[2] in side))
             )

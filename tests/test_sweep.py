@@ -221,3 +221,5 @@ def test_arc_sweep_direct_edge_is_crossed_by_every_cut():
     # F(0) = min(2, 2) = 2 through C; the direct edge adds its full capacity
     for w in (0.0, 0.5, 3.0, 100.0):
         assert sweep.min_cut_value(w) == 2.0 + w
+    with pytest.raises(KeyError, match="nope"):
+        ArcSweep(flow_graph_from_network(net, WeightKind.Q_CAP), "nope")
