@@ -15,7 +15,6 @@ from .aggregator import (
     RateModel,
     SandwichReport,
     build_bell_network,
-    check_report_inputs,
     lossy_gap_ratio,
     pair_count,
     plan,
@@ -38,7 +37,6 @@ from .capacity import (
     lossy_q_cap,
 )
 from .cuts_flows import (
-    ArcSweep,
     CapacityKind,
     CutResult,
     DisjointPath,
@@ -46,7 +44,6 @@ from .cuts_flows import (
     PathSet,
     bell_min_cut_bruteforce,
     check_path_set,
-    edge_capacity,
     flow_graph_from_bell,
     flow_graph_from_network,
     max_disjoint_paths,

@@ -200,14 +200,19 @@ def sandwich_report(net: Network, regime: Regime, epsilon: float = 0.0) -> Sandw
     )
 
 
-def lossy_gap_ratio(report: SandwichReport) -> float:
-    """Converse/achievable ratio; at most 2 on all-lossy networks."""
-    if report.lower <= 0:
+def gap_ratio(lower: float, upper_esq: float) -> float:
+    """Converse/achievable ratio of two bound values; the lower must be positive."""
+    if lower <= 0:
         raise ValueError(
             "gap ratio undefined: lower bound is zero"
-            + (" while the upper bound is positive" if report.upper_esq > 0 else "")
+            + (" while the upper bound is positive" if upper_esq > 0 else "")
         )
-    return report.upper_esq / report.lower
+    return upper_esq / lower
+
+
+def lossy_gap_ratio(report: SandwichReport) -> float:
+    """Converse/achievable ratio; at most 2 on all-lossy networks."""
+    return gap_ratio(report.lower, report.upper_esq)
 
 
 def plan_to_dot(net: Network, protocol_plan: ProtocolPlan) -> str:

@@ -23,6 +23,7 @@ from .aggregator import (
     Regime,
     build_bell_network,
     check_report_inputs,
+    gap_ratio,
     pair_count,
     plan,
     plan_to_dict,
@@ -286,7 +287,7 @@ def _sweep_row(fields: Sequence[str], value, lower, upper_esq, corrected, m) -> 
         "lower": _fmt(lower),
         "upper_esq": _fmt(upper_esq),
         "upper_eps_corrected": "vacuous" if is_vacuous(corrected) else _fmt(corrected),
-        "ratio": _fmt(upper_esq / lower) if lower > 0 else "nan",
+        "ratio": _fmt(gap_ratio(lower, upper_esq)) if lower > 0 else "nan",
         "m": str(m),
     }
     return ",".join([_fmt(value)] + [cells[name] for name in fields])

@@ -217,25 +217,40 @@ class ArcSweep:
 
     Every cut either crosses the arc, at value A + w, or avoids it, at B, so
     the minimum is F(w) = min(F(0) + w, F(inf)). Two max-flows give the Alice
-    sides of a minimum cut with the arc at 0 and with the arc above all other
-    arcs combined; at any w the smaller of those two cuts is a minimum cut.
-    When the arc joins source and sink, every cut crosses it and both sides
-    value at F(0) + w.
+    sides of a minimum cut with the arc at 0 and of a minimum cut among those
+    that avoid the arc; at any w the smaller of those two cuts is a minimum
+    cut. The second runs with the arc's endpoints merged into one vertex, the
+    exact form of an infinite capacity: a large finite one would sit within
+    the solver's relative tolerance, or past float precision, of the other
+    arcs once they are large. When the arc joins source and sink, every cut
+    crosses it and only the first side is kept.
     """
 
     def __init__(self, fg: FlowGraph, arc_id: str):
-        if all(eid != arc_id for eid, _, _, _ in fg.arcs):
+        row = next((row for row in fg.arcs if row[0] == arc_id), None)
+        if row is None:
             raise KeyError(f"no arc with id {arc_id!r}")
         self.arc_id = arc_id
         self.zero = 0 if fg.capacity_kind is CapacityKind.INTEGER else 0.0
-        others = sum(cap for eid, _, _, cap in fg.arcs if eid != arc_id)
-        self.crossing = []  # per side, the arc rows it crosses, in arc order
-        for cap in (self.zero, others + 1):
-            arcs = tuple((eid, u, v, cap if eid == arc_id else c) for eid, u, v, c in fg.arcs)
-            side = _ResidualSolver(replace(fg, arcs=arcs)).reachable_from_source()
-            self.crossing.append(
-                tuple(row for row in fg.arcs if (row[1] in side) != (row[2] in side))
-            )
+        arcs = tuple((eid, u, v, self.zero if eid == arc_id else c) for eid, u, v, c in fg.arcs)
+        sides = [_ResidualSolver(replace(fg, arcs=arcs)).reachable_from_source()]
+        ends = (fg.source, fg.sink)
+        _, u, v, _ = row
+        if not (u in ends and v in ends):
+            keep, drop = (u, v) if u in ends else (v, u)
+            merged = ((eid, keep if a == drop else a, keep if b == drop else b, c)
+                      for eid, a, b, c in fg.arcs)
+            side = _ResidualSolver(replace(
+                fg,
+                vertices=tuple(x for x in fg.vertices if x != drop),
+                arcs=tuple(arc for arc in merged if arc[1] != arc[2]),
+            )).reachable_from_source()
+            sides.append(side | {drop} if keep in side else side)
+        # per side, the arc rows it crosses, in arc order
+        self.crossing = [
+            tuple(row for row in fg.arcs if (row[1] in side) != (row[2] in side))
+            for side in sides
+        ]
 
     def min_cut_value(self, capacity: float) -> float:
         """F(capacity), summed over the crossing arcs in arc order as min_cut does."""

@@ -13,7 +13,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from qnetcap import (
-    ArcSweep,
     CustomChannel,
     Count,
     EdgeSpec,
@@ -25,7 +24,6 @@ from qnetcap import (
     WeightKind,
     bell_min_cut_bruteforce,
     build_bell_network,
-    edge_capacity,
     flow_graph_from_bell,
     flow_graph_from_network,
     is_vacuous,
@@ -35,6 +33,7 @@ from qnetcap import (
     sandwich_report,
 )
 from qnetcap.cli import SWEEP_FIELDS, sweep_csv
+from qnetcap.cuts_flows import ArcSweep, edge_capacity
 from qnetcap.generators import random_count_network, random_lossy_network
 
 LOSSY_FIELDS = [f for f in SWEEP_FIELDS if f != "m"]
@@ -223,3 +222,48 @@ def test_arc_sweep_direct_edge_is_crossed_by_every_cut():
         assert sweep.min_cut_value(w) == 2.0 + w
     with pytest.raises(KeyError, match="nope"):
         ArcSweep(flow_graph_from_network(net, WeightKind.Q_CAP), "nope")
+
+
+# --- large capacities -----------------------------------------------------------
+
+def _big_chain(scale):
+    # the swept edge A-C holds ten times what the rest of the network does
+    return Network(("A", "C", "B"), "A", "B", (
+        EdgeSpec("e0", "A", "C", LossyOptical(0.5), Rate(10 * scale)),
+        EdgeSpec("e1", "C", "B", LossyOptical(0.5), Rate(scale)),
+    ))
+
+
+@pytest.mark.parametrize("scale", [1e12, 1e16, 1e300])
+def test_arc_sweep_avoiding_side_holds_at_large_capacities(scale):
+    net = _big_chain(scale)
+    for kind in WeightKind:
+        sweep = ArcSweep(flow_graph_from_network(net, kind), "e0")
+        rest = edge_capacity(net.edge_by_id("e1"), kind)
+        for w in (0.0, rest / 2, rest, edge_capacity(net.edge_by_id("e0"), kind)):
+            assert sweep.min_cut_value(w) == min(w, rest)
+    csv = "eta,lower\r\n0.5,%s\r\n" % _fmt(scale)
+    assert sweep_csv(net, "eta", [0.5], ["lower"], edge="e0") == csv
+
+
+@pytest.mark.parametrize("max_budget", [5e12, 5e16])
+def test_parametric_sweep_matches_pointwise_at_large_budgets(max_budget):
+    rng = random.Random(1603)
+    for _ in range(30):
+        net = random_lossy_network(rng, max_nodes=7, max_edges=12, max_budget=max_budget)
+        # the swept edge outweighs the rest, so cuts that avoid it are the small ones
+        swept = rng.choice(net.edges)
+        edge = dataclasses.replace(swept, usage=Frequency(20 * max_budget))
+        net = dataclasses.replace(
+            net, edges=tuple(edge if e.id == edge.id else e for e in net.edges)
+        )
+        grid = sorted({0.0, *(round(rng.uniform(0, 0.95), 3) for _ in range(4))})
+        assert sweep_csv(net, "eta", grid, LOSSY_FIELDS, edge=edge.id) == pointwise_sweep_csv(
+            net, "eta", grid, LOSSY_FIELDS, edge=edge.id
+        )
+        sweep = ArcSweep(flow_graph_from_network(net, WeightKind.Q_CAP), edge.id)
+        for eta in grid:
+            point_net = _with_eta(net, edge.id, eta)
+            capacity = edge_capacity(point_net.edge_by_id(edge.id), WeightKind.Q_CAP)
+            expected = min_cut_bruteforce(point_net, WeightKind.Q_CAP).value
+            assert sweep.min_cut_value(capacity) == pytest.approx(expected, rel=1e-12)
