@@ -356,6 +356,21 @@ def test_plan_stdout_matches_golden_bytes(capsys, name):
     assert out.encode("utf-8") == (DATA_DIR / f"plan_{name}.json").read_bytes()
 
 
+GOLDEN_BOUNDS = {
+    **{f"bound_{name}": (name,) for name in
+       ("diamond", "fig1_sample", "fig2_analog", "single_edge", "triangle_counts")},
+    "bound_triangle_counts_eps1e-4": ("triangle_counts", "--epsilon", "1e-4"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_BOUNDS))
+def test_bound_stdout_matches_golden_bytes(capsys, name):
+    network, *rest = GOLDEN_BOUNDS[name]
+    code, out, err = run(capsys, "bound", str(NETWORKS_DIR / f"{network}.json"), *rest)
+    assert code == 0, err
+    assert out.encode("utf-8") == (DATA_DIR / f"{name}.json").read_bytes()
+
+
 LOSSY_FIELDS = "lower,upper_esq,upper_eps_corrected,ratio"
 ETA_GRID = ("--grid", "0:0.95:0.05")
 GOLDEN_SWEEPS = {
