@@ -1,19 +1,20 @@
 """Build an executable aggregated-repeater plan for a seven-node network.
 
 Each channel edge holds an integer number of Bell pairs
-(floor(floor(l) * R) per edge), which is its capacity in an integer
-max-flow; the flow splits into the maximum set of edge-disjoint
-Alice-Bob paths through the pairs. Every path
-becomes one swap schedule; the whole plan delivers one ebit per path with
-a total trace-norm error of (number of active edges) * epsilon.
+(floor(floor(l) * R) per edge), which is the capacity of its arc row in
+the Bell network, an integer flow graph; the maximum flow splits into
+the maximum set of edge-disjoint Alice-Bob paths through the pairs.
+Every path becomes one swap schedule; the whole plan delivers one ebit
+per path with a total trace-norm error of (number of active edges) *
+epsilon.
 """
 
 import pathlib
 
 from qnetcap import (
-    bell_min_cut_bruteforce,
     build_bell_network,
     load_network,
+    min_cut_bruteforce,
     plan,
     plan_to_dot,
 )
@@ -25,9 +26,9 @@ def main():
     net = load_network(NETWORKS / "fig2_analog.json")
     bell = build_bell_network(net)
     print("Bell pairs generated per edge:")
-    for edge_id, n in bell.pair_counts.items():
+    for edge_id, _, _, n in bell.arcs:
         print(f"  {edge_id}: {n}")
-    print(f"total: {sum(bell.pair_counts.values())} pairs")
+    print(f"total: {sum(n for _, _, _, n in bell.arcs)} pairs")
     print()
 
     result = plan(net, epsilon=0.001)
@@ -38,7 +39,7 @@ def main():
     print(f"error budget: {result.counted_edges} active edges x eps = {result.error_budget}")
     print()
 
-    cut = bell_min_cut_bruteforce(bell)
+    cut = min_cut_bruteforce(bell)
     print(f"exhaustive check: minimum cut of the Bell network = {cut.value}")
     print(f"  witness V_A = {list(cut.v_a.sorted_nodes())}")
     print("The path count meets the cut exactly: no protocol on this Bell")

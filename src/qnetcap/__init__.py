@@ -8,7 +8,6 @@ exact density-matrix oracle for the swap-chain error bookkeeping.
 
 from .aggregator import (
     AsymptoticQCap,
-    BellNetwork,
     FixedFraction,
     PerEdgeTable,
     ProtocolPlan,
@@ -42,9 +41,7 @@ from .cuts_flows import (
     DisjointPath,
     FlowGraph,
     PathSet,
-    bell_min_cut_bruteforce,
     check_path_set,
-    flow_graph_from_bell,
     flow_graph_from_network,
     max_disjoint_paths,
     max_flow_value,

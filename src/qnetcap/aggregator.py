@@ -3,10 +3,11 @@
 The aggregated protocol gives each channel edge an integer number of
 Bell pairs (floor(floor(l) * R) per edge), extracts the maximum set of
 edge-disjoint Alice-Bob paths through the pairs, and swaps along each
-path. A channel enters only through its pair count, which is the integer
-capacity of its arc in the max-flow. The protocol's yield and the
-converse cut bound sandwich the best achievable performance; on
-all-lossy networks the two sides differ by at most a factor of two.
+path. The Bell network is a FlowGraph with integer capacities: a
+channel enters only through its pair count, the capacity of its arc
+row. The protocol's yield and the converse cut bound, both min-cuts of
+a FlowGraph, sandwich the best achievable performance; on all-lossy
+networks the two sides differ by at most a factor of two.
 """
 
 from __future__ import annotations
@@ -23,7 +24,10 @@ from .capacity import (
     epsilon_corrected_upper,
     is_vacuous,
 )
-from .cuts_flows import CutResult, PathSet, max_disjoint_paths, min_cut
+from .cuts_flows import (
+    CapacityKind, CutResult, FlowGraph, PathSet,
+    flow_graph_from_network, max_disjoint_paths, min_cut,
+)
 from .netmodel import Count, EdgeSpec, Network, NodeId, Regime, export_dot
 
 
@@ -72,21 +76,6 @@ def resolve_rate(edge: EdgeSpec, model: RateModel) -> float:
     raise ValueError(f"unknown rate model {model!r}")
 
 
-@dataclass(frozen=True)
-class BellNetwork:
-    """Distributed Bell pairs: one undirected (channel id, u, v, pairs) row per channel."""
-
-    vertices: tuple[NodeId, ...]
-    alice: NodeId
-    bob: NodeId
-    channels: tuple[tuple[str, NodeId, NodeId, int], ...]
-
-    @property
-    def pair_counts(self) -> dict[str, int]:
-        """Channel id -> pairs generated."""
-        return {cid: n for cid, _, _, n in self.channels}
-
-
 def pair_count(edge: EdgeSpec, model: RateModel) -> int:
     """floor(floor(l) * R): the conservative integer reading of the pair stack."""
     if not isinstance(edge.usage, Count):
@@ -98,10 +87,10 @@ def pair_count(edge: EdgeSpec, model: RateModel) -> int:
     return math.floor(uses * resolve_rate(edge, model))
 
 
-def build_bell_network(net: Network, rate_model: RateModel = AsymptoticQCap()) -> BellNetwork:
-    """Count the Bell pairs every channel holds, in network edge order."""
-    channels = tuple((e.id, e.tail, e.head, pair_count(e, rate_model)) for e in net.edges)
-    return BellNetwork(net.nodes, net.alice, net.bob, channels)
+def build_bell_network(net: Network, rate_model: RateModel = AsymptoticQCap()) -> FlowGraph:
+    """The Bell network: one (channel id, u, v, pairs) arc row per edge, in edge order."""
+    arcs = tuple((e.id, e.tail, e.head, pair_count(e, rate_model)) for e in net.edges)
+    return FlowGraph(net.nodes, net.alice, net.bob, arcs, CapacityKind.INTEGER)
 
 
 @dataclass(frozen=True)
@@ -137,13 +126,8 @@ def plan(
     bell = build_bell_network(net, rate_model)
     m, paths = max_disjoint_paths(bell)
     schedules = tuple(p.nodes[1:-1] for p in paths)
-    generated = bell.pair_counts
-    unused = {cid: n - paths.pairs_used.get(cid, 0) for cid, n in generated.items()}
-    counted = (
-        len(net.edges)
-        if count_all_edges
-        else sum(1 for n in generated.values() if n > 0)
-    )
+    unused = {cid: n - paths.pairs_used.get(cid, 0) for cid, _, _, n in bell.arcs}
+    counted = len(net.edges) if count_all_edges else sum(1 for _, _, _, n in bell.arcs if n > 0)
     return ProtocolPlan(m, paths, schedules, epsilon, counted * epsilon, counted, unused)
 
 
@@ -192,8 +176,8 @@ def sandwich_report(net: Network, regime: Regime, epsilon: float = 0.0) -> Sandw
     """
     epsilon = check_report_inputs(net, regime, epsilon)
     per_protocol = regime is Regime.PER_PROTOCOL
-    lower_cut = min_cut(net, WeightKind.Q_CAP, floor_budgets=per_protocol)
-    upper_cut = min_cut(net, WeightKind.ESQ_UPPER)
+    lower_cut = min_cut(flow_graph_from_network(net, WeightKind.Q_CAP, floor_budgets=per_protocol))
+    upper_cut = min_cut(flow_graph_from_network(net, WeightKind.ESQ_UPPER))
     corrected = epsilon_corrected_upper(upper_cut.value, epsilon)
     return SandwichReport(
         regime, epsilon, lower_cut.value, upper_cut.value, corrected, lower_cut, upper_cut

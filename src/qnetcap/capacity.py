@@ -53,10 +53,6 @@ class Vacuous:
 
 VACUOUS = Vacuous()
 
-# 16 * sqrt(eps) >= 1  <=>  eps >= 1/256; both sides of the equivalence are
-# exact in binary floating point.
-VACUITY_THRESHOLD = 1.0 / 256.0
-
 
 def is_vacuous(value) -> bool:
     return value is VACUOUS
@@ -64,7 +60,7 @@ def is_vacuous(value) -> bool:
 
 @dataclass(frozen=True)
 class EpsilonBudget:
-    """Trace-norm error budget with its vacuity flag."""
+    """Validated trace-norm error budget: a finite real epsilon >= 0."""
 
     epsilon: float
 
@@ -76,10 +72,6 @@ class EpsilonBudget:
         if not math.isfinite(eps) or eps < 0:
             raise ValueError(f"epsilon must be finite and >= 0, got {eps}")
         object.__setattr__(self, "epsilon", eps)
-
-    @property
-    def vacuous_flag(self) -> bool:
-        return self.epsilon >= VACUITY_THRESHOLD
 
 
 def binary_entropy(x: float) -> float:
@@ -129,6 +121,7 @@ def epsilon_corrected_upper(
     if not math.isfinite(cut_value) or cut_value < 0:
         raise ValueError(f"cut value must be finite and >= 0, got {cut_value}")
     root = math.sqrt(EpsilonBudget(epsilon).epsilon)
+    # 16 * sqrt(eps) >= 1  <=>  eps >= 1/256, both sides exact in binary floats
     if 16.0 * root >= 1.0:
         return VACUOUS
     return (cut_value + 4.0 * binary_entropy(2.0 * root)) / (1.0 - 16.0 * root)

@@ -32,7 +32,7 @@ from .aggregator import (
     sandwich_report_to_dict,
 )
 from .capacity import WeightKind, epsilon_corrected_upper, is_vacuous
-from .cuts_flows import ArcSweep, edge_capacity, flow_graph_from_bell, flow_graph_from_network
+from .cuts_flows import ArcSweep, edge_capacity, flow_graph_from_network, max_flow_value
 from .netmodel import Count, LossyOptical, Network, load_network
 
 EXIT_OK = 0
@@ -242,7 +242,7 @@ def _eta_points(net: Network, edge_id: str, grid: Sequence[float], epsilon: floa
     floor = regime is Regime.PER_PROTOCOL
     lower = ArcSweep(flow_graph_from_network(net, WeightKind.Q_CAP, floor_budgets=floor), edge_id)
     upper = ArcSweep(flow_graph_from_network(net, WeightKind.ESQ_UPPER), edge_id)
-    pairs = ArcSweep(flow_graph_from_bell(build_bell_network(net)), edge_id) if want_m else None
+    pairs = ArcSweep(build_bell_network(net), edge_id) if want_m else None
     for value in grid:
         point = dataclasses.replace(edge, channel=LossyOptical(value))
         upper_esq = upper.min_cut_value(edge_capacity(point, WeightKind.ESQ_UPPER))
@@ -261,7 +261,7 @@ def _epsilon_points(net: Network, grid: Sequence[float], want_m: bool):
     for value in grid:
         check_report_inputs(net, regime, value)
     report = sandwich_report(net, regime)
-    m = plan(net).m if want_m else None
+    m = max_flow_value(build_bell_network(net)) if want_m else None
     for value in grid:
         corrected = epsilon_corrected_upper(report.upper_esq, value)
         yield value, report.lower, report.upper_esq, corrected, m
@@ -278,7 +278,7 @@ def _budget_scale_points(net: Network, grid: Sequence[float], epsilon: float, wa
             for e in net.edges
         ))
         report = sandwich_report(point_net, _infer_regime(point_net, None), epsilon)
-        m = plan(point_net, epsilon).m if want_m else None
+        m = max_flow_value(build_bell_network(point_net)) if want_m else None
         yield value, report.lower, report.upper_esq, report.upper_eps_corrected, m
 
 

@@ -4,8 +4,10 @@ Channels are directed but cuts and Bell pairs are not, so every edge is
 modeled as traversable in both directions at its full weight. The fast
 path is shortest-augmenting-path max-flow (BFS, lexicographic neighbor
 order, hence deterministic); the independent oracle enumerates every
-bipartition. Integer flow on the Bell network, with each channel's
-capacity equal to the number of Bell pairs it holds, realizes the
+bipartition. Both report a cut through one helper that sums the
+capacities of the arc rows a side crosses, in arc order. The Bell network
+is a FlowGraph too, with integer capacities: each channel's capacity is
+the number of Bell pairs it holds, so integer flow realizes the
 edge-disjoint path count, which equals the minimum number of Bell pairs
 crossing any Alice/Bob cut.
 """
@@ -17,15 +19,14 @@ import re
 from collections import deque
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import TYPE_CHECKING, Mapping, Optional, Sequence
+from typing import AbstractSet, Mapping, Optional
 
 from .capacity import WeightKind, edge_weight
-from .netmodel import Bipartition, EdgeSpec, Network, NodeId, crossing_edges
-
-if TYPE_CHECKING:
-    from .aggregator import BellNetwork
+from .netmodel import Bipartition, EdgeSpec, Network, NodeId
 
 BRUTEFORCE_MAX_VERTICES = 20
+# a plan lists every path, so m beyond this would exhaust time and memory
+MAX_PLAN_PATHS = 10**6
 
 
 class CapacityKind(Enum):
@@ -50,6 +51,11 @@ class FlowGraph:
             if u == v:
                 raise ValueError(f"arc {eid!r}: self-loop at {u!r}")
 
+    @property
+    def zero(self) -> float:
+        """The empty sum of capacities: 0 on integer graphs, 0.0 on real ones."""
+        return 0 if self.capacity_kind is CapacityKind.INTEGER else 0.0
+
 
 def edge_capacity(edge: EdgeSpec, kind: WeightKind, *, floor_budgets: bool = False) -> float:
     """Cut weight of one edge: budget (floored if asked) x per-use weight."""
@@ -61,7 +67,7 @@ def edge_capacity(edge: EdgeSpec, kind: WeightKind, *, floor_budgets: bool = Fal
 def flow_graph_from_network(
     net: Network, kind: WeightKind, *, floor_budgets: bool = False
 ) -> FlowGraph:
-    """Weighted flow instance: capacity = budget x per-use weight."""
+    """Weighted flow instance: one arc row per edge, in edge order, holding edge_capacity."""
     arcs = tuple(
         (e.id, e.tail, e.head, edge_capacity(e, kind, floor_budgets=floor_budgets))
         for e in net.edges
@@ -69,17 +75,15 @@ def flow_graph_from_network(
     return FlowGraph(net.nodes, net.alice, net.bob, arcs, CapacityKind.REAL)
 
 
-def flow_graph_from_bell(bell: "BellNetwork") -> FlowGraph:
-    """Integer instance with one arc row per channel, capacity = its pair count."""
-    return FlowGraph(bell.vertices, bell.alice, bell.bob, bell.channels, CapacityKind.INTEGER)
-
-
 class _ResidualSolver:
     """Edmonds-Karp on the residual doubling of an undirected multigraph.
 
     Arc 2k runs u->v and arc 2k+1 runs v->u, both at the full capacity;
     pushing flow on one grows the residual of its partner, which models
-    undirected traversal exactly.
+    undirected traversal exactly. A residual at or below min(tol, capacity / 2)
+    counts as saturated: float dust left on a used arc closes it, while an
+    unused arc below the tolerance stays open. The seen set of the last,
+    failed, search is `reachable`, the Alice side of a minimum cut.
     """
 
     def __init__(self, fg: FlowGraph):
@@ -87,40 +91,43 @@ class _ResidualSolver:
         self.to: list[NodeId] = []
         self.cap: list[float] = []
         self.eid: list[str] = []
+        integer = fg.capacity_kind is CapacityKind.INTEGER
+        self.tol = 0 if integer else 1e-12 * max(1.0, sum(c for _, _, _, c in fg.arcs))
+        self.threshold: list[float] = []
         adj: dict[NodeId, list[int]] = {v: [] for v in fg.vertices}
         for eid, u, v, cap in fg.arcs:
-            cap = int(cap) if fg.capacity_kind is CapacityKind.INTEGER else float(cap)
+            cap = int(cap) if integer else float(cap)
+            threshold = min(self.tol, cap / 2)
             for tail, head in ((u, v), (v, u)):
                 adj[tail].append(len(self.to))
                 self.to.append(head)
                 self.cap.append(cap)
+                self.threshold.append(threshold)
                 self.eid.append(eid)
         # lexicographic neighbor order, ties broken by arc insertion order
         self.adj = {
             v: sorted(idxs, key=lambda i: (self.to[i], i)) for v, idxs in adj.items()
         }
-        if fg.capacity_kind is CapacityKind.INTEGER:
-            self.tol = 0
-        else:
-            total = sum(c for _, _, _, c in fg.arcs)
-            self.tol = 1e-12 * max(1.0, total)
-        self.flow_value = 0 if fg.capacity_kind is CapacityKind.INTEGER else 0.0
+        self.flow_value = fg.zero
         self._run()
 
     def _find_augmenting_path(self) -> Optional[dict[NodeId, int]]:
+        adj, to, cap, threshold = self.adj, self.to, self.cap, self.threshold
+        sink = self.fg.sink
         parent_arc: dict[NodeId, int] = {}
         seen = {self.fg.source}
         queue = deque([self.fg.source])
         while queue:
             u = queue.popleft()
-            for i in self.adj[u]:
-                w = self.to[i]
-                if w not in seen and self.cap[i] > self.tol:
+            for i in adj[u]:
+                w = to[i]
+                if w not in seen and cap[i] > threshold[i]:
                     seen.add(w)
                     parent_arc[w] = i
-                    if w == self.fg.sink:
+                    if w == sink:
                         return parent_arc
                     queue.append(w)
+        self.reachable = frozenset(seen)
         return None
 
     def _tail_of(self, arc: int) -> NodeId:
@@ -145,18 +152,6 @@ class _ResidualSolver:
                 self.cap[i ^ 1] += bottleneck
                 v = self._tail_of(i)
             self.flow_value += bottleneck
-
-    def reachable_from_source(self) -> frozenset[NodeId]:
-        seen = {self.fg.source}
-        queue = deque([self.fg.source])
-        while queue:
-            u = queue.popleft()
-            for i in self.adj[u]:
-                w = self.to[i]
-                if w not in seen and self.cap[i] > self.tol:
-                    seen.add(w)
-                    queue.append(w)
-        return frozenset(seen)
 
     def net_flow(self) -> dict[str, tuple[NodeId, NodeId, float]]:
         """Map of edge id -> (from, to, amount) for arcs carrying net flow."""
@@ -184,32 +179,26 @@ class CutResult:
     crossing: tuple[str, ...]
 
 
-def _cut_from_side(
-    vertices_in_side: frozenset[NodeId],
-    net: Network,
-    kind: WeightKind,
-    floor_budgets: bool,
-) -> CutResult:
-    part = Bipartition(vertices_in_side)
-    edges = crossing_edges(net, part)
-    value = sum(edge_capacity(e, kind, floor_budgets=floor_budgets) for e in edges)
-    return CutResult(float(value), part, tuple(e.id for e in edges))
+def _crossing_rows(fg: FlowGraph, side: AbstractSet[NodeId]) -> tuple:
+    """The arc rows with exactly one end in side, in arc order."""
+    return tuple(row for row in fg.arcs if (row[1] in side) != (row[2] in side))
 
 
-def min_cut(
-    net: Network,
-    kind: WeightKind,
-    *,
-    floor_budgets: bool = False,
-) -> CutResult:
-    """Minimum-weight Alice/Bob cut via max-flow duality.
+def _cut(fg: FlowGraph, side: AbstractSet[NodeId]) -> CutResult:
+    """The cut with Alice side `side`: its crossing arcs and their capacity sum."""
+    rows = _crossing_rows(fg, side)
+    value = sum((c for _, _, _, c in rows), fg.zero)
+    return CutResult(value, Bipartition(side), tuple(eid for eid, _, _, _ in rows))
 
-    The witness side is the residual-reachable set from Alice; the value is
-    recomputed from the crossing edges rather than taken from the flow, to
-    keep floating-point drift out of the reported number.
+
+def min_cut(fg: FlowGraph) -> CutResult:
+    """Minimum-capacity source/sink cut via max-flow duality.
+
+    The witness side is the residual-reachable set from the source; the
+    value is summed over the crossing arcs rather than taken from the flow,
+    to keep floating-point drift out of the reported number.
     """
-    solver = _ResidualSolver(flow_graph_from_network(net, kind, floor_budgets=floor_budgets))
-    return _cut_from_side(solver.reachable_from_source(), net, kind, floor_budgets)
+    return _cut(fg, _ResidualSolver(fg).reachable)
 
 
 class ArcSweep:
@@ -231,9 +220,9 @@ class ArcSweep:
         if row is None:
             raise KeyError(f"no arc with id {arc_id!r}")
         self.arc_id = arc_id
-        self.zero = 0 if fg.capacity_kind is CapacityKind.INTEGER else 0.0
+        self.zero = fg.zero
         arcs = tuple((eid, u, v, self.zero if eid == arc_id else c) for eid, u, v, c in fg.arcs)
-        sides = [_ResidualSolver(replace(fg, arcs=arcs)).reachable_from_source()]
+        sides = [_ResidualSolver(replace(fg, arcs=arcs)).reachable]
         ends = (fg.source, fg.sink)
         _, u, v, _ = row
         if not (u in ends and v in ends):
@@ -244,13 +233,9 @@ class ArcSweep:
                 fg,
                 vertices=tuple(x for x in fg.vertices if x != drop),
                 arcs=tuple(arc for arc in merged if arc[1] != arc[2]),
-            )).reachable_from_source()
+            )).reachable
             sides.append(side | {drop} if keep in side else side)
-        # per side, the arc rows it crosses, in arc order
-        self.crossing = [
-            tuple(row for row in fg.arcs if (row[1] in side) != (row[2] in side))
-            for side in sides
-        ]
+        self.crossing = [_crossing_rows(fg, side) for side in sides]
 
     def min_cut_value(self, capacity: float) -> float:
         """F(capacity), summed over the crossing arcs in arc order as min_cut does."""
@@ -260,61 +245,27 @@ class ArcSweep:
         )
 
 
-def _enumerate_min_cut(
-    vertices: Sequence[NodeId],
-    alice: NodeId,
-    bob: NodeId,
-    weighted_edges: Sequence[tuple[str, NodeId, NodeId, float]],
-) -> tuple[float, frozenset[NodeId]]:
-    """Exact minimum over all 2^(|V|-2) bipartitions.
+def _enumerate_min_cut(fg: FlowGraph) -> frozenset[NodeId]:
+    """Alice side of the exact minimum over all 2^(|V|-2) bipartitions.
 
     Ties go to the lexicographically smallest sorted Alice-side label tuple.
     """
-    if len(vertices) > BRUTEFORCE_MAX_VERTICES:
+    if len(fg.vertices) > BRUTEFORCE_MAX_VERTICES:
         raise ValueError(
             f"brute-force enumeration capped at {BRUTEFORCE_MAX_VERTICES} vertices, "
-            f"got {len(vertices)}"
+            f"got {len(fg.vertices)}"
         )
-    intermediates = sorted(v for v in vertices if v not in (alice, bob))
-    best_value = None
-    best_key = None
-    best_side = None
-    for mask in range(1 << len(intermediates)):
-        side = {alice}
-        side.update(
-            intermediates[i] for i in range(len(intermediates)) if (mask >> i) & 1
-        )
-        value = sum(w for _, u, v, w in weighted_edges if (u in side) != (v in side))
-        key = tuple(sorted(side))
-        if (
-            best_value is None
-            or value < best_value
-            or (value == best_value and key < best_key)
-        ):
-            best_value, best_key, best_side = value, key, frozenset(side)
-    return best_value, best_side
+    intermediates = sorted(v for v in fg.vertices if v not in (fg.source, fg.sink))
+    sides = (
+        frozenset([fg.source, *(v for i, v in enumerate(intermediates) if mask >> i & 1)])
+        for mask in range(1 << len(intermediates))
+    )
+    return min(sides, key=lambda side: (_cut(fg, side).value, sorted(side)))
 
 
-def min_cut_bruteforce(
-    net: Network,
-    kind: WeightKind,
-    *,
-    floor_budgets: bool = False,
-) -> CutResult:
+def min_cut_bruteforce(fg: FlowGraph) -> CutResult:
     """Exhaustive-enumeration oracle for min_cut; exact up to 20 vertices."""
-    weighted = [
-        (e.id, e.tail, e.head, edge_capacity(e, kind, floor_budgets=floor_budgets))
-        for e in net.edges
-    ]
-    _, side = _enumerate_min_cut(net.nodes, net.alice, net.bob, weighted)
-    return _cut_from_side(side, net, kind, floor_budgets)
-
-
-def bell_min_cut_bruteforce(bell: "BellNetwork") -> CutResult:
-    """Exhaustive minimum Bell-pair count over Alice/Bob cuts of the Bell network."""
-    value, side = _enumerate_min_cut(bell.vertices, bell.alice, bell.bob, bell.channels)
-    crossing = tuple(cid for cid, u, v, _ in bell.channels if (u in side) != (v in side))
-    return CutResult(value, Bipartition(side), crossing)
+    return _cut(fg, _enumerate_min_cut(fg))
 
 
 @dataclass(frozen=True)
@@ -340,7 +291,7 @@ class PathSet:
         return iter(self.paths)
 
 
-def max_disjoint_paths(bell: "BellNetwork") -> tuple[int, PathSet]:
+def max_disjoint_paths(bell: FlowGraph) -> tuple[int, PathSet]:
     """Maximum set of pairwise edge-disjoint Alice-Bob paths in the Bell network.
 
     Integer max-flow with each channel's capacity equal to its pair count,
@@ -348,10 +299,18 @@ def max_disjoint_paths(bell: "BellNetwork") -> tuple[int, PathSet]:
     the flow are excised since they contribute nothing end to end. Each
     path takes the next free pair of every channel it crosses, so pair ids
     read '<channel>#<index>'. The count matches the minimum number of Bell
-    pairs crossing any cut.
+    pairs crossing any cut. More than MAX_PLAN_PATHS paths is an error,
+    raised before any path is built.
     """
-    solver = _ResidualSolver(flow_graph_from_bell(bell))
+    if bell.capacity_kind is not CapacityKind.INTEGER:
+        raise ValueError("edge-disjoint paths need a Bell network (integer capacities)")
+    solver = _ResidualSolver(bell)
     count = int(solver.flow_value)
+    if count > MAX_PLAN_PATHS:
+        raise ValueError(
+            f"m = {count} edge-disjoint paths exceeds the limit of {MAX_PLAN_PATHS} "
+            "paths a plan can list"
+        )
 
     # per vertex, sorted [next vertex, channel id, units of flow left]
     out: dict[NodeId, list[list]] = {v: [] for v in bell.vertices}
@@ -371,11 +330,11 @@ def max_disjoint_paths(bell: "BellNetwork") -> tuple[int, PathSet]:
     pairs_used: dict[str, int] = {}
     paths = []
     for _ in range(count):
-        nodes = [bell.alice]
+        nodes = [bell.source]
         channels: list[str] = []
-        position = {bell.alice: 0}
-        v = bell.alice
-        while v != bell.bob:
+        position = {bell.source: 0}
+        v = bell.source
+        while v != bell.sink:
             w, cid = next_arc(v)
             if w in position:
                 # excise the cycle: drop everything after the revisited node
@@ -401,18 +360,18 @@ def max_disjoint_paths(bell: "BellNetwork") -> tuple[int, PathSet]:
 _PAIR_ID = re.compile(r"(.+)#(0|[1-9][0-9]*)")
 
 
-def check_path_set(bell: "BellNetwork", path_set: PathSet) -> None:
+def check_path_set(bell: FlowGraph, path_set: PathSet) -> None:
     """Machine check of the path-set invariants; raises ValueError on breach.
 
     Every pair id must read '<channel>#<index>' with index below the
     channel's pair count, no id may repeat, and the per-channel tallies of
     the ids must equal path_set.pairs_used.
     """
-    channels = {cid: (u, v, n) for cid, u, v, n in bell.channels}
+    channels = {cid: (u, v, n) for cid, u, v, n in bell.arcs}
     seen: set[str] = set()
     tally: dict[str, int] = {}
     for p in path_set.paths:
-        if len(p.nodes) < 2 or p.nodes[0] != bell.alice or p.nodes[-1] != bell.bob:
+        if len(p.nodes) < 2 or p.nodes[0] != bell.source or p.nodes[-1] != bell.sink:
             raise ValueError(f"path {p.nodes} does not run alice -> bob")
         if len(set(p.nodes)) != len(p.nodes):
             raise ValueError(f"path {p.nodes} repeats a vertex")

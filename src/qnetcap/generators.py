@@ -11,7 +11,7 @@ import os
 import random
 from typing import Optional
 
-from .aggregator import BellNetwork
+from .cuts_flows import CapacityKind, FlowGraph
 from .netmodel import Count, CustomChannel, EdgeSpec, Frequency, LossyOptical, Network
 
 DEFAULT_SEED = 1601
@@ -92,8 +92,8 @@ def random_bell_network(
     *,
     max_nodes: int = 10,
     max_pairs: int = 30,
-) -> BellNetwork:
-    """Random Bell network with synthetic channel ids g0, g1, ..."""
+) -> FlowGraph:
+    """Random Bell network (integer capacities) with synthetic channel ids g0, g1, ..."""
     nodes = _node_labels(rng, max_nodes)
     n_pairs = rng.randint(0, max_pairs)
     counts: dict[str, int] = {}
@@ -110,4 +110,4 @@ def random_bell_network(
             endpoints[key] = (u, v)
         counts[key] += 1
     channels = tuple((cid, *endpoints[cid], counts[cid]) for cid in sorted(counts))
-    return BellNetwork(tuple(nodes), "A", "B", channels)
+    return FlowGraph(tuple(nodes), "A", "B", channels, CapacityKind.INTEGER)

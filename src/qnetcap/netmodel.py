@@ -34,6 +34,11 @@ def _require_finite(name: str, value: float) -> float:
     return value
 
 
+def _require_label(name: str, value) -> None:
+    if not isinstance(value, str) or not value:
+        raise ValueError(f"{name} must be a non-empty string node label, got {value!r}")
+
+
 @dataclass(frozen=True)
 class LossyOptical:
     """Pure-loss optical channel with transmittance eta.
@@ -144,6 +149,8 @@ class EdgeSpec:
     def __post_init__(self):
         if not self.id or not isinstance(self.id, str):
             raise ValueError(f"edge id must be a non-empty string, got {self.id!r}")
+        for key in ("tail", "head"):
+            _require_label(f"edge {self.id!r}: {key}", getattr(self, key))
         if self.tail == self.head:
             raise ValueError(f"edge {self.id!r}: self-loop at {self.tail!r} rejected")
         if not isinstance(self.channel, (LossyOptical, CustomChannel)):
@@ -174,6 +181,8 @@ class Network:
             if n in labels:
                 raise ValueError(f"duplicate node label {n!r}")
             labels.add(n)
+        _require_label("alice", self.alice)
+        _require_label("bob", self.bob)
         if self.alice not in labels:
             raise ValueError(f"alice node {self.alice!r} is not declared")
         if self.bob not in labels:

@@ -1,4 +1,5 @@
 import json
+import os
 import pathlib
 
 import pytest
@@ -16,6 +17,14 @@ def load_sample(name: str):
 
 def load_schema(name: str):
     return json.loads((SCHEMAS_DIR / name).read_text())
+
+
+def src_env() -> dict:
+    """Environment for a child interpreter that imports qnetcap from src/."""
+    src = str(REPO_ROOT / "src")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    )}
 
 
 @pytest.fixture

@@ -14,7 +14,6 @@ import mpmath as mp
 
 from qnetcap import (
     Regime,
-    bell_min_cut_bruteforce,
     bell_pair,
     build_bell_network,
     epsilon_corrected_upper,
@@ -23,6 +22,7 @@ from qnetcap import (
     lossy_gap_ratio,
     lossy_q_cap,
     max_disjoint_paths,
+    min_cut_bruteforce,
     plan,
     sandwich_report,
     swap_chain,
@@ -86,7 +86,7 @@ def test_criterion_3_menger_equality():
         for _ in range(200):
             bell = random_bell_network(rng, max_nodes=10, max_pairs=30)
             count, _ = max_disjoint_paths(bell)
-            assert count == bell_min_cut_bruteforce(bell).value
+            assert count == min_cut_bruteforce(bell).value
 
 
 def test_criterion_4_sandwich_and_epsilon_correction():
@@ -144,7 +144,7 @@ def test_criterion_8_fig2_analog(fig2_net):
     with criterion(8, "7-node analog: plan.m equals brute-force cut, interior witness"):
         result = plan(fig2_net, 0.001)
         bell = build_bell_network(fig2_net)
-        brute = bell_min_cut_bruteforce(bell)
+        brute = min_cut_bruteforce(bell)
         assert result.m == brute.value
         witness = set(brute.v_a.v_a)
         print(f"  witness cut v_a = {sorted(witness)} with {brute.value} crossing pairs")

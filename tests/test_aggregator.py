@@ -5,10 +5,12 @@ import pytest
 
 from qnetcap import (
     AsymptoticQCap,
+    CapacityKind,
     Count,
     CustomChannel,
     EdgeSpec,
     FixedFraction,
+    FlowGraph,
     Frequency,
     LossyOptical,
     Network,
@@ -16,9 +18,9 @@ from qnetcap import (
     Rate,
     Regime,
     WeightKind,
-    bell_min_cut_bruteforce,
     build_bell_network,
     check_path_set,
+    flow_graph_from_network,
     is_vacuous,
     lossy_gap_ratio,
     max_disjoint_paths,
@@ -29,6 +31,7 @@ from qnetcap import (
     resolve_rate,
     sandwich_report,
 )
+from qnetcap import cuts_flows
 from qnetcap.generators import random_count_network, random_lossy_network
 
 DIAMOND_LOWER = 3.3219280948873623479
@@ -77,8 +80,8 @@ def test_resolve_rate_table_missing_edge():
 
 def test_build_bell_network_ids_are_deterministic(triangle_net):
     bell = build_bell_network(triangle_net)
-    assert bell.pair_counts == {"ac": 3, "cb": 2, "ab": 1}
-    assert bell.channels == (("ac", "A", "C", 3), ("cb", "C", "B", 2), ("ab", "A", "B", 1))
+    arcs = (("ac", "A", "C", 3), ("cb", "C", "B", 2), ("ab", "A", "B", 1))
+    assert bell == FlowGraph(triangle_net.nodes, "A", "B", arcs, CapacityKind.INTEGER)
     # pair ids are '<channel>#<index>', numbered per channel in path order
     _, paths = max_disjoint_paths(bell)
     assert [eid for p in paths for eid in p.bell_edges] == [
@@ -147,7 +150,7 @@ def test_pair_conservation(triangle_net):
         for bid in p.bell_edges:
             parent = bid.rsplit("#", 1)[0]
             consumed[parent] = consumed.get(parent, 0) + 1
-    for parent, total in bell.pair_counts.items():
+    for parent, _, _, total in bell.arcs:
         assert consumed.get(parent, 0) + result.unused_pairs[parent] == total
 
 
@@ -257,11 +260,11 @@ def test_plan_m_matches_bruteforce_cut_on_random_count_networks():
         net = random_count_network(rng, max_nodes=9, max_edges=10, max_count=max_count)
         result = plan(net, 0.0)
         bell = build_bell_network(net)
-        assert result.m == bell_min_cut_bruteforce(bell).value
+        assert result.m == min_cut_bruteforce(bell).value
         check_path_set(bell, result.paths)
         # and conservation holds exactly, in total and per channel
         consumed = sum(len(p.bell_edges) for p in result.paths)
-        generated = bell.pair_counts
+        generated = {cid: n for cid, _, _, n in bell.arcs}
         assert consumed + sum(result.unused_pairs.values()) == sum(generated.values())
         for cid, n in generated.items():
             assert result.paths.pairs_used.get(cid, 0) + result.unused_pairs[cid] == n
@@ -325,10 +328,25 @@ def test_plan_to_dot_marks_unused_edges_dashed(triangle_net):
 def test_fig2_analog_plan(fig2_net):
     result = plan(fig2_net, 0.001)
     bell = build_bell_network(fig2_net)
-    brute = bell_min_cut_bruteforce(bell)
+    brute = min_cut_bruteforce(bell)
     assert result.m == brute.value == 7
     witness = set(brute.v_a.sorted_nodes())
     assert witness == {"A", "C1", "C3"}
     # weighted per-protocol cut agrees with the bell-graph cut here
-    weighted = min_cut_bruteforce(fig2_net, WeightKind.Q_CAP, floor_budgets=True)
+    weighted = min_cut_bruteforce(flow_graph_from_network(fig2_net, WeightKind.Q_CAP,
+                                                          floor_budgets=True))
     assert weighted.value == pytest.approx(7.0)
+
+
+def test_plan_rejects_more_paths_than_it_can_list(monkeypatch):
+    huge = Network(("A", "B"), "A", "B", (count_edge("ab", "A", "B", 1e300),))
+    limit = r"m = \d{301} edge-disjoint paths exceeds the limit of 1000000 paths"
+    with pytest.raises(ValueError, match=limit):
+        plan(huge)
+    # the cut side never lists paths, so it is unaffected
+    assert sandwich_report(huge, Regime.PER_PROTOCOL).lower == 1e300
+    # the limit itself is inclusive
+    monkeypatch.setattr(cuts_flows, "MAX_PLAN_PATHS", 3)
+    assert plan(Network(("A", "B"), "A", "B", (count_edge("ab", "A", "B", 3),))).m == 3
+    with pytest.raises(ValueError, match="m = 4 edge-disjoint paths exceeds the limit of 3"):
+        plan(Network(("A", "B"), "A", "B", (count_edge("ab", "A", "B", 4),)))

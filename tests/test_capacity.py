@@ -136,10 +136,10 @@ def test_corrected_upper_only_loosens_and_tightens_toward_zero():
 
 
 def test_epsilon_budget_flag():
-    assert EpsilonBudget(1.0 / 256.0).vacuous_flag
-    assert EpsilonBudget(0.5).vacuous_flag
-    assert not EpsilonBudget(1.0 / 256.0 - 1e-12).vacuous_flag
-    assert not EpsilonBudget(0.0).vacuous_flag
+    assert is_vacuous(epsilon_corrected_upper(1.0, 1.0 / 256.0))
+    assert is_vacuous(epsilon_corrected_upper(1.0, 0.5))
+    assert not is_vacuous(epsilon_corrected_upper(1.0, 1.0 / 256.0 - 1e-12))
+    assert not is_vacuous(epsilon_corrected_upper(1.0, 0.0))
     with pytest.raises(ValueError):
         EpsilonBudget(-1e-9)
 

@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 
 import jsonschema
 import pytest
@@ -6,7 +8,7 @@ import pytest
 from qnetcap import Count, Frequency, Rate, Regime, parse_network, serialize_network
 from qnetcap.cli import main
 
-from conftest import NETWORKS_DIR, REPO_ROOT, load_schema
+from conftest import NETWORKS_DIR, REPO_ROOT, load_schema, src_env
 
 DIAMOND = str(NETWORKS_DIR / "diamond.json")
 TRIANGLE = str(NETWORKS_DIR / "triangle_counts.json")
@@ -42,6 +44,40 @@ def test_validate_rejects_eta_one(capsys, tmp_path):
     code, _, err = run(capsys, "validate", str(bad))
     assert code == 1
     assert "ab" in err and "eta must be" in err
+
+
+@pytest.mark.parametrize(
+    "where, value, named",
+    [("tail", ["A"], "edge 'ab': tail"), ("head", {"B": 1}, "edge 'ab': head"),
+     ("tail", "", "edge 'ab': tail"), ("alice", ["A"], "alice"), ("bob", 7, "bob")],
+)
+def test_validate_rejects_non_string_node_references(tmp_path, where, value, named):
+    doc = json.loads((NETWORKS_DIR / "single_edge.json").read_text())
+    (doc["edges"][0] if where in ("tail", "head") else doc)[where] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    result = subprocess.run(
+        [sys.executable, "-m", "qnetcap.cli", "validate", str(bad)],
+        env=src_env(), capture_output=True, text=True,
+    )
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert "Traceback" not in result.stderr
+    assert f"error: {named} must be a non-empty string node label" in result.stderr
+
+
+@pytest.mark.parametrize("freq", ["1e-13", "4.1e-306"])
+def test_bound_does_not_cut_an_arc_below_the_solver_tolerance(capsys, tmp_path, freq):
+    path = tmp_path / "tiny.json"
+    path.write_text(
+        '{"nodes": ["A", "B", "C"], "alice": "A", "bob": "B", "edges": [{"id": "ac", '
+        '"tail": "A", "head": "C", "channel": {"type": "lossy", "eta": 0.5}, '
+        f'"usage": {{"freq": {freq}}}}}]}}'
+    )
+    code, out, err = run(capsys, "bound", str(path))
+    assert code == 0, err
+    assert '"lower": 0.0,' in out and '"upper_esq": 0.0,' in out
+    assert json.loads(out)["lower_witness"] == {"crossing": [], "v_a": ["A", "C"], "value": 0.0}
 
 
 def test_validate_missing_file_is_io_error(capsys):
@@ -127,6 +163,24 @@ def test_plan_rate_model_fraction(capsys):
     doc = run_json(capsys, "plan", TRIANGLE, "--rate-model", "fraction:0.5")
     # pair counts floor(count * 0.5): 1, 1, 0 -> one A-C-B path
     assert doc["m"] == 1
+
+
+def test_plan_over_the_path_limit_exits_one_but_cuts_still_run(capsys, tmp_path):
+    doc = json.loads((NETWORKS_DIR / "single_edge.json").read_text())
+    doc["edges"][0]["usage"] = {"count": 1e300}
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "plan", str(path))
+    assert code == 1 and out == ""
+    assert "edge-disjoint paths exceeds the limit of 1000000 paths" in err
+    assert run_json(capsys, "bound", str(path))["lower"] == 1e300
+    m = str(int(1e300))
+    for sweep in (("--param", "eta", "--edge", "ab", "--values", "0.5"),
+                  ("--param", "epsilon", "--values", "0"),
+                  ("--param", "budget-scale", "--values", "1")):
+        code, out, err = run(capsys, "sweep", str(path), *sweep, "--fields", "m")
+        assert code == 0, err
+        assert out.splitlines()[1].endswith("," + m)
 
 
 def test_plan_rejects_frequency_budgets(capsys):

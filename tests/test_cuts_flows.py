@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -10,16 +11,16 @@ from qnetcap import (
     LossyOptical,
     Network,
     WeightKind,
-    bell_min_cut_bruteforce,
     build_bell_network,
     check_path_set,
-    flow_graph_from_bell,
+    crossing_edges,
     flow_graph_from_network,
     max_disjoint_paths,
     max_flow_value,
     min_cut,
     min_cut_bruteforce,
 )
+from qnetcap.cuts_flows import edge_capacity
 from qnetcap.generators import random_bell_network, random_custom_network, random_lossy_network
 
 DIAMOND_LOWER = 3.3219280948873623479
@@ -31,7 +32,7 @@ def unit_edge(eid, u, v, w=1.0, budget=None):
 
 
 def bell_from_counts(counts):
-    """counts: {(u, v): n} -> BellNetwork via a Count-budgeted helper network."""
+    """counts: {(u, v): n} -> Bell network via a Count-budgeted helper network."""
     nodes = sorted({x for pair in counts for x in pair})
     edges = tuple(
         EdgeSpec(f"{u}-{v}", u, v, LossyOptical(0.5), Count(n))
@@ -47,15 +48,15 @@ def test_min_cut_single_edge():
         "B",
         (EdgeSpec("e1", "A", "B", LossyOptical(0.5), Frequency(1.0)),),
     )
-    cut = min_cut(net, WeightKind.Q_CAP)
+    cut = min_cut(flow_graph_from_network(net, WeightKind.Q_CAP))
     assert cut.value == pytest.approx(1.0, abs=1e-12)
     assert cut.v_a.sorted_nodes() == ("A",)
     assert cut.crossing == ("e1",)
 
 
 def test_min_cut_diamond(diamond_net):
-    lower = min_cut(diamond_net, WeightKind.Q_CAP)
-    upper = min_cut(diamond_net, WeightKind.ESQ_UPPER)
+    lower = min_cut(flow_graph_from_network(diamond_net, WeightKind.Q_CAP))
+    upper = min_cut(flow_graph_from_network(diamond_net, WeightKind.ESQ_UPPER))
     assert lower.value == pytest.approx(DIAMOND_LOWER, abs=1e-9)
     assert upper.value == pytest.approx(DIAMOND_UPPER, abs=1e-9)
     assert lower.v_a.sorted_nodes() == ("A", "C1")
@@ -69,15 +70,15 @@ def test_min_cut_isolated_alice():
         "B",
         (EdgeSpec("e1", "C", "B", LossyOptical(0.5), Frequency(1.0)),),
     )
-    cut = min_cut(net, WeightKind.Q_CAP)
+    cut = min_cut(flow_graph_from_network(net, WeightKind.Q_CAP))
     assert cut.value == 0.0
     assert cut.crossing == ()
 
 
 def test_bruteforce_matches_fast_path_on_diamond(diamond_net):
     for kind in WeightKind:
-        fast = min_cut(diamond_net, kind)
-        brute = min_cut_bruteforce(diamond_net, kind)
+        fast = min_cut(flow_graph_from_network(diamond_net, kind))
+        brute = min_cut_bruteforce(flow_graph_from_network(diamond_net, kind))
         assert fast.value == pytest.approx(brute.value, abs=1e-9)
         assert brute.v_a.sorted_nodes() == ("A", "C1")  # lexicographic tie-break
 
@@ -89,21 +90,22 @@ def test_bruteforce_complete_graph_unit_weights():
         for v in nodes[i + 1 :]:
             edges.append(unit_edge(f"{u}{v}", u, v))
     net = Network(nodes, "A", "B", tuple(edges))
-    cut = min_cut_bruteforce(net, WeightKind.Q_CAP)
+    cut = min_cut_bruteforce(flow_graph_from_network(net, WeightKind.Q_CAP))
     assert cut.value == pytest.approx(3.0)
     assert cut.v_a.sorted_nodes() == ("A",)
 
 
 def test_bruteforce_single_edge_weight_passthrough():
     net = Network(("A", "B"), "A", "B", (unit_edge("e", "A", "B", w=2.75),))
-    assert min_cut_bruteforce(net, WeightKind.Q_CAP).value == pytest.approx(2.75)
+    cut = min_cut_bruteforce(flow_graph_from_network(net, WeightKind.Q_CAP))
+    assert cut.value == pytest.approx(2.75)
 
 
 def test_bruteforce_rejects_oversized_networks():
     nodes = tuple(["A", "B"] + [f"C{i}" for i in range(19)])  # 21 vertices
     net = Network(nodes, "A", "B", (unit_edge("e", "A", "B"),))
     with pytest.raises(ValueError, match="capped"):
-        min_cut_bruteforce(net, WeightKind.Q_CAP)
+        min_cut_bruteforce(flow_graph_from_network(net, WeightKind.Q_CAP))
 
 
 def test_max_disjoint_paths_triangle():
@@ -114,7 +116,7 @@ def test_max_disjoint_paths_triangle():
     assert node_seqs == [("A", "B"), ("A", "C", "B"), ("A", "C", "B")]
     check_path_set(bell, paths)
     # one A-C pair is left unused
-    idle = {cid: n - paths.pairs_used.get(cid, 0) for cid, n in bell.pair_counts.items()}
+    idle = {cid: n - paths.pairs_used.get(cid, 0) for cid, _, _, n in bell.arcs}
     assert idle == {"A-C": 1, "C-B": 0, "A-B": 0}
 
 
@@ -145,7 +147,7 @@ def test_menger_equality_on_random_multigraphs():
     for _ in range(200):
         bell = random_bell_network(rng, max_nodes=10, max_pairs=30)
         count, paths = max_disjoint_paths(bell)
-        brute = bell_min_cut_bruteforce(bell)
+        brute = min_cut_bruteforce(bell)
         assert count == brute.value
         check_path_set(bell, paths)
 
@@ -156,8 +158,8 @@ def test_min_cut_agrees_with_bruteforce_on_random_weighted_networks():
         maker = random_custom_network if i % 2 else random_lossy_network
         net = maker(rng, max_nodes=10, max_edges=18)
         for kind in WeightKind:
-            fast = min_cut(net, kind)
-            brute = min_cut_bruteforce(net, kind)
+            fast = min_cut(flow_graph_from_network(net, kind))
+            brute = min_cut_bruteforce(flow_graph_from_network(net, kind))
             scale = max(1.0, brute.value)
             assert abs(fast.value - brute.value) <= 1e-9 * scale
 
@@ -168,23 +170,23 @@ def test_flow_equals_cut_duality():
         net = random_lossy_network(rng, max_nodes=8, max_edges=14)
         fg = flow_graph_from_network(net, WeightKind.Q_CAP)
         flow = max_flow_value(fg)
-        cut = min_cut(net, WeightKind.Q_CAP)
+        cut = min_cut(flow_graph_from_network(net, WeightKind.Q_CAP))
         assert flow == pytest.approx(cut.value, abs=1e-9 * max(1.0, cut.value))
     for _ in range(60):
         bell = random_bell_network(rng, max_nodes=8, max_pairs=20)
-        flow = max_flow_value(flow_graph_from_bell(bell))
-        assert flow == bell_min_cut_bruteforce(bell).value  # integers, exact
+        flow = max_flow_value(bell)
+        assert flow == min_cut_bruteforce(bell).value  # integers, exact
 
 
 def test_adding_an_edge_never_decreases_the_cut():
     rng = random.Random(404)
     for _ in range(60):
         net = random_lossy_network(rng, max_nodes=8, max_edges=12)
-        base = min_cut(net, WeightKind.Q_CAP).value
+        base = min_cut(flow_graph_from_network(net, WeightKind.Q_CAP)).value
         tail, head = rng.sample(net.nodes, 2)
         extra = EdgeSpec("extra", tail, head, LossyOptical(rng.uniform(0.1, 0.9)), Frequency(1.0))
         grown = Network(net.nodes, "A", "B", net.edges + (extra,))
-        assert min_cut(grown, WeightKind.Q_CAP).value >= base - 1e-9
+        assert min_cut(flow_graph_from_network(grown, WeightKind.Q_CAP)).value >= base - 1e-9
 
 
 def test_path_set_checker_catches_violations():
@@ -207,3 +209,64 @@ def test_path_set_checker_catches_violations():
     miscounted = PathSet((hop,), {"A-C": 1, "C-B": 2})
     with pytest.raises(ValueError, match="pairs_used"):
         check_path_set(bell, miscounted)
+
+
+def test_max_disjoint_paths_needs_integer_capacities(diamond_net):
+    with pytest.raises(ValueError, match="integer"):
+        max_disjoint_paths(flow_graph_from_network(diamond_net, WeightKind.Q_CAP))
+
+
+def sub_tolerance_net(freq):
+    """A -> C at the given budget; nothing reaches B."""
+    edge = EdgeSpec("ac", "A", "C", LossyOptical(0.5), Frequency(freq))
+    return Network(("A", "B", "C"), "A", "B", (edge,))
+
+
+@pytest.mark.parametrize("freq", [1e-13, 4.1e-306])
+def test_arc_below_the_solver_tolerance_is_not_cut_needlessly(freq):
+    # 1e-13 lies below the solver's 1e-12 x max(1, total) saturation tolerance
+    for kind in WeightKind:
+        fg = flow_graph_from_network(sub_tolerance_net(freq), kind)
+        cut = min_cut(fg)
+        assert cut.value == 0.0 and cut.crossing == ()
+        assert cut.v_a.sorted_nodes() == ("A", "C")
+        assert cut == min_cut_bruteforce(fg)
+
+
+def multi_scale_network(rng):
+    """Random lossy or custom network whose budgets span 1e-320 to 1e16."""
+    maker = random_custom_network if rng.random() < 0.5 else random_lossy_network
+    net = maker(rng, max_nodes=7, max_edges=10)
+    edges = tuple(
+        dataclasses.replace(e, usage=Frequency(
+            0.0 if rng.random() < 0.1 else rng.uniform(1, 10) * 10.0 ** rng.randint(-320, 15)
+        ))
+        for e in net.edges
+    )
+    return dataclasses.replace(net, edges=edges)
+
+
+def test_min_cut_is_zero_exactly_when_bruteforce_is_zero_at_every_scale():
+    rng = random.Random(505)
+    for _ in range(400):
+        net = multi_scale_network(rng)
+        for kind in WeightKind:
+            fg = flow_graph_from_network(net, kind)
+            assert (min_cut(fg).value == 0) == (min_cut_bruteforce(fg).value == 0)
+
+
+@pytest.mark.parametrize("kind", list(WeightKind))
+def test_min_cut_witness_is_the_network_cut_it_names(kind):
+    # an independent referee of the row sum: crossing_edges and edge_capacity
+    rng = random.Random(606)
+    for i in range(150):
+        if i % 3 == 2:
+            net = multi_scale_network(rng)
+        else:
+            maker = random_custom_network if i % 3 else random_lossy_network
+            net = maker(rng, max_nodes=9, max_edges=16)
+        for floor in (False, True):
+            cut = min_cut(flow_graph_from_network(net, kind, floor_budgets=floor))
+            edges = crossing_edges(net, cut.v_a)
+            assert cut.crossing == tuple(e.id for e in edges)
+            assert cut.value == sum(edge_capacity(e, kind, floor_budgets=floor) for e in edges)

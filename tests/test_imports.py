@@ -1,6 +1,5 @@
 """Only the swap oracle imports numpy; the package resolves its names on first use."""
 
-import os
 import subprocess
 import sys
 
@@ -8,7 +7,7 @@ import pytest
 
 import qnetcap
 
-from conftest import NETWORKS_DIR, REPO_ROOT
+from conftest import NETWORKS_DIR, src_env
 
 ORACLE_NAMES = (
     "DensityMatrix",
@@ -44,13 +43,9 @@ def test_cli_subcommands_other_than_simulate_swap_never_import_numpy():
         ["sweep", fig2, "--param", "epsilon", "--values", "0,0.001", "--fields", "m"],
         ["sweep", diamond, "--param", "budget-scale", "--values", "1,2"],
     ]
-    src = str(REPO_ROOT / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p
-    )}
     result = subprocess.run(
         [sys.executable, "-c", NO_NUMPY_SCRIPT.format(commands=commands)],
-        env=env, capture_output=True, text=True,
+        env=src_env(), capture_output=True, text=True,
     )
     assert result.returncode == 0, result.stderr
 

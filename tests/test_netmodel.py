@@ -132,6 +132,18 @@ def test_alice_and_bob_must_be_distinct_declared_nodes():
         Network(("A", "B"), "A", "Z", ())
 
 
+@pytest.mark.parametrize(
+    "old, new, named",
+    [('"tail": "A"', '"tail": ["A"]', "edge 'e1': tail"),
+     ('"head": "B"', '"head": null', "edge 'e1': head"),
+     ('"alice": "A"', '"alice": ["A"]', "alice"),
+     ('"bob": "B"', '"bob": {"B": 1}', "bob")],
+)
+def test_parse_rejects_non_string_node_references(old, new, named):
+    with pytest.raises(NetworkFormatError, match=f"^{named} must be a non-empty string"):
+        parse_network(MINIMAL.replace(old, new))
+
+
 def test_round_trip_identity_on_fig1_sample():
     original = (NETWORKS_DIR / "fig1_sample.json").read_text()
     net = parse_network(original)

@@ -22,9 +22,7 @@ from qnetcap import (
     Rate,
     Regime,
     WeightKind,
-    bell_min_cut_bruteforce,
     build_bell_network,
-    flow_graph_from_bell,
     flow_graph_from_network,
     is_vacuous,
     lossy_gap_ratio,
@@ -192,7 +190,7 @@ def test_arc_sweep_matches_bruteforce_weighted_cut(kind):
         for eta in (0.0, rng.uniform(0, 0.5), rng.uniform(0.5, 0.99)):
             point_net = _with_eta(net, edge.id, eta)
             capacity = edge_capacity(point_net.edge_by_id(edge.id), kind)
-            expected = min_cut_bruteforce(point_net, kind).value
+            expected = min_cut_bruteforce(flow_graph_from_network(point_net, kind)).value
             assert sweep.min_cut_value(capacity) == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
 
@@ -201,11 +199,11 @@ def test_arc_sweep_matches_bruteforce_bell_cut():
     for _ in range(60):
         net = random_count_network(rng, max_nodes=7, max_count=20)
         bell = build_bell_network(net)
-        cid = rng.choice(bell.channels)[0]
-        sweep = ArcSweep(flow_graph_from_bell(bell), cid)
+        cid = rng.choice(bell.arcs)[0]
+        sweep = ArcSweep(bell, cid)
         for pairs in (0, 1, rng.randint(2, 60)):
-            rows = tuple((c, u, v, pairs if c == cid else n) for c, u, v, n in bell.channels)
-            expected = bell_min_cut_bruteforce(dataclasses.replace(bell, channels=rows)).value
+            rows = tuple((c, u, v, pairs if c == cid else n) for c, u, v, n in bell.arcs)
+            expected = min_cut_bruteforce(dataclasses.replace(bell, arcs=rows)).value
             value = sweep.min_cut_value(pairs)
             assert value == expected and isinstance(value, int)
 
@@ -265,5 +263,6 @@ def test_parametric_sweep_matches_pointwise_at_large_budgets(max_budget):
         for eta in grid:
             point_net = _with_eta(net, edge.id, eta)
             capacity = edge_capacity(point_net.edge_by_id(edge.id), WeightKind.Q_CAP)
-            expected = min_cut_bruteforce(point_net, WeightKind.Q_CAP).value
+            point = flow_graph_from_network(point_net, WeightKind.Q_CAP)
+            expected = min_cut_bruteforce(point).value
             assert sweep.min_cut_value(capacity) == pytest.approx(expected, rel=1e-12)
