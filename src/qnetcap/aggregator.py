@@ -84,7 +84,11 @@ def pair_count(edge: EdgeSpec, model: RateModel) -> int:
             "Bell-pair counts are defined only for Count budgets"
         )
     uses = math.floor(edge.usage.value)
-    return math.floor(uses * resolve_rate(edge, model))
+    rate = resolve_rate(edge, model)
+    pairs = uses * rate
+    if not math.isfinite(pairs):
+        raise ValueError(f"edge {edge.id!r}: {uses} uses at {rate} pairs per use overflow a float")
+    return math.floor(pairs)
 
 
 def build_bell_network(net: Network, rate_model: RateModel = AsymptoticQCap()) -> FlowGraph:

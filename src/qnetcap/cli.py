@@ -41,6 +41,8 @@ EXIT_IO = 2
 
 _REGIMES = {r.value: r for r in Regime}
 SWEEP_FIELDS = ("lower", "upper_esq", "upper_eps_corrected", "ratio", "m")
+# a --grid beyond this many points would cost time and memory before any cut
+MAX_SWEEP_POINTS = 10**6
 
 
 class _Parser(argparse.ArgumentParser):
@@ -213,7 +215,11 @@ def _parse_grid(args) -> list[float]:
         start, stop, step = (_float_flag("--grid", p) for p in parts)
         if step == 0 or not all(math.isfinite(v) for v in (start, stop, step)):
             raise ValueError(f"bad grid {args.grid!r}")
-        n = int(math.floor((stop - start) / step + 1e-9)) + 1
+        span = (stop - start) / step + 1e-9  # infinite past the float range
+        n = math.floor(span) + 1 if math.isfinite(span) else span
+        if n > MAX_SWEEP_POINTS:
+            raise ValueError(f"--grid {args.grid!r} asks for {n} points; "
+                             f"a sweep takes at most {MAX_SWEEP_POINTS}")
         grid = [start + i * step for i in range(max(n, 0))]
     else:
         raise ValueError("give either --grid or --values")

@@ -2,24 +2,23 @@
 
 Channels are directed but cuts and Bell pairs are not, so every edge is
 modeled as traversable in both directions at its full weight. The fast
-path is shortest-augmenting-path max-flow (BFS, lexicographic neighbor
-order, hence deterministic); the independent oracle enumerates every
-bipartition. Both report a cut through one helper that sums the
-capacities of the arc rows a side crosses, in arc order. The Bell network
-is a FlowGraph too, with integer capacities: each channel's capacity is
-the number of Bell pairs it holds, so integer flow realizes the
-edge-disjoint path count, which equals the minimum number of Bell pairs
-crossing any Alice/Bob cut.
+path is Dinic's max-flow (per phase, one BFS level graph and one blocking
+flow, with arcs tried in lexicographic order, hence deterministic); the
+independent oracle enumerates every bipartition. Both report a cut
+through one helper that sums the capacities of the arc rows a side
+crosses, in arc order. The Bell network is a FlowGraph too, with integer
+capacities: each channel's capacity is the number of Bell pairs it holds,
+so integer flow realizes the edge-disjoint path count, which equals the
+minimum number of Bell pairs crossing any Alice/Bob cut.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from collections import deque
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import AbstractSet, Mapping, Optional
+from typing import AbstractSet, Mapping
 
 from .capacity import WeightKind, edge_weight
 from .netmodel import Bipartition, EdgeSpec, Network, NodeId
@@ -76,92 +75,123 @@ def flow_graph_from_network(
 
 
 class _ResidualSolver:
-    """Edmonds-Karp on the residual doubling of an undirected multigraph.
+    """Dinic's blocking flow on the residual doubling of an undirected multigraph.
 
     Arc 2k runs u->v and arc 2k+1 runs v->u, both at the full capacity;
     pushing flow on one grows the residual of its partner, which models
     undirected traversal exactly. A residual at or below min(tol, capacity / 2)
     counts as saturated: float dust left on a used arc closes it, while an
-    unused arc below the tolerance stays open. The seen set of the last,
-    failed, search is `reachable`, the Alice side of a minimum cut.
+    unused arc below the tolerance stays open. Each phase runs one BFS for
+    the level graph, then pushes a blocking flow along its shortest paths
+    by a depth-first search that keeps a current-arc pointer per vertex.
+    Arcs are tried in lexicographic head order, so the flow found is
+    deterministic. The level set of the last BFS, which fails to reach the
+    sink, is `reachable`, the Alice side of a minimum cut. Internally a
+    vertex is its position in fg.vertices.
     """
 
     def __init__(self, fg: FlowGraph):
         self.fg = fg
-        self.to: list[NodeId] = []
+        index = {v: k for k, v in enumerate(fg.vertices)}
+        self.source, self.sink = index[fg.source], index[fg.sink]
+        self.to: list[int] = []  # head vertex index of each arc
         self.cap: list[float] = []
         self.eid: list[str] = []
         integer = fg.capacity_kind is CapacityKind.INTEGER
         self.tol = 0 if integer else 1e-12 * max(1.0, sum(c for _, _, _, c in fg.arcs))
         self.threshold: list[float] = []
-        adj: dict[NodeId, list[int]] = {v: [] for v in fg.vertices}
+        adj: list[list[int]] = [[] for _ in fg.vertices]
         for eid, u, v, cap in fg.arcs:
             cap = int(cap) if integer else float(cap)
             threshold = min(self.tol, cap / 2)
-            for tail, head in ((u, v), (v, u)):
+            for tail, head in ((index[u], index[v]), (index[v], index[u])):
                 adj[tail].append(len(self.to))
                 self.to.append(head)
                 self.cap.append(cap)
                 self.threshold.append(threshold)
                 self.eid.append(eid)
         # lexicographic neighbor order, ties broken by arc insertion order
-        self.adj = {
-            v: sorted(idxs, key=lambda i: (self.to[i], i)) for v, idxs in adj.items()
-        }
+        names = fg.vertices
+        self.adj = [sorted(idxs, key=lambda i: (names[self.to[i]], i)) for idxs in adj]
         self.flow_value = fg.zero
         self._run()
 
-    def _find_augmenting_path(self) -> Optional[dict[NodeId, int]]:
+    def _levels(self) -> list[int]:
+        """BFS distance from the source over open arcs, -1 if none, up to the sink's level."""
         adj, to, cap, threshold = self.adj, self.to, self.cap, self.threshold
-        sink = self.fg.sink
-        parent_arc: dict[NodeId, int] = {}
-        seen = {self.fg.source}
-        queue = deque([self.fg.source])
-        while queue:
-            u = queue.popleft()
-            for i in adj[u]:
-                w = to[i]
-                if w not in seen and cap[i] > threshold[i]:
-                    seen.add(w)
-                    parent_arc[w] = i
-                    if w == sink:
-                        return parent_arc
-                    queue.append(w)
-        self.reachable = frozenset(seen)
-        return None
+        sink = self.sink
+        level = [-1] * len(adj)
+        level[self.source] = 0
+        frontier = [self.source]
+        depth = 0
+        while frontier and level[sink] < 0:
+            depth += 1
+            found = []
+            for u in frontier:
+                for i in adj[u]:
+                    w = to[i]
+                    if level[w] < 0 and cap[i] > threshold[i]:
+                        level[w] = depth
+                        found.append(w)
+            frontier = found
+        return level
 
-    def _tail_of(self, arc: int) -> NodeId:
-        return self.to[arc ^ 1]
+    def _push_blocking_flow(self, level: list[int]) -> None:
+        """Augment along level-increasing paths until none reaches the sink."""
+        adj, to, cap, threshold = self.adj, self.to, self.cap, self.threshold
+        source, sink = self.source, self.sink
+        current = [0] * len(adj)  # next arc of adj[v] to try
+        path: list[int] = []  # arcs from the source to u
+        u = source
+        while True:
+            if u == sink:
+                bottleneck = min(cap[i] for i in path)
+                for i in path:
+                    cap[i] -= bottleneck
+                    cap[i ^ 1] += bottleneck
+                self.flow_value += bottleneck
+                # resume from the tail of the first arc the push saturated
+                k = next(k for k, i in enumerate(path) if cap[i] <= threshold[i])
+                del path[k:]
+                u = to[path[-1]] if path else source
+                continue
+            arcs, k, next_level = adj[u], current[u], level[u] + 1
+            while k < len(arcs):
+                i = arcs[k]
+                if cap[i] > threshold[i] and level[to[i]] == next_level:
+                    break
+                k += 1
+            current[u] = k
+            if k < len(arcs):
+                path.append(arcs[k])
+                u = to[arcs[k]]
+            elif u == source:
+                return
+            else:
+                # no path to the sink leaves u in this phase: retreat and close u
+                level[u] = -1
+                path.pop()
+                u = to[path[-1]] if path else source
 
     def _run(self) -> None:
         while True:
-            parent_arc = self._find_augmenting_path()
-            if parent_arc is None:
+            level = self._levels()
+            if level[self.sink] < 0:
+                names = self.fg.vertices
+                self.reachable = frozenset(names[k] for k, d in enumerate(level) if d >= 0)
                 return
-            # bottleneck along the path, then push
-            bottleneck = None
-            v = self.fg.sink
-            while v != self.fg.source:
-                i = parent_arc[v]
-                bottleneck = self.cap[i] if bottleneck is None else min(bottleneck, self.cap[i])
-                v = self._tail_of(i)
-            v = self.fg.sink
-            while v != self.fg.source:
-                i = parent_arc[v]
-                self.cap[i] -= bottleneck
-                self.cap[i ^ 1] += bottleneck
-                v = self._tail_of(i)
-            self.flow_value += bottleneck
+            self._push_blocking_flow(level)
 
     def net_flow(self) -> dict[str, tuple[NodeId, NodeId, float]]:
         """Map of edge id -> (from, to, amount) for arcs carrying net flow."""
+        names = self.fg.vertices
         used = {}
         for k in range(0, len(self.to), 2):
             amount = (self.cap[k ^ 1] - self.cap[k]) / 2  # net flow u->v
             if amount > self.tol:
-                used[self.eid[k]] = (self._tail_of(k), self.to[k], amount)
+                used[self.eid[k]] = (names[self.to[k ^ 1]], names[self.to[k]], amount)
             elif amount < -self.tol:
-                used[self.eid[k]] = (self.to[k], self._tail_of(k), -amount)
+                used[self.eid[k]] = (names[self.to[k]], names[self.to[k ^ 1]], -amount)
         return used
 
 

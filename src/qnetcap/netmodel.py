@@ -28,7 +28,12 @@ class NetworkFormatError(ValueError):
 def _require_finite(name: str, value: float) -> float:
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ValueError(f"{name} must be a real number, got {value!r}")
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:  # an integer past the float range
+        raise ValueError(
+            f"{name} must be finite, got an integer of {value.bit_length()} bits"
+        ) from None
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value}")
     return value
@@ -300,6 +305,10 @@ def parse_network(text: str) -> Network:
         raise NetworkFormatError(
             f"syntax error at line {err.lineno}, column {err.colno}: {err.msg}"
         ) from err
+    except RecursionError:
+        raise NetworkFormatError("document nests too deeply to parse") from None
+    except ValueError:  # an integer literal past the interpreter's digit limit
+        raise NetworkFormatError("document holds an integer too long to parse") from None
     if not isinstance(doc, dict):
         raise NetworkFormatError("top-level document must be an object")
     for key in ("nodes", "alice", "bob", "edges"):
@@ -369,7 +378,13 @@ def serialize_network(net: Network) -> str:
 def load_network(path) -> Network:
     """Read and parse a network file. IO failures surface as OSError."""
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_network(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as err:
+            raise NetworkFormatError(
+                f"network file {str(path)!r} is not UTF-8 text: {err.reason} at byte {err.start}"
+            ) from err
+    return parse_network(text)
 
 
 # --- DOT export -------------------------------------------------------------

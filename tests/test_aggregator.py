@@ -71,6 +71,16 @@ def test_pair_count_requires_count_budgets():
         pair_count(edge, AsymptoticQCap())
 
 
+@pytest.mark.parametrize(
+    "edge, model",
+    [(count_edge("big", "A", "B", 10), PerEdgeTable({"big": 1e308})),
+     (count_edge("big", "A", "B", 1e308, eta=0.875), AsymptoticQCap())],  # 3 pairs per use
+)
+def test_pair_count_overflow_names_the_edge(edge, model):
+    with pytest.raises(ValueError, match="edge 'big': .* overflow a float"):
+        pair_count(edge, model)
+
+
 def test_resolve_rate_table_missing_edge():
     edge = count_edge("e", "A", "B", 1)
     with pytest.raises(ValueError, match="no entry"):

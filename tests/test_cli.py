@@ -6,7 +6,7 @@ import jsonschema
 import pytest
 
 from qnetcap import Count, Frequency, Rate, Regime, parse_network, serialize_network
-from qnetcap.cli import main
+from qnetcap.cli import MAX_SWEEP_POINTS, main
 
 from conftest import NETWORKS_DIR, REPO_ROOT, load_schema, src_env
 
@@ -14,6 +14,7 @@ DIAMOND = str(NETWORKS_DIR / "diamond.json")
 TRIANGLE = str(NETWORKS_DIR / "triangle_counts.json")
 SINGLE = str(NETWORKS_DIR / "single_edge.json")
 FIG2 = str(NETWORKS_DIR / "fig2_analog.json")
+SINGLE_TEXT = (NETWORKS_DIR / "single_edge.json").read_bytes()
 DATA_DIR = REPO_ROOT / "tests" / "data"
 
 
@@ -56,14 +57,37 @@ def test_validate_rejects_non_string_node_references(tmp_path, where, value, nam
     (doc["edges"][0] if where in ("tail", "head") else doc)[where] = value
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
+    err = validate_in_child_fails(bad)
+    assert f"error: {named} must be a non-empty string node label" in err
+
+
+def validate_in_child_fails(path) -> str:
+    """Run `validate` in a fresh interpreter; require exit 1, no stdout, no traceback."""
     result = subprocess.run(
-        [sys.executable, "-m", "qnetcap.cli", "validate", str(bad)],
+        [sys.executable, "-m", "qnetcap.cli", "validate", str(path)],
         env=src_env(), capture_output=True, text=True,
     )
     assert result.returncode == 1
     assert result.stdout == ""
     assert "Traceback" not in result.stderr
-    assert f"error: {named} must be a non-empty string node label" in result.stderr
+    return result.stderr
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (SINGLE_TEXT.replace(b'{"freq": 1.0}', b'{"count": 1' + b"0" * 400 + b"}"),
+         "error: edge 'ab': count must be finite, got an integer of 1329 bits"),
+        (SINGLE_TEXT.replace(b'"A"', b'"\xff"', 1),
+         "error: network file {path!r} is not UTF-8 text: invalid start byte"),
+        (b"[" * 10**5, "error: document nests too deeply to parse"),
+    ],
+    ids=["huge-integer-budget", "not-utf8", "deep-nesting"],
+)
+def test_validate_rejects_unreadable_documents(tmp_path, content, message):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    assert message.format(path=str(path)) in validate_in_child_fails(path)
 
 
 @pytest.mark.parametrize("freq", ["1e-13", "4.1e-306"])
@@ -181,6 +205,17 @@ def test_plan_over_the_path_limit_exits_one_but_cuts_still_run(capsys, tmp_path)
         code, out, err = run(capsys, "sweep", str(path), *sweep, "--fields", "m")
         assert code == 0, err
         assert out.splitlines()[1].endswith("," + m)
+
+
+def test_plan_with_an_overflowing_rate_table_exits_one(capsys, tmp_path):
+    doc = json.loads(SINGLE_TEXT)
+    doc["edges"][0]["usage"] = {"count": 10}
+    path, table = tmp_path / "net.json", tmp_path / "table.json"
+    path.write_text(json.dumps(doc))
+    table.write_text('{"ab": 1e308}')
+    code, out, err = run(capsys, "plan", str(path), "--rate-model", f"table:{table}")
+    assert code == 1 and out == ""
+    assert "error: edge 'ab': 10 uses at 1e+308 pairs per use overflow a float" in err
 
 
 def test_plan_rejects_frequency_budgets(capsys):
@@ -348,6 +383,23 @@ def test_sweep_rejects_empty_grid(capsys):
     code, _, err = run(
         capsys, "sweep", SINGLE, "--param", "epsilon", "--grid", "0.1:0.0:0.1"
     )
+    assert code == 1
+    assert "empty" in err
+
+
+@pytest.mark.parametrize(
+    "grid, count",
+    [(f"0:{MAX_SWEEP_POINTS}:1", f"asks for {MAX_SWEEP_POINTS + 1} points"),
+     ("0:1e308:1e-300", "asks for inf points")],
+)
+def test_sweep_refuses_a_grid_past_the_point_limit(capsys, grid, count):
+    code, out, err = run(capsys, "sweep", SINGLE, "--param", "epsilon", "--grid", grid)
+    assert code == 1 and out == ""
+    assert f"--grid '{grid}' {count}; a sweep takes at most {MAX_SWEEP_POINTS}" in err
+
+
+def test_sweep_grid_running_down_past_the_float_range_is_empty(capsys):
+    code, _, err = run(capsys, "sweep", SINGLE, "--param", "epsilon", "--grid", "1e308:-1e308:1")
     assert code == 1
     assert "empty" in err
 

@@ -270,3 +270,82 @@ def test_min_cut_witness_is_the_network_cut_it_names(kind):
             edges = crossing_edges(net, cut.v_a)
             assert cut.crossing == tuple(e.id for e in edges)
             assert cut.value == sum(edge_capacity(e, kind, floor_budgets=floor) for e in edges)
+
+
+def lossy_grid(rng, side, fixed_ends):
+    """Seeded side x side grid of lossy edges with per-use budgets.
+
+    With fixed_ends Alice and Bob sit at opposite corners; otherwise at two
+    distinct random vertices, so the minimum cut may surround an inner one.
+    """
+    nodes = tuple(f"n{r}_{c}" for r in range(side) for c in range(side))
+    edges = []
+    for r in range(side):
+        for c in range(side):
+            for r2, c2 in ((r, c + 1), (r + 1, c)):
+                if r2 < side and c2 < side:
+                    edges.append(EdgeSpec(
+                        f"e{len(edges)}", f"n{r}_{c}", f"n{r2}_{c2}",
+                        LossyOptical(rng.uniform(0.05, 0.95)), Frequency(rng.uniform(0.2, 5.0)),
+                    ))
+    alice, bob = (nodes[0], nodes[-1]) if fixed_ends else rng.sample(nodes, 2)
+    return Network(nodes, alice, bob, tuple(edges))
+
+
+def dumbbell(rng, side, bridges):
+    """Two strong grids joined by weak bridge edges, Alice in one, Bob in the other."""
+    halves = [lossy_grid(rng, side, fixed_ends=True) for _ in range(2)]
+    strong = [
+        EdgeSpec(f"{h}{e.id}", f"{h}{e.tail}", f"{h}{e.head}",
+                 LossyOptical(0.5 + e.channel.eta / 2), Frequency(1.0 + e.usage.value))
+        for h, half in zip("LR", halves) for e in half.edges
+    ]
+    weak = [
+        EdgeSpec(f"bridge{k}", f"Ln{rng.randrange(side)}_{side - 1}", f"Rn{rng.randrange(side)}_0",
+                 LossyOptical(0.1), Frequency(0.5))
+        for k in range(bridges)
+    ]
+    nodes = tuple(f"{h}{v}" for h, half in zip("LR", halves) for v in half.nodes)
+    return Network(nodes, nodes[0], nodes[-1], tuple(strong + weak))
+
+
+def networkx_min_cut_value(net, kind):
+    """Undirected minimum cut by networkx's Boykov-Kolmogorov max-flow; parallel edges add up."""
+    import networkx as nx
+    from networkx.algorithms.flow import boykov_kolmogorov
+
+    g = nx.Graph()
+    g.add_nodes_from(net.nodes)
+    for e in net.edges:
+        c = edge_capacity(e, kind)
+        if g.has_edge(e.tail, e.head):
+            g[e.tail][e.head]["capacity"] += c
+        else:
+            g.add_edge(e.tail, e.head, capacity=c)
+    return nx.maximum_flow_value(g, net.alice, net.bob, flow_func=boykov_kolmogorov)
+
+
+def check_against_networkx(net, kind):
+    cut = min_cut(flow_graph_from_network(net, kind))
+    assert cut.value == pytest.approx(networkx_min_cut_value(net, kind), rel=1e-9)
+    cut.v_a.validate(net)
+    edges = crossing_edges(net, cut.v_a)
+    assert cut.crossing == tuple(e.id for e in edges)
+    assert cut.value == sum(edge_capacity(e, kind) for e in edges)
+    return cut
+
+
+@pytest.mark.parametrize("side", [20, 40, 80])
+@pytest.mark.parametrize("fixed_ends", [True, False])
+def test_min_cut_matches_networkx_on_large_grids(side, fixed_ends):
+    # brute force stops at 20 vertices; networkx referees the larger graphs
+    net = lossy_grid(random.Random(side * 2 + fixed_ends), side, fixed_ends)
+    for kind in WeightKind:
+        check_against_networkx(net, kind)
+
+
+def test_min_cut_of_a_dumbbell_is_its_bridges():
+    net = dumbbell(random.Random(707), 15, bridges=3)
+    for kind in WeightKind:
+        cut = check_against_networkx(net, kind)
+        assert cut.crossing == ("bridge0", "bridge1", "bridge2")

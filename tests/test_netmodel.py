@@ -58,6 +58,20 @@ def test_parse_syntax_error_reports_position():
         parse_network('{"nodes": ["A", "B",]}')
 
 
+def test_parse_rejects_a_budget_past_the_float_range():
+    huge = MINIMAL.replace('"count": 10', '"count": 1' + "0" * 400)
+    with pytest.raises(NetworkFormatError, match="edge 'e1': count must be finite"):
+        parse_network(huge)
+    longer = MINIMAL.replace('"count": 10', '"count": 1' + "0" * 5000)
+    with pytest.raises(NetworkFormatError, match="integer too long to parse"):
+        parse_network(longer)
+
+
+def test_parse_rejects_deep_nesting():
+    with pytest.raises(NetworkFormatError, match="nests too deeply"):
+        parse_network("[" * 10**5)
+
+
 def test_parse_rejects_eta_one():
     doc = MINIMAL.replace('"eta": 0.5', '"eta": 1.0')
     with pytest.raises(NetworkFormatError, match=r"eta must be in \[0, 1\)"):
