@@ -507,6 +507,32 @@ def test_sweep_csv_matches_golden_bytes(capsys, name):
     assert out.encode("utf-8") == (DATA_DIR / f"{name}.csv").read_bytes()
 
 
+SWAP_LINKS = ("0.97", "0.91", "0.88", "0.95", "0.8", "0.99")
+GOLDEN_SWAPS = {
+    **{f"chain{n}": ("--chain", ",".join(SWAP_LINKS[:n])) for n in range(1, 7)},
+    "chain_0.9_0.93": ("--chain", "0.9,0.93"),
+    "perfect": ("--chain", "1.0,1.0,1.0"),
+    "mixed_link": ("--chain", "0,0.5"),
+    "eps0.2": ("--chain", "0.9,0.9", "--eps", "0.2"),
+    "eps_violation": ("--chain", "0.9,0.7,0.95", "--eps", "0.15,0.2,0.1"),
+    "from_plan": ("--from-plan", str(DATA_DIR / "plan_triangle_counts.json"),
+                  "--path-index", "1", "--pair-p", "0.9"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SWAPS))
+def test_simulate_swap_stdout_matches_golden(capsys, name):
+    """Same verdicts as the pinned report, and every float within 1e-12 of it."""
+    doc = run_json(capsys, "simulate-swap", *GOLDEN_SWAPS[name])
+    golden = json.loads((DATA_DIR / "simulate_swap.json").read_text())[name]
+    assert doc.keys() == golden.keys()
+    for key in ("chain", "pass", "precondition_violations"):
+        assert doc[key] == golden[key]
+    for key in ("final_fidelity", "trace_distance", "budget", "per_pair_distances",
+                "per_pair_eps"):
+        assert doc[key] == pytest.approx(golden[key], rel=0, abs=1e-12)
+
+
 FIG1 = str(NETWORKS_DIR / "fig1_sample.json")
 PER_USE_ONLY = "applies only to the per-protocol regime; regime 'per-use' takes epsilon to 0"
 
