@@ -6,7 +6,7 @@ confirms the planner's accounting: the end-to-end trace-norm error never
 exceeds the sum of the per-pair errors.
 """
 
-from qnetcap import (
+from qnetcap.qsim_oracle import (
     bell_fidelity,
     bell_pair,
     swap_chain,

@@ -2,8 +2,9 @@
 
 The library sandwiches the optimal entanglement / secret-key yield of a
 quantum network between the aggregated-repeater lower bound (edge-disjoint
-Bell-pair paths) and the weighted min-cut converse bound, and ships an
-exact density-matrix oracle for the swap-chain error bookkeeping.
+Bell-pair paths) and the weighted min-cut converse bound. The swap-chain
+error bookkeeping has a closed form, checked by an exact density-matrix
+oracle in ``qnetcap.qsim_oracle``, the one module that needs numpy.
 """
 
 from .aggregator import (
@@ -34,6 +35,7 @@ from .capacity import (
     is_vacuous,
     lossy_esq_upper,
     lossy_q_cap,
+    werner_chain_report,
 )
 from .cuts_flows import (
     CapacityKind,
@@ -68,31 +70,5 @@ from .netmodel import (
     parse_network,
     serialize_network,
 )
-
-# The swap oracle needs numpy, which nothing else does; its names are
-# imported on first use (PEP 562), so validate/bound/plan/sweep never load it.
-_ORACLE_NAMES = frozenset({
-    "DensityMatrix",
-    "SwapVerification",
-    "bell_fidelity",
-    "bell_pair",
-    "swap_chain",
-    "trace_distance",
-    "verify_error_chain",
-    "werner_pair",
-})
-
-
-def __getattr__(name: str):
-    if name in _ORACLE_NAMES:
-        from . import qsim_oracle
-
-        return getattr(qsim_oracle, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__() -> list[str]:
-    return sorted(set(globals()) | _ORACLE_NAMES)
-
 
 __version__ = "0.1.0"

@@ -31,9 +31,9 @@ from .aggregator import (
     sandwich_report,
     sandwich_report_to_dict,
 )
-from .capacity import WeightKind, epsilon_corrected_upper, is_vacuous
+from .capacity import WeightKind, epsilon_corrected_upper, is_vacuous, werner_chain_report
 from .cuts_flows import ArcSweep, edge_capacity, flow_graph_from_network, max_flow_value
-from .netmodel import Count, LossyOptical, Network, load_network
+from .netmodel import Count, LossyOptical, Network, load_network, read_json
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -83,11 +83,7 @@ def _parse_rate_model(spec: str) -> RateModel:
         return FixedFraction(_float_flag("--rate-model", spec.split(":", 1)[1]))
     if spec.startswith("table:"):
         path = spec.split(":", 1)[1]
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                table = json.load(fh)
-            except ValueError as err:  # JSON syntax or text encoding
-                raise ValueError(f"bad --rate-model table file {path!r}: {err}") from err
+        table = read_json(path, "bad --rate-model table file")
         if not isinstance(table, dict):
             raise ValueError(f"rate table {path!r} must be a JSON object")
         for k, v in table.items():
@@ -141,8 +137,7 @@ def _chain_from_args(args) -> list[float]:
         return values
     if args.from_plan is None:
         raise ValueError("give either --chain or --from-plan")
-    with open(args.from_plan, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = read_json(args.from_plan, "--from-plan file")
     paths = doc.get("paths") if isinstance(doc, dict) else None
     if not isinstance(paths, list):
         raise ValueError(f"{args.from_plan!r} is not a plan: it has no 'paths' list")
@@ -158,48 +153,15 @@ def _chain_from_args(args) -> list[float]:
 
 
 def cmd_simulate_swap(args) -> int:
-    # the oracle is the one numpy user; no other subcommand pays for importing it
-    from .qsim_oracle import (
-        MAX_CHAIN_LENGTH,
-        bell_pair,
-        trace_distance,
-        verify_error_chain,
-        werner_pair,
-    )
-
     chain = _chain_from_args(args)
-    if len(chain) > MAX_CHAIN_LENGTH:
-        raise ValueError(
-            f"chain of {len(chain)} links exceeds the exact-simulation cap of "
-            f"{MAX_CHAIN_LENGTH}; for longer chains use the analytic Werner closure "
-            "p' = product(p_i)"
-        )
-    pairs = [werner_pair(p) for p in chain]
+    eps_values = None  # default budget: each pair's own distance from a perfect Bell pair
     if args.eps is not None:
         eps_values = [_float_flag("--eps", v) for v in args.eps.split(",")]
         if len(eps_values) == 1:
             eps_values = eps_values * len(chain)
         if len(eps_values) != len(chain):
-            raise ValueError(
-                f"--eps needs 1 or {len(chain)} values, got {len(eps_values)}"
-            )
-    else:
-        # default budget: each pair's own distance from a perfect Bell pair
-        target = bell_pair()
-        eps_values = [trace_distance(rho, target) for rho in pairs]
-    verdict = verify_error_chain(pairs, eps_values)
-    _print_json(
-        {
-            "chain": chain,
-            "final_fidelity": verdict.final_fidelity,
-            "trace_distance": verdict.distance,
-            "budget": verdict.budget,
-            "pass": verdict.passed,
-            "per_pair_distances": list(verdict.per_pair_distances),
-            "per_pair_eps": list(verdict.per_pair_eps),
-            "precondition_violations": list(verdict.precondition_violations),
-        }
-    )
+            raise ValueError(f"--eps needs 1 or {len(chain)} values, got {len(eps_values)}")
+    _print_json(werner_chain_report(chain, eps_values))
     return EXIT_OK
 
 
@@ -377,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="error budget counts every edge, including pairless ones")
     p.set_defaults(func=cmd_plan)
 
-    p = sub.add_parser("simulate-swap", help="exact swap-chain oracle on Werner pairs")
+    p = sub.add_parser("simulate-swap", help="swap a Werner chain and check its error budget")
     p.add_argument("--chain", default=None, help="comma list of Werner parameters")
     p.add_argument("--from-plan", default=None, help="plan JSON emitted by 'plan'")
     p.add_argument("--path-index", type=int, default=0)

@@ -22,7 +22,7 @@ NodeId = str
 
 
 class NetworkFormatError(ValueError):
-    """A network document is syntactically or semantically invalid."""
+    """A network document, or another JSON input file, is invalid."""
 
 
 def _require_finite(name: str, value: float) -> float:
@@ -293,14 +293,10 @@ def _parse_usage(obj, edge_id: str) -> UsageBudget:
         raise NetworkFormatError(f"edge {edge_id!r}: {err}") from err
 
 
-def parse_network(text: str) -> Network:
-    """Parse the canonical JSON network document into a validated Network.
-
-    Raises NetworkFormatError with line/position info on malformed JSON and
-    with the offending node or edge named on semantic violations.
-    """
+def _loads(text: str):
+    """json.loads, with every way a document can fail to parse a NetworkFormatError."""
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as err:
         raise NetworkFormatError(
             f"syntax error at line {err.lineno}, column {err.colno}: {err.msg}"
@@ -309,6 +305,33 @@ def parse_network(text: str) -> Network:
         raise NetworkFormatError("document nests too deeply to parse") from None
     except ValueError:  # an integer literal past the interpreter's digit limit
         raise NetworkFormatError("document holds an integer too long to parse") from None
+
+
+def read_json(path, what: str, parse=_loads):
+    """Read a UTF-8 JSON file and ``parse`` it; a NetworkFormatError names it as ``what``.
+
+    IO failures surface as OSError.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as err:
+            raise NetworkFormatError(
+                f"{what} {str(path)!r} is not UTF-8 text: {err.reason} at byte {err.start}"
+            ) from err
+    try:
+        return parse(text)
+    except NetworkFormatError as err:
+        raise NetworkFormatError(f"{err} in {what} {str(path)!r}") from None
+
+
+def parse_network(text: str) -> Network:
+    """Parse the canonical JSON network document into a validated Network.
+
+    Raises NetworkFormatError with line/position info on malformed JSON and
+    with the offending node or edge named on semantic violations.
+    """
+    doc = _loads(text)
     if not isinstance(doc, dict):
         raise NetworkFormatError("top-level document must be an object")
     for key in ("nodes", "alice", "bob", "edges"):
@@ -377,14 +400,7 @@ def serialize_network(net: Network) -> str:
 
 def load_network(path) -> Network:
     """Read and parse a network file. IO failures surface as OSError."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            text = fh.read()
-        except UnicodeDecodeError as err:
-            raise NetworkFormatError(
-                f"network file {str(path)!r} is not UTF-8 text: {err.reason} at byte {err.start}"
-            ) from err
-    return parse_network(text)
+    return read_json(path, "network file", parse_network)
 
 
 # --- DOT export -------------------------------------------------------------

@@ -20,13 +20,12 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .capacity import EpsilonBudget
+from .capacity import COMPARE_SLACK, EpsilonBudget
 
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
 EIGENVALUE_TOL = -1e-10
 MAX_CHAIN_LENGTH = 6
-_COMPARE_SLACK = 1e-12  # absorbs float dust in budget comparisons
 
 _SQRT_HALF = 1.0 / np.sqrt(2.0)
 _PHI_PLUS = _SQRT_HALF * np.array([1, 0, 0, 1], dtype=complex)
@@ -193,12 +192,12 @@ def verify_error_chain(
     target = bell_pair()
     per_pair = tuple(trace_distance(rho, target) for rho in pairs)
     violations = tuple(
-        i for i, (d, eps) in enumerate(zip(per_pair, per_pair_eps)) if d > eps + _COMPARE_SLACK
+        i for i, (d, eps) in enumerate(zip(per_pair, per_pair_eps)) if d > eps + COMPARE_SLACK
     )
     final = swap_chain(pairs)
     distance = trace_distance(final, target)
     budget = float(sum(per_pair_eps))
-    passed = not violations and distance <= budget + _COMPARE_SLACK
+    passed = not violations and distance <= budget + COMPARE_SLACK
     return SwapVerification(
         passed,
         distance,

@@ -8,6 +8,7 @@ from qnetcap import parse_network
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 NETWORKS_DIR = REPO_ROOT / "networks"
+DATA_DIR = REPO_ROOT / "tests" / "data"
 SCHEMAS_DIR = REPO_ROOT / "docs" / "schemas"
 
 

@@ -14,7 +14,6 @@ import mpmath as mp
 
 from qnetcap import (
     Regime,
-    bell_pair,
     build_bell_network,
     epsilon_corrected_upper,
     is_vacuous,
@@ -25,13 +24,16 @@ from qnetcap import (
     min_cut_bruteforce,
     plan,
     sandwich_report,
+)
+from qnetcap.generators import random_bell_network, random_lossy_network
+from qnetcap.qsim_oracle import (
+    bell_fidelity,
+    bell_pair,
     swap_chain,
     trace_distance,
     verify_error_chain,
     werner_pair,
 )
-from qnetcap.qsim_oracle import bell_fidelity
-from qnetcap.generators import random_bell_network, random_lossy_network
 
 
 @contextlib.contextmanager

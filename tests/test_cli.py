@@ -1,4 +1,6 @@
 import json
+import math
+import random
 import subprocess
 import sys
 
@@ -8,14 +10,13 @@ import pytest
 from qnetcap import Count, Frequency, Rate, Regime, parse_network, serialize_network
 from qnetcap.cli import MAX_SWEEP_POINTS, main
 
-from conftest import NETWORKS_DIR, REPO_ROOT, load_schema, src_env
+from conftest import DATA_DIR, NETWORKS_DIR, load_schema, src_env
 
 DIAMOND = str(NETWORKS_DIR / "diamond.json")
 TRIANGLE = str(NETWORKS_DIR / "triangle_counts.json")
 SINGLE = str(NETWORKS_DIR / "single_edge.json")
 FIG2 = str(NETWORKS_DIR / "fig2_analog.json")
 SINGLE_TEXT = (NETWORKS_DIR / "single_edge.json").read_bytes()
-DATA_DIR = REPO_ROOT / "tests" / "data"
 
 
 def run(capsys, *argv):
@@ -57,14 +58,14 @@ def test_validate_rejects_non_string_node_references(tmp_path, where, value, nam
     (doc["edges"][0] if where in ("tail", "head") else doc)[where] = value
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
-    err = validate_in_child_fails(bad)
+    err = cli_in_child_fails("validate", bad)
     assert f"error: {named} must be a non-empty string node label" in err
 
 
-def validate_in_child_fails(path) -> str:
-    """Run `validate` in a fresh interpreter; require exit 1, no stdout, no traceback."""
+def cli_in_child_fails(*argv) -> str:
+    """Run the CLI in a fresh interpreter; require exit 1, no stdout, no traceback."""
     result = subprocess.run(
-        [sys.executable, "-m", "qnetcap.cli", "validate", str(path)],
+        [sys.executable, "-m", "qnetcap.cli", *map(str, argv)],
         env=src_env(), capture_output=True, text=True,
     )
     assert result.returncode == 1
@@ -87,7 +88,32 @@ def validate_in_child_fails(path) -> str:
 def test_validate_rejects_unreadable_documents(tmp_path, content, message):
     path = tmp_path / "bad.json"
     path.write_bytes(content)
-    assert message.format(path=str(path)) in validate_in_child_fails(path)
+    assert message.format(path=str(path)) in cli_in_child_fails("validate", path)
+
+
+JSON_FILE_FLAGS = {
+    "rate-table": ("plan", TRIANGLE, "--rate-model", "table:{path}"),
+    "from-plan": ("simulate-swap", "--from-plan", "{path}"),
+}
+
+
+@pytest.mark.parametrize("flag", sorted(JSON_FILE_FLAGS))
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (b"[" * 10**5, "document nests too deeply to parse in"),
+        (b'{"ab": "\xff"}', "is not UTF-8 text: invalid start byte"),
+        (b'{"ab": 1' + b"0" * 5000 + b"}", "document holds an integer too long to parse in"),
+        (b'{"ab": ', "syntax error at line 1, column 8"),
+    ],
+    ids=["deep-nesting", "not-utf8", "huge-integer", "syntax-error"],
+)
+def test_json_file_flags_reject_unreadable_documents(tmp_path, flag, content, message):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    err = cli_in_child_fails(*(a.format(path=path) for a in JSON_FILE_FLAGS[flag]))
+    assert message in err
+    assert repr(str(path)) in err
 
 
 @pytest.mark.parametrize("freq", ["1e-13", "4.1e-306"])
@@ -241,10 +267,13 @@ def test_simulate_swap_perfect_chain(capsys):
     assert doc["pass"] is True
 
 
-def test_simulate_swap_chain_cap(capsys):
-    code, _, err = run(capsys, "simulate-swap", "--chain", ",".join(["0.9"] * 7))
-    assert code == 1
-    assert "Werner closure" in err
+@pytest.mark.parametrize("links", [7, 1000])
+def test_simulate_swap_long_chain(capsys, links):
+    chain = [random.Random(links).uniform(0.9, 1.0) for _ in range(links)]
+    doc = run_json(capsys, "simulate-swap", "--chain", ",".join(map(repr, chain)))
+    jsonschema.validate(doc, load_schema("swap_report.schema.json"))
+    assert doc["chain"] == chain
+    assert doc["trace_distance"] == pytest.approx(1.5 * (1 - math.prod(chain)), rel=0, abs=1e-12)
 
 
 def test_simulate_swap_explicit_budget(capsys):

@@ -4,7 +4,8 @@ import random
 import numpy as np
 import pytest
 
-from qnetcap import (
+from qnetcap import werner_chain_report
+from qnetcap.qsim_oracle import (
     DensityMatrix,
     bell_fidelity,
     bell_pair,
@@ -200,3 +201,51 @@ def test_subadditivity_across_werner_grid():
             eps = 3 * (1 - p) / 2
             verdict = verify_error_chain([werner_pair(p)] * length, [eps] * length)
             assert verdict.passed, (p, length, verdict)
+
+
+def werner_chain(rng: random.Random, links: int) -> list[float]:
+    """Werner parameters in [0, 1], with the end points 0 and 1 drawn often."""
+    return [rng.choice((0.0, 1.0)) if rng.random() < 0.2 else rng.random() for _ in range(links)]
+
+
+def test_werner_closure_matches_the_oracle():
+    rng = random.Random(1999)
+    for _ in range(400):
+        chain = werner_chain(rng, rng.randint(1, 6))
+        pairs = [werner_pair(p) for p in chain]
+        own = [trace_distance(rho, bell_pair()) for rho in pairs]
+        budgets = (
+            None,  # each pair's own distance, as simulate-swap defaults to
+            [rng.uniform(0.0, 0.5)] * len(chain),
+            [rng.uniform(0.0, 1.5) for _ in chain],
+            [1.5 * (1.0 - p) for p in chain],  # every link on its budget's edge
+        )
+        for eps in budgets:
+            report = werner_chain_report(chain, eps)
+            verdict = verify_error_chain(pairs, own if eps is None else eps)
+            assert report["pass"] is verdict.passed, (chain, eps)
+            assert report["precondition_violations"] == list(verdict.precondition_violations)
+            assert report["chain"] == chain
+            for key, want in (
+                ("final_fidelity", verdict.final_fidelity),
+                ("trace_distance", verdict.distance),
+                ("budget", verdict.budget),
+                ("per_pair_distances", list(verdict.per_pair_distances)),
+                ("per_pair_eps", list(verdict.per_pair_eps)),
+            ):
+                assert report[key] == pytest.approx(want, rel=0, abs=1e-12), (key, chain, eps)
+
+
+def test_werner_closure_shares_the_oracle_input_checks():
+    for bad in (-0.1, 1.1, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="Werner parameter must be in") as closure:
+            werner_chain_report([0.9, bad])
+        with pytest.raises(ValueError) as oracle:
+            werner_pair(bad)
+        assert str(closure.value) == str(oracle.value)
+    for eps in ([0.1], [0.1, float("nan")], [0.1, -0.1]):
+        with pytest.raises(ValueError) as closure:
+            werner_chain_report([0.9, 0.9], eps)
+        with pytest.raises(ValueError) as oracle:
+            verify_error_chain([werner_pair(0.9)] * 2, eps)
+        assert str(closure.value) == str(oracle.value)
