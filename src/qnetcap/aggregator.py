@@ -13,7 +13,6 @@ networks the two sides differ by at most a factor of two.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Mapping, Union
 
 from .capacity import (
@@ -28,36 +27,42 @@ from .cuts_flows import (
     CapacityKind, CutResult, FlowGraph, PathSet,
     flow_graph_from_network, max_disjoint_paths, min_cut,
 )
-from .netmodel import Count, EdgeSpec, Network, NodeId, Regime, export_dot
+from .netmodel import (
+    Count, EdgeSpec, Immutable, Network, NodeId, Regime, _require_finite, export_dot,
+)
 
 
-@dataclass(frozen=True)
-class AsymptoticQCap:
+class AsymptoticQCap(Immutable):
     """Distillation reaches the two-way assisted capacity (R = q_cap)."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class FixedFraction:
+
+class FixedFraction(Immutable):
     """Distillation reaches a fixed fraction alpha of q_cap, 0 < alpha <= 1."""
 
-    alpha: float
+    __slots__ = ("alpha",)
 
-    def __post_init__(self):
-        if not (0.0 < self.alpha <= 1.0):
-            raise ValueError(f"alpha must be in (0, 1], got {self.alpha}")
+    def __init__(self, alpha: float):
+        alpha = _require_finite("alpha", alpha)
+        if not (0.0 < alpha <= 1.0):
+            raise ValueError(f"alpha must be in (0, 1], got {alpha}")
+        object.__setattr__(self, "alpha", alpha)
 
 
-@dataclass(frozen=True)
-class PerEdgeTable:
+class PerEdgeTable(Immutable):
     """Explicit per-edge Bell-pair rates, keyed by edge id."""
 
-    rates: Mapping[str, float]
+    __slots__ = ("rates",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "rates", dict(self.rates))
-        for eid, r in self.rates.items():
-            if not (math.isfinite(r) and r >= 0):
+    def __init__(self, rates: Mapping[str, float]):
+        table = {}
+        for eid, r in dict(rates).items():
+            r = _require_finite(f"rate for edge {eid!r}", r)
+            if r < 0:
                 raise ValueError(f"rate for edge {eid!r} must be finite and >= 0, got {r}")
+            table[eid] = r
+        object.__setattr__(self, "rates", table)
 
 
 RateModel = Union[AsymptoticQCap, FixedFraction, PerEdgeTable]
@@ -97,20 +102,34 @@ def build_bell_network(net: Network, rate_model: RateModel = AsymptoticQCap()) -
     return FlowGraph(net.nodes, net.alice, net.bob, arcs, CapacityKind.INTEGER)
 
 
-@dataclass(frozen=True)
-class ProtocolPlan:
-    """Executable aggregated-repeater plan: paths, swap schedules, error budget."""
+class ProtocolPlan(Immutable):
+    """Executable aggregated-repeater plan: paths, swap schedules, error budget.
 
-    m: int
-    paths: PathSet
-    swap_schedules: tuple[tuple[NodeId, ...], ...]
-    epsilon: float
-    error_budget: float
-    counted_edges: int
-    unused_pairs: Mapping[str, int]  # channel id -> pairs left idle
+    ``unused_pairs`` maps each channel id to the pairs it leaves idle.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "unused_pairs", dict(self.unused_pairs))
+    __slots__ = (
+        "m", "paths", "swap_schedules", "epsilon", "error_budget", "counted_edges",
+        "unused_pairs",
+    )
+
+    def __init__(
+        self,
+        m: int,
+        paths: PathSet,
+        swap_schedules: tuple[tuple[NodeId, ...], ...],
+        epsilon: float,
+        error_budget: float,
+        counted_edges: int,
+        unused_pairs: Mapping[str, int],
+    ):
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "paths", paths)
+        object.__setattr__(self, "swap_schedules", swap_schedules)
+        object.__setattr__(self, "epsilon", epsilon)
+        object.__setattr__(self, "error_budget", error_budget)
+        object.__setattr__(self, "counted_edges", counted_edges)
+        object.__setattr__(self, "unused_pairs", dict(unused_pairs))
 
 
 def plan(
@@ -135,17 +154,31 @@ def plan(
     return ProtocolPlan(m, paths, schedules, epsilon, counted * epsilon, counted, unused)
 
 
-@dataclass(frozen=True)
-class SandwichReport:
+class SandwichReport(Immutable):
     """Achievable lower bound and converse upper bounds for one regime."""
 
-    regime: Regime
-    epsilon: float
-    lower: float
-    upper_esq: float
-    upper_eps_corrected: Union[float, Vacuous]
-    lower_witness: CutResult
-    upper_witness: CutResult
+    __slots__ = (
+        "regime", "epsilon", "lower", "upper_esq", "upper_eps_corrected",
+        "lower_witness", "upper_witness",
+    )
+
+    def __init__(
+        self,
+        regime: Regime,
+        epsilon: float,
+        lower: float,
+        upper_esq: float,
+        upper_eps_corrected: Union[float, Vacuous],
+        lower_witness: CutResult,
+        upper_witness: CutResult,
+    ):
+        object.__setattr__(self, "regime", regime)
+        object.__setattr__(self, "epsilon", epsilon)
+        object.__setattr__(self, "lower", lower)
+        object.__setattr__(self, "upper_esq", upper_esq)
+        object.__setattr__(self, "upper_eps_corrected", upper_eps_corrected)
+        object.__setattr__(self, "lower_witness", lower_witness)
+        object.__setattr__(self, "upper_witness", upper_witness)
 
 
 def check_report_inputs(net: Network, regime: Regime, epsilon: float) -> float:

@@ -18,11 +18,10 @@ use means one optical mode.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence, Union
 
-from .netmodel import CustomChannel, EdgeSpec, LossyOptical
+from .netmodel import CustomChannel, EdgeSpec, Immutable, LossyOptical
 
 
 class WeightKind(Enum):
@@ -59,20 +58,18 @@ def is_vacuous(value) -> bool:
     return value is VACUOUS
 
 
-@dataclass(frozen=True)
-class EpsilonBudget:
+class EpsilonBudget(Immutable):
     """Validated trace-norm error budget: a finite real epsilon >= 0."""
 
-    epsilon: float
+    __slots__ = ("epsilon",)
 
-    def __post_init__(self):
-        eps = self.epsilon
-        if not isinstance(eps, (int, float)) or isinstance(eps, bool):
-            raise ValueError(f"epsilon must be a real number, got {eps!r}")
-        eps = float(eps)
-        if not math.isfinite(eps) or eps < 0:
-            raise ValueError(f"epsilon must be finite and >= 0, got {eps}")
-        object.__setattr__(self, "epsilon", eps)
+    def __init__(self, epsilon: float):
+        if not isinstance(epsilon, (int, float)) or isinstance(epsilon, bool):
+            raise ValueError(f"epsilon must be a real number, got {epsilon!r}")
+        epsilon = float(epsilon)
+        if not math.isfinite(epsilon) or epsilon < 0:
+            raise ValueError(f"epsilon must be finite and >= 0, got {epsilon}")
+        object.__setattr__(self, "epsilon", epsilon)
 
 
 def werner_chain_report(

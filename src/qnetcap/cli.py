@@ -9,7 +9,6 @@ error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import sys
@@ -33,7 +32,7 @@ from .aggregator import (
 )
 from .capacity import WeightKind, epsilon_corrected_upper, is_vacuous, werner_chain_report
 from .cuts_flows import ArcSweep, edge_capacity, flow_graph_from_network, max_flow_value
-from .netmodel import Count, LossyOptical, Network, load_network, read_json
+from .netmodel import Count, EdgeSpec, LossyOptical, Network, load_network, read_json
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -90,7 +89,7 @@ def _parse_rate_model(spec: str) -> RateModel:
             # bool is an int subclass, so float(True) would pass as a rate of 1
             if isinstance(v, bool) or not isinstance(v, (int, float)):
                 raise ValueError(f"bad --rate-model table entry {k!r} value: {v!r} is not a number")
-        return PerEdgeTable({str(k): float(v) for k, v in table.items()})
+        return PerEdgeTable(table)
     raise ValueError(
         f"unknown rate model {spec!r}; use 'asymptotic', 'fraction:<alpha>' or 'table:<file>'"
     )
@@ -212,7 +211,7 @@ def _eta_points(net: Network, edge_id: str, grid: Sequence[float], epsilon: floa
     upper = ArcSweep(flow_graph_from_network(net, WeightKind.ESQ_UPPER), edge_id)
     pairs = ArcSweep(build_bell_network(net), edge_id) if want_m else None
     for value in grid:
-        point = dataclasses.replace(edge, channel=LossyOptical(value))
+        point = EdgeSpec(edge.id, edge.tail, edge.head, LossyOptical(value), edge.usage)
         upper_esq = upper.min_cut_value(edge_capacity(point, WeightKind.ESQ_UPPER))
         yield (
             value,
@@ -241,8 +240,8 @@ def _budget_scale_points(net: Network, grid: Sequence[float], epsilon: float, wa
     for value in grid:
         if value < 0:
             raise ValueError(f"budget scale must be >= 0, got {value}")
-        point_net = dataclasses.replace(net, edges=tuple(
-            dataclasses.replace(e, usage=type(e.usage)(e.usage.value * value))
+        point_net = Network(net.nodes, net.alice, net.bob, tuple(
+            EdgeSpec(e.id, e.tail, e.head, e.channel, type(e.usage)(e.usage.value * value))
             for e in net.edges
         ))
         report = sandwich_report(point_net, _infer_regime(point_net, None), epsilon)
@@ -370,7 +369,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         return args.func(args)
     except (ValueError, KeyError) as err:  # includes NetworkFormatError
-        print(f"error: {err}", file=sys.stderr)
+        # str() of a KeyError is the repr of its message, quotes and all
+        message = err.args[0] if isinstance(err, KeyError) and err.args else err
+        print(f"error: {message}", file=sys.stderr)
         return EXIT_DOMAIN
     except OSError as err:
         print(f"io error: {err}", file=sys.stderr)

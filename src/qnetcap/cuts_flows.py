@@ -16,12 +16,11 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, replace
 from enum import Enum
 from typing import AbstractSet, Mapping
 
 from .capacity import WeightKind, edge_weight
-from .netmodel import Bipartition, EdgeSpec, Network, NodeId
+from .netmodel import Bipartition, EdgeSpec, Immutable, Network, NodeId
 
 BRUTEFORCE_MAX_VERTICES = 20
 # a plan lists every path, so m beyond this would exhaust time and memory
@@ -33,22 +32,32 @@ class CapacityKind(Enum):
     INTEGER = "integer"
 
 
-@dataclass(frozen=True)
-class FlowGraph:
-    """Undirected flow instance: each arc row is traversable both ways."""
+class FlowGraph(Immutable):
+    """Undirected flow instance: each arc row is traversable both ways.
 
-    vertices: tuple[NodeId, ...]
-    source: NodeId
-    sink: NodeId
-    arcs: tuple[tuple[str, NodeId, NodeId, float], ...]  # (edge id, u, v, capacity)
-    capacity_kind: CapacityKind
+    Each arc row reads (edge id, u, v, capacity).
+    """
 
-    def __post_init__(self):
-        for eid, u, v, cap in self.arcs:
+    __slots__ = ("vertices", "source", "sink", "arcs", "capacity_kind")
+
+    def __init__(
+        self,
+        vertices: tuple[NodeId, ...],
+        source: NodeId,
+        sink: NodeId,
+        arcs: tuple[tuple[str, NodeId, NodeId, float], ...],
+        capacity_kind: CapacityKind,
+    ):
+        for eid, u, v, cap in arcs:
             if not (math.isfinite(cap) and cap >= 0):
                 raise ValueError(f"arc {eid!r}: capacity must be finite and >= 0, got {cap}")
             if u == v:
                 raise ValueError(f"arc {eid!r}: self-loop at {u!r}")
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "sink", sink)
+        object.__setattr__(self, "arcs", arcs)
+        object.__setattr__(self, "capacity_kind", capacity_kind)
 
     @property
     def zero(self) -> float:
@@ -200,13 +209,15 @@ def max_flow_value(fg: FlowGraph) -> float:
     return _ResidualSolver(fg).flow_value
 
 
-@dataclass(frozen=True)
-class CutResult:
+class CutResult(Immutable):
     """A bipartition together with its crossing edges and their weight sum."""
 
-    value: float
-    v_a: Bipartition
-    crossing: tuple[str, ...]
+    __slots__ = ("value", "v_a", "crossing")
+
+    def __init__(self, value: float, v_a: Bipartition, crossing: tuple[str, ...]):
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "v_a", v_a)
+        object.__setattr__(self, "crossing", crossing)
 
 
 def _crossing_rows(fg: FlowGraph, side: AbstractSet[NodeId]) -> tuple:
@@ -252,17 +263,21 @@ class ArcSweep:
         self.arc_id = arc_id
         self.zero = fg.zero
         arcs = tuple((eid, u, v, self.zero if eid == arc_id else c) for eid, u, v, c in fg.arcs)
-        sides = [_ResidualSolver(replace(fg, arcs=arcs)).reachable]
+        sides = [_ResidualSolver(
+            FlowGraph(fg.vertices, fg.source, fg.sink, arcs, fg.capacity_kind)
+        ).reachable]
         ends = (fg.source, fg.sink)
         _, u, v, _ = row
         if not (u in ends and v in ends):
             keep, drop = (u, v) if u in ends else (v, u)
             merged = ((eid, keep if a == drop else a, keep if b == drop else b, c)
                       for eid, a, b, c in fg.arcs)
-            side = _ResidualSolver(replace(
-                fg,
-                vertices=tuple(x for x in fg.vertices if x != drop),
-                arcs=tuple(arc for arc in merged if arc[1] != arc[2]),
+            side = _ResidualSolver(FlowGraph(
+                tuple(x for x in fg.vertices if x != drop),
+                fg.source,
+                fg.sink,
+                tuple(arc for arc in merged if arc[1] != arc[2]),
+                fg.capacity_kind,
             )).reachable
             sides.append(side | {drop} if keep in side else side)
         self.crossing = [_crossing_rows(fg, side) for side in sides]
@@ -298,21 +313,24 @@ def min_cut_bruteforce(fg: FlowGraph) -> CutResult:
     return _cut(fg, _enumerate_min_cut(fg))
 
 
-@dataclass(frozen=True)
-class DisjointPath:
+class DisjointPath(Immutable):
     """Simple Alice-to-Bob path with the Bell pairs it consumes."""
 
-    nodes: tuple[NodeId, ...]
-    bell_edges: tuple[str, ...]
+    __slots__ = ("nodes", "bell_edges")
+
+    def __init__(self, nodes: tuple[NodeId, ...], bell_edges: tuple[str, ...]):
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "bell_edges", bell_edges)
 
 
-@dataclass(frozen=True)
-class PathSet:
-    paths: tuple[DisjointPath, ...]
-    pairs_used: Mapping[str, int]  # channel id -> Bell pairs the paths consume
+class PathSet(Immutable):
+    """Edge-disjoint paths and, per channel id, the Bell pairs they consume."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "pairs_used", dict(self.pairs_used))
+    __slots__ = ("paths", "pairs_used")
+
+    def __init__(self, paths: tuple[DisjointPath, ...], pairs_used: Mapping[str, int]):
+        object.__setattr__(self, "paths", paths)
+        object.__setattr__(self, "pairs_used", dict(pairs_used))
 
     def __len__(self) -> int:
         return len(self.paths)

@@ -5,7 +5,11 @@ plus intermediate relay nodes. Every edge carries a channel model and a
 usage budget; cuts over the network are direction-blind, so the crossing
 set of a bipartition contains edges leaving *and* entering the Alice side.
 
-All types here are immutable after construction and safe to share across
+Every value type here, and in the modules built on it, derives from
+``Immutable``: its fields are slots, assigning or deleting one raises
+AttributeError, and values compare by exact type and value. There is no
+generic field-replacing copy: a changed copy is built with the constructor,
+which validates it like any other value. The types are safe to share across
 concurrent workers.
 """
 
@@ -14,7 +18,6 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass
 from enum import Enum
 from typing import ClassVar, Mapping, Optional, Union
 
@@ -44,37 +47,77 @@ def _require_label(name: str, value) -> None:
         raise ValueError(f"{name} must be a non-empty string node label, got {value!r}")
 
 
-@dataclass(frozen=True)
-class LossyOptical:
+class Immutable:
+    """Base of the value types: slotted, immutable, compared by exact type and value.
+
+    A subclass names its fields in ``__slots__`` (the field tuple is the
+    concatenation along the class chain), takes them positionally in that
+    order in ``__init__``, and sets them there with ``object.__setattr__``.
+    Any other assignment or deletion raises AttributeError. The repr reads
+    ``Name(field=value, ...)``, and pickling and copying go through the
+    constructor, so a copy is validated like the original.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = cls._fields + tuple(cls.__dict__.get("__slots__", ()))
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({args})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: {type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: {type(self).__name__} is immutable")
+
+
+class LossyOptical(Immutable):
     """Pure-loss optical channel with transmittance eta.
 
     eta = 1 is rejected: it would give an infinite per-mode capacity.
     eta = 0 is a legal zero-capacity edge.
     """
 
-    eta: float
+    __slots__ = ("eta",)
 
-    def __post_init__(self):
-        eta = _require_finite("eta", self.eta)
+    def __init__(self, eta: float):
+        eta = _require_finite("eta", eta)
         if not 0.0 <= eta < 1.0:
             raise ValueError(f"eta must be in [0, 1), got {eta}")
         object.__setattr__(self, "eta", eta)
 
 
-@dataclass(frozen=True)
-class CustomChannel:
+class CustomChannel(Immutable):
     """User-supplied per-use weights: achievable rate and converse upper bound.
 
     q_cap > esq_upper breaks the sandwich guarantee; such channels are
     accepted but flagged (see ``sandwich_warning``), never silently.
     """
 
-    q_cap: float
-    esq_upper: float
+    __slots__ = ("q_cap", "esq_upper")
 
-    def __post_init__(self):
-        q_cap = _require_finite("q_cap", self.q_cap)
-        esq_upper = _require_finite("esq_upper", self.esq_upper)
+    def __init__(self, q_cap: float, esq_upper: float):
+        q_cap = _require_finite("q_cap", q_cap)
+        esq_upper = _require_finite("esq_upper", esq_upper)
         if q_cap < 0 or esq_upper < 0:
             raise ValueError(
                 f"q_cap and esq_upper must be >= 0, got {q_cap}, {esq_upper}"
@@ -98,20 +141,19 @@ class Regime(Enum):
     PER_TIME = "per-time"
 
 
-@dataclass(frozen=True)
-class UsageBudget:
+class UsageBudget(Immutable):
     """A channel's usage budget, finite and >= 0.
 
     Only the subclasses are budgets: each names its JSON key (also the
     field named in error messages) and the regime its value is read in.
     """
 
-    value: float
+    __slots__ = ("value",)
     key: ClassVar[str] = "usage"
     regime: ClassVar[Regime]
 
-    def __post_init__(self):
-        v = _require_finite(self.key, self.value)
+    def __init__(self, value: float):
+        v = _require_finite(self.key, value)
         if v < 0:
             raise ValueError(f"{self.key} must be >= 0, got {v}")
         object.__setattr__(self, "value", v)
@@ -120,6 +162,7 @@ class UsageBudget:
 class Count(UsageBudget):
     """Budget as an absolute number of channel uses."""
 
+    __slots__ = ()
     key = "count"
     regime = Regime.PER_PROTOCOL
 
@@ -127,6 +170,7 @@ class Count(UsageBudget):
 class Frequency(UsageBudget):
     """Budget as uses per total channel use."""
 
+    __slots__ = ()
     key = "freq"
     regime = Regime.PER_CHANNEL_USE
 
@@ -134,6 +178,7 @@ class Frequency(UsageBudget):
 class Rate(UsageBudget):
     """Budget as uses per unit time."""
 
+    __slots__ = ()
     key = "rate"
     regime = Regime.PER_TIME
 
@@ -141,62 +186,62 @@ class Rate(UsageBudget):
 _BUDGET_KINDS = (Count, Frequency, Rate)
 
 
-@dataclass(frozen=True)
-class EdgeSpec:
+class EdgeSpec(Immutable):
     """Directed channel edge. Parallel edges are allowed, self-loops are not."""
 
-    id: str
-    tail: NodeId
-    head: NodeId
-    channel: ChannelSpec
-    usage: UsageBudget
+    __slots__ = ("id", "tail", "head", "channel", "usage")
 
-    def __post_init__(self):
-        if not self.id or not isinstance(self.id, str):
-            raise ValueError(f"edge id must be a non-empty string, got {self.id!r}")
-        for key in ("tail", "head"):
-            _require_label(f"edge {self.id!r}: {key}", getattr(self, key))
-        if self.tail == self.head:
-            raise ValueError(f"edge {self.id!r}: self-loop at {self.tail!r} rejected")
-        if not isinstance(self.channel, (LossyOptical, CustomChannel)):
-            raise ValueError(f"edge {self.id!r}: unknown channel spec {self.channel!r}")
-        if not isinstance(self.usage, _BUDGET_KINDS):
-            raise ValueError(f"edge {self.id!r}: unknown usage budget {self.usage!r}")
+    def __init__(self, id: str, tail: NodeId, head: NodeId, channel: ChannelSpec,
+                 usage: UsageBudget):
+        if not id or not isinstance(id, str):
+            raise ValueError(f"edge id must be a non-empty string, got {id!r}")
+        if not (isinstance(tail, str) and tail and isinstance(head, str) and head):
+            for key, label in (("tail", tail), ("head", head)):
+                _require_label(f"edge {id!r}: {key}", label)
+        if tail == head:
+            raise ValueError(f"edge {id!r}: self-loop at {tail!r} rejected")
+        if not isinstance(channel, (LossyOptical, CustomChannel)):
+            raise ValueError(f"edge {id!r}: unknown channel spec {channel!r}")
+        if not isinstance(usage, _BUDGET_KINDS):
+            raise ValueError(f"edge {id!r}: unknown usage budget {usage!r}")
+        set_field = object.__setattr__  # one lookup: a parse builds one edge per channel
+        set_field(self, "id", id)
+        set_field(self, "tail", tail)
+        set_field(self, "head", head)
+        set_field(self, "channel", channel)
+        set_field(self, "usage", usage)
 
     def endpoints(self) -> frozenset[NodeId]:
         return frozenset((self.tail, self.head))
 
 
-@dataclass(frozen=True)
-class Network:
+class Network(Immutable):
     """Validated two-terminal network; edge order is preserved from input."""
 
-    nodes: tuple[NodeId, ...]
-    alice: NodeId
-    bob: NodeId
-    edges: tuple[EdgeSpec, ...]
+    __slots__ = ("nodes", "alice", "bob", "edges")
 
-    def __post_init__(self):
-        object.__setattr__(self, "nodes", tuple(self.nodes))
-        object.__setattr__(self, "edges", tuple(self.edges))
+    def __init__(self, nodes: tuple[NodeId, ...], alice: NodeId, bob: NodeId,
+                 edges: tuple[EdgeSpec, ...]):
+        nodes = tuple(nodes)
+        edges = tuple(edges)
         labels = set()
-        for n in self.nodes:
+        for n in nodes:
             if not n or not isinstance(n, str):
                 raise ValueError(f"node label must be a non-empty string, got {n!r}")
             if n in labels:
                 raise ValueError(f"duplicate node label {n!r}")
             labels.add(n)
-        _require_label("alice", self.alice)
-        _require_label("bob", self.bob)
-        if self.alice not in labels:
-            raise ValueError(f"alice node {self.alice!r} is not declared")
-        if self.bob not in labels:
-            raise ValueError(f"bob node {self.bob!r} is not declared")
-        if self.alice == self.bob:
+        _require_label("alice", alice)
+        _require_label("bob", bob)
+        if alice not in labels:
+            raise ValueError(f"alice node {alice!r} is not declared")
+        if bob not in labels:
+            raise ValueError(f"bob node {bob!r} is not declared")
+        if alice == bob:
             raise ValueError("alice and bob must be distinct nodes")
         ids = set()
         kinds = set()
-        for e in self.edges:
+        for e in edges:
             if e.id in ids:
                 raise ValueError(f"duplicate edge id {e.id!r}")
             ids.add(e.id)
@@ -209,6 +254,10 @@ class Network:
         if len(kinds) > 1:
             names = sorted(k.__name__ for k in kinds)
             raise ValueError(f"mixed usage budget variants {names}; use one per network")
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "alice", alice)
+        object.__setattr__(self, "bob", bob)
+        object.__setattr__(self, "edges", edges)
 
     @property
     def node_set(self) -> frozenset[NodeId]:
@@ -226,14 +275,13 @@ class Network:
         raise KeyError(f"no edge with id {edge_id!r}")
 
 
-@dataclass(frozen=True)
-class Bipartition:
+class Bipartition(Immutable):
     """Alice-side vertex set of a cut; complement is implicitly the Bob side."""
 
-    v_a: frozenset[NodeId]
+    __slots__ = ("v_a",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "v_a", frozenset(self.v_a))
+    def __init__(self, v_a: frozenset[NodeId]):
+        object.__setattr__(self, "v_a", frozenset(v_a))
 
     def validate(self, net: Network) -> None:
         if not self.v_a <= net.node_set:

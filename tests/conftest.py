@@ -4,7 +4,7 @@ import pathlib
 
 import pytest
 
-from qnetcap import parse_network
+from qnetcap import EdgeSpec, Network, parse_network
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 NETWORKS_DIR = REPO_ROOT / "networks"
@@ -18,6 +18,20 @@ def load_sample(name: str):
 
 def load_schema(name: str):
     return json.loads((SCHEMAS_DIR / name).read_text())
+
+
+def edge_with(edge: EdgeSpec, *, channel=None, usage=None) -> EdgeSpec:
+    """A copy of edge with its channel or its usage budget replaced."""
+    return EdgeSpec(
+        edge.id, edge.tail, edge.head,
+        edge.channel if channel is None else channel,
+        edge.usage if usage is None else usage,
+    )
+
+
+def network_with(net: Network, edges) -> Network:
+    """A copy of net over the given edges."""
+    return Network(net.nodes, net.alice, net.bob, tuple(edges))
 
 
 def src_env() -> dict:

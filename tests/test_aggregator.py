@@ -1,4 +1,3 @@
-import dataclasses
 import random
 
 import pytest
@@ -33,6 +32,9 @@ from qnetcap import (
 )
 from qnetcap import cuts_flows
 from qnetcap.generators import random_count_network, random_lossy_network
+
+from conftest import edge_with, network_with
+
 
 DIAMOND_LOWER = 3.3219280948873623479
 DIAMOND_UPPER = 4.7548875021634685444
@@ -86,6 +88,34 @@ def test_resolve_rate_table_missing_edge():
     with pytest.raises(ValueError, match="no entry"):
         resolve_rate(edge, PerEdgeTable({"other": 1.0}))
     assert resolve_rate(edge, PerEdgeTable({"e": 2.5})) == 2.5
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: FixedFraction(True), "alpha must be a real number, got True"),
+        (lambda: FixedFraction("0.5"), "alpha must be a real number, got '0.5'"),
+        (lambda: FixedFraction(float("nan")), "alpha must be finite, got nan"),
+        (lambda: FixedFraction(1.5), r"alpha must be in \(0, 1\], got 1.5"),
+        (lambda: FixedFraction(0), r"alpha must be in \(0, 1\], got 0.0"),
+        (lambda: PerEdgeTable({"e": True}), "rate for edge 'e' must be a real number, got True"),
+        (lambda: PerEdgeTable({"e": "x"}), "rate for edge 'e' must be a real number, got 'x'"),
+        (lambda: PerEdgeTable({"e": 10**400}), "rate for edge 'e' must be finite, got an integer"),
+        (lambda: PerEdgeTable({"e": -1}), "rate for edge 'e' must be finite and >= 0, got -1.0"),
+    ],
+    ids=["alpha-bool", "alpha-str", "alpha-nan", "alpha-above-one", "alpha-zero",
+         "rate-bool", "rate-str", "rate-huge-int", "rate-negative"],
+)
+def test_rate_models_reject_non_numbers_with_a_message(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
+def test_rate_models_store_floats():
+    alpha = FixedFraction(1).alpha
+    rate = PerEdgeTable({"e": 2}).rates["e"]
+    assert type(alpha) is float and alpha == 1.0
+    assert type(rate) is float and rate == 2.0
 
 
 def test_build_bell_network_ids_are_deterministic(triangle_net):
@@ -187,9 +217,8 @@ def test_sandwich_report_regime_mismatch(diamond_net):
 def test_sandwich_report_rejects_epsilon_outside_per_protocol(diamond_net):
     with pytest.raises(ValueError, match="epsilon=0.3.*'per-use'"):
         sandwich_report(diamond_net, Regime.PER_CHANNEL_USE, epsilon=0.3)
-    timed = dataclasses.replace(
-        diamond_net,
-        edges=tuple(dataclasses.replace(e, usage=Rate(e.usage.value)) for e in diamond_net.edges),
+    timed = network_with(
+        diamond_net, (edge_with(e, usage=Rate(e.usage.value)) for e in diamond_net.edges)
     )
     with pytest.raises(ValueError, match="'per-time'"):
         sandwich_report(timed, Regime.PER_TIME, epsilon=1e-4)
@@ -285,11 +314,8 @@ def test_budget_scaling_covariance():
     for _ in range(40):
         net = random_lossy_network(rng, max_nodes=8, max_edges=14)
         c = rng.uniform(0.25, 4.0)
-        scaled = dataclasses.replace(
-            net,
-            edges=tuple(
-                dataclasses.replace(e, usage=Frequency(e.usage.value * c)) for e in net.edges
-            ),
+        scaled = network_with(
+            net, (edge_with(e, usage=Frequency(e.usage.value * c)) for e in net.edges)
         )
         base = sandwich_report(net, Regime.PER_CHANNEL_USE)
         grown = sandwich_report(scaled, Regime.PER_CHANNEL_USE)
@@ -305,11 +331,8 @@ def test_per_time_report_scales_like_per_use():
     c = 1000.0
     for _ in range(20):
         net = random_lossy_network(rng, max_nodes=8, max_edges=12)
-        timed = dataclasses.replace(
-            net,
-            edges=tuple(
-                dataclasses.replace(e, usage=Rate(e.usage.value * c)) for e in net.edges
-            ),
+        timed = network_with(
+            net, (edge_with(e, usage=Rate(e.usage.value * c)) for e in net.edges)
         )
         per_use = sandwich_report(net, Regime.PER_CHANNEL_USE)
         per_time = sandwich_report(timed, Regime.PER_TIME)

@@ -244,6 +244,14 @@ def test_plan_with_an_overflowing_rate_table_exits_one(capsys, tmp_path):
     assert "error: edge 'ab': 10 uses at 1e+308 pairs per use overflow a float" in err
 
 
+def test_plan_rejects_a_rate_table_integer_past_the_float_range(capsys, tmp_path):
+    table = tmp_path / "table.json"
+    table.write_text('{"ac": 1' + "0" * 400 + ', "cb": 1, "ab": 1}')
+    code, out, err = run(capsys, "plan", TRIANGLE, "--rate-model", f"table:{table}")
+    assert code == 1 and out == ""
+    assert err == "error: rate for edge 'ac' must be finite, got an integer of 1329 bits\n"
+
+
 def test_plan_rejects_frequency_budgets(capsys):
     code, _, err = run(capsys, "plan", DIAMOND)
     assert code == 1
@@ -570,10 +578,10 @@ PER_USE_ONLY = "applies only to the per-protocol regime; regime 'per-use' takes 
     "argv, message",
     [
         ((DIAMOND, "--param", "eta", "--edge", "nope", "--values", "0.5"),
-         "\"no edge with id 'nope'\""),
+         "no edge with id 'nope'"),
         # the edge is checked before the epsilon, as in the pointwise sweep
         ((DIAMOND, "--param", "eta", "--edge", "nope", "--values", "0.5", "--epsilon", "nan"),
-         "\"no edge with id 'nope'\""),
+         "no edge with id 'nope'"),
         ((FIG1, "--param", "eta", "--edge", "c2-c3", "--values", "0.5"),
          "edge 'c2-c3' is not a lossy channel"),
         ((DIAMOND, "--param", "epsilon", "--values", "0,0.3"), f"epsilon=0.3 {PER_USE_ONLY}"),

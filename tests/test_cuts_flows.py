@@ -1,4 +1,3 @@
-import dataclasses
 import random
 
 import pytest
@@ -22,6 +21,9 @@ from qnetcap import (
 )
 from qnetcap.cuts_flows import edge_capacity
 from qnetcap.generators import random_bell_network, random_custom_network, random_lossy_network
+
+from conftest import edge_with, network_with
+
 
 DIAMOND_LOWER = 3.3219280948873623479
 DIAMOND_UPPER = 4.7548875021634685444
@@ -238,12 +240,12 @@ def multi_scale_network(rng):
     maker = random_custom_network if rng.random() < 0.5 else random_lossy_network
     net = maker(rng, max_nodes=7, max_edges=10)
     edges = tuple(
-        dataclasses.replace(e, usage=Frequency(
+        edge_with(e, usage=Frequency(
             0.0 if rng.random() < 0.1 else rng.uniform(1, 10) * 10.0 ** rng.randint(-320, 15)
         ))
         for e in net.edges
     )
-    return dataclasses.replace(net, edges=edges)
+    return network_with(net, edges)
 
 
 def test_min_cut_is_zero_exactly_when_bruteforce_is_zero_at_every_scale():

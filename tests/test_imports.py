@@ -1,13 +1,16 @@
-"""The package and every CLI subcommand run where numpy cannot be imported."""
+"""The package and every CLI subcommand run where numpy, dataclasses and inspect
+cannot be imported: a CLI process pays for none of them."""
 
 import subprocess
 import sys
 
 from conftest import DATA_DIR, NETWORKS_DIR, src_env
 
-NO_NUMPY_SCRIPT = """
+BLOCKED = ("numpy", "dataclasses", "inspect")
+BLOCKING_SCRIPT = """
 import sys
-sys.modules["numpy"] = None  # any import of numpy now raises ImportError
+for name in {blocked!r}:
+    sys.modules[name] = None  # any import of it now raises ImportError
 import qnetcap
 import qnetcap.cli
 for argv in {commands!r}:
@@ -15,9 +18,9 @@ for argv in {commands!r}:
 """
 
 
-def run_without_numpy(commands) -> None:
+def run_blocked(commands) -> None:
     result = subprocess.run(
-        [sys.executable, "-c", NO_NUMPY_SCRIPT.format(commands=commands)],
+        [sys.executable, "-c", BLOCKING_SCRIPT.format(blocked=BLOCKED, commands=commands)],
         env=src_env(), capture_output=True, text=True,
     )
     assert result.returncode == 0, result.stderr
@@ -26,7 +29,7 @@ def run_without_numpy(commands) -> None:
 def test_cli_subcommands_other_than_simulate_swap_never_import_numpy():
     fig2 = str(NETWORKS_DIR / "fig2_analog.json")
     diamond = str(NETWORKS_DIR / "diamond.json")
-    run_without_numpy([
+    run_blocked([
         ["validate", diamond],
         ["bound", diamond],
         ["plan", fig2, "--epsilon", "0.001"],
@@ -37,7 +40,7 @@ def test_cli_subcommands_other_than_simulate_swap_never_import_numpy():
 
 
 def test_simulate_swap_never_imports_numpy():
-    run_without_numpy([
+    run_blocked([
         ["simulate-swap", "--chain", "0.9,0.9"],
         ["simulate-swap", "--chain", ",".join(["0.99"] * 40), "--eps", "0.02"],
         ["simulate-swap", "--from-plan", str(DATA_DIR / "plan_triangle_counts.json"),

@@ -5,7 +5,6 @@ sandwich_report, and one plan for field m, per grid point. The brute-force
 cut enumeration referees ArcSweep itself on small networks.
 """
 
-import dataclasses
 import random
 
 import pytest
@@ -16,6 +15,7 @@ from qnetcap import (
     CustomChannel,
     Count,
     EdgeSpec,
+    FlowGraph,
     Frequency,
     LossyOptical,
     Network,
@@ -34,6 +34,9 @@ from qnetcap.cli import SWEEP_FIELDS, sweep_csv
 from qnetcap.cuts_flows import ArcSweep, edge_capacity
 from qnetcap.generators import random_count_network, random_lossy_network
 
+from conftest import edge_with, network_with
+
+
 LOSSY_FIELDS = [f for f in SWEEP_FIELDS if f != "m"]
 
 
@@ -47,18 +50,18 @@ def _network_at(net, param, edge_id, value):
         if not isinstance(target.channel, LossyOptical):
             raise ValueError(f"edge {edge_id!r} is not a lossy channel")
         new_edges = tuple(
-            dataclasses.replace(e, channel=LossyOptical(value)) if e.id == edge_id else e
+            edge_with(e, channel=LossyOptical(value)) if e.id == edge_id else e
             for e in net.edges
         )
-        return dataclasses.replace(net, edges=new_edges)
+        return network_with(net, new_edges)
     if param == "budget-scale":
         if value < 0:
             raise ValueError(f"budget scale must be >= 0, got {value}")
         new_edges = tuple(
-            dataclasses.replace(e, usage=type(e.usage)(e.usage.value * value))
+            edge_with(e, usage=type(e.usage)(e.usage.value * value))
             for e in net.edges
         )
-        return dataclasses.replace(net, edges=new_edges)
+        return network_with(net, new_edges)
     return net
 
 
@@ -174,8 +177,8 @@ def test_parametric_sweep_matches_pointwise_on_generated_networks():
 # --- ArcSweep against the brute-force cut oracle ---------------------------------
 
 def _with_eta(net, edge_id, eta):
-    return dataclasses.replace(net, edges=tuple(
-        dataclasses.replace(e, channel=LossyOptical(eta)) if e.id == edge_id else e
+    return network_with(net, (
+        edge_with(e, channel=LossyOptical(eta)) if e.id == edge_id else e
         for e in net.edges
     ))
 
@@ -203,7 +206,9 @@ def test_arc_sweep_matches_bruteforce_bell_cut():
         sweep = ArcSweep(bell, cid)
         for pairs in (0, 1, rng.randint(2, 60)):
             rows = tuple((c, u, v, pairs if c == cid else n) for c, u, v, n in bell.arcs)
-            expected = min_cut_bruteforce(dataclasses.replace(bell, arcs=rows)).value
+            expected = min_cut_bruteforce(
+                FlowGraph(bell.vertices, bell.source, bell.sink, rows, bell.capacity_kind)
+            ).value
             value = sweep.min_cut_value(pairs)
             assert value == expected and isinstance(value, int)
 
@@ -251,10 +256,8 @@ def test_parametric_sweep_matches_pointwise_at_large_budgets(max_budget):
         net = random_lossy_network(rng, max_nodes=7, max_edges=12, max_budget=max_budget)
         # the swept edge outweighs the rest, so cuts that avoid it are the small ones
         swept = rng.choice(net.edges)
-        edge = dataclasses.replace(swept, usage=Frequency(20 * max_budget))
-        net = dataclasses.replace(
-            net, edges=tuple(edge if e.id == edge.id else e for e in net.edges)
-        )
+        edge = edge_with(swept, usage=Frequency(20 * max_budget))
+        net = network_with(net, (edge if e.id == edge.id else e for e in net.edges))
         grid = sorted({0.0, *(round(rng.uniform(0, 0.95), 3) for _ in range(4))})
         assert sweep_csv(net, "eta", grid, LOSSY_FIELDS, edge=edge.id) == pointwise_sweep_csv(
             net, "eta", grid, LOSSY_FIELDS, edge=edge.id

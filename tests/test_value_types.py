@@ -1,0 +1,150 @@
+"""The value-type contract: every public value type is slotted, immutable and
+compared, hashed, shown, pickled and copied by value."""
+
+import copy
+import pickle
+
+import pytest
+
+from qnetcap import (
+    AsymptoticQCap,
+    Bipartition,
+    CapacityKind,
+    Count,
+    CustomChannel,
+    CutResult,
+    DisjointPath,
+    EdgeSpec,
+    EpsilonBudget,
+    FixedFraction,
+    FlowGraph,
+    Frequency,
+    LossyOptical,
+    PathSet,
+    PerEdgeTable,
+    ProtocolPlan,
+    Rate,
+    Regime,
+    UsageBudget,
+    max_disjoint_paths,
+    parse_network,
+    plan,
+    sandwich_report,
+    serialize_network,
+)
+from qnetcap.netmodel import Immutable
+
+from conftest import load_sample
+
+TRIANGLE = load_sample("triangle_counts.json")
+DIAMOND = load_sample("diamond.json")
+BELL = FlowGraph(("A", "C", "B"), "A", "B", (("ac", "A", "C", 2), ("cb", "C", "B", 1)),
+                 CapacityKind.INTEGER)
+SAMPLES = [
+    LossyOptical(0.5),
+    CustomChannel(1.0, 2.0),
+    UsageBudget(1.0),
+    Count(3),
+    Frequency(0.25),
+    Rate(7.5),
+    TRIANGLE.edges[0],
+    TRIANGLE,
+    Bipartition({"A", "C"}),
+    EpsilonBudget(1e-3),
+    BELL,
+    CutResult(1, Bipartition({"A", "C"}), ("cb",)),
+    DisjointPath(("A", "C", "B"), ("ac#0", "cb#0")),
+    max_disjoint_paths(BELL)[1],
+    AsymptoticQCap(),
+    FixedFraction(0.5),
+    PerEdgeTable({"ac": 1.0, "cb": 2.0}),
+    plan(TRIANGLE, 1e-3),
+    sandwich_report(DIAMOND, Regime.PER_CHANNEL_USE),
+]
+# types with a dict field compare by value but cannot be hashed
+UNHASHABLE = (PathSet, PerEdgeTable, ProtocolPlan)
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def _ids(sample):
+    return type(sample).__name__
+
+
+def test_samples_cover_every_value_type():
+    assert {type(s) for s in SAMPLES} == set(_subclasses(Immutable))
+
+
+@pytest.mark.parametrize("sample", SAMPLES, ids=_ids)
+def test_fields_cannot_be_assigned_or_deleted(sample):
+    assert not hasattr(sample, "__dict__")
+    for name in sample._fields:
+        with pytest.raises(AttributeError):
+            setattr(sample, name, getattr(sample, name))
+        with pytest.raises(AttributeError):
+            delattr(sample, name)
+    with pytest.raises(AttributeError):
+        sample.extra = 1
+
+
+def test_budget_class_attributes_cannot_be_shadowed():
+    # a Count that claimed key "freq" would serialize as a freq budget
+    budget = TRIANGLE.edges[0].usage
+    with pytest.raises(AttributeError):
+        budget.key = "freq"
+    with pytest.raises(AttributeError):
+        budget.regime = Regime.PER_CHANNEL_USE
+    assert '"count"' in serialize_network(TRIANGLE)
+    assert parse_network(serialize_network(TRIANGLE)) == TRIANGLE
+
+
+@pytest.mark.parametrize("sample", SAMPLES, ids=_ids)
+def test_pickle_and_copies_round_trip_equal(sample):
+    for clone in (
+        pickle.loads(pickle.dumps(sample)), copy.copy(sample), copy.deepcopy(sample)
+    ):
+        assert type(clone) is type(sample)
+        assert clone == sample and not clone != sample
+        if not isinstance(sample, UNHASHABLE):
+            assert hash(clone) == hash(sample)
+
+
+@pytest.mark.parametrize("sample", SAMPLES, ids=_ids)
+def test_hashable_unless_a_field_is_a_dict(sample):
+    if isinstance(sample, UNHASHABLE):
+        with pytest.raises(TypeError):
+            hash(sample)
+    else:
+        hash(sample)
+
+
+def test_equality_is_by_exact_type_and_value():
+    assert Count(3) == Count(3.0)
+    assert Count(3) != Count(4)
+    assert Count(3) != Frequency(3)
+    assert Count(3) != UsageBudget(3)
+    assert AsymptoticQCap() == AsymptoticQCap()
+    assert AsymptoticQCap() != FixedFraction(1.0)
+    assert LossyOptical(0.5) != CustomChannel(0.5, 0.5)
+    assert LossyOptical(0.5) != 0.5
+    assert PerEdgeTable({"e": 1}) == PerEdgeTable({"e": 1.0})
+    assert len({LossyOptical(0.5), LossyOptical(0.5), Count(3), Frequency(3)}) == 3
+    assert EdgeSpec("e", "A", "B", LossyOptical(0.5), Count(1)) != EdgeSpec(
+        "e", "B", "A", LossyOptical(0.5), Count(1)
+    )
+
+
+def test_repr_names_each_field():
+    assert repr(LossyOptical(0.5)) == "LossyOptical(eta=0.5)"
+    assert repr(Count(3)) == "Count(value=3.0)"
+    assert repr(AsymptoticQCap()) == "AsymptoticQCap()"
+    assert repr(CustomChannel(1, 2)) == "CustomChannel(q_cap=1.0, esq_upper=2.0)"
+    assert repr(TRIANGLE.edges[0]) == (
+        "EdgeSpec(id='ac', tail='A', head='C', channel=LossyOptical(eta=0.5), "
+        "usage=Count(value=3.0))"
+    )
+
