@@ -86,7 +86,7 @@ def _parse_rate_model(spec: str) -> RateModel:
         if not isinstance(table, dict):
             raise ValueError(f"rate table {path!r} must be a JSON object")
         for k, v in table.items():
-            # bool is an int subclass, so float(True) would pass as a rate of 1
+            # PerEdgeTable rejects these too; checking here names the flag
             if isinstance(v, bool) or not isinstance(v, (int, float)):
                 raise ValueError(f"bad --rate-model table entry {k!r} value: {v!r} is not a number")
         return PerEdgeTable(table)
