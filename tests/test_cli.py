@@ -503,6 +503,8 @@ GOLDEN_BOUNDS = {
     **{f"bound_{name}": (name,) for name in
        ("diamond", "fig1_sample", "fig2_analog", "single_edge", "triangle_counts")},
     "bound_triangle_counts_eps1e-4": ("triangle_counts", "--epsilon", "1e-4"),
+    # past 1/256 the corrected bound is vacuous: null, with "vacuous": true
+    "bound_triangle_counts_eps1e-2": ("triangle_counts", "--epsilon", "0.01"),
 }
 
 
@@ -533,6 +535,9 @@ GOLDEN_SWEEPS = {
                                       "--fields", "upper_eps_corrected,m"),
     "sweep_budget_scale_diamond": ("diamond", "--param", "budget-scale", "--grid", "0:3:0.25",
                                    "--fields", LOSSY_FIELDS),
+    "sweep_eta_triangle_counts_eps1e-2": ("triangle_counts", "--param", "eta", "--edge", "ab",
+                                          "--values", "0.1,0.5,0.9", "--epsilon", "0.01",
+                                          "--fields", "upper_esq,upper_eps_corrected"),
 }
 
 
