@@ -9,7 +9,6 @@ factor-two results downstream.
 from qnetcap import (
     binary_entropy,
     epsilon_corrected_upper,
-    is_vacuous,
     lossy_esq_upper,
     lossy_q_cap,
 )
@@ -30,7 +29,7 @@ def main():
     print("Finite-error correction of a cut value C = 1.0:")
     for eps in (0.0, 1e-6, 1e-4, 1e-3, 1.0 / 256.0, 0.01):
         bound = epsilon_corrected_upper(1.0, eps)
-        shown = "VACUOUS (no constraint)" if is_vacuous(bound) else f"{bound:.6f}"
+        shown = "vacuous (no constraint)" if bound is None else f"{bound:.6f}"
         print(f"  eps = {eps:<10.2e} -> {shown}")
     print()
     print("The bound collapses exactly at eps = 1/256, where the prefactor")

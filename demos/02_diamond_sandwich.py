@@ -28,7 +28,7 @@ def main():
     print()
 
     lw = report.lower_witness
-    print(f"witness cut for the lower bound: V_A = {list(lw.v_a.sorted_nodes())}")
+    print(f"witness cut for the lower bound: V_A = {sorted(lw.v_a)}")
     print(f"  crossing edges: {list(lw.crossing)} with weight sum {lw.value:.6f}")
     print()
     print("Both bounds are minimized by cutting just below C1: the strong")

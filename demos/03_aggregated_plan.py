@@ -41,7 +41,7 @@ def main():
 
     cut = min_cut_bruteforce(bell)
     print(f"exhaustive check: minimum cut of the Bell network = {cut.value}")
-    print(f"  witness V_A = {list(cut.v_a.sorted_nodes())}")
+    print(f"  witness V_A = {sorted(cut.v_a)}")
     print("The path count meets the cut exactly: no protocol on this Bell")
     print("network can beat it.")
 

@@ -25,14 +25,11 @@ from .aggregator import (
     sandwich_report_to_dict,
 )
 from .capacity import (
-    VACUOUS,
-    EpsilonBudget,
-    Vacuous,
     WeightKind,
     binary_entropy,
+    check_epsilon,
     edge_weight,
     epsilon_corrected_upper,
-    is_vacuous,
     lossy_esq_upper,
     lossy_q_cap,
     werner_chain_report,
@@ -51,7 +48,6 @@ from .cuts_flows import (
     min_cut_bruteforce,
 )
 from .netmodel import (
-    Bipartition,
     ChannelSpec,
     Count,
     CustomChannel,

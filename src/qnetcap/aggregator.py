@@ -13,16 +13,9 @@ networks the two sides differ by at most a factor of two.
 from __future__ import annotations
 
 import math
-from typing import Mapping, Union
+from typing import Mapping, Optional, Union
 
-from .capacity import (
-    EpsilonBudget,
-    Vacuous,
-    WeightKind,
-    edge_weight,
-    epsilon_corrected_upper,
-    is_vacuous,
-)
+from .capacity import WeightKind, check_epsilon, edge_weight, epsilon_corrected_upper
 from .cuts_flows import (
     CapacityKind, CutResult, FlowGraph, PathSet,
     flow_graph_from_network, max_disjoint_paths, min_cut,
@@ -145,7 +138,7 @@ def plan(
     generate pairs (edges with zero pairs run no distribution protocol);
     pass count_all_edges=True for the literal every-edge count.
     """
-    epsilon = EpsilonBudget(epsilon).epsilon
+    epsilon = check_epsilon(epsilon)
     bell = build_bell_network(net, rate_model)
     m, paths = max_disjoint_paths(bell)
     schedules = tuple(p.nodes[1:-1] for p in paths)
@@ -155,7 +148,11 @@ def plan(
 
 
 class SandwichReport(Immutable):
-    """Achievable lower bound and converse upper bounds for one regime."""
+    """Achievable lower bound and converse upper bounds for one regime.
+
+    ``upper_eps_corrected`` is None when the finite-error correction is
+    vacuous (epsilon >= 1/256).
+    """
 
     __slots__ = (
         "regime", "epsilon", "lower", "upper_esq", "upper_eps_corrected",
@@ -168,7 +165,7 @@ class SandwichReport(Immutable):
         epsilon: float,
         lower: float,
         upper_esq: float,
-        upper_eps_corrected: Union[float, Vacuous],
+        upper_eps_corrected: Optional[float],
         lower_witness: CutResult,
         upper_witness: CutResult,
     ):
@@ -187,7 +184,7 @@ def check_report_inputs(net: Network, regime: Regime, epsilon: float) -> float:
     Epsilon must be finite and >= 0, positive only in the per-protocol
     regime, and the regime must be the one the network's budgets read as.
     """
-    epsilon = EpsilonBudget(epsilon).epsilon
+    epsilon = check_epsilon(epsilon)
     if epsilon > 0 and regime is not Regime.PER_PROTOCOL:
         raise ValueError(
             f"epsilon={epsilon} applies only to the per-protocol regime; "
@@ -252,20 +249,19 @@ def plan_to_dot(net: Network, protocol_plan: ProtocolPlan) -> str:
 def cut_to_dict(cut: CutResult) -> dict:
     return {
         "value": cut.value,
-        "v_a": list(cut.v_a.sorted_nodes()),
+        "v_a": sorted(cut.v_a),
         "crossing": list(cut.crossing),
     }
 
 
 def sandwich_report_to_dict(report: SandwichReport) -> dict:
-    vacuous = is_vacuous(report.upper_eps_corrected)
     return {
         "regime": report.regime.value,
         "epsilon": report.epsilon,
         "lower": report.lower,
         "upper_esq": report.upper_esq,
-        "upper_eps_corrected": None if vacuous else report.upper_eps_corrected,
-        "vacuous": vacuous,
+        "upper_eps_corrected": report.upper_eps_corrected,
+        "vacuous": report.upper_eps_corrected is None,
         "lower_witness": cut_to_dict(report.lower_witness),
         "upper_witness": cut_to_dict(report.upper_witness),
     }

@@ -13,15 +13,20 @@ twice the achievable weight on lossy edges.
 
 All logarithms are base 2 (units of ebits / secret bits) and one channel
 use means one optical mode.
+
+A trace-norm error budget epsilon is a plain float, checked once by
+``check_epsilon`` wherever it enters. The finite-error correction of a cut
+value is a float, or None once eps >= 1/256, where the corrected bound
+constrains nothing.
 """
 
 from __future__ import annotations
 
 import math
 from enum import Enum
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
-from .netmodel import CustomChannel, EdgeSpec, Immutable, LossyOptical
+from .netmodel import CustomChannel, EdgeSpec, LossyOptical
 
 
 class WeightKind(Enum):
@@ -31,45 +36,22 @@ class WeightKind(Enum):
     ESQ_UPPER = "esq"
 
 
-class Vacuous:
-    """Sentinel for a corrected bound that carries no information.
-
-    Past the vacuity threshold the prefactor of the corrected bound changes
-    sign, so no finite number is a faithful answer; this sentinel plays the
-    role of "no constraint".
-    """
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "VACUOUS"
-
-
-VACUOUS = Vacuous()
 COMPARE_SLACK = 1e-12  # absorbs float dust in budget comparisons
 
 
-def is_vacuous(value) -> bool:
-    return value is VACUOUS
-
-
-class EpsilonBudget(Immutable):
-    """Validated trace-norm error budget: a finite real epsilon >= 0."""
-
-    __slots__ = ("epsilon",)
-
-    def __init__(self, epsilon: float):
-        if not isinstance(epsilon, (int, float)) or isinstance(epsilon, bool):
-            raise ValueError(f"epsilon must be a real number, got {epsilon!r}")
-        epsilon = float(epsilon)
-        if not math.isfinite(epsilon) or epsilon < 0:
-            raise ValueError(f"epsilon must be finite and >= 0, got {epsilon}")
-        object.__setattr__(self, "epsilon", epsilon)
+def check_epsilon(epsilon: float) -> float:
+    """A trace-norm error budget as a float; ValueError unless finite and >= 0."""
+    if not isinstance(epsilon, (int, float)) or isinstance(epsilon, bool):
+        raise ValueError(f"epsilon must be a real number, got {epsilon!r}")
+    try:
+        value = float(epsilon)
+    except OverflowError:  # an integer past the float range
+        raise ValueError(
+            f"epsilon must be finite and >= 0, got an integer of {epsilon.bit_length()} bits"
+        ) from None
+    if not math.isfinite(value) or value < 0:
+        raise ValueError(f"epsilon must be finite and >= 0, got {value}")
+    return value
 
 
 def werner_chain_report(
@@ -96,7 +78,7 @@ def werner_chain_report(
         raise ValueError(
             f"need one epsilon per pair: {len(chain)} pairs, {len(per_pair_eps)} epsilons"
         )
-    per_pair_eps = [EpsilonBudget(e).epsilon for e in per_pair_eps]
+    per_pair_eps = [check_epsilon(e) for e in per_pair_eps]
     violations = [
         i for i, (d, eps) in enumerate(zip(distances, per_pair_eps)) if d > eps + COMPARE_SLACK
     ]
@@ -150,19 +132,18 @@ def edge_weight(edge: EdgeSpec, kind: WeightKind) -> float:
     raise ValueError(f"unknown channel spec {channel!r}")
 
 
-def epsilon_corrected_upper(
-    cut_value: float, epsilon: float
-) -> Union[float, Vacuous]:
+def epsilon_corrected_upper(cut_value: float, epsilon: float) -> Optional[float]:
     """Loosen a cut value into the finite-error upper bound.
 
-    Returns (cut_value + 4*h(2*sqrt(eps))) / (1 - 16*sqrt(eps)), or VACUOUS
-    once 16*sqrt(eps) >= 1 (eps >= 1/256), where the bound degenerates.
-    At eps = 0 the bare cut value is returned unchanged.
+    Returns (cut_value + 4*h(2*sqrt(eps))) / (1 - 16*sqrt(eps)), or None
+    once 16*sqrt(eps) >= 1 (eps >= 1/256): past that threshold the
+    prefactor changes sign, so no finite number is a faithful answer and
+    the bound is vacuous. At eps = 0 the bare cut value is returned unchanged.
     """
     if not math.isfinite(cut_value) or cut_value < 0:
         raise ValueError(f"cut value must be finite and >= 0, got {cut_value}")
-    root = math.sqrt(EpsilonBudget(epsilon).epsilon)
+    root = math.sqrt(check_epsilon(epsilon))
     # 16 * sqrt(eps) >= 1  <=>  eps >= 1/256, both sides exact in binary floats
     if 16.0 * root >= 1.0:
-        return VACUOUS
+        return None
     return (cut_value + 4.0 * binary_entropy(2.0 * root)) / (1.0 - 16.0 * root)

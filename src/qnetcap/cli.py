@@ -30,7 +30,7 @@ from .aggregator import (
     sandwich_report,
     sandwich_report_to_dict,
 )
-from .capacity import WeightKind, epsilon_corrected_upper, is_vacuous, werner_chain_report
+from .capacity import WeightKind, epsilon_corrected_upper, werner_chain_report
 from .cuts_flows import ArcSweep, edge_capacity, flow_graph_from_network, max_flow_value
 from .netmodel import Count, EdgeSpec, LossyOptical, Network, load_network, read_json
 
@@ -253,7 +253,7 @@ def _sweep_row(fields: Sequence[str], value, lower, upper_esq, corrected, m) -> 
     cells = {
         "lower": _fmt(lower),
         "upper_esq": _fmt(upper_esq),
-        "upper_eps_corrected": "vacuous" if is_vacuous(corrected) else _fmt(corrected),
+        "upper_eps_corrected": "vacuous" if corrected is None else _fmt(corrected),
         "ratio": _fmt(gap_ratio(lower, upper_esq)) if lower > 0 else "nan",
         "m": str(m),
     }

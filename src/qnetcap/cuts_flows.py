@@ -20,7 +20,7 @@ from enum import Enum
 from typing import AbstractSet, Mapping
 
 from .capacity import WeightKind, edge_weight
-from .netmodel import Bipartition, EdgeSpec, Immutable, Network, NodeId
+from .netmodel import EdgeSpec, Immutable, Network, NodeId
 
 BRUTEFORCE_MAX_VERTICES = 20
 # a plan lists every path, so m beyond this would exhaust time and memory
@@ -35,7 +35,9 @@ class CapacityKind(Enum):
 class FlowGraph(Immutable):
     """Undirected flow instance: each arc row is traversable both ways.
 
-    Each arc row reads (edge id, u, v, capacity).
+    Each arc row reads (edge id, u, v, capacity) and joins two distinct
+    vertices. Capacities are finite and >= 0, never booleans, and ints on
+    an INTEGER graph; source and sink are distinct vertices.
     """
 
     __slots__ = ("vertices", "source", "sink", "arcs", "capacity_kind")
@@ -48,11 +50,24 @@ class FlowGraph(Immutable):
         arcs: tuple[tuple[str, NodeId, NodeId, float], ...],
         capacity_kind: CapacityKind,
     ):
+        names = frozenset(vertices)
+        for role, name in (("source", source), ("sink", sink)):
+            if name not in names:
+                raise ValueError(f"{role} {name!r} is not a vertex")
+        if source == sink:
+            raise ValueError(f"source and sink are the same vertex {source!r}")
+        integer = capacity_kind is CapacityKind.INTEGER
         for eid, u, v, cap in arcs:
+            if isinstance(cap, bool) or (integer and not isinstance(cap, int)):
+                kind = "an integer" if integer else "a real number"
+                raise ValueError(f"arc {eid!r}: capacity must be {kind}, got {cap!r}")
             if not (math.isfinite(cap) and cap >= 0):
                 raise ValueError(f"arc {eid!r}: capacity must be finite and >= 0, got {cap}")
             if u == v:
                 raise ValueError(f"arc {eid!r}: self-loop at {u!r}")
+            if u not in names or v not in names:
+                raise ValueError(f"arc {eid!r}: endpoint {u if u not in names else v!r} "
+                                 "is not a vertex")
         object.__setattr__(self, "vertices", vertices)
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "sink", sink)
@@ -111,7 +126,7 @@ class _ResidualSolver:
         self.threshold: list[float] = []
         adj: list[list[int]] = [[] for _ in fg.vertices]
         for eid, u, v, cap in fg.arcs:
-            cap = int(cap) if integer else float(cap)
+            cap = cap if integer else float(cap)
             threshold = min(self.tol, cap / 2)
             for tail, head in ((index[u], index[v]), (index[v], index[u])):
                 adj[tail].append(len(self.to))
@@ -210,13 +225,13 @@ def max_flow_value(fg: FlowGraph) -> float:
 
 
 class CutResult(Immutable):
-    """A bipartition together with its crossing edges and their weight sum."""
+    """A cut: its Alice-side labels v_a, its crossing edge ids and their weight sum."""
 
     __slots__ = ("value", "v_a", "crossing")
 
-    def __init__(self, value: float, v_a: Bipartition, crossing: tuple[str, ...]):
+    def __init__(self, value: float, v_a: AbstractSet[NodeId], crossing: tuple[str, ...]):
         object.__setattr__(self, "value", value)
-        object.__setattr__(self, "v_a", v_a)
+        object.__setattr__(self, "v_a", frozenset(v_a))
         object.__setattr__(self, "crossing", crossing)
 
 
@@ -229,7 +244,7 @@ def _cut(fg: FlowGraph, side: AbstractSet[NodeId]) -> CutResult:
     """The cut with Alice side `side`: its crossing arcs and their capacity sum."""
     rows = _crossing_rows(fg, side)
     value = sum((c for _, _, _, c in rows), fg.zero)
-    return CutResult(value, Bipartition(side), tuple(eid for eid, _, _, _ in rows))
+    return CutResult(value, side, tuple(eid for eid, _, _, _ in rows))
 
 
 def min_cut(fg: FlowGraph) -> CutResult:

@@ -2,8 +2,9 @@
 
 A network is a directed multigraph between two terminals (Alice and Bob)
 plus intermediate relay nodes. Every edge carries a channel model and a
-usage budget; cuts over the network are direction-blind, so the crossing
-set of a bipartition contains edges leaving *and* entering the Alice side.
+usage budget. A cut is named by its Alice side, a set of node labels
+holding alice but not bob; cuts over the network are direction-blind, so
+the crossing set contains edges leaving *and* entering the Alice side.
 
 Every value type here, and in the modules built on it, derives from
 ``Immutable``: its fields are slots, assigning or deleting one raises
@@ -19,7 +20,7 @@ import json
 import math
 import warnings
 from enum import Enum
-from typing import ClassVar, Mapping, Optional, Union
+from typing import AbstractSet, ClassVar, Mapping, Optional, Union
 
 NodeId = str
 
@@ -211,9 +212,6 @@ class EdgeSpec(Immutable):
         set_field(self, "channel", channel)
         set_field(self, "usage", usage)
 
-    def endpoints(self) -> frozenset[NodeId]:
-        return frozenset((self.tail, self.head))
-
 
 class Network(Immutable):
     """Validated two-terminal network; edge order is preserved from input."""
@@ -260,10 +258,6 @@ class Network(Immutable):
         object.__setattr__(self, "edges", edges)
 
     @property
-    def node_set(self) -> frozenset[NodeId]:
-        return frozenset(self.nodes)
-
-    @property
     def budget_kind(self) -> Optional[type[UsageBudget]]:
         """The single budget variant used by the edges, or None if edgeless."""
         return type(self.edges[0].usage) if self.edges else None
@@ -275,36 +269,21 @@ class Network(Immutable):
         raise KeyError(f"no edge with id {edge_id!r}")
 
 
-class Bipartition(Immutable):
-    """Alice-side vertex set of a cut; complement is implicitly the Bob side."""
-
-    __slots__ = ("v_a",)
-
-    def __init__(self, v_a: frozenset[NodeId]):
-        object.__setattr__(self, "v_a", frozenset(v_a))
-
-    def validate(self, net: Network) -> None:
-        if not self.v_a <= net.node_set:
-            extra = sorted(self.v_a - net.node_set)
-            raise ValueError(f"bipartition contains unknown nodes {extra}")
-        if net.alice not in self.v_a:
-            raise ValueError(f"bipartition must contain alice ({net.alice!r})")
-        if net.bob in self.v_a:
-            raise ValueError(f"bipartition must not contain bob ({net.bob!r})")
-
-    def sorted_nodes(self) -> tuple[NodeId, ...]:
-        return tuple(sorted(self.v_a))
-
-
-def crossing_edges(net: Network, part: Bipartition) -> tuple[EdgeSpec, ...]:
-    """Edges with exactly one endpoint on the Alice side, in input order.
+def crossing_edges(net: Network, side: AbstractSet[NodeId]) -> tuple[EdgeSpec, ...]:
+    """Edges with exactly one endpoint in the Alice side ``side``, in input order.
 
     Both orientations cross: the cut is direction-blind even though the
-    channels are directed.
+    channels are directed. ``side`` must hold alice, not bob, and only
+    nodes of the network.
     """
-    part.validate(net)
-    v_a = part.v_a
-    return tuple(e for e in net.edges if (e.tail in v_a) != (e.head in v_a))
+    extra = sorted(set(side).difference(net.nodes))
+    if extra:
+        raise ValueError(f"bipartition contains unknown nodes {extra}")
+    if net.alice not in side:
+        raise ValueError(f"bipartition must contain alice ({net.alice!r})")
+    if net.bob in side:
+        raise ValueError(f"bipartition must not contain bob ({net.bob!r})")
+    return tuple(e for e in net.edges if (e.tail in side) != (e.head in side))
 
 
 # --- JSON document format -------------------------------------------------

@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .capacity import COMPARE_SLACK, EpsilonBudget
+from .capacity import COMPARE_SLACK, check_epsilon
 
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
@@ -188,7 +188,7 @@ def verify_error_chain(
         raise ValueError(
             f"need one epsilon per pair: {len(pairs)} pairs, {len(per_pair_eps)} epsilons"
         )
-    per_pair_eps = tuple(EpsilonBudget(e).epsilon for e in per_pair_eps)
+    per_pair_eps = tuple(check_epsilon(e) for e in per_pair_eps)
     target = bell_pair()
     per_pair = tuple(trace_distance(rho, target) for rho in pairs)
     violations = tuple(

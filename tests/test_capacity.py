@@ -3,20 +3,25 @@ import math
 import pytest
 
 from qnetcap import (
-    VACUOUS,
     Count,
     CustomChannel,
     EdgeSpec,
-    EpsilonBudget,
     LossyOptical,
+    Regime,
     WeightKind,
     binary_entropy,
+    check_epsilon,
     edge_weight,
     epsilon_corrected_upper,
-    is_vacuous,
     lossy_esq_upper,
     lossy_q_cap,
+    plan,
+    sandwich_report,
+    werner_chain_report,
 )
+from qnetcap.qsim_oracle import verify_error_chain, werner_pair
+
+from conftest import load_sample
 
 # frozen from 50-digit evaluation of the defining formulas (see test_acceptance)
 H_POINT_TWO = 0.72192809488736234787
@@ -112,14 +117,14 @@ def test_corrected_upper_value():
 
 
 def test_corrected_upper_vacuous_for_large_epsilon():
-    assert is_vacuous(epsilon_corrected_upper(1.0, 0.01))
+    assert epsilon_corrected_upper(1.0, 0.01) is None
 
 
 def test_vacuity_threshold_is_exact():
     # 16*sqrt(1/256) = 1 exactly in binary floating point
-    assert is_vacuous(epsilon_corrected_upper(1.0, 1.0 / 256.0))
+    assert epsilon_corrected_upper(1.0, 1.0 / 256.0) is None
     below = 1.0 / 256.0 - 1e-12
-    assert not is_vacuous(epsilon_corrected_upper(1.0, below))
+    assert epsilon_corrected_upper(1.0, below) is not None
 
 
 def test_corrected_upper_only_loosens_and_tightens_toward_zero():
@@ -128,7 +133,7 @@ def test_corrected_upper_only_loosens_and_tightens_toward_zero():
     previous = math.inf
     for eps in grid:
         value = epsilon_corrected_upper(cut, eps)
-        assert not is_vacuous(value)
+        assert value is not None
         assert value >= cut
         assert value <= previous
         previous = value
@@ -136,15 +141,51 @@ def test_corrected_upper_only_loosens_and_tightens_toward_zero():
 
 
 def test_epsilon_budget_flag():
-    assert is_vacuous(epsilon_corrected_upper(1.0, 1.0 / 256.0))
-    assert is_vacuous(epsilon_corrected_upper(1.0, 0.5))
-    assert not is_vacuous(epsilon_corrected_upper(1.0, 1.0 / 256.0 - 1e-12))
-    assert not is_vacuous(epsilon_corrected_upper(1.0, 0.0))
+    assert epsilon_corrected_upper(1.0, 1.0 / 256.0) is None
+    assert epsilon_corrected_upper(1.0, 0.5) is None
+    assert epsilon_corrected_upper(1.0, 1.0 / 256.0 - 1e-12) is not None
+    assert epsilon_corrected_upper(1.0, 0.0) is not None
     with pytest.raises(ValueError):
-        EpsilonBudget(-1e-9)
+        check_epsilon(-1e-9)
 
 
-def test_vacuous_singleton_repr():
-    assert repr(VACUOUS) == "VACUOUS"
-    assert is_vacuous(VACUOUS)
-    assert not is_vacuous(1.0)
+def test_check_epsilon_returns_a_float():
+    assert check_epsilon(0) == 0.0 and type(check_epsilon(0)) is float
+    assert check_epsilon(1e-3) == 1e-3
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        (True, "epsilon must be a real number, got True"),
+        ("0.1", "epsilon must be a real number, got '0.1'"),
+        (math.inf, "epsilon must be finite and >= 0, got inf"),
+        (math.nan, "epsilon must be finite and >= 0, got nan"),
+        (-0.5, "epsilon must be finite and >= 0, got -0.5"),
+        (10**400, "epsilon must be finite and >= 0, got an integer of 1329 bits"),
+        (-(10**400), "epsilon must be finite and >= 0, got an integer of 1329 bits"),
+    ],
+    ids=["bool", "str", "inf", "nan", "negative", "huge-int", "huge-negative-int"],
+)
+def test_check_epsilon_rejects_with_a_message(value, message):
+    with pytest.raises(ValueError) as err:
+        check_epsilon(value)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: plan(load_sample("fig2_analog.json"), 10**400),
+        lambda: sandwich_report(load_sample("triangle_counts.json"), Regime.PER_PROTOCOL,
+                                10**400),
+        lambda: epsilon_corrected_upper(1.0, 10**400),
+        lambda: werner_chain_report([0.9], [10**400]),
+        lambda: verify_error_chain([werner_pair(0.9)], [10**400]),
+    ],
+    ids=["plan", "sandwich_report", "epsilon_corrected_upper", "werner_chain_report",
+         "verify_error_chain"],
+)
+def test_epsilon_past_the_float_range_is_a_value_error(call):
+    with pytest.raises(ValueError, match="^epsilon must be finite and >= 0, got an integer"):
+        call()

@@ -3,7 +3,6 @@ import random
 import pytest
 
 from qnetcap import (
-    Bipartition,
     Count,
     CustomChannel,
     EdgeSpec,
@@ -175,7 +174,7 @@ def test_round_trip_identity_on_all_shipped_samples():
 
 def test_crossing_edges_single_crossing():
     net = chain_net()
-    crossing = crossing_edges(net, Bipartition(frozenset({"A"})))
+    crossing = crossing_edges(net, frozenset({"A"}))
     assert [e.id for e in crossing] == ["e1"]
 
 
@@ -186,7 +185,7 @@ def test_crossing_edges_counts_both_directions():
         EdgeSpec("e3", "B", "C", LossyOptical(0.5), Frequency(1.0)),
     )
     net = Network(("A", "C", "B"), "A", "B", edges)
-    crossing = crossing_edges(net, Bipartition(frozenset({"A", "C"})))
+    crossing = crossing_edges(net, frozenset({"A", "C"}))
     assert [e.id for e in crossing] == ["e2", "e3"]
 
 
@@ -197,18 +196,18 @@ def test_crossing_edges_triangle():
         EdgeSpec("e3", "A", "B", LossyOptical(0.5), Frequency(1.0)),
     )
     net = Network(("A", "C", "B"), "A", "B", edges)
-    crossing = crossing_edges(net, Bipartition(frozenset({"A", "C"})))
+    crossing = crossing_edges(net, frozenset({"A", "C"}))
     assert [e.id for e in crossing] == ["e2", "e3"]
 
 
 def test_bipartition_validation():
     net = chain_net()
-    with pytest.raises(ValueError, match="alice"):
-        crossing_edges(net, Bipartition(frozenset({"C"})))
-    with pytest.raises(ValueError, match="bob"):
-        crossing_edges(net, Bipartition(frozenset({"A", "B"})))
-    with pytest.raises(ValueError, match="unknown"):
-        crossing_edges(net, Bipartition(frozenset({"A", "Z"})))
+    with pytest.raises(ValueError, match=r"^bipartition must contain alice \('A'\)$"):
+        crossing_edges(net, frozenset({"C"}))
+    with pytest.raises(ValueError, match=r"^bipartition must not contain bob \('B'\)$"):
+        crossing_edges(net, frozenset({"A", "B"}))
+    with pytest.raises(ValueError, match=r"^bipartition contains unknown nodes \['Y', 'Z'\]$"):
+        crossing_edges(net, frozenset({"A", "Z", "Y"}))
 
 
 def test_crossing_and_non_crossing_partition_all_edges():
@@ -217,7 +216,7 @@ def test_crossing_and_non_crossing_partition_all_edges():
         net = random_lossy_network(rng, max_nodes=7, max_edges=12)
         intermediates = [n for n in net.nodes if n not in ("A", "B")]
         side = frozenset(["A"] + [n for n in intermediates if rng.random() < 0.5])
-        crossing = crossing_edges(net, Bipartition(side))
+        crossing = crossing_edges(net, side)
         crossing_ids = {e.id for e in crossing}
         for e in net.edges:
             straddles = (e.tail in side) != (e.head in side)
@@ -233,7 +232,7 @@ def test_crossing_set_is_side_symmetric():
         chosen = [n for n in intermediates if rng.random() < 0.5]
         side = frozenset(["A"] + chosen)
         complement = frozenset(net.nodes) - side
-        from_side = {e.id for e in crossing_edges(net, Bipartition(side))}
+        from_side = {e.id for e in crossing_edges(net, side)}
         from_complement = {
             e.id for e in net.edges if (e.tail in complement) != (e.head in complement)
         }

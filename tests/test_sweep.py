@@ -24,7 +24,6 @@ from qnetcap import (
     WeightKind,
     build_bell_network,
     flow_graph_from_network,
-    is_vacuous,
     lossy_gap_ratio,
     min_cut_bruteforce,
     plan,
@@ -79,7 +78,7 @@ def _pointwise_row(net, param, edge_id, epsilon, fields, value):
             row.append(_fmt(report.upper_esq))
         elif name == "upper_eps_corrected":
             corrected = report.upper_eps_corrected
-            row.append("vacuous" if is_vacuous(corrected) else _fmt(corrected))
+            row.append("vacuous" if corrected is None else _fmt(corrected))
         elif name == "ratio":
             row.append(_fmt(lossy_gap_ratio(report)) if report.lower > 0 else "nan")
         elif name == "m":

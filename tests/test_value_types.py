@@ -8,14 +8,12 @@ import pytest
 
 from qnetcap import (
     AsymptoticQCap,
-    Bipartition,
     CapacityKind,
     Count,
     CustomChannel,
     CutResult,
     DisjointPath,
     EdgeSpec,
-    EpsilonBudget,
     FixedFraction,
     FlowGraph,
     Frequency,
@@ -49,10 +47,8 @@ SAMPLES = [
     Rate(7.5),
     TRIANGLE.edges[0],
     TRIANGLE,
-    Bipartition({"A", "C"}),
-    EpsilonBudget(1e-3),
     BELL,
-    CutResult(1, Bipartition({"A", "C"}), ("cb",)),
+    CutResult(1, frozenset({"A", "C"}), ("cb",)),
     DisjointPath(("A", "C", "B"), ("ac#0", "cb#0")),
     max_disjoint_paths(BELL)[1],
     AsymptoticQCap(),
