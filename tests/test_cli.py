@@ -492,26 +492,38 @@ def test_fig2_plan_roundtrip_schema(capsys):
     jsonschema.validate(doc, load_schema("protocol_plan.schema.json"))
 
 
-@pytest.mark.parametrize("name", ["fig2_analog", "triangle_counts"])
+# The grid12 networks are perfbench.inputs grids of side 12: lossy with freq
+# budgets from random.Random(1601), counts up to 6 from random.Random(1602).
+# Labels like n10_0 sort before n2_0, so lexicographic arc order differs from
+# declaration order there and fixes which paths the plan lists.
+GOLDEN_PLANS = {
+    "fig2_analog": FIG2,
+    "triangle_counts": TRIANGLE,
+    "grid12_counts": str(DATA_DIR / "grid12_counts.json"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_PLANS))
 def test_plan_stdout_matches_golden_bytes(capsys, name):
-    code, out, err = run(capsys, "plan", str(NETWORKS_DIR / f"{name}.json"), "--epsilon", "0.001")
+    code, out, err = run(capsys, "plan", GOLDEN_PLANS[name], "--epsilon", "0.001")
     assert code == 0, err
     assert out.encode("utf-8") == (DATA_DIR / f"plan_{name}.json").read_bytes()
 
 
 GOLDEN_BOUNDS = {
-    **{f"bound_{name}": (name,) for name in
+    **{f"bound_{name}": (str(NETWORKS_DIR / f"{name}.json"),) for name in
        ("diamond", "fig1_sample", "fig2_analog", "single_edge", "triangle_counts")},
-    "bound_triangle_counts_eps1e-4": ("triangle_counts", "--epsilon", "1e-4"),
+    "bound_triangle_counts_eps1e-4": (TRIANGLE, "--epsilon", "1e-4"),
     # past 1/256 the corrected bound is vacuous: null, with "vacuous": true
-    "bound_triangle_counts_eps1e-2": ("triangle_counts", "--epsilon", "0.01"),
+    "bound_triangle_counts_eps1e-2": (TRIANGLE, "--epsilon", "0.01"),
+    "bound_grid12_lossy": (str(DATA_DIR / "grid12_lossy.json"),),
 }
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_BOUNDS))
 def test_bound_stdout_matches_golden_bytes(capsys, name):
     network, *rest = GOLDEN_BOUNDS[name]
-    code, out, err = run(capsys, "bound", str(NETWORKS_DIR / f"{network}.json"), *rest)
+    code, out, err = run(capsys, "bound", network, *rest)
     assert code == 0, err
     assert out.encode("utf-8") == (DATA_DIR / f"{name}.json").read_bytes()
 
