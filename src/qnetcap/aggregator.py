@@ -18,7 +18,7 @@ from typing import Mapping, Optional, Union
 from .capacity import WeightKind, check_epsilon, edge_weight, epsilon_corrected_upper
 from .cuts_flows import (
     CapacityKind, CutResult, FlowGraph, PathSet,
-    flow_graph_from_network, max_disjoint_paths, min_cut,
+    _min_cuts, flow_graph_from_network, max_disjoint_paths,
 )
 from .netmodel import (
     Count, EdgeSpec, Immutable, Network, NodeId, Regime, _require_finite, export_dot,
@@ -204,14 +204,18 @@ def sandwich_report(net: Network, regime: Regime, epsilon: float = 0.0) -> Sandw
 
     The lower bound weights cuts by q_cap (budgets floored in the
     per-protocol regime); the upper bound weights them by esq_upper with
-    un-floored budgets. The finite-error correction applies only to the
-    per-protocol regime; the asymptotic regimes take their error to zero,
-    so a positive epsilon there is rejected.
+    un-floored budgets. The two weightings differ only in capacities, so
+    both cuts are solved on one shared residual layout. The finite-error
+    correction applies only to the per-protocol regime; the asymptotic
+    regimes take their error to zero, so a positive epsilon there is
+    rejected.
     """
     epsilon = check_report_inputs(net, regime, epsilon)
     per_protocol = regime is Regime.PER_PROTOCOL
-    lower_cut = min_cut(flow_graph_from_network(net, WeightKind.Q_CAP, floor_budgets=per_protocol))
-    upper_cut = min_cut(flow_graph_from_network(net, WeightKind.ESQ_UPPER))
+    lower_cut, upper_cut = _min_cuts(
+        flow_graph_from_network(net, WeightKind.Q_CAP, floor_budgets=per_protocol),
+        flow_graph_from_network(net, WeightKind.ESQ_UPPER),
+    )
     corrected = epsilon_corrected_upper(upper_cut.value, epsilon)
     return SandwichReport(
         regime, epsilon, lower_cut.value, upper_cut.value, corrected, lower_cut, upper_cut

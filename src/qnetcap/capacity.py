@@ -39,19 +39,37 @@ class WeightKind(Enum):
 COMPARE_SLACK = 1e-12  # absorbs float dust in budget comparisons
 
 
-def check_epsilon(epsilon: float) -> float:
-    """A trace-norm error budget as a float; ValueError unless finite and >= 0."""
-    if not isinstance(epsilon, (int, float)) or isinstance(epsilon, bool):
-        raise ValueError(f"epsilon must be a real number, got {epsilon!r}")
+def _check_nonnegative(name: str, value: float) -> float:
+    """value as a float; ValueError naming it unless a finite real number >= 0."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
     try:
-        value = float(epsilon)
+        as_float = float(value)
     except OverflowError:  # an integer past the float range
         raise ValueError(
-            f"epsilon must be finite and >= 0, got an integer of {epsilon.bit_length()} bits"
+            f"{name} must be finite and >= 0, got an integer of {value.bit_length()} bits"
         ) from None
-    if not math.isfinite(value) or value < 0:
-        raise ValueError(f"epsilon must be finite and >= 0, got {value}")
-    return value
+    if not math.isfinite(as_float) or as_float < 0:
+        raise ValueError(f"{name} must be finite and >= 0, got {as_float}")
+    return as_float
+
+
+def check_epsilon(epsilon: float) -> float:
+    """A trace-norm error budget as a float; ValueError unless finite and >= 0."""
+    return _check_nonnegative("epsilon", epsilon)
+
+
+def _check_werner(p: float) -> float:
+    """A Werner parameter, returned as given; ValueError unless a real number in [0, 1].
+
+    The closure and the density-matrix referee both check their input here,
+    so a bad parameter raises the same error in either.
+    """
+    if not isinstance(p, (int, float)) or isinstance(p, bool):
+        raise ValueError(f"Werner parameter must be a real number, got {p!r}")
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"Werner parameter must be in [0, 1], got {p}")
+    return p
 
 
 def werner_chain_report(
@@ -69,8 +87,7 @@ def werner_chain_report(
     if not chain:
         raise ValueError("a swap chain needs at least one link")
     for p in chain:
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"Werner parameter must be in [0, 1], got {p}")
+        _check_werner(p)
     distances = [1.5 * (1.0 - p) for p in chain]
     if per_pair_eps is None:
         per_pair_eps = distances
@@ -140,8 +157,7 @@ def epsilon_corrected_upper(cut_value: float, epsilon: float) -> Optional[float]
     prefactor changes sign, so no finite number is a faithful answer and
     the bound is vacuous. At eps = 0 the bare cut value is returned unchanged.
     """
-    if not math.isfinite(cut_value) or cut_value < 0:
-        raise ValueError(f"cut value must be finite and >= 0, got {cut_value}")
+    cut_value = _check_nonnegative("cut value", cut_value)
     root = math.sqrt(check_epsilon(epsilon))
     # 16 * sqrt(eps) >= 1  <=>  eps >= 1/256, both sides exact in binary floats
     if 16.0 * root >= 1.0:

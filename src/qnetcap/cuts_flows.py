@@ -10,6 +10,12 @@ crosses, in arc order. The Bell network is a FlowGraph too, with integer
 capacities: each channel's capacity is the number of Bell pairs it holds,
 so integer flow realizes the edge-disjoint path count, which equals the
 minimum number of Bell pairs crossing any Alice/Bob cut.
+
+The solver's residual graph comes in two halves: a layout (vertex index,
+arc heads, arc ids and the per-vertex arc order), which reads no
+capacity, and the capacity arrays one solve works on. Graphs that differ
+only in capacities, such as the q_cap and esq_upper weightings of one
+network, share one layout.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from __future__ import annotations
 import math
 import re
 from enum import Enum
-from typing import AbstractSet, Mapping
+from typing import AbstractSet, Mapping, Optional
 
 from .capacity import WeightKind, edge_weight
 from .netmodel import EdgeSpec, Immutable, Network, NodeId
@@ -98,45 +104,82 @@ def flow_graph_from_network(
     return FlowGraph(net.nodes, net.alice, net.bob, arcs, CapacityKind.REAL)
 
 
+class _Layout:
+    """The capacity-free half of the residual doubling of one topology.
+
+    Arc 2k runs u->v and arc 2k+1 runs v->u for arc row k = (id, u, v, _);
+    `to` holds each arc's head and `eid` its row's id, and a vertex is its
+    position in fg.vertices. adj[v] lists the arcs leaving v in
+    lexicographic head-label order, ties broken by arc index, so the flow a
+    solve finds is deterministic. That order needs no string sort per
+    vertex: the arcs are bucketed by head in arc order, and the buckets are
+    dealt to their tails with the heads taken in label order, one sort of
+    the |V| labels. Nothing here reads a capacity, so graphs that differ
+    only in capacities share one layout; a solve never writes to it.
+    """
+
+    __slots__ = ("source", "sink", "to", "eid", "adj")
+
+    def __init__(self, fg: FlowGraph):
+        names = fg.vertices
+        index = {v: k for k, v in enumerate(names)}
+        self.source, self.sink = index[fg.source], index[fg.sink]
+        tails = [index[u] for _, u, _, _ in fg.arcs]
+        heads = [index[v] for _, _, v, _ in fg.arcs]
+        ids = [eid for eid, _, _, _ in fg.arcs]
+        self.to = to = _interleave(heads, tails)
+        self.eid = _interleave(ids, ids)
+        into: list[list[int]] = [[] for _ in names]
+        for i, head in enumerate(to):
+            into[head].append(i)
+        self.adj = adj = [[] for _ in names]
+        for head in sorted(range(len(names)), key=names.__getitem__):
+            for i in into[head]:
+                adj[to[i ^ 1]].append(i)
+
+
+def _interleave(even: list, odd: list) -> list:
+    """[even[0], odd[0], even[1], odd[1], ...] for two lists of one length."""
+    out = [None] * (2 * len(even))
+    out[0::2] = even
+    out[1::2] = odd
+    return out
+
+
 class _ResidualSolver:
     """Dinic's blocking flow on the residual doubling of an undirected multigraph.
 
-    Arc 2k runs u->v and arc 2k+1 runs v->u, both at the full capacity;
-    pushing flow on one grows the residual of its partner, which models
-    undirected traversal exactly. A residual at or below min(tol, capacity / 2)
-    counts as saturated: float dust left on a used arc closes it, while an
-    unused arc below the tolerance stays open. Each phase runs one BFS for
-    the level graph, then pushes a blocking flow along its shortest paths
-    by a depth-first search that keeps a current-arc pointer per vertex.
-    Arcs are tried in lexicographic head order, so the flow found is
-    deterministic. The level set of the last BFS, which fails to reach the
-    sink, is `reachable`, the Alice side of a minimum cut. Internally a
-    vertex is its position in fg.vertices.
+    The topology comes from a _Layout, built here unless one is passed in;
+    the capacities come from fg. Both arcs of a row start at the row's full
+    capacity; pushing flow on one grows the residual of its partner, which
+    models undirected traversal exactly. A residual at or below
+    min(tol, capacity / 2) counts as saturated: float dust left on a used
+    arc closes it, while an unused arc below the tolerance stays open. Each
+    phase runs one BFS for the level graph, then pushes a blocking flow
+    along its shortest paths by a depth-first search that keeps a
+    current-arc pointer per vertex, trying arcs in the layout's order. A
+    solve writes only its own cap list and its per-phase level and
+    current-arc lists, never the layout. The level set of the last BFS,
+    which fails to reach the sink, is `reachable`, the Alice side of a
+    minimum cut.
     """
 
-    def __init__(self, fg: FlowGraph):
+    def __init__(self, fg: FlowGraph, layout: Optional[_Layout] = None):
+        layout = _Layout(fg) if layout is None else layout
         self.fg = fg
-        index = {v: k for k, v in enumerate(fg.vertices)}
-        self.source, self.sink = index[fg.source], index[fg.sink]
-        self.to: list[int] = []  # head vertex index of each arc
-        self.cap: list[float] = []
-        self.eid: list[str] = []
-        integer = fg.capacity_kind is CapacityKind.INTEGER
-        self.tol = 0 if integer else 1e-12 * max(1.0, sum(c for _, _, _, c in fg.arcs))
-        self.threshold: list[float] = []
-        adj: list[list[int]] = [[] for _ in fg.vertices]
-        for eid, u, v, cap in fg.arcs:
-            cap = cap if integer else float(cap)
-            threshold = min(self.tol, cap / 2)
-            for tail, head in ((index[u], index[v]), (index[v], index[u])):
-                adj[tail].append(len(self.to))
-                self.to.append(head)
-                self.cap.append(cap)
-                self.threshold.append(threshold)
-                self.eid.append(eid)
-        # lexicographic neighbor order, ties broken by arc insertion order
-        names = fg.vertices
-        self.adj = [sorted(idxs, key=lambda i: (names[self.to[i]], i)) for idxs in adj]
+        self.source, self.sink = layout.source, layout.sink
+        self.to, self.eid, self.adj = layout.to, layout.eid, layout.adj
+        if fg.capacity_kind is CapacityKind.INTEGER:
+            caps = [c for _, _, _, c in fg.arcs]
+            self.tol = 0
+            self.threshold = [0] * len(self.to)  # min(0, c / 2) is the int 0 for c >= 0
+        else:
+            caps = [float(c) for _, _, _, c in fg.arcs]
+            self.tol = tol = 1e-12 * max(1.0, sum(c for _, _, _, c in fg.arcs))
+            # min(tol, c / 2), spelled out: a call per arc costs more than the rest
+            thresholds = [h if h < tol else tol for h in [c / 2 for c in caps]]
+            self.threshold = _interleave(thresholds, thresholds)
+        self.cap = _interleave(caps, caps)
         self.flow_value = fg.zero
         self._run()
 
@@ -254,7 +297,28 @@ def min_cut(fg: FlowGraph) -> CutResult:
     value is summed over the crossing arcs rather than taken from the flow,
     to keep floating-point drift out of the reported number.
     """
-    return _cut(fg, _ResidualSolver(fg).reachable)
+    return _min_cuts(fg)[0]
+
+
+def _min_cuts(*graphs: FlowGraph) -> list[CutResult]:
+    """min_cut of each graph, all solved on the layout of the first.
+
+    The graphs must differ only in capacities: the same vertices in the same
+    order, the same source and sink, and the same arc rows up to capacity.
+    The layout holds no capacity and no solve writes to it, so sharing it
+    gives each graph the cut min_cut would give it alone.
+    """
+    first = graphs[0]
+    rows = [row[:3] for row in first.arcs]
+    for fg in graphs[1:]:
+        if fg.vertices != first.vertices:
+            raise ValueError("graphs sharing a layout must have the same vertices in one order")
+        if (fg.source, fg.sink) != (first.source, first.sink):
+            raise ValueError("graphs sharing a layout must have the same source and sink")
+        if [row[:3] for row in fg.arcs] != rows:
+            raise ValueError("graphs sharing a layout must have the same arc ids and endpoints")
+    layout = _Layout(first)
+    return [_cut(fg, _ResidualSolver(fg, layout).reachable) for fg in graphs]
 
 
 class ArcSweep:

@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .capacity import COMPARE_SLACK, check_epsilon
+from .capacity import COMPARE_SLACK, _check_werner, check_epsilon
 
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
@@ -83,8 +83,7 @@ def bell_pair() -> DensityMatrix:
 
 def werner_pair(p: float) -> DensityMatrix:
     """Noisy Bell pair p*|Phi+><Phi+| + (1-p)*I/4."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"Werner parameter must be in [0, 1], got {p}")
+    _check_werner(p)
     m = p * np.outer(_PHI_PLUS, _PHI_PLUS.conj()) + (1.0 - p) * np.eye(4, dtype=complex) / 4.0
     return DensityMatrix(m)
 

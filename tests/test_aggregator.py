@@ -22,6 +22,7 @@ from qnetcap import (
     flow_graph_from_network,
     lossy_gap_ratio,
     max_disjoint_paths,
+    min_cut,
     min_cut_bruteforce,
     pair_count,
     plan,
@@ -30,7 +31,7 @@ from qnetcap import (
     sandwich_report,
 )
 from qnetcap import cuts_flows
-from qnetcap.generators import random_count_network, random_lossy_network
+from qnetcap.generators import random_count_network, random_custom_network, random_lossy_network
 
 from conftest import edge_with, network_with
 
@@ -382,3 +383,26 @@ def test_plan_rejects_more_paths_than_it_can_list(monkeypatch):
     assert plan(Network(("A", "B"), "A", "B", (count_edge("ab", "A", "B", 3),))).m == 3
     with pytest.raises(ValueError, match="m = 4 edge-disjoint paths exceeds the limit of 3"):
         plan(Network(("A", "B"), "A", "B", (count_edge("ab", "A", "B", 4),)))
+
+
+def with_budgets(net, budget):
+    return network_with(net, (edge_with(e, usage=budget(e.usage.value)) for e in net.edges))
+
+
+def test_shared_layout_report_matches_separate_cuts():
+    """Both report cuts, solved on one layout, equal a min_cut of each weighting alone.
+
+    Fractional Count budgets below 1 floor to zero capacity on the lower side.
+    """
+    rng = random.Random(20160109)
+    generators = (random_lossy_network, random_custom_network, random_count_network)
+    for k in range(1002):
+        net = generators[k % 3](rng, max_nodes=14)
+        for budget in (Count, Frequency, Rate):
+            point = with_budgets(net, budget)
+            report = sandwich_report(point, budget.regime)
+            floor = budget is Count
+            lower = min_cut(flow_graph_from_network(point, WeightKind.Q_CAP, floor_budgets=floor))
+            upper = min_cut(flow_graph_from_network(point, WeightKind.ESQ_UPPER))
+            assert (report.lower_witness, report.upper_witness) == (lower, upper), (k, budget)
+            assert (report.lower, report.upper_esq) == (lower.value, upper.value)

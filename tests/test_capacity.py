@@ -189,3 +189,27 @@ def test_check_epsilon_rejects_with_a_message(value, message):
 def test_epsilon_past_the_float_range_is_a_value_error(call):
     with pytest.raises(ValueError, match="^epsilon must be finite and >= 0, got an integer"):
         call()
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        (True, "cut value must be a real number, got True"),
+        ("1.0", "cut value must be a real number, got '1.0'"),
+        (10**400, "cut value must be finite and >= 0, got an integer of 1329 bits"),
+        (-0.5, "cut value must be finite and >= 0, got -0.5"),
+        (math.inf, "cut value must be finite and >= 0, got inf"),
+        (math.nan, "cut value must be finite and >= 0, got nan"),
+    ],
+    ids=["bool", "str", "huge-int", "negative", "inf", "nan"],
+)
+def test_corrected_upper_rejects_a_bad_cut_value(value, message):
+    for epsilon in (0.0, 1e-4, 0.01):
+        with pytest.raises(ValueError) as err:
+            epsilon_corrected_upper(value, epsilon)
+        assert str(err.value) == message
+
+
+def test_corrected_upper_takes_an_integer_cut_value():
+    assert epsilon_corrected_upper(3, 0.0) == 3.0
+    assert epsilon_corrected_upper(3, 1e-4) == epsilon_corrected_upper(3.0, 1e-4)

@@ -21,6 +21,7 @@ from qnetcap import (
     min_cut,
     min_cut_bruteforce,
 )
+from qnetcap import cuts_flows
 from qnetcap.cuts_flows import edge_capacity
 from qnetcap.generators import random_bell_network, random_custom_network, random_lossy_network
 
@@ -391,3 +392,100 @@ def test_min_cut_of_a_dumbbell_is_its_bridges():
     for kind in WeightKind:
         cut = check_against_networkx(net, kind)
         assert cut.crossing == ("bridge0", "bridge1", "bridge2")
+
+
+def reference_adjacency(fg):
+    """Per-vertex arc lists of the residual doubling, each sorted by (head label, arc index)."""
+    index = {v: k for k, v in enumerate(fg.vertices)}
+    to, adj = [], [[] for _ in fg.vertices]
+    for _, u, v, _ in fg.arcs:
+        for tail, head in ((index[u], index[v]), (index[v], index[u])):
+            adj[tail].append(len(to))
+            to.append(head)
+    names = fg.vertices
+    return [sorted(arcs, key=lambda i: (names[to[i]], i)) for arcs in adj]
+
+
+def random_multigraph(rng, kind):
+    """Labels declared in shuffled order, so n10 and n2 do not sit in label order,
+    with parallel arcs and a share of zero capacities."""
+    inner = [f"n{k}" for k in range(rng.randint(0, 14))]
+    vertices = ["A", "B", *inner]
+    rng.shuffle(vertices)
+    pairs = [tuple(rng.sample(vertices, 2)) for _ in range(rng.randint(1, 8))]
+    arcs = []
+    for j in range(rng.randint(1, 40)):
+        u, v = rng.choice(pairs)  # few endpoint pairs, so many parallel arcs
+        if rng.random() < 0.2:
+            cap = 0 if kind is CapacityKind.INTEGER else 0.0
+        elif kind is CapacityKind.INTEGER:
+            cap = rng.randint(1, 5)
+        else:
+            cap = rng.uniform(0.0, 3.0)
+        arcs.append((f"e{j}", u, v, cap))
+    return FlowGraph(tuple(vertices), "A", "B", tuple(arcs), kind)
+
+
+@pytest.mark.parametrize("kind", list(CapacityKind))
+def test_layout_arc_order_is_the_label_sort(kind):
+    rng = random.Random(f"layout/{kind.value}")
+    for _ in range(300):
+        fg = random_multigraph(rng, kind)
+        assert cuts_flows._Layout(fg).adj == reference_adjacency(fg)
+        solver = cuts_flows._ResidualSolver(fg)
+        assert solver.adj == reference_adjacency(fg)
+        # tolerance and thresholds as the per-arc construction made them, types included
+        caps = [c if kind is CapacityKind.INTEGER else float(c) for _, _, _, c in fg.arcs]
+        tol = 0 if kind is CapacityKind.INTEGER else 1e-12 * max(
+            1.0, sum(c for _, _, _, c in fg.arcs))
+        want = [min(tol, c / 2) for c in caps for _ in range(2)]
+        assert (solver.tol, type(solver.tol)) == (tol, type(tol))
+        assert [(t, type(t)) for t in solver.threshold] == [(t, type(t)) for t in want]
+
+
+def test_layout_ranks_labels_past_ten():
+    # n10 sorts before n2: the head order is by label, not by declaration
+    fg = FlowGraph(("A", "n2", "n10", "B"), "A", "B",
+                   (("x", "A", "n2", 1.0), ("y", "A", "n10", 1.0), ("z", "n2", "A", 1.0),
+                    ("w", "n10", "B", 1.0)), CapacityKind.REAL)
+    layout = cuts_flows._Layout(fg)
+    assert [layout.to[i] for i in layout.adj[0]] == [2, 1, 1]
+    assert layout.adj[0] == [2, 0, 5]
+
+
+def shifted(fg, **changes):
+    parts = dict(vertices=fg.vertices, source=fg.source, sink=fg.sink, arcs=fg.arcs,
+                 capacity_kind=fg.capacity_kind)
+    parts.update(changes)
+    return FlowGraph(**parts)
+
+
+DIAMOND_FG = FlowGraph(("A", "C1", "C2", "B"), "A", "B",
+                       (("e1", "A", "C1", 1.0), ("e2", "A", "C2", 2.0),
+                        ("e3", "C1", "B", 2.0), ("e4", "C2", "B", 1.0)), CapacityKind.REAL)
+
+
+def test_shared_layout_cuts_match_separate_cuts():
+    other = shifted(DIAMOND_FG, arcs=tuple((e, u, v, 3.0 - c) for e, u, v, c in DIAMOND_FG.arcs))
+    assert cuts_flows._min_cuts(DIAMOND_FG, other) == [min_cut(DIAMOND_FG), min_cut(other)]
+
+
+@pytest.mark.parametrize(
+    "other, message",
+    [
+        (shifted(DIAMOND_FG, vertices=("A", "C2", "C1", "B")), "same vertices in one order"),
+        (shifted(DIAMOND_FG, vertices=("A", "C1", "C2", "B", "D")), "same vertices in one order"),
+        (shifted(DIAMOND_FG, source="C1"), "same source and sink"),
+        (shifted(DIAMOND_FG, sink="C2"), "same source and sink"),
+        (shifted(DIAMOND_FG, arcs=(("e1", "C1", "A", 1.0), *DIAMOND_FG.arcs[1:])),
+         "same arc ids and endpoints"),
+        (shifted(DIAMOND_FG, arcs=(("f1", "A", "C1", 1.0), *DIAMOND_FG.arcs[1:])),
+         "same arc ids and endpoints"),
+        (shifted(DIAMOND_FG, arcs=DIAMOND_FG.arcs[:3]), "same arc ids and endpoints"),
+    ],
+    ids=["vertex-order", "extra-vertex", "source", "sink", "reversed-arc", "arc-id",
+         "missing-arc"],
+)
+def test_shared_layout_rejects_graphs_differing_beyond_capacities(other, message):
+    with pytest.raises(ValueError, match=message):
+        cuts_flows._min_cuts(DIAMOND_FG, other)

@@ -243,9 +243,23 @@ def test_werner_closure_shares_the_oracle_input_checks():
         with pytest.raises(ValueError) as oracle:
             werner_pair(bad)
         assert str(closure.value) == str(oracle.value)
+    for bad in (True, False, "0.9", None, 1j):
+        with pytest.raises(ValueError) as closure:
+            werner_chain_report([0.9, bad])
+        with pytest.raises(ValueError) as oracle:
+            werner_pair(bad)
+        assert str(closure.value) == str(oracle.value) == (
+            f"Werner parameter must be a real number, got {bad!r}")
     for eps in ([0.1], [0.1, float("nan")], [0.1, -0.1]):
         with pytest.raises(ValueError) as closure:
             werner_chain_report([0.9, 0.9], eps)
         with pytest.raises(ValueError) as oracle:
             verify_error_chain([werner_pair(0.9)] * 2, eps)
         assert str(closure.value) == str(oracle.value)
+
+
+def test_werner_closure_keeps_integer_parameters():
+    # an int parameter is a real number and comes back as given
+    report = werner_chain_report([1, 0])
+    assert [(p, type(p)) for p in report["chain"]] == [(1, int), (0, int)]
+    assert report["final_fidelity"] == 0.25
