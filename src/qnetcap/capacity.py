@@ -59,8 +59,8 @@ def check_epsilon(epsilon: float) -> float:
     return _check_nonnegative("epsilon", epsilon)
 
 
-def _check_werner(p: float) -> float:
-    """A Werner parameter, returned as given; ValueError unless a real number in [0, 1].
+def _check_werner(p: float) -> None:
+    """ValueError unless p is a real number in [0, 1], a Werner parameter.
 
     The closure and the density-matrix referee both check their input here,
     so a bad parameter raises the same error in either.
@@ -69,7 +69,6 @@ def _check_werner(p: float) -> float:
         raise ValueError(f"Werner parameter must be a real number, got {p!r}")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"Werner parameter must be in [0, 1], got {p}")
-    return p
 
 
 def werner_chain_report(
