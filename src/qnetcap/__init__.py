@@ -59,6 +59,7 @@ from .netmodel import (
     NodeId,
     Rate,
     Regime,
+    Topology,
     UsageBudget,
     crossing_edges,
     export_dot,

@@ -3,11 +3,11 @@
 The aggregated protocol gives each channel edge an integer number of
 Bell pairs (floor(floor(l) * R) per edge), extracts the maximum set of
 edge-disjoint Alice-Bob paths through the pairs, and swaps along each
-path. The Bell network is a FlowGraph with integer capacities: a
-channel enters only through its pair count, the capacity of its arc
-row. The protocol's yield and the converse cut bound, both min-cuts of
-a FlowGraph, sandwich the best achievable performance; on all-lossy
-networks the two sides differ by at most a factor of two.
+path. The Bell network is the network's topology with one integer
+capacity per channel, its pair count. The protocol's yield and the
+converse cut bound, min-cuts of flow graphs on that one topology,
+sandwich the best achievable performance; on all-lossy networks the two
+sides differ by at most a factor of two.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from typing import Mapping, Optional, Union
 from .capacity import WeightKind, check_epsilon, edge_weight, epsilon_corrected_upper
 from .cuts_flows import (
     CapacityKind, CutResult, FlowGraph, PathSet,
-    _min_cuts, flow_graph_from_network, max_disjoint_paths,
+    flow_graph_from_network, max_disjoint_paths, min_cut,
 )
 from .netmodel import (
     Count, EdgeSpec, Immutable, Network, NodeId, Regime, _require_finite, export_dot,
@@ -90,9 +90,9 @@ def pair_count(edge: EdgeSpec, model: RateModel) -> int:
 
 
 def build_bell_network(net: Network, rate_model: RateModel = AsymptoticQCap()) -> FlowGraph:
-    """The Bell network: one (channel id, u, v, pairs) arc row per edge, in edge order."""
-    arcs = tuple((e.id, e.tail, e.head, pair_count(e, rate_model)) for e in net.edges)
-    return FlowGraph(net.nodes, net.alice, net.bob, arcs, CapacityKind.INTEGER)
+    """The Bell network on the network's topology: each edge's pair_count."""
+    pairs = [pair_count(e, rate_model) for e in net.edges]
+    return FlowGraph(net.topology, pairs, CapacityKind.INTEGER)
 
 
 class ProtocolPlan(Immutable):
@@ -142,8 +142,8 @@ def plan(
     bell = build_bell_network(net, rate_model)
     m, paths = max_disjoint_paths(bell)
     schedules = tuple(p.nodes[1:-1] for p in paths)
-    unused = {cid: n - paths.pairs_used.get(cid, 0) for cid, _, _, n in bell.arcs}
-    counted = len(net.edges) if count_all_edges else sum(1 for _, _, _, n in bell.arcs if n > 0)
+    unused = {e.id: n - paths.pairs_used.get(e.id, 0) for e, n in zip(net.edges, bell.capacities)}
+    counted = len(net.edges) if count_all_edges else sum(1 for n in bell.capacities if n > 0)
     return ProtocolPlan(m, paths, schedules, epsilon, counted * epsilon, counted, unused)
 
 
@@ -204,18 +204,15 @@ def sandwich_report(net: Network, regime: Regime, epsilon: float = 0.0) -> Sandw
 
     The lower bound weights cuts by q_cap (budgets floored in the
     per-protocol regime); the upper bound weights them by esq_upper with
-    un-floored budgets. The two weightings differ only in capacities, so
-    both cuts are solved on one shared residual layout. The finite-error
-    correction applies only to the per-protocol regime; the asymptotic
-    regimes take their error to zero, so a positive epsilon there is
-    rejected.
+    un-floored budgets. Both are built on the network's topology, so both
+    solves walk its one residual arc order. The finite-error correction
+    applies only to the per-protocol regime; the asymptotic regimes take
+    their error to zero, so a positive epsilon there is rejected.
     """
     epsilon = check_report_inputs(net, regime, epsilon)
     per_protocol = regime is Regime.PER_PROTOCOL
-    lower_cut, upper_cut = _min_cuts(
-        flow_graph_from_network(net, WeightKind.Q_CAP, floor_budgets=per_protocol),
-        flow_graph_from_network(net, WeightKind.ESQ_UPPER),
-    )
+    lower_cut = min_cut(flow_graph_from_network(net, WeightKind.Q_CAP, floor_budgets=per_protocol))
+    upper_cut = min_cut(flow_graph_from_network(net, WeightKind.ESQ_UPPER))
     corrected = epsilon_corrected_upper(upper_cut.value, epsilon)
     return SandwichReport(
         regime, epsilon, lower_cut.value, upper_cut.value, corrected, lower_cut, upper_cut

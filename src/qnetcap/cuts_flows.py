@@ -11,11 +11,11 @@ capacities: each channel's capacity is the number of Bell pairs it holds,
 so integer flow realizes the edge-disjoint path count, which equals the
 minimum number of Bell pairs crossing any Alice/Bob cut.
 
-The solver's residual graph comes in two halves: a layout (vertex index,
-arc heads, arc ids and the per-vertex arc order), which reads no
-capacity, and the capacity arrays one solve works on. Graphs that differ
-only in capacities, such as the q_cap and esq_upper weightings of one
-network, share one layout.
+A FlowGraph is a Topology plus one capacity per arc. The topology holds
+the vertices, terminals, arc rows and the solver's residual arc order,
+none of which reads a capacity. The q_cap and esq_upper weightings and
+the Bell network of one network are all built on its topology, so they
+share that arc order.
 """
 
 from __future__ import annotations
@@ -23,10 +23,10 @@ from __future__ import annotations
 import math
 import re
 from enum import Enum
-from typing import AbstractSet, Mapping, Optional
+from typing import AbstractSet, Mapping
 
 from .capacity import WeightKind, edge_weight
-from .netmodel import EdgeSpec, Immutable, Network, NodeId
+from .netmodel import EdgeSpec, Immutable, Network, NodeId, Topology, _interleave
 
 BRUTEFORCE_MAX_VERTICES = 20
 # a plan lists every path, so m beyond this would exhaust time and memory
@@ -39,46 +39,35 @@ class CapacityKind(Enum):
 
 
 class FlowGraph(Immutable):
-    """Undirected flow instance: each arc row is traversable both ways.
+    """Undirected flow instance: a topology and one capacity per arc, in arc order.
 
-    Each arc row reads (edge id, u, v, capacity) and joins two distinct
-    vertices. Capacities are finite and >= 0, never booleans, and ints on
-    an INTEGER graph; source and sink are distinct vertices.
+    Capacities are finite and >= 0, never booleans, and ints on an INTEGER
+    graph. Two flow graphs share a residual arc order exactly when they
+    share a topology object.
     """
 
-    __slots__ = ("vertices", "source", "sink", "arcs", "capacity_kind")
+    __slots__ = ("topology", "capacities", "capacity_kind")
 
-    def __init__(
-        self,
-        vertices: tuple[NodeId, ...],
-        source: NodeId,
-        sink: NodeId,
-        arcs: tuple[tuple[str, NodeId, NodeId, float], ...],
-        capacity_kind: CapacityKind,
-    ):
-        names = frozenset(vertices)
-        for role, name in (("source", source), ("sink", sink)):
-            if name not in names:
-                raise ValueError(f"{role} {name!r} is not a vertex")
-        if source == sink:
-            raise ValueError(f"source and sink are the same vertex {source!r}")
+    def __init__(self, topology: Topology, capacities: tuple[float, ...],
+                 capacity_kind: CapacityKind):
+        capacities = tuple(capacities)
+        if len(capacities) != len(topology.arcs):
+            raise ValueError(f"got {len(capacities)} capacities for {len(topology.arcs)} arcs")
         integer = capacity_kind is CapacityKind.INTEGER
-        for eid, u, v, cap in arcs:
+        for (eid, _, _), cap in zip(topology.arcs, capacities):
             if isinstance(cap, bool) or (integer and not isinstance(cap, int)):
                 kind = "an integer" if integer else "a real number"
                 raise ValueError(f"arc {eid!r}: capacity must be {kind}, got {cap!r}")
             if not (math.isfinite(cap) and cap >= 0):
                 raise ValueError(f"arc {eid!r}: capacity must be finite and >= 0, got {cap}")
-            if u == v:
-                raise ValueError(f"arc {eid!r}: self-loop at {u!r}")
-            if u not in names or v not in names:
-                raise ValueError(f"arc {eid!r}: endpoint {u if u not in names else v!r} "
-                                 "is not a vertex")
-        object.__setattr__(self, "vertices", vertices)
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "sink", sink)
-        object.__setattr__(self, "arcs", arcs)
+        object.__setattr__(self, "topology", topology)
+        object.__setattr__(self, "capacities", capacities)
         object.__setattr__(self, "capacity_kind", capacity_kind)
+
+    @property
+    def arcs(self) -> tuple[tuple[str, NodeId, NodeId, float], ...]:
+        """The (id, u, v, capacity) row of each arc, in arc order."""
+        return tuple([(*row, c) for row, c in zip(self.topology.arcs, self.capacities)])
 
     @property
     def zero(self) -> float:
@@ -96,86 +85,40 @@ def edge_capacity(edge: EdgeSpec, kind: WeightKind, *, floor_budgets: bool = Fal
 def flow_graph_from_network(
     net: Network, kind: WeightKind, *, floor_budgets: bool = False
 ) -> FlowGraph:
-    """Weighted flow instance: one arc row per edge, in edge order, holding edge_capacity."""
-    arcs = tuple(
-        (e.id, e.tail, e.head, edge_capacity(e, kind, floor_budgets=floor_budgets))
-        for e in net.edges
-    )
-    return FlowGraph(net.nodes, net.alice, net.bob, arcs, CapacityKind.REAL)
-
-
-class _Layout:
-    """The capacity-free half of the residual doubling of one topology.
-
-    Arc 2k runs u->v and arc 2k+1 runs v->u for arc row k = (id, u, v, _);
-    `to` holds each arc's head and `eid` its row's id, and a vertex is its
-    position in fg.vertices. adj[v] lists the arcs leaving v in
-    lexicographic head-label order, ties broken by arc index, so the flow a
-    solve finds is deterministic. That order needs no string sort per
-    vertex: the arcs are bucketed by head in arc order, and the buckets are
-    dealt to their tails with the heads taken in label order, one sort of
-    the |V| labels. Nothing here reads a capacity, so graphs that differ
-    only in capacities share one layout; a solve never writes to it.
-    """
-
-    __slots__ = ("source", "sink", "to", "eid", "adj")
-
-    def __init__(self, fg: FlowGraph):
-        names = fg.vertices
-        index = {v: k for k, v in enumerate(names)}
-        self.source, self.sink = index[fg.source], index[fg.sink]
-        tails = [index[u] for _, u, _, _ in fg.arcs]
-        heads = [index[v] for _, _, v, _ in fg.arcs]
-        ids = [eid for eid, _, _, _ in fg.arcs]
-        self.to = to = _interleave(heads, tails)
-        self.eid = _interleave(ids, ids)
-        into: list[list[int]] = [[] for _ in names]
-        for i, head in enumerate(to):
-            into[head].append(i)
-        self.adj = adj = [[] for _ in names]
-        for head in sorted(range(len(names)), key=names.__getitem__):
-            for i in into[head]:
-                adj[to[i ^ 1]].append(i)
-
-
-def _interleave(even: list, odd: list) -> list:
-    """[even[0], odd[0], even[1], odd[1], ...] for two lists of one length."""
-    out = [None] * (2 * len(even))
-    out[0::2] = even
-    out[1::2] = odd
-    return out
+    """Weighted flow instance on the network's topology: each edge's edge_capacity."""
+    capacities = [edge_capacity(e, kind, floor_budgets=floor_budgets) for e in net.edges]
+    return FlowGraph(net.topology, capacities, CapacityKind.REAL)
 
 
 class _ResidualSolver:
     """Dinic's blocking flow on the residual doubling of an undirected multigraph.
 
-    The topology comes from a _Layout, built here unless one is passed in;
-    the capacities come from fg. Both arcs of a row start at the row's full
+    The residual arc order comes from fg's topology and the capacities
+    from fg. Both arcs of a row start at the row's full
     capacity; pushing flow on one grows the residual of its partner, which
     models undirected traversal exactly. A residual at or below
     min(tol, capacity / 2) counts as saturated: float dust left on a used
     arc closes it, while an unused arc below the tolerance stays open. Each
     phase runs one BFS for the level graph, then pushes a blocking flow
     along its shortest paths by a depth-first search that keeps a
-    current-arc pointer per vertex, trying arcs in the layout's order. A
+    current-arc pointer per vertex, trying arcs in the topology's order. A
     solve writes only its own cap list and its per-phase level and
-    current-arc lists, never the layout. The level set of the last BFS,
+    current-arc lists, never the topology. The level set of the last BFS,
     which fails to reach the sink, is `reachable`, the Alice side of a
     minimum cut.
     """
 
-    def __init__(self, fg: FlowGraph, layout: Optional[_Layout] = None):
-        layout = _Layout(fg) if layout is None else layout
-        self.fg = fg
-        self.source, self.sink = layout.source, layout.sink
-        self.to, self.eid, self.adj = layout.to, layout.eid, layout.adj
+    def __init__(self, fg: FlowGraph):
+        self.topology = topology = fg.topology
+        self.source, self.sink = topology._terminals
+        self.to, self.adj = topology._to, topology._adj
         if fg.capacity_kind is CapacityKind.INTEGER:
-            caps = [c for _, _, _, c in fg.arcs]
+            caps = list(fg.capacities)
             self.tol = 0
             self.threshold = [0] * len(self.to)  # min(0, c / 2) is the int 0 for c >= 0
         else:
-            caps = [float(c) for _, _, _, c in fg.arcs]
-            self.tol = tol = 1e-12 * max(1.0, sum(c for _, _, _, c in fg.arcs))
+            caps = [float(c) for c in fg.capacities]
+            self.tol = tol = 1e-12 * max(1.0, sum(fg.capacities))
             # min(tol, c / 2), spelled out: a call per arc costs more than the rest
             thresholds = [h if h < tol else tol for h in [c / 2 for c in caps]]
             self.threshold = _interleave(thresholds, thresholds)
@@ -244,21 +187,21 @@ class _ResidualSolver:
         while True:
             level = self._levels()
             if level[self.sink] < 0:
-                names = self.fg.vertices
+                names = self.topology.vertices
                 self.reachable = frozenset(names[k] for k, d in enumerate(level) if d >= 0)
                 return
             self._push_blocking_flow(level)
 
     def net_flow(self) -> dict[str, tuple[NodeId, NodeId, float]]:
         """Map of edge id -> (from, to, amount) for arcs carrying net flow."""
-        names = self.fg.vertices
+        cap, tol = self.cap, self.tol
         used = {}
-        for k in range(0, len(self.to), 2):
-            amount = (self.cap[k ^ 1] - self.cap[k]) / 2  # net flow u->v
-            if amount > self.tol:
-                used[self.eid[k]] = (names[self.to[k ^ 1]], names[self.to[k]], amount)
-            elif amount < -self.tol:
-                used[self.eid[k]] = (names[self.to[k]], names[self.to[k ^ 1]], -amount)
+        for k, (eid, u, v) in enumerate(self.topology.arcs):
+            amount = (cap[2 * k + 1] - cap[2 * k]) / 2  # net flow u->v
+            if amount > tol:
+                used[eid] = (u, v, amount)
+            elif amount < -tol:
+                used[eid] = (v, u, -amount)
         return used
 
 
@@ -278,15 +221,15 @@ class CutResult(Immutable):
         object.__setattr__(self, "crossing", crossing)
 
 
-def _crossing_rows(fg: FlowGraph, side: AbstractSet[NodeId]) -> tuple:
-    """The arc rows with exactly one end in side, in arc order."""
-    return tuple(row for row in fg.arcs if (row[1] in side) != (row[2] in side))
+def _crossing_rows(arcs: tuple, side: AbstractSet[NodeId]) -> tuple:
+    """The (id, u, v, capacity) rows with exactly one end in side, in arc order."""
+    return tuple(row for row in arcs if (row[1] in side) != (row[2] in side))
 
 
-def _cut(fg: FlowGraph, side: AbstractSet[NodeId]) -> CutResult:
+def _cut(arcs: tuple, zero: float, side: AbstractSet[NodeId]) -> CutResult:
     """The cut with Alice side `side`: its crossing arcs and their capacity sum."""
-    rows = _crossing_rows(fg, side)
-    value = sum((c for _, _, _, c in rows), fg.zero)
+    rows = _crossing_rows(arcs, side)
+    value = sum((c for _, _, _, c in rows), zero)
     return CutResult(value, side, tuple(eid for eid, _, _, _ in rows))
 
 
@@ -297,28 +240,7 @@ def min_cut(fg: FlowGraph) -> CutResult:
     value is summed over the crossing arcs rather than taken from the flow,
     to keep floating-point drift out of the reported number.
     """
-    return _min_cuts(fg)[0]
-
-
-def _min_cuts(*graphs: FlowGraph) -> list[CutResult]:
-    """min_cut of each graph, all solved on the layout of the first.
-
-    The graphs must differ only in capacities: the same vertices in the same
-    order, the same source and sink, and the same arc rows up to capacity.
-    The layout holds no capacity and no solve writes to it, so sharing it
-    gives each graph the cut min_cut would give it alone.
-    """
-    first = graphs[0]
-    rows = [row[:3] for row in first.arcs]
-    for fg in graphs[1:]:
-        if fg.vertices != first.vertices:
-            raise ValueError("graphs sharing a layout must have the same vertices in one order")
-        if (fg.source, fg.sink) != (first.source, first.sink):
-            raise ValueError("graphs sharing a layout must have the same source and sink")
-        if [row[:3] for row in fg.arcs] != rows:
-            raise ValueError("graphs sharing a layout must have the same arc ids and endpoints")
-    layout = _Layout(first)
-    return [_cut(fg, _ResidualSolver(fg, layout).reachable) for fg in graphs]
+    return _cut(fg.arcs, fg.zero, _ResidualSolver(fg).reachable)
 
 
 class ArcSweep:
@@ -336,30 +258,27 @@ class ArcSweep:
     """
 
     def __init__(self, fg: FlowGraph, arc_id: str):
-        row = next((row for row in fg.arcs if row[0] == arc_id), None)
+        arcs = fg.arcs
+        row = next((row for row in arcs if row[0] == arc_id), None)
         if row is None:
             raise KeyError(f"no arc with id {arc_id!r}")
         self.arc_id = arc_id
         self.zero = fg.zero
-        arcs = tuple((eid, u, v, self.zero if eid == arc_id else c) for eid, u, v, c in fg.arcs)
-        sides = [_ResidualSolver(
-            FlowGraph(fg.vertices, fg.source, fg.sink, arcs, fg.capacity_kind)
-        ).reachable]
-        ends = (fg.source, fg.sink)
+        topology, kind = fg.topology, fg.capacity_kind
+        capacities = [self.zero if eid == arc_id else c for eid, _, _, c in arcs]
+        sides = [_ResidualSolver(FlowGraph(topology, capacities, kind)).reachable]
+        ends = (topology.source, topology.sink)
         _, u, v, _ = row
         if not (u in ends and v in ends):
             keep, drop = (u, v) if u in ends else (v, u)
-            merged = ((eid, keep if a == drop else a, keep if b == drop else b, c)
-                      for eid, a, b, c in fg.arcs)
-            side = _ResidualSolver(FlowGraph(
-                tuple(x for x in fg.vertices if x != drop),
-                fg.source,
-                fg.sink,
-                tuple(arc for arc in merged if arc[1] != arc[2]),
-                fg.capacity_kind,
-            )).reachable
+            merged = [(eid, keep if a == drop else a, keep if b == drop else b, c)
+                      for eid, a, b, c in arcs if {a, b} != {u, v}]
+            vertices = [x for x in topology.vertices if x != drop]
+            merged_fg = FlowGraph(Topology(vertices, *ends, [arc[:3] for arc in merged]),
+                                  [arc[3] for arc in merged], kind)
+            side = _ResidualSolver(merged_fg).reachable
             sides.append(side | {drop} if keep in side else side)
-        self.crossing = [_crossing_rows(fg, side) for side in sides]
+        self.crossing = [_crossing_rows(arcs, side) for side in sides]
 
     def min_cut_value(self, capacity: float) -> float:
         """F(capacity), summed over the crossing arcs in arc order as min_cut does."""
@@ -374,22 +293,24 @@ def _enumerate_min_cut(fg: FlowGraph) -> frozenset[NodeId]:
 
     Ties go to the lexicographically smallest sorted Alice-side label tuple.
     """
-    if len(fg.vertices) > BRUTEFORCE_MAX_VERTICES:
+    vertices, source, sink = fg.topology.vertices, fg.topology.source, fg.topology.sink
+    if len(vertices) > BRUTEFORCE_MAX_VERTICES:
         raise ValueError(
             f"brute-force enumeration capped at {BRUTEFORCE_MAX_VERTICES} vertices, "
-            f"got {len(fg.vertices)}"
+            f"got {len(vertices)}"
         )
-    intermediates = sorted(v for v in fg.vertices if v not in (fg.source, fg.sink))
+    intermediates = sorted(v for v in vertices if v not in (source, sink))
     sides = (
-        frozenset([fg.source, *(v for i, v in enumerate(intermediates) if mask >> i & 1)])
+        frozenset([source, *(v for i, v in enumerate(intermediates) if mask >> i & 1)])
         for mask in range(1 << len(intermediates))
     )
-    return min(sides, key=lambda side: (_cut(fg, side).value, sorted(side)))
+    arcs, zero = fg.arcs, fg.zero
+    return min(sides, key=lambda side: (_cut(arcs, zero, side).value, sorted(side)))
 
 
 def min_cut_bruteforce(fg: FlowGraph) -> CutResult:
     """Exhaustive-enumeration oracle for min_cut; exact up to 20 vertices."""
-    return _cut(fg, _enumerate_min_cut(fg))
+    return _cut(fg.arcs, fg.zero, _enumerate_min_cut(fg))
 
 
 class DisjointPath(Immutable):
@@ -440,7 +361,8 @@ def max_disjoint_paths(bell: FlowGraph) -> tuple[int, PathSet]:
         )
 
     # per vertex, sorted [next vertex, channel id, units of flow left]
-    out: dict[NodeId, list[list]] = {v: [] for v in bell.vertices}
+    source, sink = bell.topology.source, bell.topology.sink
+    out: dict[NodeId, list[list]] = {v: [] for v in bell.topology.vertices}
     for cid, (u, v, amount) in solver.net_flow().items():
         out[u].append([v, cid, int(amount)])
     for arcs in out.values():
@@ -457,11 +379,11 @@ def max_disjoint_paths(bell: FlowGraph) -> tuple[int, PathSet]:
     pairs_used: dict[str, int] = {}
     paths = []
     for _ in range(count):
-        nodes = [bell.source]
+        nodes = [source]
         channels: list[str] = []
-        position = {bell.source: 0}
-        v = bell.source
-        while v != bell.sink:
+        position = {source: 0}
+        v = source
+        while v != sink:
             w, cid = next_arc(v)
             if w in position:
                 # excise the cycle: drop everything after the revisited node
@@ -495,10 +417,11 @@ def check_path_set(bell: FlowGraph, path_set: PathSet) -> None:
     the ids must equal path_set.pairs_used.
     """
     channels = {cid: (u, v, n) for cid, u, v, n in bell.arcs}
+    source, sink = bell.topology.source, bell.topology.sink
     seen: set[str] = set()
     tally: dict[str, int] = {}
     for p in path_set.paths:
-        if len(p.nodes) < 2 or p.nodes[0] != bell.source or p.nodes[-1] != bell.sink:
+        if len(p.nodes) < 2 or p.nodes[0] != source or p.nodes[-1] != sink:
             raise ValueError(f"path {p.nodes} does not run alice -> bob")
         if len(set(p.nodes)) != len(p.nodes):
             raise ValueError(f"path {p.nodes} repeats a vertex")

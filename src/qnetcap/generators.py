@@ -12,7 +12,7 @@ import random
 from typing import Optional
 
 from .cuts_flows import CapacityKind, FlowGraph
-from .netmodel import Count, CustomChannel, EdgeSpec, Frequency, LossyOptical, Network
+from .netmodel import Count, CustomChannel, EdgeSpec, Frequency, LossyOptical, Network, Topology
 
 DEFAULT_SEED = 1601
 
@@ -109,5 +109,6 @@ def random_bell_network(
             counts[key] = 0
             endpoints[key] = (u, v)
         counts[key] += 1
-    channels = tuple((cid, *endpoints[cid], counts[cid]) for cid in sorted(counts))
-    return FlowGraph(tuple(nodes), "A", "B", channels, CapacityKind.INTEGER)
+    channels = sorted(counts)
+    topology = Topology(nodes, "A", "B", [(cid, *endpoints[cid]) for cid in channels])
+    return FlowGraph(topology, [counts[cid] for cid in channels], CapacityKind.INTEGER)

@@ -56,7 +56,10 @@ class Immutable:
     order in ``__init__``, and sets them there with ``object.__setattr__``.
     Any other assignment or deletion raises AttributeError. The repr reads
     ``Name(field=value, ...)``, and pickling and copying go through the
-    constructor, so a copy is validated like the original.
+    constructor, so a copy is validated like the original. A slot whose
+    name starts with an underscore is not a field: it holds state the
+    constructor derives from the fields, and takes no part in equality,
+    hashing, repr or pickling.
     """
 
     __slots__ = ()
@@ -64,7 +67,8 @@ class Immutable:
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        cls._fields = cls._fields + tuple(cls.__dict__.get("__slots__", ()))
+        slots = cls.__dict__.get("__slots__", ())
+        cls._fields = cls._fields + tuple(name for name in slots if name[0] != "_")
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])
@@ -213,10 +217,74 @@ class EdgeSpec(Immutable):
         set_field(self, "usage", usage)
 
 
+class Topology(Immutable):
+    """The graph of a flow instance: vertices, two terminals and (id, u, v) arc rows.
+
+    Arc ids are unique, each arc joins two distinct vertices, and source
+    and sink are distinct vertices. The constructor also derives the
+    residual doubling the max-flow solver walks, which reads no capacity:
+    arc 2k runs u->v and arc 2k+1 runs v->u for row k, ``_to`` holds each
+    arc's head as a position in ``vertices``, and ``_adj[x]`` lists the arcs
+    leaving x by head label, ties by arc index, so every solve is
+    deterministic. The arcs are bucketed by head in arc order and the
+    buckets dealt to their tails in label order: one sort of the |V|
+    labels, none per vertex. A solve never writes to this state.
+    """
+
+    __slots__ = ("vertices", "source", "sink", "arcs", "_terminals", "_to", "_adj")
+
+    def __init__(self, vertices: tuple[NodeId, ...], source: NodeId, sink: NodeId,
+                 arcs: tuple[tuple[str, NodeId, NodeId], ...]):
+        vertices = tuple(vertices)
+        arcs = tuple(arcs)
+        index = {name: k for k, name in enumerate(vertices)}
+        for role, name in (("source", source), ("sink", sink)):
+            if name not in index:
+                raise ValueError(f"{role} {name!r} is not a vertex")
+        if source == sink:
+            raise ValueError(f"source and sink are the same vertex {source!r}")
+        ids, tails, heads = set(), [], []
+        for eid, u, v in arcs:
+            if eid in ids:
+                raise ValueError(f"duplicate arc id {eid!r}")
+            ids.add(eid)
+            if u == v:
+                raise ValueError(f"arc {eid!r}: self-loop at {u!r}")
+            if u not in index or v not in index:
+                raise ValueError(f"arc {eid!r}: endpoint {u if u not in index else v!r} "
+                                 "is not a vertex")
+            tails.append(index[u])
+            heads.append(index[v])
+        to = _interleave(heads, tails)
+        into: list[list[int]] = [[] for _ in vertices]
+        for i, head in enumerate(to):
+            into[head].append(i)
+        adj: list[list[int]] = [[] for _ in vertices]
+        for head in sorted(range(len(vertices)), key=vertices.__getitem__):
+            for i in into[head]:
+                adj[to[i ^ 1]].append(i)
+        set_field = object.__setattr__
+        set_field(self, "vertices", vertices)
+        set_field(self, "source", source)
+        set_field(self, "sink", sink)
+        set_field(self, "arcs", arcs)
+        set_field(self, "_terminals", (index[source], index[sink]))
+        set_field(self, "_to", to)
+        set_field(self, "_adj", adj)
+
+
+def _interleave(even: list, odd: list) -> list:
+    """[even[0], odd[0], even[1], odd[1], ...] for two lists of one length."""
+    out = [None] * (2 * len(even))
+    out[0::2] = even
+    out[1::2] = odd
+    return out
+
+
 class Network(Immutable):
     """Validated two-terminal network; edge order is preserved from input."""
 
-    __slots__ = ("nodes", "alice", "bob", "edges")
+    __slots__ = ("nodes", "alice", "bob", "edges", "_topology")
 
     def __init__(self, nodes: tuple[NodeId, ...], alice: NodeId, bob: NodeId,
                  edges: tuple[EdgeSpec, ...]):
@@ -256,6 +324,13 @@ class Network(Immutable):
         object.__setattr__(self, "alice", alice)
         object.__setattr__(self, "bob", bob)
         object.__setattr__(self, "edges", edges)
+        arcs = [(e.id, e.tail, e.head) for e in edges]
+        object.__setattr__(self, "_topology", Topology(nodes, alice, bob, arcs))
+
+    @property
+    def topology(self) -> Topology:
+        """Nodes, alice as source, bob as sink and an (id, tail, head) arc per edge."""
+        return self._topology
 
     @property
     def budget_kind(self) -> Optional[type[UsageBudget]]:

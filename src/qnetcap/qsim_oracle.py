@@ -71,10 +71,6 @@ class DensityMatrix:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    @property
-    def num_qubits(self) -> int:
-        return self.dim.bit_length() - 1
-
 
 def bell_pair() -> DensityMatrix:
     """The two-qubit maximally entangled state |Phi+><Phi+|."""

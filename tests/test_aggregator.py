@@ -121,7 +121,8 @@ def test_rate_models_store_floats():
 def test_build_bell_network_ids_are_deterministic(triangle_net):
     bell = build_bell_network(triangle_net)
     arcs = (("ac", "A", "C", 3), ("cb", "C", "B", 2), ("ab", "A", "B", 1))
-    assert bell == FlowGraph(triangle_net.nodes, "A", "B", arcs, CapacityKind.INTEGER)
+    assert bell == FlowGraph(triangle_net.topology, (3, 2, 1), CapacityKind.INTEGER)
+    assert bell.arcs == arcs
     # pair ids are '<channel>#<index>', numbered per channel in path order
     _, paths = max_disjoint_paths(bell)
     assert [eid for p in paths for eid in p.bell_edges] == [
@@ -390,7 +391,7 @@ def with_budgets(net, budget):
 
 
 def test_shared_layout_report_matches_separate_cuts():
-    """Both report cuts, solved on one layout, equal a min_cut of each weighting alone.
+    """Both report cuts equal a min_cut of each weighting built on its own.
 
     Fractional Count budgets below 1 floor to zero capacity on the lower side.
     """

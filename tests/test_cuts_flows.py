@@ -11,6 +11,7 @@ from qnetcap import (
     Frequency,
     LossyOptical,
     Network,
+    Topology,
     WeightKind,
     build_bell_network,
     check_path_set,
@@ -222,11 +223,14 @@ def test_max_disjoint_paths_needs_integer_capacities(diamond_net):
         max_disjoint_paths(flow_graph_from_network(diamond_net, WeightKind.Q_CAP))
 
 
+AB = Topology(("A", "B"), "A", "B", (("e", "A", "B"),))
+
+
 def test_flow_graph_rejects_a_fractional_capacity_on_an_integer_graph():
     # read as 2 by the solver but summed as 2.5 by the cut, it would break duality
     with pytest.raises(ValueError, match=r"^arc 'e': capacity must be an integer, got 2\.5$"):
-        FlowGraph(("A", "B"), "A", "B", (("e", "A", "B", 2.5),), CapacityKind.INTEGER)
-    fg = FlowGraph(("A", "B"), "A", "B", (("e", "A", "B", 2),), CapacityKind.INTEGER)
+        FlowGraph(AB, (2.5,), CapacityKind.INTEGER)
+    fg = FlowGraph(AB, (2,), CapacityKind.INTEGER)
     assert min_cut(fg).value == max_flow_value(fg) == len(max_disjoint_paths(fg)[1]) == 2
 
 
@@ -234,29 +238,59 @@ def test_flow_graph_rejects_a_fractional_capacity_on_an_integer_graph():
 def test_flow_graph_rejects_a_boolean_capacity(kind):
     word = "an integer" if kind is CapacityKind.INTEGER else "a real number"
     with pytest.raises(ValueError, match=f"^arc 'e': capacity must be {word}, got True$"):
-        FlowGraph(("A", "B"), "A", "B", (("e", "A", "B", True),), kind)
+        FlowGraph(AB, (True,), kind)
 
 
+@pytest.mark.parametrize("capacities", [(), (1, 1)], ids=["none", "two"])
+def test_flow_graph_needs_one_capacity_per_arc(capacities):
+    for kind in CapacityKind:
+        with pytest.raises(ValueError) as err:
+            FlowGraph(AB, capacities, kind)
+        assert str(err.value) == f"got {len(capacities)} capacities for 1 arcs"
+
+
+# a flow graph's vertices, terminals and arcs are checked by its Topology
 @pytest.mark.parametrize(
     "source, sink, arc, message",
     [
-        ("A", "B", ("e", "A", "Z", 1), "arc 'e': endpoint 'Z' is not a vertex"),
-        ("A", "B", ("e", "Z", "B", 1), "arc 'e': endpoint 'Z' is not a vertex"),
-        ("Z", "B", ("e", "A", "B", 1), "source 'Z' is not a vertex"),
-        ("A", "Z", ("e", "A", "B", 1), "sink 'Z' is not a vertex"),
+        ("A", "B", ("e", "A", "Z"), "arc 'e': endpoint 'Z' is not a vertex"),
+        ("A", "B", ("e", "Z", "B"), "arc 'e': endpoint 'Z' is not a vertex"),
+        ("Z", "B", ("e", "A", "B"), "source 'Z' is not a vertex"),
+        ("A", "Z", ("e", "A", "B"), "sink 'Z' is not a vertex"),
     ],
     ids=["head", "tail", "source", "sink"],
 )
 def test_flow_graph_rejects_an_unknown_vertex(source, sink, arc, message):
-    for kind in CapacityKind:
-        with pytest.raises(ValueError) as err:
-            FlowGraph(("A", "B"), source, sink, (arc,), kind)
-        assert str(err.value) == message
+    with pytest.raises(ValueError) as err:
+        Topology(("A", "B"), source, sink, (arc,))
+    assert str(err.value) == message
 
 
 def test_flow_graph_rejects_a_source_that_is_the_sink():
     with pytest.raises(ValueError, match="^source and sink are the same vertex 'A'$"):
-        FlowGraph(("A", "B"), "A", "A", (("e", "A", "B", 1.0),), CapacityKind.REAL)
+        Topology(("A", "B"), "A", "A", (("e", "A", "B"),))
+
+
+@pytest.mark.parametrize(
+    "vertices, arcs",
+    [
+        (("A", "B"), (("e", "A", "B"), ("e", "A", "B"))),
+        (("A", "C", "B"), (("e", "A", "C"), ("e", "C", "B"))),
+    ],
+    ids=["parallel", "chain"],
+)
+def test_topology_rejects_a_repeated_arc_id(vertices, arcs):
+    # flow is keyed by arc id, so a repeated id would merge two arcs' flows
+    with pytest.raises(ValueError) as err:
+        Topology(vertices, "A", "B", arcs)
+    assert str(err.value) == "duplicate arc id 'e'"
+
+
+def test_every_flow_graph_of_a_network_shares_its_topology(triangle_net):
+    for fg in (flow_graph_from_network(triangle_net, WeightKind.Q_CAP),
+               flow_graph_from_network(triangle_net, WeightKind.ESQ_UPPER),
+               build_bell_network(triangle_net)):
+        assert fg.topology is triangle_net.topology
 
 
 def sub_tolerance_net(freq):
@@ -394,15 +428,15 @@ def test_min_cut_of_a_dumbbell_is_its_bridges():
         assert cut.crossing == ("bridge0", "bridge1", "bridge2")
 
 
-def reference_adjacency(fg):
+def reference_adjacency(topology):
     """Per-vertex arc lists of the residual doubling, each sorted by (head label, arc index)."""
-    index = {v: k for k, v in enumerate(fg.vertices)}
-    to, adj = [], [[] for _ in fg.vertices]
-    for _, u, v, _ in fg.arcs:
+    names = topology.vertices
+    index = {v: k for k, v in enumerate(names)}
+    to, adj = [], [[] for _ in names]
+    for _, u, v in topology.arcs:
         for tail, head in ((index[u], index[v]), (index[v], index[u])):
             adj[tail].append(len(to))
             to.append(head)
-    names = fg.vertices
     return [sorted(arcs, key=lambda i: (names[to[i]], i)) for arcs in adj]
 
 
@@ -413,7 +447,7 @@ def random_multigraph(rng, kind):
     vertices = ["A", "B", *inner]
     rng.shuffle(vertices)
     pairs = [tuple(rng.sample(vertices, 2)) for _ in range(rng.randint(1, 8))]
-    arcs = []
+    arcs, caps = [], []
     for j in range(rng.randint(1, 40)):
         u, v = rng.choice(pairs)  # few endpoint pairs, so many parallel arcs
         if rng.random() < 0.2:
@@ -422,8 +456,9 @@ def random_multigraph(rng, kind):
             cap = rng.randint(1, 5)
         else:
             cap = rng.uniform(0.0, 3.0)
-        arcs.append((f"e{j}", u, v, cap))
-    return FlowGraph(tuple(vertices), "A", "B", tuple(arcs), kind)
+        arcs.append((f"e{j}", u, v))
+        caps.append(cap)
+    return FlowGraph(Topology(vertices, "A", "B", arcs), caps, kind)
 
 
 @pytest.mark.parametrize("kind", list(CapacityKind))
@@ -431,7 +466,7 @@ def test_layout_arc_order_is_the_label_sort(kind):
     rng = random.Random(f"layout/{kind.value}")
     for _ in range(300):
         fg = random_multigraph(rng, kind)
-        assert cuts_flows._Layout(fg).adj == reference_adjacency(fg)
+        assert fg.topology._adj == reference_adjacency(fg.topology)
         solver = cuts_flows._ResidualSolver(fg)
         # tolerance and thresholds as the per-arc construction made them, types included
         caps = [c if kind is CapacityKind.INTEGER else float(c) for _, _, _, c in fg.arcs]
@@ -440,36 +475,3 @@ def test_layout_arc_order_is_the_label_sort(kind):
         want = [min(tol, c / 2) for c in caps for _ in range(2)]
         assert (solver.tol, type(solver.tol)) == (tol, type(tol))
         assert [(t, type(t)) for t in solver.threshold] == [(t, type(t)) for t in want]
-
-
-def shifted(fg, **changes):
-    parts = dict(vertices=fg.vertices, source=fg.source, sink=fg.sink, arcs=fg.arcs,
-                 capacity_kind=fg.capacity_kind)
-    parts.update(changes)
-    return FlowGraph(**parts)
-
-
-DIAMOND_FG = FlowGraph(("A", "C1", "C2", "B"), "A", "B",
-                       (("e1", "A", "C1", 1.0), ("e2", "A", "C2", 2.0),
-                        ("e3", "C1", "B", 2.0), ("e4", "C2", "B", 1.0)), CapacityKind.REAL)
-
-
-@pytest.mark.parametrize(
-    "other, message",
-    [
-        (shifted(DIAMOND_FG, vertices=("A", "C2", "C1", "B")), "same vertices in one order"),
-        (shifted(DIAMOND_FG, vertices=("A", "C1", "C2", "B", "D")), "same vertices in one order"),
-        (shifted(DIAMOND_FG, source="C1"), "same source and sink"),
-        (shifted(DIAMOND_FG, sink="C2"), "same source and sink"),
-        (shifted(DIAMOND_FG, arcs=(("e1", "C1", "A", 1.0), *DIAMOND_FG.arcs[1:])),
-         "same arc ids and endpoints"),
-        (shifted(DIAMOND_FG, arcs=(("f1", "A", "C1", 1.0), *DIAMOND_FG.arcs[1:])),
-         "same arc ids and endpoints"),
-        (shifted(DIAMOND_FG, arcs=DIAMOND_FG.arcs[:3]), "same arc ids and endpoints"),
-    ],
-    ids=["vertex-order", "extra-vertex", "source", "sink", "reversed-arc", "arc-id",
-         "missing-arc"],
-)
-def test_shared_layout_rejects_graphs_differing_beyond_capacities(other, message):
-    with pytest.raises(ValueError, match=message):
-        cuts_flows._min_cuts(DIAMOND_FG, other)

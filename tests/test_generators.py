@@ -33,8 +33,8 @@ def test_generated_networks_respect_bounds():
         assert all(0.2 <= e.channel.eta <= 0.4 for e in net.edges)
         bell = random_bell_network(rng, max_nodes=6, max_pairs=9)
         assert bell.capacity_kind is CapacityKind.INTEGER
-        assert (bell.source, bell.sink) == ("A", "B")
+        assert (bell.topology.source, bell.topology.sink) == ("A", "B")
         assert sum(n for _, _, _, n in bell.arcs) <= 9
         # one row per endpoint pair, each holding at least one Bell pair
-        assert all(n >= 1 and {u, v} <= set(bell.vertices) for _, u, v, n in bell.arcs)
+        assert all(n >= 1 and {u, v} <= set(bell.topology.vertices) for _, u, v, n in bell.arcs)
         assert len({frozenset((u, v)) for _, u, v, _ in bell.arcs}) == len(bell.arcs)

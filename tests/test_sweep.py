@@ -204,10 +204,8 @@ def test_arc_sweep_matches_bruteforce_bell_cut():
         cid = rng.choice(bell.arcs)[0]
         sweep = ArcSweep(bell, cid)
         for pairs in (0, 1, rng.randint(2, 60)):
-            rows = tuple((c, u, v, pairs if c == cid else n) for c, u, v, n in bell.arcs)
-            expected = min_cut_bruteforce(
-                FlowGraph(bell.vertices, bell.source, bell.sink, rows, bell.capacity_kind)
-            ).value
+            caps = [pairs if c == cid else n for c, _, _, n in bell.arcs]
+            expected = min_cut_bruteforce(FlowGraph(bell.topology, caps, bell.capacity_kind)).value
             value = sweep.min_cut_value(pairs)
             assert value == expected and isinstance(value, int)
 

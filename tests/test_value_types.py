@@ -23,6 +23,7 @@ from qnetcap import (
     ProtocolPlan,
     Rate,
     Regime,
+    Topology,
     UsageBudget,
     max_disjoint_paths,
     parse_network,
@@ -36,8 +37,8 @@ from conftest import load_sample
 
 TRIANGLE = load_sample("triangle_counts.json")
 DIAMOND = load_sample("diamond.json")
-BELL = FlowGraph(("A", "C", "B"), "A", "B", (("ac", "A", "C", 2), ("cb", "C", "B", 1)),
-                 CapacityKind.INTEGER)
+CHAIN = Topology(("A", "C", "B"), "A", "B", (("ac", "A", "C"), ("cb", "C", "B")))
+BELL = FlowGraph(CHAIN, (2, 1), CapacityKind.INTEGER)
 SAMPLES = [
     LossyOptical(0.5),
     CustomChannel(1.0, 2.0),
@@ -47,6 +48,7 @@ SAMPLES = [
     Rate(7.5),
     TRIANGLE.edges[0],
     TRIANGLE,
+    CHAIN,
     BELL,
     CutResult(1, frozenset({"A", "C"}), ("cb",)),
     DisjointPath(("A", "C", "B"), ("ac#0", "cb#0")),
