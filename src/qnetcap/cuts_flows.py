@@ -93,10 +93,10 @@ def flow_graph_from_network(
 class _ResidualSolver:
     """Dinic's blocking flow on the residual doubling of an undirected multigraph.
 
-    The residual arc order comes from fg's topology and the capacities
-    from fg. Both arcs of a row start at the row's full
-    capacity; pushing flow on one grows the residual of its partner, which
-    models undirected traversal exactly. A residual at or below
+    The residual arc order comes from fg's topology and the capacities from
+    fg. Both arcs of a row start at the row's full capacity; pushing flow on
+    one grows the residual of its partner, which models undirected
+    traversal exactly. A residual at or below
     min(tol, capacity / 2) counts as saturated: float dust left on a used
     arc closes it, while an unused arc below the tolerance stays open. Each
     phase runs one BFS for the level graph, then pushes a blocking flow
@@ -221,16 +221,15 @@ class CutResult(Immutable):
         object.__setattr__(self, "crossing", crossing)
 
 
-def _crossing_rows(arcs: tuple, side: AbstractSet[NodeId]) -> tuple:
-    """The (id, u, v, capacity) rows with exactly one end in side, in arc order."""
-    return tuple(row for row in arcs if (row[1] in side) != (row[2] in side))
+def _cut(rows: tuple, capacities: tuple, zero: float, side: AbstractSet[NodeId]) -> CutResult:
+    """The cut with Alice side `side`: its crossing arcs and their capacity sum.
 
-
-def _cut(arcs: tuple, zero: float, side: AbstractSet[NodeId]) -> CutResult:
-    """The cut with Alice side `side`: its crossing arcs and their capacity sum."""
-    rows = _crossing_rows(arcs, side)
-    value = sum((c for _, _, _, c in rows), zero)
-    return CutResult(value, side, tuple(eid for eid, _, _, _ in rows))
+    Each row starts (id, u, v); capacities pairs with rows, both in arc order.
+    """
+    crossing = [(row[0], c) for row, c in zip(rows, capacities)
+                if (row[1] in side) != (row[2] in side)]
+    value = sum((c for _, c in crossing), zero)
+    return CutResult(value, side, tuple(eid for eid, _ in crossing))
 
 
 def min_cut(fg: FlowGraph) -> CutResult:
@@ -240,7 +239,8 @@ def min_cut(fg: FlowGraph) -> CutResult:
     value is summed over the crossing arcs rather than taken from the flow,
     to keep floating-point drift out of the reported number.
     """
-    return _cut(fg.arcs, fg.zero, _ResidualSolver(fg).reachable)
+    side = _ResidualSolver(fg).reachable
+    return _cut(fg.topology.arcs, fg.capacities, fg.zero, side)
 
 
 class ArcSweep:
@@ -278,7 +278,8 @@ class ArcSweep:
                                   [arc[3] for arc in merged], kind)
             side = _ResidualSolver(merged_fg).reachable
             sides.append(side | {drop} if keep in side else side)
-        self.crossing = [_crossing_rows(arcs, side) for side in sides]
+        self.crossing = [[row for row in arcs if (row[1] in side) != (row[2] in side)]
+                         for side in sides]
 
     def min_cut_value(self, capacity: float) -> float:
         """F(capacity), summed over the crossing arcs in arc order as min_cut does."""
@@ -304,13 +305,13 @@ def _enumerate_min_cut(fg: FlowGraph) -> frozenset[NodeId]:
         frozenset([source, *(v for i, v in enumerate(intermediates) if mask >> i & 1)])
         for mask in range(1 << len(intermediates))
     )
-    arcs, zero = fg.arcs, fg.zero
-    return min(sides, key=lambda side: (_cut(arcs, zero, side).value, sorted(side)))
+    arcs, caps, zero = fg.arcs, fg.capacities, fg.zero
+    return min(sides, key=lambda side: (_cut(arcs, caps, zero, side).value, sorted(side)))
 
 
 def min_cut_bruteforce(fg: FlowGraph) -> CutResult:
     """Exhaustive-enumeration oracle for min_cut; exact up to 20 vertices."""
-    return _cut(fg.arcs, fg.zero, _enumerate_min_cut(fg))
+    return _cut(fg.arcs, fg.capacities, fg.zero, _enumerate_min_cut(fg))
 
 
 class DisjointPath(Immutable):
