@@ -96,33 +96,36 @@ def build_bell_network(net: Network, rate_model: RateModel = AsymptoticQCap()) -
 
 
 class ProtocolPlan(Immutable):
-    """Executable aggregated-repeater plan: paths, swap schedules, error budget.
+    """Executable aggregated-repeater plan: its paths, epsilon and counted edges.
 
-    ``unused_pairs`` maps each channel id to the pairs it leaves idle.
+    ``unused_pairs`` maps each channel id to the pairs it leaves idle. The
+    path count ``m``, the swap schedules and the error budget are derived
+    from the fields on each read, so they cannot disagree with them.
     """
 
-    __slots__ = (
-        "m", "paths", "swap_schedules", "epsilon", "error_budget", "counted_edges",
-        "unused_pairs",
-    )
+    __slots__ = ("paths", "epsilon", "counted_edges", "unused_pairs")
 
-    def __init__(
-        self,
-        m: int,
-        paths: PathSet,
-        swap_schedules: tuple[tuple[NodeId, ...], ...],
-        epsilon: float,
-        error_budget: float,
-        counted_edges: int,
-        unused_pairs: Mapping[str, int],
-    ):
-        object.__setattr__(self, "m", m)
+    def __init__(self, paths: PathSet, epsilon: float, counted_edges: int,
+                 unused_pairs: Mapping[str, int]):
         object.__setattr__(self, "paths", paths)
-        object.__setattr__(self, "swap_schedules", swap_schedules)
         object.__setattr__(self, "epsilon", epsilon)
-        object.__setattr__(self, "error_budget", error_budget)
         object.__setattr__(self, "counted_edges", counted_edges)
         object.__setattr__(self, "unused_pairs", dict(unused_pairs))
+
+    @property
+    def m(self) -> int:
+        """The number of edge-disjoint paths."""
+        return len(self.paths)
+
+    @property
+    def swap_schedules(self) -> tuple[tuple[NodeId, ...], ...]:
+        """Per path, the repeaters that swap, in path order: its inner nodes."""
+        return tuple(p.nodes[1:-1] for p in self.paths)
+
+    @property
+    def error_budget(self) -> float:
+        """counted_edges * epsilon: one epsilon per edge that generates pairs."""
+        return self.counted_edges * self.epsilon
 
 
 def plan(
@@ -140,50 +143,50 @@ def plan(
     """
     epsilon = check_epsilon(epsilon)
     bell = build_bell_network(net, rate_model)
-    m, paths = max_disjoint_paths(bell)
-    schedules = tuple(p.nodes[1:-1] for p in paths)
+    _, paths = max_disjoint_paths(bell)
     unused = {e.id: n - paths.pairs_used.get(e.id, 0) for e, n in zip(net.edges, bell.capacities)}
     counted = len(net.edges) if count_all_edges else sum(1 for n in bell.capacities if n > 0)
-    return ProtocolPlan(m, paths, schedules, epsilon, counted * epsilon, counted, unused)
+    return ProtocolPlan(paths, epsilon, counted, unused)
 
 
 class SandwichReport(Immutable):
     """Achievable lower bound and converse upper bounds for one regime.
 
-    ``upper_eps_corrected`` is None when the finite-error correction is
-    vacuous (epsilon >= 1/256).
+    ``lower`` and ``upper_esq`` are the values of the two witness cuts, read
+    from them. ``upper_eps_corrected`` is None when the finite-error
+    correction is vacuous (epsilon >= 1/256).
     """
 
-    __slots__ = (
-        "regime", "epsilon", "lower", "upper_esq", "upper_eps_corrected",
-        "lower_witness", "upper_witness",
-    )
+    __slots__ = ("regime", "epsilon", "upper_eps_corrected", "lower_witness", "upper_witness")
 
-    def __init__(
-        self,
-        regime: Regime,
-        epsilon: float,
-        lower: float,
-        upper_esq: float,
-        upper_eps_corrected: Optional[float],
-        lower_witness: CutResult,
-        upper_witness: CutResult,
-    ):
+    def __init__(self, regime: Regime, epsilon: float, upper_eps_corrected: Optional[float],
+                 lower_witness: CutResult, upper_witness: CutResult):
         object.__setattr__(self, "regime", regime)
         object.__setattr__(self, "epsilon", epsilon)
-        object.__setattr__(self, "lower", lower)
-        object.__setattr__(self, "upper_esq", upper_esq)
         object.__setattr__(self, "upper_eps_corrected", upper_eps_corrected)
         object.__setattr__(self, "lower_witness", lower_witness)
         object.__setattr__(self, "upper_witness", upper_witness)
+
+    @property
+    def lower(self) -> float:
+        """The achievable bound: the q_cap-weighted minimum cut's value."""
+        return self.lower_witness.value
+
+    @property
+    def upper_esq(self) -> float:
+        """The converse bound: the esq_upper-weighted minimum cut's value."""
+        return self.upper_witness.value
 
 
 def check_report_inputs(net: Network, regime: Regime, epsilon: float) -> float:
     """The checks sandwich_report makes before any cut; returns epsilon as a float.
 
     Epsilon must be finite and >= 0, positive only in the per-protocol
-    regime, and the regime must be the one the network's budgets read as.
+    regime, and the regime must be a Regime, the one the network's budgets
+    read as.
     """
+    if not isinstance(regime, Regime):
+        raise ValueError(f"regime must be a Regime, got {regime!r}")
     epsilon = check_epsilon(epsilon)
     if epsilon > 0 and regime is not Regime.PER_PROTOCOL:
         raise ValueError(
@@ -214,9 +217,7 @@ def sandwich_report(net: Network, regime: Regime, epsilon: float = 0.0) -> Sandw
     lower_cut = min_cut(flow_graph_from_network(net, WeightKind.Q_CAP, floor_budgets=per_protocol))
     upper_cut = min_cut(flow_graph_from_network(net, WeightKind.ESQ_UPPER))
     corrected = epsilon_corrected_upper(upper_cut.value, epsilon)
-    return SandwichReport(
-        regime, epsilon, lower_cut.value, upper_cut.value, corrected, lower_cut, upper_cut
-    )
+    return SandwichReport(regime, epsilon, corrected, lower_cut, upper_cut)
 
 
 def gap_ratio(lower: float, upper_esq: float) -> float:

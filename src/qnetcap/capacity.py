@@ -137,15 +137,21 @@ def lossy_esq_upper(eta: float) -> float:
 
 
 def edge_weight(edge: EdgeSpec, kind: WeightKind) -> float:
-    """Per-use weight of an edge under the selected weight function."""
+    """Per-use weight of an edge under the selected weight function, a WeightKind."""
     channel = edge.channel
     if isinstance(channel, LossyOptical):
         if kind is WeightKind.Q_CAP:
             return lossy_q_cap(channel.eta)
-        return lossy_esq_upper(channel.eta)
-    if isinstance(channel, CustomChannel):
-        return channel.q_cap if kind is WeightKind.Q_CAP else channel.esq_upper
-    raise ValueError(f"unknown channel spec {channel!r}")
+        if kind is WeightKind.ESQ_UPPER:
+            return lossy_esq_upper(channel.eta)
+    elif isinstance(channel, CustomChannel):
+        if kind is WeightKind.Q_CAP:
+            return channel.q_cap
+        if kind is WeightKind.ESQ_UPPER:
+            return channel.esq_upper
+    else:
+        raise ValueError(f"unknown channel spec {channel!r}")
+    raise ValueError(f"kind must be a WeightKind, got {kind!r}")
 
 
 def epsilon_corrected_upper(cut_value: float, epsilon: float) -> Optional[float]:

@@ -42,8 +42,8 @@ class FlowGraph(Immutable):
     """Undirected flow instance: a topology and one capacity per arc, in arc order.
 
     Capacities are finite and >= 0, never booleans, and ints on an INTEGER
-    graph. Two flow graphs share a residual arc order exactly when they
-    share a topology object.
+    graph; capacity_kind is a CapacityKind. Two flow graphs share a
+    residual arc order exactly when they share a topology object.
     """
 
     __slots__ = ("topology", "capacities", "capacity_kind")
@@ -54,6 +54,8 @@ class FlowGraph(Immutable):
         if len(capacities) != len(topology.arcs):
             raise ValueError(f"got {len(capacities)} capacities for {len(topology.arcs)} arcs")
         integer = capacity_kind is CapacityKind.INTEGER
+        if not integer and capacity_kind is not CapacityKind.REAL:
+            raise ValueError(f"capacity_kind must be a CapacityKind, got {capacity_kind!r}")
         for (eid, _, _), cap in zip(topology.arcs, capacities):
             if isinstance(cap, bool) or (integer and not isinstance(cap, int)):
                 kind = "an integer" if integer else "a real number"

@@ -220,15 +220,17 @@ class EdgeSpec(Immutable):
 class Topology(Immutable):
     """The graph of a flow instance: vertices, two terminals and (id, u, v) arc rows.
 
-    Arc ids are unique, each arc joins two distinct vertices, and source
-    and sink are distinct vertices. The constructor also derives the
-    residual doubling the max-flow solver walks, which reads no capacity:
-    arc 2k runs u->v and arc 2k+1 runs v->u for row k, ``_to`` holds each
-    arc's head as a position in ``vertices``, and ``_adj[x]`` lists the arcs
-    leaving x by head label, ties by arc index, so every solve is
-    deterministic. The arcs are bucketed by head in arc order and the
-    buckets dealt to their tails in label order: one sort of the |V|
-    labels, none per vertex. A solve never writes to this state.
+    The constructor is the one place a graph is checked, in this order:
+    vertices are unique non-empty string labels, source and sink distinct
+    vertices, arc ids unique non-empty strings, and each arc joins two
+    distinct vertices. It also derives the residual doubling the max-flow
+    solver walks, which reads no capacity: arc 2k runs u->v and arc 2k+1
+    runs v->u for row k, ``_to`` holds each arc's head as a position in
+    ``vertices``, and ``_adj[x]`` lists the arcs leaving x by head label,
+    ties by arc index, so every solve is deterministic. The arcs are
+    bucketed by head in arc order and the buckets dealt to their tails in
+    label order: one sort of the |V| labels, none per vertex. A solve
+    never writes to this state.
     """
 
     __slots__ = ("vertices", "source", "sink", "arcs", "_terminals", "_to", "_adj")
@@ -237,24 +239,34 @@ class Topology(Immutable):
                  arcs: tuple[tuple[str, NodeId, NodeId], ...]):
         vertices = tuple(vertices)
         arcs = tuple(arcs)
-        index = {name: k for k, name in enumerate(vertices)}
+        index = {}
+        for k, name in enumerate(vertices):
+            if not isinstance(name, str) or not name:
+                raise ValueError(f"node label must be a non-empty string, got {name!r}")
+            if name in index:
+                raise ValueError(f"duplicate node label {name!r}")
+            index[name] = k
         for role, name in (("source", source), ("sink", sink)):
+            _require_label(role, name)
             if name not in index:
                 raise ValueError(f"{role} {name!r} is not a vertex")
         if source == sink:
             raise ValueError(f"source and sink are the same vertex {source!r}")
         ids, tails, heads = set(), [], []
         for eid, u, v in arcs:
+            if not isinstance(eid, str) or not eid:
+                raise ValueError(f"edge id must be a non-empty string, got {eid!r}")
             if eid in ids:
-                raise ValueError(f"duplicate arc id {eid!r}")
+                raise ValueError(f"duplicate edge id {eid!r}")
             ids.add(eid)
             if u == v:
-                raise ValueError(f"arc {eid!r}: self-loop at {u!r}")
-            if u not in index or v not in index:
-                raise ValueError(f"arc {eid!r}: endpoint {u if u not in index else v!r} "
-                                 "is not a vertex")
-            tails.append(index[u])
-            heads.append(index[v])
+                raise ValueError(f"edge {eid!r}: self-loop at {u!r} rejected")
+            try:
+                tails.append(index[u])
+                heads.append(index[v])
+            except (KeyError, TypeError):  # TypeError: an unhashable endpoint
+                bad = v if isinstance(u, str) and u in index else u
+                raise ValueError(f"edge {eid!r} references undeclared node {bad!r}") from None
         to = _interleave(heads, tails)
         into: list[list[int]] = [[] for _ in vertices]
         for i, head in enumerate(to):
@@ -282,7 +294,12 @@ def _interleave(even: list, odd: list) -> list:
 
 
 class Network(Immutable):
-    """Validated two-terminal network; edge order is preserved from input."""
+    """Validated two-terminal network; edge order is preserved from input.
+
+    Its Topology checks the graph. The network checks first that alice and
+    bob are distinct declared nodes, and last that its edges share one
+    budget variant.
+    """
 
     __slots__ = ("nodes", "alice", "bob", "edges", "_topology")
 
@@ -290,33 +307,16 @@ class Network(Immutable):
                  edges: tuple[EdgeSpec, ...]):
         nodes = tuple(nodes)
         edges = tuple(edges)
-        labels = set()
-        for n in nodes:
-            if not n or not isinstance(n, str):
-                raise ValueError(f"node label must be a non-empty string, got {n!r}")
-            if n in labels:
-                raise ValueError(f"duplicate node label {n!r}")
-            labels.add(n)
         _require_label("alice", alice)
         _require_label("bob", bob)
-        if alice not in labels:
+        if alice not in nodes:
             raise ValueError(f"alice node {alice!r} is not declared")
-        if bob not in labels:
+        if bob not in nodes:
             raise ValueError(f"bob node {bob!r} is not declared")
         if alice == bob:
             raise ValueError("alice and bob must be distinct nodes")
-        ids = set()
-        kinds = set()
-        for e in edges:
-            if e.id in ids:
-                raise ValueError(f"duplicate edge id {e.id!r}")
-            ids.add(e.id)
-            for endpoint in (e.tail, e.head):
-                if endpoint not in labels:
-                    raise ValueError(
-                        f"edge {e.id!r} references undeclared node {endpoint!r}"
-                    )
-            kinds.add(type(e.usage))
+        topology = Topology(nodes, alice, bob, [(e.id, e.tail, e.head) for e in edges])
+        kinds = {type(e.usage) for e in edges}
         if len(kinds) > 1:
             names = sorted(k.__name__ for k in kinds)
             raise ValueError(f"mixed usage budget variants {names}; use one per network")
@@ -324,8 +324,7 @@ class Network(Immutable):
         object.__setattr__(self, "alice", alice)
         object.__setattr__(self, "bob", bob)
         object.__setattr__(self, "edges", edges)
-        arcs = [(e.id, e.tail, e.head) for e in edges]
-        object.__setattr__(self, "_topology", Topology(nodes, alice, bob, arcs))
+        object.__setattr__(self, "_topology", topology)
 
     @property
     def topology(self) -> Topology:

@@ -14,8 +14,10 @@ from qnetcap import (
     LossyOptical,
     Network,
     PerEdgeTable,
+    ProtocolPlan,
     Rate,
     Regime,
+    SandwichReport,
     WeightKind,
     build_bell_network,
     check_path_set,
@@ -213,6 +215,24 @@ def test_sandwich_report_single_edge(single_edge_net):
 def test_sandwich_report_regime_mismatch(diamond_net):
     with pytest.raises(ValueError, match="regime"):
         sandwich_report(diamond_net, Regime.PER_PROTOCOL)
+
+
+def test_sandwich_report_rejects_a_regime_that_is_not_a_regime(diamond_net):
+    # the regime's value is read for messages and JSON, so a string once raised AttributeError
+    with pytest.raises(ValueError, match=r"^regime must be a Regime, got 'per-use'$"):
+        sandwich_report(diamond_net, "per-use")
+
+
+def test_plan_and_report_derive_their_counts_from_their_fields(triangle_net, diamond_net):
+    result = plan(triangle_net, 0.01)
+    assert ProtocolPlan._fields == ("paths", "epsilon", "counted_edges", "unused_pairs")
+    assert result.m == len(result.paths) == 3
+    assert result.swap_schedules == tuple(p.nodes[1:-1] for p in result.paths)
+    assert result.error_budget == result.counted_edges * result.epsilon
+    report = sandwich_report(diamond_net, Regime.PER_CHANNEL_USE)
+    assert "lower" not in SandwichReport._fields and "upper_esq" not in SandwichReport._fields
+    assert report.lower == report.lower_witness.value
+    assert report.upper_esq == report.upper_witness.value
 
 
 def test_sandwich_report_rejects_epsilon_outside_per_protocol(diamond_net):

@@ -106,6 +106,17 @@ def test_edge_weight_dispatch():
     assert edge_weight(dead, WeightKind.ESQ_UPPER) == 0.0
 
 
+@pytest.mark.parametrize("channel", [LossyOptical(0.5), CustomChannel(1.2, 1.7)],
+                         ids=["lossy", "custom"])
+@pytest.mark.parametrize("kind", ["qcap", "esq", None])
+def test_edge_weight_rejects_a_kind_that_is_not_a_weight_kind(channel, kind):
+    # any kind but Q_CAP once read as ESQ_UPPER
+    edge = EdgeSpec("e", "A", "B", channel, Count(1))
+    with pytest.raises(ValueError) as err:
+        edge_weight(edge, kind)
+    assert str(err.value) == f"kind must be a WeightKind, got {kind!r}"
+
+
 def test_corrected_upper_is_identity_at_zero_error():
     for c in (0.0, 1.0, 3.321928, 100.0):
         assert epsilon_corrected_upper(c, 0.0) == c

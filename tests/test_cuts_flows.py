@@ -218,6 +218,12 @@ def test_path_set_checker_catches_violations():
         check_path_set(bell, miscounted)
 
 
+def test_flow_graph_from_network_rejects_a_kind_that_is_not_a_weight_kind(diamond_net):
+    # "qcap" once gave the esq_upper capacities, a min cut of 4.7549 on the diamond
+    with pytest.raises(ValueError, match=r"^kind must be a WeightKind, got 'qcap'$"):
+        flow_graph_from_network(diamond_net, "qcap")
+
+
 def test_max_disjoint_paths_needs_integer_capacities(diamond_net):
     with pytest.raises(ValueError, match="integer"):
         max_disjoint_paths(flow_graph_from_network(diamond_net, WeightKind.Q_CAP))
@@ -241,6 +247,13 @@ def test_flow_graph_rejects_a_boolean_capacity(kind):
         FlowGraph(AB, (True,), kind)
 
 
+def test_flow_graph_rejects_a_capacity_kind_that_is_not_a_capacity_kind():
+    # "integer" once made a real graph, whose zero is 0.0
+    message = r"^capacity_kind must be a CapacityKind, got 'integer'$"
+    with pytest.raises(ValueError, match=message):
+        FlowGraph(AB, (2,), "integer")
+
+
 @pytest.mark.parametrize("capacities", [(), (1, 1)], ids=["none", "two"])
 def test_flow_graph_needs_one_capacity_per_arc(capacities):
     for kind in CapacityKind:
@@ -253,12 +266,13 @@ def test_flow_graph_needs_one_capacity_per_arc(capacities):
 @pytest.mark.parametrize(
     "source, sink, arc, message",
     [
-        ("A", "B", ("e", "A", "Z"), "arc 'e': endpoint 'Z' is not a vertex"),
-        ("A", "B", ("e", "Z", "B"), "arc 'e': endpoint 'Z' is not a vertex"),
+        ("A", "B", ("e", "A", "Z"), "edge 'e' references undeclared node 'Z'"),
+        ("A", "B", ("e", "Z", "B"), "edge 'e' references undeclared node 'Z'"),
         ("Z", "B", ("e", "A", "B"), "source 'Z' is not a vertex"),
         ("A", "Z", ("e", "A", "B"), "sink 'Z' is not a vertex"),
+        ("A", "B", ("e", ["A"], "B"), "edge 'e' references undeclared node ['A']"),
     ],
-    ids=["head", "tail", "source", "sink"],
+    ids=["head", "tail", "source", "sink", "unhashable-tail"],
 )
 def test_flow_graph_rejects_an_unknown_vertex(source, sink, arc, message):
     with pytest.raises(ValueError) as err:
@@ -283,7 +297,28 @@ def test_topology_rejects_a_repeated_arc_id(vertices, arcs):
     # flow is keyed by arc id, so a repeated id would merge two arcs' flows
     with pytest.raises(ValueError) as err:
         Topology(vertices, "A", "B", arcs)
-    assert str(err.value) == "duplicate arc id 'e'"
+    assert str(err.value) == "duplicate edge id 'e'"
+
+
+# a Topology checks its labels itself, so direct callers get the messages Network gives
+@pytest.mark.parametrize(
+    "vertices, source, sink, arcs, message",
+    [
+        (("A", 7, "B"), "A", "B", (), "node label must be a non-empty string, got 7"),
+        (("A", "C", "A", "B"), "A", "B", (("e", "A", "C"), ("f", "C", "B")),
+         "duplicate node label 'A'"),
+        (("A", "B"), ["A"], "B", (),
+         "source must be a non-empty string node label, got ['A']"),
+        (("A", "B"), "A", "B", ((5, "A", "B"),), "edge id must be a non-empty string, got 5"),
+        (("A", "B"), "A", "B", (("", "A", "B"),), "edge id must be a non-empty string, got ''"),
+    ],
+    ids=["label-not-a-string", "repeated-label", "unhashable-source", "int-arc-id",
+         "empty-arc-id"],
+)
+def test_topology_rejects_a_malformed_label(vertices, source, sink, arcs, message):
+    with pytest.raises(ValueError) as err:
+        Topology(vertices, source, sink, arcs)
+    assert str(err.value) == message
 
 
 def test_every_flow_graph_of_a_network_shares_its_topology(triangle_net):
