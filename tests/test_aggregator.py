@@ -218,7 +218,7 @@ def test_sandwich_report_regime_mismatch(diamond_net):
 
 
 def test_sandwich_report_rejects_a_regime_that_is_not_a_regime(diamond_net):
-    # the regime's value is read for messages and JSON, so a string once raised AttributeError
+    # the regime's value is read for messages and JSON, so only a Regime will do
     with pytest.raises(ValueError, match=r"^regime must be a Regime, got 'per-use'$"):
         sandwich_report(diamond_net, "per-use")
 

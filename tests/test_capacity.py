@@ -110,7 +110,7 @@ def test_edge_weight_dispatch():
                          ids=["lossy", "custom"])
 @pytest.mark.parametrize("kind", ["qcap", "esq", None])
 def test_edge_weight_rejects_a_kind_that_is_not_a_weight_kind(channel, kind):
-    # any kind but Q_CAP once read as ESQ_UPPER
+    # a kind that is not a WeightKind must not be read as either weight
     edge = EdgeSpec("e", "A", "B", channel, Count(1))
     with pytest.raises(ValueError) as err:
         edge_weight(edge, kind)

@@ -219,7 +219,7 @@ def test_path_set_checker_catches_violations():
 
 
 def test_flow_graph_from_network_rejects_a_kind_that_is_not_a_weight_kind(diamond_net):
-    # "qcap" once gave the esq_upper capacities, a min cut of 4.7549 on the diamond
+    # a string kind must not pass for either weighting
     with pytest.raises(ValueError, match=r"^kind must be a WeightKind, got 'qcap'$"):
         flow_graph_from_network(diamond_net, "qcap")
 
@@ -248,7 +248,7 @@ def test_flow_graph_rejects_a_boolean_capacity(kind):
 
 
 def test_flow_graph_rejects_a_capacity_kind_that_is_not_a_capacity_kind():
-    # "integer" once made a real graph, whose zero is 0.0
+    # a string kind must not pass for a real graph
     message = r"^capacity_kind must be a CapacityKind, got 'integer'$"
     with pytest.raises(ValueError, match=message):
         FlowGraph(AB, (2,), "integer")
