@@ -15,7 +15,9 @@ from __future__ import annotations
 import math
 from typing import Mapping, Optional, Union
 
-from .capacity import WeightKind, check_epsilon, edge_weight, epsilon_corrected_upper
+from .capacity import (
+    WeightKind, check_epsilon, edge_weight, epsilon_corrected_upper, q_cap_column,
+)
 from .cuts_flows import (
     CapacityKind, CutResult, FlowGraph, PathSet,
     flow_graph_from_network, max_disjoint_paths, min_cut,
@@ -89,9 +91,32 @@ def pair_count(edge: EdgeSpec, model: RateModel) -> int:
     return math.floor(pairs)
 
 
+def _rate_column(net: Network, model: RateModel) -> list:
+    """resolve_rate of every edge in edge order; None where a table has no entry."""
+    if isinstance(model, AsymptoticQCap):
+        return q_cap_column(net)
+    if isinstance(model, FixedFraction):
+        return [model.alpha * w for w in q_cap_column(net)]
+    if isinstance(model, PerEdgeTable):
+        return [model.rates.get(eid) for eid, _, _ in net.topology.arcs]
+    return [resolve_rate(e, model) for e in net.edges]  # an unknown model: raises
+
+
 def build_bell_network(net: Network, rate_model: RateModel = AsymptoticQCap()) -> FlowGraph:
-    """The Bell network on the network's topology: each edge's pair_count."""
-    pairs = [pair_count(e, rate_model) for e in net.edges]
+    """The Bell network on the network's topology: each edge's pair_count.
+
+    The counts are computed column-wise with pair_count's arithmetic; where
+    that fails, pair_count itself names the first edge at fault.
+    """
+    if net.budget_kind not in (Count, None):
+        pair_count(net._edge(0), rate_model)  # raises: pair counts need Count budgets
+    rates = _rate_column(net, rate_model)
+    try:
+        pairs = [math.floor(math.floor(uses) * rate) for uses, rate in zip(net._budgets, rates)]
+    except (TypeError, OverflowError):  # a rate missing from a table, or pairs past the floats
+        for edge in net.edges:
+            pair_count(edge, rate_model)
+        raise
     return FlowGraph(net.topology, pairs, CapacityKind.INTEGER)
 
 
@@ -143,9 +168,11 @@ def plan(
     """
     epsilon = check_epsilon(epsilon)
     bell = build_bell_network(net, rate_model)
-    _, paths = max_disjoint_paths(bell)
-    unused = {e.id: n - paths.pairs_used.get(e.id, 0) for e, n in zip(net.edges, bell.capacities)}
-    counted = len(net.edges) if count_all_edges else sum(1 for n in bell.capacities if n > 0)
+    paths = max_disjoint_paths(bell)
+    used = paths.pairs_used
+    ids = [eid for eid, _, _ in bell.topology.arcs]
+    unused = {eid: n - used.get(eid, 0) for eid, n in zip(ids, bell.capacities)}
+    counted = len(bell.capacities) if count_all_edges else sum(1 for n in bell.capacities if n > 0)
     return ProtocolPlan(paths, epsilon, counted, unused)
 
 

@@ -12,7 +12,9 @@ so esq_upper <= 2 * q_cap for every eta: the converse weight never exceeds
 twice the achievable weight on lossy edges.
 
 All logarithms are base 2 (units of ebits / secret bits) and one channel
-use means one optical mode.
+use means one optical mode. ``edge_weight`` gives one edge's weight; the
+column functions give every edge's weight of a network at once, read from
+its channel column, and agree with ``edge_weight`` bit for bit.
 
 A trace-norm error budget epsilon is a plain float, checked once by
 ``check_epsilon`` wherever it enters. The finite-error correction of a cut
@@ -26,7 +28,7 @@ import math
 from enum import Enum
 from typing import Optional, Sequence
 
-from .netmodel import CustomChannel, EdgeSpec, LossyOptical
+from .netmodel import CustomChannel, EdgeSpec, LossyOptical, Network
 
 
 class WeightKind(Enum):
@@ -151,6 +153,27 @@ def edge_weight(edge: EdgeSpec, kind: WeightKind) -> float:
             return channel.esq_upper
     else:
         raise ValueError(f"unknown channel spec {channel!r}")
+    raise ValueError(f"kind must be a WeightKind, got {kind!r}")
+
+
+def q_cap_column(net: Network) -> list[float]:
+    """edge_weight(e, WeightKind.Q_CAP) of every edge e of net, in edge order."""
+    log2 = math.log2
+    return [c[0] if type(c) is tuple else log2(1.0 / (1.0 - c)) for c in net._channels]
+
+
+def esq_upper_column(net: Network) -> list[float]:
+    """edge_weight(e, WeightKind.ESQ_UPPER) of every edge e of net, in edge order."""
+    log2 = math.log2
+    return [c[1] if type(c) is tuple else log2((1.0 + c) / (1.0 - c)) for c in net._channels]
+
+
+def weight_column(net: Network, kind: WeightKind) -> list[float]:
+    """edge_weight(e, kind) of every edge e of net, in edge order."""
+    if kind is WeightKind.Q_CAP:
+        return q_cap_column(net)
+    if kind is WeightKind.ESQ_UPPER:
+        return esq_upper_column(net)
     raise ValueError(f"kind must be a WeightKind, got {kind!r}")
 
 

@@ -98,7 +98,7 @@ def _parse_rate_model(spec: str) -> RateModel:
 def cmd_validate(args) -> int:
     net = load_network(args.network)
     kind = net.budget_kind.__name__.lower() if net.budget_kind else "none"
-    print(f"ok: {len(net.nodes)} nodes, {len(net.edges)} edges, {kind} budgets")
+    print(f"ok: {len(net.nodes)} nodes, {len(net.topology.arcs)} edges, {kind} budgets")
     return EXIT_OK
 
 
@@ -236,15 +236,14 @@ def _epsilon_points(net: Network, grid: Sequence[float], want_m: bool):
 
 def _budget_scale_points(net: Network, grid: Sequence[float], epsilon: float, want_m: bool):
     """One report per point: scaling changes every capacity, and the
-    per-protocol floors make the cut non-linear in the scale."""
+    per-protocol floors make the cut non-linear in the scale. Each point
+    network scales the budget column on the network's own topology."""
+    regime = _infer_regime(net, None)
     for value in grid:
         if value < 0:
             raise ValueError(f"budget scale must be >= 0, got {value}")
-        point_net = Network(net.nodes, net.alice, net.bob, tuple(
-            EdgeSpec(e.id, e.tail, e.head, e.channel, type(e.usage)(e.usage.value * value))
-            for e in net.edges
-        ))
-        report = sandwich_report(point_net, _infer_regime(point_net, None), epsilon)
+        point_net = net._scaled(value)
+        report = sandwich_report(point_net, regime, epsilon)
         m = max_flow_value(build_bell_network(point_net)) if want_m else None
         yield value, report.lower, report.upper_esq, report.upper_eps_corrected, m
 

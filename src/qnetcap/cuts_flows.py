@@ -25,7 +25,7 @@ import re
 from enum import Enum
 from typing import AbstractSet, Mapping
 
-from .capacity import WeightKind, edge_weight
+from .capacity import WeightKind, edge_weight, weight_column
 from .netmodel import EdgeSpec, Immutable, Network, NodeId, Topology, _interleave
 
 BRUTEFORCE_MAX_VERTICES = 20
@@ -87,8 +87,15 @@ def edge_capacity(edge: EdgeSpec, kind: WeightKind, *, floor_budgets: bool = Fal
 def flow_graph_from_network(
     net: Network, kind: WeightKind, *, floor_budgets: bool = False
 ) -> FlowGraph:
-    """Weighted flow instance on the network's topology: each edge's edge_capacity."""
-    capacities = [edge_capacity(e, kind, floor_budgets=floor_budgets) for e in net.edges]
+    """Weighted flow instance on the network's topology: each edge's edge_capacity.
+
+    The capacities are computed column-wise, from the network's budget
+    column and weight_column, with the arithmetic of edge_capacity.
+    """
+    budgets = net._budgets
+    if floor_budgets:
+        budgets = [float(math.floor(b)) for b in budgets]
+    capacities = [b * w for b, w in zip(budgets, weight_column(net, kind))]
     return FlowGraph(net.topology, capacities, CapacityKind.REAL)
 
 
@@ -342,16 +349,16 @@ class PathSet(Immutable):
         return iter(self.paths)
 
 
-def max_disjoint_paths(bell: FlowGraph) -> tuple[int, PathSet]:
+def max_disjoint_paths(bell: FlowGraph) -> PathSet:
     """Maximum set of pairwise edge-disjoint Alice-Bob paths in the Bell network.
 
     Integer max-flow with each channel's capacity equal to its pair count,
     followed by decomposition of the net flow into unit paths; cycles in
     the flow are excised since they contribute nothing end to end. Each
     path takes the next free pair of every channel it crosses, so pair ids
-    read '<channel>#<index>'. The count matches the minimum number of Bell
-    pairs crossing any cut. More than MAX_PLAN_PATHS paths is an error,
-    raised before any path is built.
+    read '<channel>#<index>'. The path count, len() of the PathSet, matches
+    the minimum number of Bell pairs crossing any cut. More than
+    MAX_PLAN_PATHS paths is an error, raised before any path is built.
     """
     if bell.capacity_kind is not CapacityKind.INTEGER:
         raise ValueError("edge-disjoint paths need a Bell network (integer capacities)")
@@ -406,7 +413,7 @@ def max_disjoint_paths(bell: FlowGraph) -> tuple[int, PathSet]:
             pairs_used[cid] = index + 1
             bell_ids.append(f"{cid}#{index}")
         paths.append(DisjointPath(tuple(nodes), tuple(bell_ids)))
-    return count, PathSet(tuple(paths), pairs_used)
+    return PathSet(tuple(paths), pairs_used)
 
 
 _PAIR_ID = re.compile(r"(.+)#(0|[1-9][0-9]*)")

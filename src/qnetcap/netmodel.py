@@ -2,243 +2,69 @@
 
 A network is a directed multigraph between two terminals (Alice and Bob)
 plus intermediate relay nodes. Every edge carries a channel model and a
-usage budget. A cut is named by its Alice side, a set of node labels
-holding alice but not bob; cuts over the network are direction-blind, so
-the crossing set contains edges leaving *and* entering the Alice side.
-
-Every value type here, and in the modules built on it, derives from
-``Immutable``: its fields are slots, assigning or deleting one raises
-AttributeError, and values compare by exact type and value. There is no
-generic field-replacing copy: a changed copy is built with the constructor,
-which validates it like any other value. The types are safe to share across
-concurrent workers.
+usage budget, value types from ``qnetcap.values``. A cut is named by its
+Alice side, a set of node labels holding alice but not bob; cuts over the
+network are direction-blind, so the crossing set contains edges leaving
+*and* entering the Alice side.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import sys
 import warnings
-from enum import Enum
-from typing import AbstractSet, ClassVar, Mapping, Optional, Union
+from typing import AbstractSet, Mapping, Optional, Union
 
-NodeId = str
+from .values import (  # the value types, also the model's public names
+    _BUDGET_KINDS, ChannelSpec, Count, CustomChannel, EdgeSpec, Frequency, Immutable,
+    LossyOptical, NodeId, Rate, Regime, UsageBudget, _require_finite, _require_label,
+)
 
 
 class NetworkFormatError(ValueError):
     """A network document, or another JSON input file, is invalid."""
 
 
-def _require_finite(name: str, value: float) -> float:
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ValueError(f"{name} must be a real number, got {value!r}")
-    try:
-        value = float(value)
-    except OverflowError:  # an integer past the float range
-        raise ValueError(
-            f"{name} must be finite, got an integer of {value.bit_length()} bits"
-        ) from None
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value}")
-    return value
-
-
-def _require_label(name: str, value) -> None:
-    if not isinstance(value, str) or not value:
-        raise ValueError(f"{name} must be a non-empty string node label, got {value!r}")
-
-
-class Immutable:
-    """Base of the value types: slotted, immutable, compared by exact type and value.
-
-    A subclass names its fields in ``__slots__`` (the field tuple is the
-    concatenation along the class chain), takes them positionally in that
-    order in ``__init__``, and sets them there with ``object.__setattr__``.
-    Any other assignment or deletion raises AttributeError. The repr reads
-    ``Name(field=value, ...)``, and pickling and copying go through the
-    constructor, so a copy is validated like the original. A slot whose
-    name starts with an underscore is not a field: it holds state the
-    constructor derives from the fields, and takes no part in equality,
-    hashing, repr or pickling.
-    """
-
-    __slots__ = ()
-    _fields: tuple[str, ...] = ()
-
-    def __init_subclass__(cls, **kwargs):
-        super().__init_subclass__(**kwargs)
-        slots = cls.__dict__.get("__slots__", ())
-        cls._fields = cls._fields + tuple(name for name in slots if name[0] != "_")
-
-    def _values(self) -> tuple:
-        return tuple([getattr(self, name) for name in self._fields])
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self):
-        return hash(self._values())
-
-    def __repr__(self) -> str:
-        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
-        return f"{type(self).__qualname__}({args})"
-
-    def __reduce__(self):
-        return type(self), self._values()
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to {name!r}: {type(self).__name__} is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete {name!r}: {type(self).__name__} is immutable")
-
-
-class LossyOptical(Immutable):
-    """Pure-loss optical channel with transmittance eta.
-
-    eta = 1 is rejected: it would give an infinite per-mode capacity.
-    eta = 0 is a legal zero-capacity edge.
-    """
-
-    __slots__ = ("eta",)
-
-    def __init__(self, eta: float):
-        eta = _require_finite("eta", eta)
-        if not 0.0 <= eta < 1.0:
-            raise ValueError(f"eta must be in [0, 1), got {eta}")
-        object.__setattr__(self, "eta", eta)
-
-
-class CustomChannel(Immutable):
-    """User-supplied per-use weights: achievable rate and converse upper bound.
-
-    q_cap > esq_upper breaks the sandwich guarantee; such channels are
-    accepted but flagged (see ``sandwich_warning``), never silently.
-    """
-
-    __slots__ = ("q_cap", "esq_upper")
-
-    def __init__(self, q_cap: float, esq_upper: float):
-        q_cap = _require_finite("q_cap", q_cap)
-        esq_upper = _require_finite("esq_upper", esq_upper)
-        if q_cap < 0 or esq_upper < 0:
-            raise ValueError(
-                f"q_cap and esq_upper must be >= 0, got {q_cap}, {esq_upper}"
-            )
-        object.__setattr__(self, "q_cap", q_cap)
-        object.__setattr__(self, "esq_upper", esq_upper)
-
-    @property
-    def sandwich_warning(self) -> bool:
-        return self.q_cap > self.esq_upper
-
-
-ChannelSpec = Union[LossyOptical, CustomChannel]
-
-
-class Regime(Enum):
-    """Which asymptotic reading of the budgets a report uses."""
-
-    PER_PROTOCOL = "per-protocol"
-    PER_CHANNEL_USE = "per-use"
-    PER_TIME = "per-time"
-
-
-class UsageBudget(Immutable):
-    """A channel's usage budget, finite and >= 0.
-
-    Only the subclasses are budgets: each names its JSON key (also the
-    field named in error messages) and the regime its value is read in.
-    """
-
-    __slots__ = ("value",)
-    key: ClassVar[str] = "usage"
-    regime: ClassVar[Regime]
-
-    def __init__(self, value: float):
-        v = _require_finite(self.key, value)
-        if v < 0:
-            raise ValueError(f"{self.key} must be >= 0, got {v}")
-        object.__setattr__(self, "value", v)
-
-
-class Count(UsageBudget):
-    """Budget as an absolute number of channel uses."""
-
-    __slots__ = ()
-    key = "count"
-    regime = Regime.PER_PROTOCOL
-
-
-class Frequency(UsageBudget):
-    """Budget as uses per total channel use."""
-
-    __slots__ = ()
-    key = "freq"
-    regime = Regime.PER_CHANNEL_USE
-
-
-class Rate(UsageBudget):
-    """Budget as uses per unit time."""
-
-    __slots__ = ()
-    key = "rate"
-    regime = Regime.PER_TIME
-
-
-_BUDGET_KINDS = (Count, Frequency, Rate)
-
-
-class EdgeSpec(Immutable):
-    """Directed channel edge. Parallel edges are allowed, self-loops are not."""
-
-    __slots__ = ("id", "tail", "head", "channel", "usage")
-
-    def __init__(self, id: str, tail: NodeId, head: NodeId, channel: ChannelSpec,
-                 usage: UsageBudget):
-        if not id or not isinstance(id, str):
-            raise ValueError(f"edge id must be a non-empty string, got {id!r}")
-        if not (isinstance(tail, str) and tail and isinstance(head, str) and head):
-            for key, label in (("tail", tail), ("head", head)):
-                _require_label(f"edge {id!r}: {key}", label)
-        if tail == head:
-            raise ValueError(f"edge {id!r}: self-loop at {tail!r} rejected")
-        if not isinstance(channel, (LossyOptical, CustomChannel)):
-            raise ValueError(f"edge {id!r}: unknown channel spec {channel!r}")
-        if not isinstance(usage, _BUDGET_KINDS):
-            raise ValueError(f"edge {id!r}: unknown usage budget {usage!r}")
-        set_field = object.__setattr__  # one lookup: a parse builds one edge per channel
-        set_field(self, "id", id)
-        set_field(self, "tail", tail)
-        set_field(self, "head", head)
-        set_field(self, "channel", channel)
-        set_field(self, "usage", usage)
-
-
 class Topology(Immutable):
     """The graph of a flow instance: vertices, two terminals and (id, u, v) arc rows.
 
     The constructor is the one place a graph is checked, in this order:
-    vertices are unique non-empty string labels, source and sink distinct
-    vertices, arc ids unique non-empty strings, and each arc joins two
-    distinct vertices. It also derives the residual doubling the max-flow
-    solver walks, which reads no capacity: arc 2k runs u->v and arc 2k+1
-    runs v->u for row k, ``_to`` holds each arc's head as a position in
-    ``vertices``, and ``_adj[x]`` lists the arcs leaving x by head label,
-    ties by arc index, so every solve is deterministic. The arcs are
-    bucketed by head in arc order and the buckets dealt to their tails in
-    label order: one sort of the |V| labels, none per vertex. A solve
-    never writes to this state.
+    each arc row has a non-empty string id and two distinct ends, vertices
+    are unique non-empty string labels, source and sink distinct vertices,
+    and, row by row, arc ids are unique and each arc joins two vertices. A
+    Network's rows were checked as they were read, from its EdgeSpecs or
+    its document, so it builds its topology with ``_from_checked_rows``,
+    which makes every check but the first. The constructor also derives the
+    residual doubling the max-flow solver walks, which reads no capacity:
+    arc 2k runs u->v and arc 2k+1 runs v->u for row k, ``_to`` holds each
+    arc's head as a position in ``vertices``, and ``_adj[x]`` lists the
+    arcs leaving x by head label, ties by arc index, so every solve is
+    deterministic. The arcs are bucketed by head in arc order and the
+    buckets dealt to their tails in label order: one sort of the |V|
+    labels, none per vertex. A solve never writes to this state.
     """
 
     __slots__ = ("vertices", "source", "sink", "arcs", "_terminals", "_to", "_adj")
 
     def __init__(self, vertices: tuple[NodeId, ...], source: NodeId, sink: NodeId,
                  arcs: tuple[tuple[str, NodeId, NodeId], ...]):
-        vertices = tuple(vertices)
         arcs = tuple(arcs)
+        for eid, u, v in arcs:
+            if not isinstance(eid, str) or not eid:
+                raise ValueError(f"edge id must be a non-empty string, got {eid!r}")
+            if u == v:
+                raise ValueError(f"edge {eid!r}: self-loop at {u!r} rejected")
+        self._derive(tuple(vertices), source, sink, arcs)
+
+    @classmethod
+    def _from_checked_rows(cls, vertices, source, sink, arcs) -> Topology:
+        """A Topology over arc rows whose ids and self-loops the caller has checked."""
+        topology = object.__new__(cls)
+        topology._derive(tuple(vertices), source, sink, tuple(arcs))
+        return topology
+
+    def _derive(self, vertices: tuple, source, sink, arcs: tuple) -> None:
         index = {}
         for k, name in enumerate(vertices):
             if not isinstance(name, str) or not name:
@@ -254,13 +80,9 @@ class Topology(Immutable):
             raise ValueError(f"source and sink are the same vertex {source!r}")
         ids, tails, heads = set(), [], []
         for eid, u, v in arcs:
-            if not isinstance(eid, str) or not eid:
-                raise ValueError(f"edge id must be a non-empty string, got {eid!r}")
             if eid in ids:
                 raise ValueError(f"duplicate edge id {eid!r}")
             ids.add(eid)
-            if u == v:
-                raise ValueError(f"edge {eid!r}: self-loop at {u!r} rejected")
             try:
                 tails.append(index[u])
                 heads.append(index[v])
@@ -293,20 +115,43 @@ def _interleave(even: list, odd: list) -> list:
     return out
 
 
-class Network(Immutable):
-    """Validated two-terminal network; edge order is preserved from input.
+# A channel column entry: the eta of a lossy channel, or (q_cap, esq_upper) of a custom one
+ChannelParams = Union[float, tuple[float, float]]
 
-    Its Topology checks the graph. The network checks first that alice and
-    bob are distinct declared nodes, and last that its edges share one
-    budget variant.
+
+class Network(Immutable):
+    """Validated two-terminal network, held as columns in input edge order.
+
+    The columns are the topology's (id, tail, head) arc rows, each edge's
+    channel parameters (a ChannelParams) and budget value, and the one
+    budget variant all edges share. ``edges`` and ``edge_by_id`` build
+    EdgeSpecs from the columns on each read; equality, hashing, repr and
+    pickling go through them, so a network compares and copies as the
+    EdgeSpecs it was built from.
+
+    The network checks first that alice and bob are distinct declared
+    nodes, then its Topology checks the graph, and last the network checks
+    that its edges share one budget variant.
     """
 
-    __slots__ = ("nodes", "alice", "bob", "edges", "_topology")
+    __slots__ = ("nodes", "alice", "bob", "_topology", "_budget_kind", "_channels", "_budgets")
+    _fields = ("nodes", "alice", "bob", "edges")
 
     def __init__(self, nodes: tuple[NodeId, ...], alice: NodeId, bob: NodeId,
                  edges: tuple[EdgeSpec, ...]):
-        nodes = tuple(nodes)
         edges = tuple(edges)
+        channels = [
+            e.channel.eta if isinstance(e.channel, LossyOptical)
+            else (e.channel.q_cap, e.channel.esq_upper)
+            for e in edges
+        ]
+        self._fill(nodes, alice, bob, [(e.id, e.tail, e.head) for e in edges],
+                   {type(e.usage) for e in edges}, channels, [e.usage.value for e in edges])
+
+    def _fill(self, nodes, alice, bob, rows: list, kinds: set, channels: list,
+              budgets: list) -> None:
+        """Check the network and set its columns; each row's id and ends are already checked."""
+        nodes = tuple(nodes)
         _require_label("alice", alice)
         _require_label("bob", bob)
         if alice not in nodes:
@@ -315,16 +160,18 @@ class Network(Immutable):
             raise ValueError(f"bob node {bob!r} is not declared")
         if alice == bob:
             raise ValueError("alice and bob must be distinct nodes")
-        topology = Topology(nodes, alice, bob, [(e.id, e.tail, e.head) for e in edges])
-        kinds = {type(e.usage) for e in edges}
+        topology = Topology._from_checked_rows(nodes, alice, bob, rows)
         if len(kinds) > 1:
             names = sorted(k.__name__ for k in kinds)
             raise ValueError(f"mixed usage budget variants {names}; use one per network")
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "alice", alice)
-        object.__setattr__(self, "bob", bob)
-        object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "_topology", topology)
+        set_field = object.__setattr__
+        set_field(self, "nodes", nodes)
+        set_field(self, "alice", alice)
+        set_field(self, "bob", bob)
+        set_field(self, "_topology", topology)
+        set_field(self, "_budget_kind", next(iter(kinds), None))
+        set_field(self, "_channels", channels)
+        set_field(self, "_budgets", budgets)
 
     @property
     def topology(self) -> Topology:
@@ -334,13 +181,33 @@ class Network(Immutable):
     @property
     def budget_kind(self) -> Optional[type[UsageBudget]]:
         """The single budget variant used by the edges, or None if edgeless."""
-        return type(self.edges[0].usage) if self.edges else None
+        return self._budget_kind
+
+    @property
+    def edges(self) -> tuple[EdgeSpec, ...]:
+        """The edges as EdgeSpecs in input order, built from the columns on each read."""
+        return tuple([self._edge(k) for k in range(len(self._budgets))])
+
+    def _edge(self, k: int) -> EdgeSpec:
+        channel = self._channels[k]
+        channel = CustomChannel(*channel) if type(channel) is tuple else LossyOptical(channel)
+        return EdgeSpec(*self._topology.arcs[k], channel, self._budget_kind(self._budgets[k]))
 
     def edge_by_id(self, edge_id: str) -> EdgeSpec:
-        for e in self.edges:
-            if e.id == edge_id:
-                return e
+        for k, row in enumerate(self._topology.arcs):
+            if row[0] == edge_id:
+                return self._edge(k)
         raise KeyError(f"no edge with id {edge_id!r}")
+
+    def _scaled(self, factor: float) -> Network:
+        """This network on its own topology with every budget times factor >= 0."""
+        budgets = [b * factor for b in self._budgets]
+        if math.inf in budgets:
+            self._budget_kind(math.inf)  # raises the budget's "must be finite" error
+        net = object.__new__(Network)
+        for name in Network.__slots__:
+            object.__setattr__(net, name, budgets if name == "_budgets" else getattr(self, name))
+        return net
 
 
 def crossing_edges(net: Network, side: AbstractSet[NodeId]) -> tuple[EdgeSpec, ...]:
@@ -357,41 +224,60 @@ def crossing_edges(net: Network, side: AbstractSet[NodeId]) -> tuple[EdgeSpec, .
         raise ValueError(f"bipartition must contain alice ({net.alice!r})")
     if net.bob in side:
         raise ValueError(f"bipartition must not contain bob ({net.bob!r})")
-    return tuple(e for e in net.edges if (e.tail in side) != (e.head in side))
+    return tuple(net._edge(k) for k, (_, u, v) in enumerate(net.topology.arcs)
+                 if (u in side) != (v in side))
 
 
 # --- JSON document format -------------------------------------------------
 
-def _parse_channel(obj, edge_id: str) -> ChannelSpec:
+_EDGE_KEYS = ("tail", "head", "channel", "usage")
+_BUDGET_BY_KEY = {cls.key: cls for cls in _BUDGET_KINDS}
+_FLOAT_MAX = sys.float_info.max
+
+
+def _nonnegative(value) -> Optional[float]:
+    """value as a float if it is an int or float in [0, float max], else None."""
+    if (type(value) is float or type(value) is int) and 0 <= value <= _FLOAT_MAX:
+        return float(value)
+    return None
+
+
+def _read_channel(obj) -> ChannelParams:
     if not isinstance(obj, dict) or "type" not in obj:
-        raise NetworkFormatError(f"edge {edge_id!r}: channel must be an object with a 'type'")
+        raise ValueError("channel must be an object with a 'type'")
     ctype = obj["type"]
-    try:
-        if ctype == "lossy":
-            if "eta" not in obj:
-                raise ValueError("lossy channel requires 'eta'")
-            return LossyOptical(obj["eta"])
-        if ctype == "custom":
-            if "q_cap" not in obj or "esq_upper" not in obj:
-                raise ValueError("custom channel requires 'q_cap' and 'esq_upper'")
-            return CustomChannel(obj["q_cap"], obj["esq_upper"])
-    except ValueError as err:
-        raise NetworkFormatError(f"edge {edge_id!r}: {err}") from err
-    raise NetworkFormatError(f"edge {edge_id!r}: unknown channel type {ctype!r}")
+    if ctype == "lossy":
+        if "eta" not in obj:
+            raise ValueError("lossy channel requires 'eta'")
+        eta = obj["eta"]
+        if type(eta) is float and 0.0 <= eta < 1.0:
+            return eta
+        return LossyOptical(eta).eta  # an int in range, else the constructor's error
+    if ctype == "custom":
+        if "q_cap" not in obj or "esq_upper" not in obj:
+            raise ValueError("custom channel requires 'q_cap' and 'esq_upper'")
+        q_cap, esq_upper = _nonnegative(obj["q_cap"]), _nonnegative(obj["esq_upper"])
+        if q_cap is None or esq_upper is None:
+            custom = CustomChannel(obj["q_cap"], obj["esq_upper"])  # the constructor's error
+            q_cap, esq_upper = custom.q_cap, custom.esq_upper
+        return q_cap, esq_upper
+    raise ValueError(f"unknown channel type {ctype!r}")
 
 
-def _parse_usage(obj, edge_id: str) -> UsageBudget:
+def _read_usage(obj) -> tuple[type[UsageBudget], float]:
     if not isinstance(obj, dict):
-        raise NetworkFormatError(f"edge {edge_id!r}: usage must be an object")
-    kinds = [cls for cls in _BUDGET_KINDS if cls.key in obj]
-    if len(kinds) != 1:
+        raise ValueError("usage must be an object")
+    kind, found = None, 0
+    for key in obj:
+        if key in _BUDGET_BY_KEY:
+            kind, found = _BUDGET_BY_KEY[key], found + 1
+    if found != 1:
         names = ", ".join(repr(cls.key) for cls in _BUDGET_KINDS)
-        raise NetworkFormatError(f"edge {edge_id!r}: usage must carry exactly one of {names}")
-    cls, = kinds
-    try:
-        return cls(obj[cls.key])
-    except ValueError as err:
-        raise NetworkFormatError(f"edge {edge_id!r}: {err}") from err
+        raise ValueError(f"usage must carry exactly one of {names}")
+    value = _nonnegative(obj[kind.key])
+    if value is None:
+        value = kind(obj[kind.key]).value  # the constructor's error
+    return kind, value
 
 
 def _loads(text: str):
@@ -429,8 +315,10 @@ def read_json(path, what: str, parse=_loads):
 def parse_network(text: str) -> Network:
     """Parse the canonical JSON network document into a validated Network.
 
-    Raises NetworkFormatError with line/position info on malformed JSON and
-    with the offending node or edge named on semantic violations.
+    Each edge is checked once, in file order, and appended to the columns;
+    no EdgeSpec, channel or budget object is built. Raises
+    NetworkFormatError with line/position info on malformed JSON and with
+    the offending node or edge named on semantic violations.
     """
     doc = _loads(text)
     if not isinstance(doc, dict):
@@ -443,57 +331,69 @@ def parse_network(text: str) -> Network:
     if not isinstance(doc["edges"], list):
         raise NetworkFormatError("'edges' must be a list")
 
-    edges = []
+    rows, kinds, channels, budgets = [], set(), [], []
     for i, eobj in enumerate(doc["edges"]):
         if not isinstance(eobj, dict):
             raise NetworkFormatError(f"edge #{i}: must be an object")
         eid = eobj.get("id")
         if not isinstance(eid, str) or not eid:
             raise NetworkFormatError(f"edge #{i}: missing or empty 'id'")
-        for key in ("tail", "head", "channel", "usage"):
-            if key not in eobj:
-                raise NetworkFormatError(f"edge {eid!r}: missing key {key!r}")
-        channel = _parse_channel(eobj["channel"], eid)
-        usage = _parse_usage(eobj["usage"], eid)
         try:
-            edge = EdgeSpec(eid, eobj["tail"], eobj["head"], channel, usage)
+            for key in _EDGE_KEYS:
+                if key not in eobj:
+                    raise ValueError(f"missing key {key!r}")
+            channel = _read_channel(eobj["channel"])
+            kind, budget = _read_usage(eobj["usage"])
+            tail, head = eobj["tail"], eobj["head"]
+            if not (isinstance(tail, str) and tail and isinstance(head, str) and head):
+                _require_label("tail", tail)
+                _require_label("head", head)
+            if tail == head:
+                raise ValueError(f"self-loop at {tail!r} rejected")
         except ValueError as err:
-            raise NetworkFormatError(str(err)) from err
-        if isinstance(channel, CustomChannel) and channel.sandwich_warning:
+            raise NetworkFormatError(f"edge {eid!r}: {err}") from err
+        if type(channel) is tuple and channel[0] > channel[1]:
             warnings.warn(
-                f"edge {eid!r}: q_cap={channel.q_cap} exceeds esq_upper="
-                f"{channel.esq_upper}; the sandwich guarantee does not apply",
+                f"edge {eid!r}: q_cap={channel[0]} exceeds esq_upper="
+                f"{channel[1]}; the sandwich guarantee does not apply",
                 stacklevel=2,
             )
-        edges.append(edge)
+        rows.append((eid, tail, head))
+        kinds.add(kind)
+        channels.append(channel)
+        budgets.append(budget)
 
+    net = object.__new__(Network)
     try:
-        return Network(tuple(doc["nodes"]), doc["alice"], doc["bob"], tuple(edges))
+        net._fill(doc["nodes"], doc["alice"], doc["bob"], rows, kinds, channels, budgets)
     except ValueError as err:
         raise NetworkFormatError(str(err)) from err
+    return net
 
 
-def _channel_to_obj(channel: ChannelSpec) -> dict:
-    if isinstance(channel, LossyOptical):
-        return {"type": "lossy", "eta": channel.eta}
-    return {"type": "custom", "q_cap": channel.q_cap, "esq_upper": channel.esq_upper}
+def _channel_to_obj(channel: ChannelParams) -> dict:
+    if type(channel) is tuple:
+        return {"type": "custom", "q_cap": channel[0], "esq_upper": channel[1]}
+    return {"type": "lossy", "eta": channel}
 
 
 def serialize_network(net: Network) -> str:
     """Canonical JSON text; parse(serialize(net)) is structurally identical to net."""
+    key = net.budget_kind.key if net.budget_kind is not None else None
     doc = {
         "nodes": list(net.nodes),
         "alice": net.alice,
         "bob": net.bob,
         "edges": [
             {
-                "id": e.id,
-                "tail": e.tail,
-                "head": e.head,
-                "channel": _channel_to_obj(e.channel),
-                "usage": {e.usage.key: e.usage.value},
+                "id": eid,
+                "tail": tail,
+                "head": head,
+                "channel": _channel_to_obj(channel),
+                "usage": {key: budget},
             }
-            for e in net.edges
+            for (eid, tail, head), channel, budget
+            in zip(net.topology.arcs, net._channels, net._budgets)
         ],
     }
     return json.dumps(doc, indent=2) + "\n"
@@ -510,12 +410,12 @@ def _dot_escape(text: str) -> str:
     return text.replace("\\", "\\\\").replace('"', '\\"')
 
 
-def _edge_label(e: EdgeSpec) -> str:
-    if isinstance(e.channel, LossyOptical):
-        chan = f"lossy eta={e.channel.eta:g}"
+def _edge_label(eid: str, channel: ChannelParams, key: str, budget: float) -> str:
+    if type(channel) is tuple:
+        chan = f"custom q={channel[0]:g} esq={channel[1]:g}"
     else:
-        chan = f"custom q={e.channel.q_cap:g} esq={e.channel.esq_upper:g}"
-    return f"{e.id}: {chan}, {e.usage.key}={e.usage.value:g}"
+        chan = f"lossy eta={channel:g}"
+    return f"{eid}: {chan}, {key}={budget:g}"
 
 
 def export_dot(net: Network, annotations: Optional[Mapping[str, str]] = None) -> str:
@@ -529,11 +429,12 @@ def export_dot(net: Network, annotations: Optional[Mapping[str, str]] = None) ->
     for n in net.nodes:
         shape = "doublecircle" if n in (net.alice, net.bob) else "circle"
         lines.append(f'  "{_dot_escape(n)}" [shape={shape}];')
-    for e in net.edges:
-        label = _edge_label(e)
+    key = net.budget_kind.key if net.budget_kind is not None else None
+    for (eid, tail, head), channel, budget in zip(net.topology.arcs, net._channels, net._budgets):
+        label = _edge_label(eid, channel, key, budget)
         attrs = []
         if annotations is not None:
-            note = annotations.get(e.id)
+            note = annotations.get(eid)
             if note is None:
                 attrs.append("style=dashed")
             else:
@@ -541,7 +442,7 @@ def export_dot(net: Network, annotations: Optional[Mapping[str, str]] = None) ->
                 label = f"{label} [{note}]"
         attrs.insert(0, f'label="{_dot_escape(label)}"')
         lines.append(
-            f'  "{_dot_escape(e.tail)}" -> "{_dot_escape(e.head)}" [{", ".join(attrs)}];'
+            f'  "{_dot_escape(tail)}" -> "{_dot_escape(head)}" [{", ".join(attrs)}];'
         )
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -1,0 +1,207 @@
+"""The values a network is built from: channels, usage budgets, regimes, edges.
+
+Every value type here, and in the modules built on it, derives from
+``Immutable``: its fields are slots, assigning or deleting one raises
+AttributeError, and values compare by exact type and value. There is no
+generic field-replacing copy: a changed copy is built with the constructor,
+which validates it like any other value. The types are safe to share across
+concurrent workers.
+"""
+
+from __future__ import annotations
+
+import math
+from enum import Enum
+from typing import ClassVar, Union
+
+NodeId = str
+
+
+def _require_finite(name: str, value: float) -> float:
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    try:
+        value = float(value)
+    except OverflowError:  # an integer past the float range
+        raise ValueError(
+            f"{name} must be finite, got an integer of {value.bit_length()} bits"
+        ) from None
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+    return value
+
+
+def _require_label(name: str, value) -> None:
+    if not isinstance(value, str) or not value:
+        raise ValueError(f"{name} must be a non-empty string node label, got {value!r}")
+
+
+class Immutable:
+    """Base of the value types: slotted, immutable, compared by exact type and value.
+
+    A subclass names its fields in ``__slots__`` (the field tuple is the
+    concatenation along the class chain), or in ``_fields`` when a field is
+    a view derived from private slots; it takes them positionally in that
+    order in ``__init__``, and sets them there with ``object.__setattr__``.
+    Any other assignment or deletion raises AttributeError. The repr reads
+    ``Name(field=value, ...)``, and pickling and copying go through the
+    constructor, so a copy is validated like the original. A slot whose
+    name starts with an underscore is not a field: it holds state the
+    constructor derives from the fields, and takes no part in equality,
+    hashing, repr or pickling.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if "_fields" not in cls.__dict__:  # a class may name its fields itself
+            slots = cls.__dict__.get("__slots__", ())
+            cls._fields = cls._fields + tuple(name for name in slots if name[0] != "_")
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({args})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: {type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: {type(self).__name__} is immutable")
+
+
+class LossyOptical(Immutable):
+    """Pure-loss optical channel with transmittance eta.
+
+    eta = 1 is rejected: it would give an infinite per-mode capacity.
+    eta = 0 is a legal zero-capacity edge.
+    """
+
+    __slots__ = ("eta",)
+
+    def __init__(self, eta: float):
+        eta = _require_finite("eta", eta)
+        if not 0.0 <= eta < 1.0:
+            raise ValueError(f"eta must be in [0, 1), got {eta}")
+        object.__setattr__(self, "eta", eta)
+
+
+class CustomChannel(Immutable):
+    """User-supplied per-use weights: achievable rate and converse upper bound.
+
+    q_cap > esq_upper breaks the sandwich guarantee; such channels are
+    accepted but flagged (see ``sandwich_warning``), never silently.
+    """
+
+    __slots__ = ("q_cap", "esq_upper")
+
+    def __init__(self, q_cap: float, esq_upper: float):
+        q_cap = _require_finite("q_cap", q_cap)
+        esq_upper = _require_finite("esq_upper", esq_upper)
+        if q_cap < 0 or esq_upper < 0:
+            raise ValueError(
+                f"q_cap and esq_upper must be >= 0, got {q_cap}, {esq_upper}"
+            )
+        object.__setattr__(self, "q_cap", q_cap)
+        object.__setattr__(self, "esq_upper", esq_upper)
+
+    @property
+    def sandwich_warning(self) -> bool:
+        return self.q_cap > self.esq_upper
+
+
+ChannelSpec = Union[LossyOptical, CustomChannel]
+
+
+class Regime(Enum):
+    """Which asymptotic reading of the budgets a report uses."""
+
+    PER_PROTOCOL = "per-protocol"
+    PER_CHANNEL_USE = "per-use"
+    PER_TIME = "per-time"
+
+
+class UsageBudget(Immutable):
+    """A channel's usage budget, finite and >= 0.
+
+    Only the subclasses are budgets: each names its JSON key (also the
+    field named in error messages) and the regime its value is read in.
+    """
+
+    __slots__ = ("value",)
+    key: ClassVar[str] = "usage"
+    regime: ClassVar[Regime]
+
+    def __init__(self, value: float):
+        v = _require_finite(self.key, value)
+        if v < 0:
+            raise ValueError(f"{self.key} must be >= 0, got {v}")
+        object.__setattr__(self, "value", v)
+
+
+class Count(UsageBudget):
+    """Budget as an absolute number of channel uses."""
+
+    __slots__ = ()
+    key = "count"
+    regime = Regime.PER_PROTOCOL
+
+
+class Frequency(UsageBudget):
+    """Budget as uses per total channel use."""
+
+    __slots__ = ()
+    key = "freq"
+    regime = Regime.PER_CHANNEL_USE
+
+
+class Rate(UsageBudget):
+    """Budget as uses per unit time."""
+
+    __slots__ = ()
+    key = "rate"
+    regime = Regime.PER_TIME
+
+
+_BUDGET_KINDS = (Count, Frequency, Rate)
+
+
+class EdgeSpec(Immutable):
+    """Directed channel edge. Parallel edges are allowed, self-loops are not."""
+
+    __slots__ = ("id", "tail", "head", "channel", "usage")
+
+    def __init__(self, id: str, tail: NodeId, head: NodeId, channel: ChannelSpec,
+                 usage: UsageBudget):
+        if not id or not isinstance(id, str):
+            raise ValueError(f"edge id must be a non-empty string, got {id!r}")
+        if not (isinstance(tail, str) and tail and isinstance(head, str) and head):
+            for key, label in (("tail", tail), ("head", head)):
+                _require_label(f"edge {id!r}: {key}", label)
+        if tail == head:
+            raise ValueError(f"edge {id!r}: self-loop at {tail!r} rejected")
+        if not isinstance(channel, (LossyOptical, CustomChannel)):
+            raise ValueError(f"edge {id!r}: unknown channel spec {channel!r}")
+        if not isinstance(usage, _BUDGET_KINDS):
+            raise ValueError(f"edge {id!r}: unknown usage budget {usage!r}")
+        set_field = object.__setattr__  # one lookup: the edges view builds one per channel
+        set_field(self, "id", id)
+        set_field(self, "tail", tail)
+        set_field(self, "head", head)
+        set_field(self, "channel", channel)
+        set_field(self, "usage", usage)

@@ -86,8 +86,7 @@ def test_criterion_3_menger_equality():
         rng = random.Random(7741)
         for _ in range(200):
             bell = random_bell_network(rng, max_nodes=10, max_pairs=30)
-            count, _ = max_disjoint_paths(bell)
-            assert count == min_cut_bruteforce(bell).value
+            assert len(max_disjoint_paths(bell)) == min_cut_bruteforce(bell).value
 
 
 def test_criterion_4_sandwich_and_epsilon_correction():

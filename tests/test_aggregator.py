@@ -126,7 +126,7 @@ def test_build_bell_network_ids_are_deterministic(triangle_net):
     assert bell == FlowGraph(triangle_net.topology, (3, 2, 1), CapacityKind.INTEGER)
     assert bell.arcs == arcs
     # pair ids are '<channel>#<index>', numbered per channel in path order
-    _, paths = max_disjoint_paths(bell)
+    paths = max_disjoint_paths(bell)
     assert [eid for p in paths for eid in p.bell_edges] == [
         "ab#0", "ac#0", "cb#0", "ac#1", "cb#1",
     ]

@@ -117,8 +117,8 @@ def test_bruteforce_rejects_oversized_networks():
 
 def test_max_disjoint_paths_triangle():
     bell = bell_from_counts({("A", "C"): 3, ("C", "B"): 2, ("A", "B"): 1})
-    count, paths = max_disjoint_paths(bell)
-    assert count == 3
+    paths = max_disjoint_paths(bell)
+    assert len(paths) == 3
     node_seqs = sorted(p.nodes for p in paths)
     assert node_seqs == [("A", "B"), ("A", "C", "B"), ("A", "C", "B")]
     check_path_set(bell, paths)
@@ -129,16 +129,14 @@ def test_max_disjoint_paths_triangle():
 
 def test_max_disjoint_paths_bottleneck_chain():
     bell = bell_from_counts({("A", "C"): 5, ("C", "B"): 2})
-    count, paths = max_disjoint_paths(bell)
-    assert count == 2
+    paths = max_disjoint_paths(bell)
+    assert len(paths) == 2
     assert all(p.nodes == ("A", "C", "B") for p in paths)
 
 
 def test_max_disjoint_paths_empty_network():
     bell = bell_from_counts({("A", "C"): 0, ("C", "B"): 0})
-    count, paths = max_disjoint_paths(bell)
-    assert count == 0
-    assert len(paths) == 0
+    assert len(max_disjoint_paths(bell)) == 0
 
 
 def test_max_disjoint_paths_deterministic():
@@ -153,9 +151,9 @@ def test_menger_equality_on_random_multigraphs():
     rng = random.Random(101)
     for _ in range(200):
         bell = random_bell_network(rng, max_nodes=10, max_pairs=30)
-        count, paths = max_disjoint_paths(bell)
+        paths = max_disjoint_paths(bell)
         brute = min_cut_bruteforce(bell)
-        assert count == brute.value
+        assert len(paths) == brute.value
         check_path_set(bell, paths)
 
 
@@ -198,7 +196,7 @@ def test_adding_an_edge_never_decreases_the_cut():
 
 def test_path_set_checker_catches_violations():
     bell = bell_from_counts({("A", "C"): 1, ("C", "B"): 1})
-    _, paths = max_disjoint_paths(bell)
+    paths = max_disjoint_paths(bell)
     check_path_set(bell, paths)
     from qnetcap import DisjointPath, PathSet
 
@@ -237,7 +235,7 @@ def test_flow_graph_rejects_a_fractional_capacity_on_an_integer_graph():
     with pytest.raises(ValueError, match=r"^arc 'e': capacity must be an integer, got 2\.5$"):
         FlowGraph(AB, (2.5,), CapacityKind.INTEGER)
     fg = FlowGraph(AB, (2,), CapacityKind.INTEGER)
-    assert min_cut(fg).value == max_flow_value(fg) == len(max_disjoint_paths(fg)[1]) == 2
+    assert min_cut(fg).value == max_flow_value(fg) == len(max_disjoint_paths(fg)) == 2
 
 
 @pytest.mark.parametrize("kind", list(CapacityKind))

@@ -52,7 +52,7 @@ SAMPLES = [
     BELL,
     CutResult(1, frozenset({"A", "C"}), ("cb",)),
     DisjointPath(("A", "C", "B"), ("ac#0", "cb#0")),
-    max_disjoint_paths(BELL)[1],
+    max_disjoint_paths(BELL),
     AsymptoticQCap(),
     FixedFraction(0.5),
     PerEdgeTable({"ac": 1.0, "cb": 2.0}),
