@@ -6,7 +6,8 @@ parsed network is held to the EdgeSpec-built one it serializes, output for
 output, and the column arithmetic to the pointwise edge_weight,
 edge_capacity and pair_count it replaced, bit for bit. A fuzz holds the
 parser's type guards to NetworkFormatError, and a structural guard keeps
-per-edge objects off the parse, report, plan and validate paths.
+per-edge objects off the parse, report, plan, validate and budget-scale
+sweep paths.
 """
 
 import copy
