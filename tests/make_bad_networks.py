@@ -121,6 +121,12 @@ SINGLE_FAULTS = {
     "q-cap-string": _edge(1, "channel", value={"type": "custom", "q_cap": "1", "esq_upper": 2}),
     "q-cap-nan": _edge(1, "channel",
                        value={"type": "custom", "q_cap": float("nan"), "esq_upper": 2}),
+    "q-cap-nan-beside-float": _edge(1, "channel", value={"type": "custom",
+                                                         "q_cap": float("nan"), "esq_upper": 2.0}),
+    "q-cap-infinity": _edge(1, "channel",
+                            value={"type": "custom", "q_cap": float("inf"), "esq_upper": 2.0}),
+    "q-cap-minus-infinity": _edge(1, "channel", value={"type": "custom",
+                                                       "q_cap": float("-inf"), "esq_upper": 2.0}),
     "q-cap-huge-integer": _edge(1, "channel",
                                 value={"type": "custom", "q_cap": HUGE, "esq_upper": 2}),
     "q-cap-negative": _edge(1, "channel", value={"type": "custom", "q_cap": -1, "esq_upper": 2}),
@@ -128,6 +134,12 @@ SINGLE_FAULTS = {
                             value={"type": "custom", "q_cap": 1, "esq_upper": False}),
     "esq-upper-infinity": _edge(1, "channel",
                                 value={"type": "custom", "q_cap": 1, "esq_upper": float("inf")}),
+    "esq-upper-infinity-beside-float": _edge(1, "channel", value={
+        "type": "custom", "q_cap": 1.0, "esq_upper": float("inf")}),
+    "esq-upper-nan": _edge(1, "channel",
+                           value={"type": "custom", "q_cap": 1.0, "esq_upper": float("nan")}),
+    "esq-upper-minus-infinity": _edge(1, "channel", value={"type": "custom", "q_cap": 1.0,
+                                                           "esq_upper": float("-inf")}),
     "esq-upper-negative": _edge(1, "channel",
                                 value={"type": "custom", "q_cap": 0, "esq_upper": -0.5}),
     # usage
@@ -135,15 +147,25 @@ SINGLE_FAULTS = {
     "usage-empty": _edge(1, "usage", value={}),
     "usage-unknown-key": _edge(1, "usage", value={"uses": 1.0}),
     "usage-two-keys": _edge(1, "usage", value={"freq": 1.0, "rate": 1.0}),
+    "usage-count-and-freq": _edge(1, "usage", value={"count": 1, "freq": 1.0}),
     "freq-string": _edge(1, "usage", "freq", value="1"),
     "freq-bool": _edge(1, "usage", "freq", value=True),
     "freq-nan": _edge(1, "usage", "freq", value=float("nan")),
+    "freq-infinity": _edge(1, "usage", "freq", value=float("inf")),
+    "freq-minus-infinity": _edge(1, "usage", "freq", value=float("-inf")),
     "freq-negative": _edge(1, "usage", "freq", value=-1),
     "freq-huge-integer": _edge(1, "usage", "freq", value=HUGE),
     "count-huge-integer": _edge(1, "usage", value={"count": HUGE}),
+    "count-integer-past-float": _edge(1, "usage", value={"count": 10**309}),
+    "count-true": _edge(1, "usage", value={"count": True}),
+    "count-nan": _edge(1, "usage", value={"count": float("nan")}),
+    "count-infinity": _edge(1, "usage", value={"count": float("inf")}),
     "count-negative": _edge(1, "usage", value={"count": -3}),
     "count-minus-infinity": _edge(1, "usage", value={"count": float("-inf")}),
     "rate-null": _edge(1, "usage", value={"rate": None}),
+    "rate-nan": _edge(1, "usage", value={"rate": float("nan")}),
+    "rate-infinity": _edge(1, "usage", value={"rate": float("inf")}),
+    "rate-minus-infinity": _edge(1, "usage", value={"rate": float("-inf")}),
     "rate-negative": _edge(1, "usage", value={"rate": -0.25}),
     # endpoints
     "tail-int": _edge(1, "tail", value=7),

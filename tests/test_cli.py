@@ -244,6 +244,35 @@ def test_plan_with_an_overflowing_rate_table_exits_one(capsys, tmp_path):
     assert "error: edge 'ab': 10 uses at 1e+308 pairs per use overflow a float" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("bound",),
+    ("sweep", "--param", "eta", "--edge", "e2", "--values", "0.5"),
+    ("sweep", "--param", "eta", "--edge", "e1", "--values", "0.5"),
+    ("sweep", "--param", "epsilon", "--values", "0"),
+    ("sweep", "--param", "budget-scale", "--values", "1"),
+])
+def test_a_cut_weight_past_the_float_range_exits_one_naming_the_arc(capsys, tmp_path, argv):
+    doc = json.loads((NETWORKS_DIR / "diamond.json").read_text())
+    doc["edges"][0]["usage"] = {"freq": 1e308}  # at eta 0.9: 1e308 * log2(10) is inf
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    command, *flags = argv
+    code, out, err = run(capsys, command, str(path), *flags)
+    assert code == 1 and out == ""
+    assert err == "error: arc 'e1': capacity must be finite and >= 0, got inf\n"
+
+
+def test_plan_with_a_pair_count_past_the_float_range_exits_one(capsys, tmp_path):
+    doc = json.loads(SINGLE_TEXT)
+    doc["edges"][0]["channel"]["eta"] = 0.875  # 3 pairs per use
+    doc["edges"][0]["usage"] = {"count": 1e308}
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "plan", str(path))
+    assert code == 1 and out == ""
+    assert err == f"error: edge 'ab': {int(1e308)} uses at 3.0 pairs per use overflow a float\n"
+
+
 def test_plan_rejects_a_rate_table_integer_past_the_float_range(capsys, tmp_path):
     table = tmp_path / "table.json"
     table.write_text('{"ac": 1' + "0" * 400 + ', "cb": 1, "ab": 1}')

@@ -237,6 +237,99 @@ def test_any_document_parses_or_raises_network_format_error(changes):
     assert parse_network(serialize_network(net)) == net
 
 
+# --- the rarer valid edge shapes ---------------------------------------------------
+
+def _e2(channel, usage):
+    return EdgeSpec("e2", "C1", "B", channel, usage)
+
+
+# (name, change to e2's JSON object, e2 as an EdgeSpec)
+VALID_SHAPES = [
+    ("eta-minus-zero", {"channel": {"type": "lossy", "eta": -0.0}},
+     _e2(LossyOptical(-0.0), Frequency(1.0))),
+    ("eta-integer", {"channel": {"type": "lossy", "eta": 0}},
+     _e2(LossyOptical(0), Frequency(1.0))),
+    ("edge-extra-key", {"note": {"spare": [1]}},
+     _e2(LossyOptical(0.8), Frequency(1.0))),
+    ("channel-extra-key", {"channel": {"type": "lossy", "eta": 0.8, "note": "x"}},
+     _e2(LossyOptical(0.8), Frequency(1.0))),
+    ("usage-unknown-extra-key", {"usage": {"uses": "many", "freq": 2.5}},
+     _e2(LossyOptical(0.8), Frequency(2.5))),
+    ("budget-minus-zero", {"usage": {"freq": -0.0}},
+     _e2(LossyOptical(0.8), Frequency(-0.0))),
+    ("budget-integer", {"usage": {"freq": 3}},
+     _e2(LossyOptical(0.8), Frequency(3))),
+    ("custom-integers", {"channel": {"type": "custom", "q_cap": 1, "esq_upper": 2}},
+     _e2(CustomChannel(1, 2), Frequency(1.0))),
+    ("custom-minus-zero", {"channel": {"type": "custom", "q_cap": -0.0, "esq_upper": -0.0}},
+     _e2(CustomChannel(-0.0, -0.0), Frequency(1.0))),
+]
+
+
+@pytest.mark.parametrize("change, e2", [case[1:] for case in VALID_SHAPES],
+                         ids=[case[0] for case in VALID_SHAPES])
+def test_rarer_valid_edge_shapes_parse_to_the_edge_spec_network(change, e2):
+    doc = copy.deepcopy(BASE)
+    doc["edges"][1].update(change)
+    parsed = parse_network(json.dumps(doc))
+    base = parse_network(json.dumps(BASE))
+    built = Network(base.nodes, base.alice, base.bob, (base.edges[0], e2, *base.edges[2:]))
+    assert parsed == built
+    assert serialize_network(parsed) == serialize_network(built)
+    # repr tells -0.0 from 0.0 and 1 from 1.0, where == does not
+    assert repr(parsed._channels) == repr(built._channels)
+    assert repr(parsed._budgets) == repr(built._budgets)
+    assert _outputs(parsed) == _outputs(built)
+    assert repr(_column_capacities(parsed)) == repr(_pointwise_capacities(built))
+
+
+# --- the inline edge checks against the general ones ------------------------------
+
+def _with_extra(strategy, key):
+    """An object from strategy, now and then with one more key that no reader uses."""
+    return st.tuples(strategy, st.booleans()).map(
+        lambda pair: {**pair[0], key: [0]} if pair[1] else pair[0])
+
+
+FLOAT_MAX = 1.7976931348623157e308
+nonnegative = (st.floats(min_value=0.0, max_value=FLOAT_MAX) | st.just(-0.0)
+               | st.integers(min_value=0, max_value=10**308))
+json_channels = (
+    _with_extra(st.builds(lambda eta: {"type": "lossy", "eta": eta},
+                          etas | st.just(-0.0) | st.just(0)), "note")
+    | _with_extra(st.builds(lambda q, e: {"type": "custom", "q_cap": q, "esq_upper": e},
+                            nonnegative, nonnegative), "note")
+)
+ENDS = [("A", "C1"), ("C1", "B"), ("A", "C2"), ("C2", "B"), ("A", "B"), ("C2", "C1")]
+
+
+@st.composite
+def valid_documents(draw):
+    key = draw(st.sampled_from(sorted(BUDGETS)))
+    edges = []
+    for k in range(draw(st.integers(min_value=1, max_value=8))):
+        tail, head = draw(st.sampled_from(ENDS))
+        usage = draw(_with_extra(st.builds(lambda v: {key: v}, nonnegative), "uses"))
+        edges.append(draw(_with_extra(st.just(
+            {"id": f"e{k}", "tail": tail, "head": head,
+             "channel": draw(json_channels), "usage": usage}), "note")))
+    return {"nodes": ["A", "C1", "C2", "B"], "alice": "A", "bob": "B", "edges": edges}
+
+
+@settings(max_examples=300, deadline=None)
+@given(valid_documents())
+def test_parsed_columns_equal_the_general_edge_readers_bit_for_bit(doc):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # q_cap > esq_upper is flagged, and allowed
+        net = parse_network(json.dumps(doc))
+    for k, edge in enumerate(doc["edges"]):
+        kind, budget = netmodel._read_usage(edge["usage"])
+        assert net.budget_kind is kind
+        # repr tells -0.0 from 0.0 and 1 from 1.0, where == does not
+        assert repr(net._budgets[k]) == repr(budget)
+        assert repr(net._channels[k]) == repr(netmodel._read_channel(edge["channel"]))
+
+
 # --- no per-edge objects on the column paths -------------------------------------
 
 def _refuse(*args, **kwargs):
