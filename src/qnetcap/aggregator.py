@@ -106,7 +106,11 @@ def build_bell_network(net: Network, rate_model: RateModel = AsymptoticQCap()) -
     """The Bell network on the network's topology: each edge's pair_count.
 
     The counts are computed column-wise with pair_count's arithmetic; where
-    that fails, pair_count itself names the first edge at fault.
+    that fails, pair_count itself names the first edge at fault. Budgets and
+    rates were checked finite and >= 0 where they were read, so the counts
+    are not checked again, except that a negative one, which only a rate
+    table changed after it was built can give, goes to the FlowGraph
+    constructor for its error.
     """
     if net.budget_kind not in (Count, None):
         pair_count(net._edge(0), rate_model)  # raises: pair counts need Count budgets
@@ -117,7 +121,9 @@ def build_bell_network(net: Network, rate_model: RateModel = AsymptoticQCap()) -
         for edge in net.edges:
             pair_count(edge, rate_model)
         raise
-    return FlowGraph(net.topology, pairs, CapacityKind.INTEGER)
+    pairs = tuple(pairs)
+    build = FlowGraph if min(pairs, default=0) < 0 else FlowGraph._from_checked
+    return build(net.topology, pairs, CapacityKind.INTEGER)
 
 
 class ProtocolPlan(Immutable):

@@ -12,9 +12,10 @@ so esq_upper <= 2 * q_cap for every eta: the converse weight never exceeds
 twice the achievable weight on lossy edges.
 
 All logarithms are base 2 (units of ebits / secret bits) and one channel
-use means one optical mode. ``edge_weight`` gives one edge's weight; the
-column functions give every edge's weight of a network at once, read from
-its channel column, and agree with ``edge_weight`` bit for bit.
+use means one optical mode. ``edge_weight`` gives one edge's weight and
+``edge_capacity`` its cut weight, budget times weight; the column functions
+give every edge's weight of a network at once, read from its channel
+column, and agree with ``edge_weight`` bit for bit.
 
 A trace-norm error budget epsilon is a plain float, checked once by
 ``check_epsilon`` wherever it enters. The finite-error correction of a cut
@@ -154,6 +155,13 @@ def edge_weight(edge: EdgeSpec, kind: WeightKind) -> float:
     else:
         raise ValueError(f"unknown channel spec {channel!r}")
     raise ValueError(f"kind must be a WeightKind, got {kind!r}")
+
+
+def edge_capacity(edge: EdgeSpec, kind: WeightKind, *, floor_budgets: bool = False) -> float:
+    """Cut weight of one edge: budget (floored if asked) x per-use weight."""
+    value = edge.usage.value
+    budget = float(math.floor(value)) if floor_budgets else value
+    return budget * edge_weight(edge, kind)
 
 
 def q_cap_column(net: Network) -> list[float]:

@@ -30,8 +30,8 @@ from .aggregator import (
     sandwich_report,
     sandwich_report_to_dict,
 )
-from .capacity import WeightKind, epsilon_corrected_upper, werner_chain_report
-from .cuts_flows import ArcSweep, edge_capacity, flow_graph_from_network, max_flow_value
+from .capacity import WeightKind, edge_capacity, epsilon_corrected_upper, werner_chain_report
+from .cuts_flows import ArcSweep, flow_graph_from_network, max_flow_value
 from .netmodel import Count, EdgeSpec, LossyOptical, Network, load_network, read_json
 
 EXIT_OK = 0

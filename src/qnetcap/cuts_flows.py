@@ -15,7 +15,11 @@ A FlowGraph is a Topology plus one capacity per arc. The topology holds
 the vertices, terminals, arc rows and the solver's residual arc order,
 none of which reads a capacity. The q_cap and esq_upper weightings and
 the Bell network of one network are all built on its topology, so they
-share that arc order.
+share that arc order. The FlowGraph constructor checks every capacity.
+Those three are built from a network's columns, checked once at parse,
+and skip it: only a cut weight past the float range, the one fault left,
+goes to the constructor for its error. ArcSweep's solves reuse checked
+capacities the same way.
 """
 
 from __future__ import annotations
@@ -25,8 +29,8 @@ import re
 from enum import Enum
 from typing import AbstractSet, Mapping
 
-from .capacity import WeightKind, edge_weight, weight_column
-from .netmodel import EdgeSpec, Immutable, Network, NodeId, Topology, _interleave
+from .capacity import WeightKind, weight_column
+from .netmodel import Immutable, Network, NodeId, Topology, _interleave
 
 BRUTEFORCE_MAX_VERTICES = 20
 # a plan lists every path, so m beyond this would exhaust time and memory
@@ -42,8 +46,10 @@ class FlowGraph(Immutable):
     """Undirected flow instance: a topology and one capacity per arc, in arc order.
 
     Capacities are finite and >= 0, never booleans, and ints on an INTEGER
-    graph; capacity_kind is a CapacityKind. Two flow graphs share a
-    residual arc order exactly when they share a topology object.
+    graph; capacity_kind is a CapacityKind. The constructor checks that;
+    ``_from_checked``, for a capacity tuple computed from checked columns,
+    does not. Two flow graphs share a residual arc order exactly when they
+    share a topology object.
     """
 
     __slots__ = ("topology", "capacities", "capacity_kind")
@@ -77,26 +83,22 @@ class FlowGraph(Immutable):
         return 0 if self.capacity_kind is CapacityKind.INTEGER else 0.0
 
 
-def edge_capacity(edge: EdgeSpec, kind: WeightKind, *, floor_budgets: bool = False) -> float:
-    """Cut weight of one edge: budget (floored if asked) x per-use weight."""
-    value = edge.usage.value
-    budget = float(math.floor(value)) if floor_budgets else value
-    return budget * edge_weight(edge, kind)
-
-
 def flow_graph_from_network(
     net: Network, kind: WeightKind, *, floor_budgets: bool = False
 ) -> FlowGraph:
     """Weighted flow instance on the network's topology: each edge's edge_capacity.
 
     The capacities are computed column-wise, from the network's budget
-    column and weight_column, with the arithmetic of edge_capacity.
+    column and weight_column, with the arithmetic of edge_capacity. Both
+    columns were checked as they were read; the one fault left, a product
+    past the float range, goes to the constructor, which names its arc.
     """
     budgets = net._budgets
     if floor_budgets:
         budgets = [float(math.floor(b)) for b in budgets]
-    capacities = [b * w for b, w in zip(budgets, weight_column(net, kind))]
-    return FlowGraph(net.topology, capacities, CapacityKind.REAL)
+    capacities = tuple([b * w for b, w in zip(budgets, weight_column(net, kind))])
+    build = FlowGraph if math.inf in capacities else FlowGraph._from_checked
+    return build(net.topology, capacities, CapacityKind.REAL)
 
 
 class _ResidualSolver:
@@ -263,7 +265,9 @@ class ArcSweep:
     exact form of an infinite capacity: a large finite one would sit within
     the solver's relative tolerance, or past float precision, of the other
     arcs once they are large. When the arc joins source and sink, every cut
-    crosses it and only the first side is kept.
+    crosses it and only the first side is kept. Both solves reuse fg's
+    checked rows and capacities: merging drops the rows joining the arc's
+    ends, so no self-loop forms.
     """
 
     def __init__(self, fg: FlowGraph, arc_id: str):
@@ -274,8 +278,8 @@ class ArcSweep:
         self.arc_id = arc_id
         self.zero = fg.zero
         topology, kind = fg.topology, fg.capacity_kind
-        capacities = [self.zero if eid == arc_id else c for eid, _, _, c in arcs]
-        sides = [_ResidualSolver(FlowGraph(topology, capacities, kind)).reachable]
+        capacities = tuple([self.zero if eid == arc_id else c for eid, _, _, c in arcs])
+        sides = [_ResidualSolver(FlowGraph._from_checked(topology, capacities, kind)).reachable]
         ends = (topology.source, topology.sink)
         _, u, v, _ = row
         if not (u in ends and v in ends):
@@ -283,8 +287,9 @@ class ArcSweep:
             merged = [(eid, keep if a == drop else a, keep if b == drop else b, c)
                       for eid, a, b, c in arcs if {a, b} != {u, v}]
             vertices = [x for x in topology.vertices if x != drop]
-            merged_fg = FlowGraph(Topology(vertices, *ends, [arc[:3] for arc in merged]),
-                                  [arc[3] for arc in merged], kind)
+            merged_fg = FlowGraph._from_checked(
+                Topology._from_checked_rows(vertices, *ends, [arc[:3] for arc in merged]),
+                tuple([arc[3] for arc in merged]), kind)
             side = _ResidualSolver(merged_fg).reachable
             sides.append(side | {drop} if keep in side else side)
         self.crossing = [[row for row in arcs if (row[1] in side) != (row[2] in side)]

@@ -14,11 +14,12 @@ import json
 import math
 import sys
 import warnings
-from typing import AbstractSet, Mapping, Optional, Union
+from typing import AbstractSet, Mapping, Optional
 
 from .values import (  # the value types, also the model's public names
-    _BUDGET_KINDS, ChannelSpec, Count, CustomChannel, EdgeSpec, Frequency, Immutable,
-    LossyOptical, NodeId, Rate, Regime, UsageBudget, _require_finite, _require_label,
+    _BUDGET_BY_KEY, ChannelParams, ChannelSpec, Count, CustomChannel, EdgeSpec, Frequency,
+    Immutable, LossyOptical, NodeId, Rate, Regime, UsageBudget, _read_edge, _require_finite,
+    _require_label,
 )
 
 
@@ -115,10 +116,6 @@ def _interleave(even: list, odd: list) -> list:
     return out
 
 
-# A channel column entry: the eta of a lossy channel, or (q_cap, esq_upper) of a custom one
-ChannelParams = Union[float, tuple[float, float]]
-
-
 class Network(Immutable):
     """Validated two-terminal network, held as columns in input edge order.
 
@@ -204,10 +201,8 @@ class Network(Immutable):
         budgets = [b * factor for b in self._budgets]
         if math.inf in budgets:
             self._budget_kind(math.inf)  # raises the budget's "must be finite" error
-        net = object.__new__(Network)
-        for name in Network.__slots__:
-            object.__setattr__(net, name, budgets if name == "_budgets" else getattr(self, name))
-        return net
+        return Network._from_checked(*[budgets if name == "_budgets" else getattr(self, name)
+                                       for name in Network.__slots__])
 
 
 def crossing_edges(net: Network, side: AbstractSet[NodeId]) -> tuple[EdgeSpec, ...]:
@@ -230,54 +225,7 @@ def crossing_edges(net: Network, side: AbstractSet[NodeId]) -> tuple[EdgeSpec, .
 
 # --- JSON document format -------------------------------------------------
 
-_EDGE_KEYS = ("tail", "head", "channel", "usage")
-_BUDGET_BY_KEY = {cls.key: cls for cls in _BUDGET_KINDS}
 _FLOAT_MAX = sys.float_info.max
-
-
-def _nonnegative(value) -> Optional[float]:
-    """value as a float if it is an int or float in [0, float max], else None."""
-    if (type(value) is float or type(value) is int) and 0 <= value <= _FLOAT_MAX:
-        return float(value)
-    return None
-
-
-def _read_channel(obj) -> ChannelParams:
-    if not isinstance(obj, dict) or "type" not in obj:
-        raise ValueError("channel must be an object with a 'type'")
-    ctype = obj["type"]
-    if ctype == "lossy":
-        if "eta" not in obj:
-            raise ValueError("lossy channel requires 'eta'")
-        eta = obj["eta"]
-        if type(eta) is float and 0.0 <= eta < 1.0:
-            return eta
-        return LossyOptical(eta).eta  # an int in range, else the constructor's error
-    if ctype == "custom":
-        if "q_cap" not in obj or "esq_upper" not in obj:
-            raise ValueError("custom channel requires 'q_cap' and 'esq_upper'")
-        q_cap, esq_upper = _nonnegative(obj["q_cap"]), _nonnegative(obj["esq_upper"])
-        if q_cap is None or esq_upper is None:
-            custom = CustomChannel(obj["q_cap"], obj["esq_upper"])  # the constructor's error
-            q_cap, esq_upper = custom.q_cap, custom.esq_upper
-        return q_cap, esq_upper
-    raise ValueError(f"unknown channel type {ctype!r}")
-
-
-def _read_usage(obj) -> tuple[type[UsageBudget], float]:
-    if not isinstance(obj, dict):
-        raise ValueError("usage must be an object")
-    kind, found = None, 0
-    for key in obj:
-        if key in _BUDGET_BY_KEY:
-            kind, found = _BUDGET_BY_KEY[key], found + 1
-    if found != 1:
-        names = ", ".join(repr(cls.key) for cls in _BUDGET_KINDS)
-        raise ValueError(f"usage must carry exactly one of {names}")
-    value = _nonnegative(obj[kind.key])
-    if value is None:
-        value = kind(obj[kind.key]).value  # the constructor's error
-    return kind, value
 
 
 def _loads(text: str):
@@ -316,9 +264,15 @@ def parse_network(text: str) -> Network:
     """Parse the canonical JSON network document into a validated Network.
 
     Each edge is checked once, in file order, and appended to the columns;
-    no EdgeSpec, channel or budget object is built. Raises
-    NetworkFormatError with line/position info on malformed JSON and with
-    the offending node or edge named on semantic violations.
+    no EdgeSpec, channel or budget object is built. An edge of the canonical
+    shape is checked inline: a lossy channel with a float eta in [0, 1), or
+    a custom one with float q_cap and esq_upper, a usage object with one
+    budget key holding an int or float, and distinct non-empty string ends.
+    Exact type tests and range tests keep out booleans, NaN, infinities and
+    numbers past the float range. Any other edge, valid or not, takes the
+    general route, ``_read_edge``, which gives the same values bit for bit.
+    Raises NetworkFormatError with line/position info on malformed JSON and
+    with the offending node or edge named on semantic violations.
     """
     doc = _loads(text)
     if not isinstance(doc, dict):
@@ -332,26 +286,32 @@ def parse_network(text: str) -> Network:
         raise NetworkFormatError("'edges' must be a list")
 
     rows, kinds, channels, budgets = [], set(), [], []
+    budget_by_key, float_max = _BUDGET_BY_KEY, _FLOAT_MAX
     for i, eobj in enumerate(doc["edges"]):
-        if not isinstance(eobj, dict):
-            raise NetworkFormatError(f"edge #{i}: must be an object")
-        eid = eobj.get("id")
-        if not isinstance(eid, str) or not eid:
-            raise NetworkFormatError(f"edge #{i}: missing or empty 'id'")
-        try:
-            for key in _EDGE_KEYS:
-                if key not in eobj:
-                    raise ValueError(f"missing key {key!r}")
-            channel = _read_channel(eobj["channel"])
-            kind, budget = _read_usage(eobj["usage"])
-            tail, head = eobj["tail"], eobj["head"]
-            if not (isinstance(tail, str) and tail and isinstance(head, str) and head):
-                _require_label("tail", tail)
-                _require_label("head", head)
-            if tail == head:
-                raise ValueError(f"self-loop at {tail!r} rejected")
-        except ValueError as err:
-            raise NetworkFormatError(f"edge {eid!r}: {err}") from err
+        try:  # a missing key, a wrong container or a usage of two keys: the general route
+            eid, tail, head = eobj["id"], eobj["tail"], eobj["head"]
+            channel = eobj["channel"]
+            (key, budget), = eobj["usage"].items()
+            kind = budget_by_key[key]
+            ctype = channel["type"]
+            if ctype == "lossy":
+                channel = channel["eta"]
+                fits = type(channel) is float and 0.0 <= channel < 1.0
+            else:
+                channel = q_cap, esq_upper = channel["q_cap"], channel["esq_upper"]
+                fits = (ctype == "custom" and type(q_cap) is float and type(esq_upper) is float
+                        and 0.0 <= q_cap <= float_max and 0.0 <= esq_upper <= float_max)
+        except (KeyError, TypeError, AttributeError, ValueError):
+            fits = False
+        if (fits and (type(budget) is float or type(budget) is int) and 0 <= budget <= float_max
+                and type(eid) is str and type(tail) is str and type(head) is str
+                and eid and tail and head and tail != head):
+            budget = float(budget)
+        else:
+            try:
+                eid, tail, head, channel, kind, budget = _read_edge(i, eobj)
+            except ValueError as err:
+                raise NetworkFormatError(str(err)) from err
         if type(channel) is tuple and channel[0] > channel[1]:
             warnings.warn(
                 f"edge {eid!r}: q_cap={channel[0]} exceeds esq_upper="

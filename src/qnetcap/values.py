@@ -4,8 +4,14 @@ Every value type here, and in the modules built on it, derives from
 ``Immutable``: its fields are slots, assigning or deleting one raises
 AttributeError, and values compare by exact type and value. There is no
 generic field-replacing copy: a changed copy is built with the constructor,
-which validates it like any other value. The types are safe to share across
-concurrent workers.
+which validates it like any other value; ``_from_checked`` builds one from
+values that were checked where they were read, without checking them again.
+The types are safe to share across concurrent workers.
+
+The general reader of one edge of a network document, ``_read_edge``, is
+here too: it checks every value with these constructors, so it raises their
+messages, and parse_network sends it every edge its inline checks do not
+take.
 """
 
 from __future__ import annotations
@@ -59,6 +65,18 @@ class Immutable:
         if "_fields" not in cls.__dict__:  # a class may name its fields itself
             slots = cls.__dict__.get("__slots__", ())
             cls._fields = cls._fields + tuple(name for name in slots if name[0] != "_")
+
+    @classmethod
+    def _from_checked(cls, *values):
+        """An instance holding values in ``__slots__`` order, not checked again.
+
+        For values checked where they were read or derived from checked
+        ones; the constructor stays the checked way in.
+        """
+        obj = object.__new__(cls)
+        for name, value in zip(cls.__slots__, values):
+            object.__setattr__(obj, name, value)
+        return obj
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])
@@ -205,3 +223,70 @@ class EdgeSpec(Immutable):
         set_field(self, "head", head)
         set_field(self, "channel", channel)
         set_field(self, "usage", usage)
+
+
+# --- one edge of a network document --------------------------------------------
+
+# A channel column entry: the eta of a lossy channel, or (q_cap, esq_upper) of a custom one
+ChannelParams = Union[float, tuple[float, float]]
+
+_EDGE_KEYS = ("tail", "head", "channel", "usage")
+_BUDGET_BY_KEY = {cls.key: cls for cls in _BUDGET_KINDS}
+
+
+def _read_channel(obj) -> ChannelParams:
+    if not isinstance(obj, dict) or "type" not in obj:
+        raise ValueError("channel must be an object with a 'type'")
+    ctype = obj["type"]
+    if ctype == "lossy":
+        if "eta" not in obj:
+            raise ValueError("lossy channel requires 'eta'")
+        return LossyOptical(obj["eta"]).eta
+    if ctype == "custom":
+        if "q_cap" not in obj or "esq_upper" not in obj:
+            raise ValueError("custom channel requires 'q_cap' and 'esq_upper'")
+        custom = CustomChannel(obj["q_cap"], obj["esq_upper"])
+        return custom.q_cap, custom.esq_upper
+    raise ValueError(f"unknown channel type {ctype!r}")
+
+
+def _read_usage(obj) -> tuple[type[UsageBudget], float]:
+    if not isinstance(obj, dict):
+        raise ValueError("usage must be an object")
+    kind, found = None, 0
+    for key in obj:
+        if key in _BUDGET_BY_KEY:
+            kind, found = _BUDGET_BY_KEY[key], found + 1
+    if found != 1:
+        names = ", ".join(repr(cls.key) for cls in _BUDGET_KINDS)
+        raise ValueError(f"usage must carry exactly one of {names}")
+    return kind, kind(obj[kind.key]).value
+
+
+def _read_edge(i: int, eobj) -> tuple:
+    """Edge #i of a network document as (eid, tail, head, ChannelParams, budget kind, budget).
+
+    The general reader: it takes an edge object of any shape, checks its
+    values with the constructors above, and raises a ValueError naming the
+    edge for every fault.
+    """
+    if not isinstance(eobj, dict):
+        raise ValueError(f"edge #{i}: must be an object")
+    eid = eobj.get("id")
+    if not isinstance(eid, str) or not eid:
+        raise ValueError(f"edge #{i}: missing or empty 'id'")
+    try:
+        for key in _EDGE_KEYS:
+            if key not in eobj:
+                raise ValueError(f"missing key {key!r}")
+        channel = _read_channel(eobj["channel"])
+        kind, budget = _read_usage(eobj["usage"])
+        tail, head = eobj["tail"], eobj["head"]
+        if not (isinstance(tail, str) and tail and isinstance(head, str) and head):
+            _require_label("tail", tail)
+            _require_label("head", head)
+        if tail == head:
+            raise ValueError(f"self-loop at {tail!r} rejected")
+    except ValueError as err:
+        raise ValueError(f"edge {eid!r}: {err}") from err
+    return eid, tail, head, channel, kind, budget

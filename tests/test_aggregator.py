@@ -85,6 +85,13 @@ def test_pair_count_overflow_names_the_edge(edge, model):
         pair_count(edge, model)
 
 
+def test_bell_network_rejects_a_rate_table_changed_after_it_was_checked(triangle_net):
+    table = PerEdgeTable({"ac": 1.0, "cb": 1.0, "ab": 1.0})
+    table.rates["ab"] = -2.0  # the table is a plain dict, so this passes no check
+    with pytest.raises(ValueError, match="^arc 'ab': capacity must be finite and >= 0, got -2$"):
+        build_bell_network(triangle_net, table)
+
+
 def test_resolve_rate_table_missing_edge():
     edge = count_edge("e", "A", "B", 1)
     with pytest.raises(ValueError, match="no entry"):

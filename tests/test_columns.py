@@ -5,9 +5,12 @@ the cut weights and the Bell network are computed column-wise. Here the
 parsed network is held to the EdgeSpec-built one it serializes, output for
 output, and the column arithmetic to the pointwise edge_weight,
 edge_capacity and pair_count it replaced, bit for bit. A fuzz holds the
-parser's type guards to NetworkFormatError, and a structural guard keeps
-per-edge objects off the parse, report, plan, validate and budget-scale
-sweep paths.
+parser's type guards to NetworkFormatError. The rarer valid edge shapes
+are held to the EdgeSpec-built network, and the columns of the inline
+edge checks to the general edge readers, bit for bit. Two structural
+guards keep per-edge objects off the parse, report, plan, validate and
+budget-scale sweep paths, and second checks off the parse, report, plan
+and eta sweep paths.
 """
 
 import copy
@@ -46,10 +49,11 @@ from qnetcap import (
     sandwich_report_to_dict,
     serialize_network,
 )
-from qnetcap import aggregator, capacity, cuts_flows, netmodel
+from qnetcap import aggregator, capacity, netmodel
 from qnetcap.capacity import esq_upper_column, q_cap_column, weight_column
-from qnetcap.cuts_flows import edge_capacity
+from qnetcap.capacity import edge_capacity
 from qnetcap.generators import random_count_network, random_custom_network, random_lossy_network
+from qnetcap.values import _read_channel, _read_usage
 
 from conftest import NETWORKS_DIR
 
@@ -323,11 +327,11 @@ def test_parsed_columns_equal_the_general_edge_readers_bit_for_bit(doc):
         warnings.simplefilter("ignore")  # q_cap > esq_upper is flagged, and allowed
         net = parse_network(json.dumps(doc))
     for k, edge in enumerate(doc["edges"]):
-        kind, budget = netmodel._read_usage(edge["usage"])
+        kind, budget = _read_usage(edge["usage"])
         assert net.budget_kind is kind
         # repr tells -0.0 from 0.0 and 1 from 1.0, where == does not
         assert repr(net._budgets[k]) == repr(budget)
-        assert repr(net._channels[k]) == repr(netmodel._read_channel(edge["channel"]))
+        assert repr(net._channels[k]) == repr(_read_channel(edge["channel"]))
 
 
 # --- no per-edge objects on the column paths -------------------------------------
@@ -347,7 +351,7 @@ def test_parse_report_plan_validate_and_sweep_build_no_per_edge_objects(monkeypa
     monkeypatch.setattr(netmodel.Topology, "_derive",
                         lambda self, *args: derived.append(1) or derive(self, *args))
     monkeypatch.setattr(EdgeSpec, "__init__", _refuse)
-    for module in (capacity, cuts_flows, aggregator):
+    for module in (capacity, aggregator):  # where edge_weight is called
         monkeypatch.setattr(module, "edge_weight", _refuse)
 
     sandwich_report(parse_network(lossy_text), Regime.PER_CHANNEL_USE)
@@ -358,3 +362,28 @@ def test_parse_report_plan_validate_and_sweep_build_no_per_edge_objects(monkeypa
     assert cli.main(["sweep", str(path), "--param", "budget-scale", "--values", "0.5,1,2",
                      "--fields", "lower,upper_esq,m", "--epsilon", "1e-4"]) == 0
     assert derived == [1]  # the parse's topology, shared by every point network
+
+
+def _check_again(*args, **kwargs):
+    raise AssertionError("a value checked a second time on the parse-to-solve path")
+
+
+def test_parse_report_plan_and_eta_sweep_check_each_edge_once(monkeypatch, tmp_path, capsys):
+    rng = random.Random(29)
+    lossy_text = serialize_network(grid_network(rng, 12, "freq"))
+    count_text = serialize_network(grid_network(rng, 12, "count"))
+    path = tmp_path / "counts.json"
+    path.write_text(count_text)
+    sweep = ["sweep", str(path), "--param", "eta", "--edge", "e40", "--values", "0.1,0.5,0.9",
+             "--fields", "lower,upper_esq,m", "--epsilon", "1e-4"]
+    assert cli.main(sweep) == 0
+    expected = capsys.readouterr().out
+    # the public FlowGraph constructor and the general edge readers
+    for target in ("qnetcap.cuts_flows.FlowGraph.__init__", "qnetcap.values._read_channel",
+                   "qnetcap.values._read_usage"):
+        monkeypatch.setattr(target, _check_again)
+
+    sandwich_report(parse_network(lossy_text), Regime.PER_CHANNEL_USE)
+    plan(parse_network(count_text), 1e-3)
+    assert cli.main(sweep) == 0
+    assert capsys.readouterr().out == expected

@@ -23,7 +23,7 @@ from qnetcap import (
     min_cut_bruteforce,
 )
 from qnetcap import cuts_flows
-from qnetcap.cuts_flows import edge_capacity
+from qnetcap.capacity import edge_capacity
 from qnetcap.generators import random_bell_network, random_custom_network, random_lossy_network
 
 from conftest import edge_with, network_with

@@ -30,7 +30,8 @@ from qnetcap import (
     sandwich_report,
 )
 from qnetcap.cli import SWEEP_FIELDS, sweep_csv
-from qnetcap.cuts_flows import ArcSweep, edge_capacity
+from qnetcap.capacity import edge_capacity
+from qnetcap.cuts_flows import ArcSweep
 from qnetcap.generators import random_count_network, random_lossy_network
 
 from conftest import edge_with, network_with
