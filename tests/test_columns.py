@@ -17,6 +17,7 @@ import copy
 import json
 import math
 import random
+import sys
 import warnings
 
 import pytest
@@ -295,8 +296,7 @@ def _with_extra(strategy, key):
         lambda pair: {**pair[0], key: [0]} if pair[1] else pair[0])
 
 
-FLOAT_MAX = 1.7976931348623157e308
-nonnegative = (st.floats(min_value=0.0, max_value=FLOAT_MAX) | st.just(-0.0)
+nonnegative = (st.floats(min_value=0.0, max_value=sys.float_info.max) | st.just(-0.0)
                | st.integers(min_value=0, max_value=10**308))
 json_channels = (
     _with_extra(st.builds(lambda eta: {"type": "lossy", "eta": eta},
