@@ -13,6 +13,7 @@ sides differ by at most a factor of two.
 from __future__ import annotations
 
 import math
+from types import MappingProxyType
 from typing import Mapping, Optional, Union
 
 from .capacity import (
@@ -46,7 +47,7 @@ class FixedFraction(Immutable):
 
 
 class PerEdgeTable(Immutable):
-    """Explicit per-edge Bell-pair rates, keyed by edge id."""
+    """Explicit per-edge Bell-pair rates, keyed by edge id, in a read-only view."""
 
     __slots__ = ("rates",)
 
@@ -57,7 +58,10 @@ class PerEdgeTable(Immutable):
             if r < 0:
                 raise ValueError(f"rate for edge {eid!r} must be finite and >= 0, got {r}")
             table[eid] = r
-        object.__setattr__(self, "rates", table)
+        object.__setattr__(self, "rates", MappingProxyType(table))
+
+    def __reduce__(self):
+        return type(self), (dict(self.rates),)
 
 
 RateModel = Union[AsymptoticQCap, FixedFraction, PerEdgeTable]
@@ -107,10 +111,8 @@ def build_bell_network(net: Network, rate_model: RateModel = AsymptoticQCap()) -
 
     The counts are computed column-wise with pair_count's arithmetic; where
     that fails, pair_count itself names the first edge at fault. Budgets and
-    rates were checked finite and >= 0 where they were read, so the counts
-    are not checked again, except that a negative one, which only a rate
-    table changed after it was built can give, goes to the FlowGraph
-    constructor for its error.
+    rates were checked finite and >= 0 where they were read, and a rate
+    table is read-only, so the counts are not checked again.
     """
     if net.budget_kind not in (Count, None):
         pair_count(net._edge(0), rate_model)  # raises: pair counts need Count budgets
@@ -121,9 +123,7 @@ def build_bell_network(net: Network, rate_model: RateModel = AsymptoticQCap()) -
         for edge in net.edges:
             pair_count(edge, rate_model)
         raise
-    pairs = tuple(pairs)
-    build = FlowGraph if min(pairs, default=0) < 0 else FlowGraph._from_checked
-    return build(net.topology, pairs, CapacityKind.INTEGER)
+    return FlowGraph._from_checked(net.topology, tuple(pairs), CapacityKind.INTEGER)
 
 
 class ProtocolPlan(Immutable):

@@ -15,11 +15,11 @@ A FlowGraph is a Topology plus one capacity per arc. The topology holds
 the vertices, terminals, arc rows and the solver's residual arc order,
 none of which reads a capacity. The q_cap and esq_upper weightings and
 the Bell network of one network are all built on its topology, so they
-share that arc order. The FlowGraph constructor checks every capacity.
-Those three are built from a network's columns, checked once at parse,
-and skip it: only a cut weight past the float range, the one fault left,
-goes to the constructor for its error. ArcSweep's solves reuse checked
-capacities the same way.
+share that arc order; so do ArcSweep's two solves. The FlowGraph
+constructor checks every capacity. Those three are built from a
+network's columns, checked once at parse, and skip it: only a cut weight
+past the float range goes to the constructor for its error. ArcSweep's
+solves reuse checked capacities the same way.
 """
 
 from __future__ import annotations
@@ -116,10 +116,10 @@ class _ResidualSolver:
     solve writes only its own cap list and its per-phase level and
     current-arc lists, never the topology. The level set of the last BFS,
     which fails to reach the sink, is `reachable`, the Alice side of a
-    minimum cut.
+    minimum cut. Both arcs of row `_unbounded_row`, if given, start at inf.
     """
 
-    def __init__(self, fg: FlowGraph):
+    def __init__(self, fg: FlowGraph, _unbounded_row: int | None = None):
         self.topology = topology = fg.topology
         self.source, self.sink = topology._terminals
         self.to, self.adj = topology._to, topology._adj
@@ -134,6 +134,8 @@ class _ResidualSolver:
             thresholds = [h if h < tol else tol for h in [c / 2 for c in caps]]
             self.threshold = _interleave(thresholds, thresholds)
         self.cap = _interleave(caps, caps)
+        if _unbounded_row is not None:
+            self.cap[2 * _unbounded_row] = self.cap[2 * _unbounded_row + 1] = math.inf
         self.flow_value = fg.zero
         self._run()
 
@@ -261,37 +263,28 @@ class ArcSweep:
     the minimum is F(w) = min(F(0) + w, F(inf)). Two max-flows give the Alice
     sides of a minimum cut with the arc at 0 and of a minimum cut among those
     that avoid the arc; at any w the smaller of those two cuts is a minimum
-    cut. The second runs with the arc's endpoints merged into one vertex, the
-    exact form of an infinite capacity: a large finite one would sit within
-    the solver's relative tolerance, or past float precision, of the other
-    arcs once they are large. When the arc joins source and sink, every cut
-    crosses it and only the first side is kept. Both solves reuse fg's
-    checked rows and capacities: merging drops the rows joining the arc's
-    ends, so no self-loop forms.
+    cut. Both solve the arc-at-zero graph on fg's topology; the second gives
+    the arc's two residual arcs an infinite capacity, which no cut crosses
+    (Ford and Fulkerson, 1956). A large finite stand-in would sit within the
+    solver's relative tolerance, or past float precision, of the other arcs
+    once they are large. When the arc joins source and sink, every cut
+    crosses it and only the first side is kept.
     """
 
     def __init__(self, fg: FlowGraph, arc_id: str):
         arcs = fg.arcs
-        row = next((row for row in arcs if row[0] == arc_id), None)
-        if row is None:
+        k = next((k for k, row in enumerate(arcs) if row[0] == arc_id), None)
+        if k is None:
             raise KeyError(f"no arc with id {arc_id!r}")
         self.arc_id = arc_id
         self.zero = fg.zero
-        topology, kind = fg.topology, fg.capacity_kind
         capacities = tuple([self.zero if eid == arc_id else c for eid, _, _, c in arcs])
-        sides = [_ResidualSolver(FlowGraph._from_checked(topology, capacities, kind)).reachable]
-        ends = (topology.source, topology.sink)
-        _, u, v, _ = row
+        at_zero = FlowGraph._from_checked(fg.topology, capacities, fg.capacity_kind)
+        sides = [_ResidualSolver(at_zero).reachable]
+        ends = (fg.topology.source, fg.topology.sink)
+        _, u, v, _ = arcs[k]
         if not (u in ends and v in ends):
-            keep, drop = (u, v) if u in ends else (v, u)
-            merged = [(eid, keep if a == drop else a, keep if b == drop else b, c)
-                      for eid, a, b, c in arcs if {a, b} != {u, v}]
-            vertices = [x for x in topology.vertices if x != drop]
-            merged_fg = FlowGraph._from_checked(
-                Topology._from_checked_rows(vertices, *ends, [arc[:3] for arc in merged]),
-                tuple([arc[3] for arc in merged]), kind)
-            side = _ResidualSolver(merged_fg).reachable
-            sides.append(side | {drop} if keep in side else side)
+            sides.append(_ResidualSolver(at_zero, k).reachable)
         self.crossing = [[row for row in arcs if (row[1] in side) != (row[2] in side)]
                          for side in sides]
 

@@ -200,7 +200,10 @@ class Network(Immutable):
         """This network on its own topology with every budget times factor >= 0."""
         budgets = [b * factor for b in self._budgets]
         if math.inf in budgets:
-            self._budget_kind(math.inf)  # raises the budget's "must be finite" error
+            k = budgets.index(math.inf)
+            raise ValueError(f"edge {self._topology.arcs[k][0]!r}: {self._budget_kind.key} "
+                             f"{self._budgets[k]:.12g} scaled by {factor:.12g} "
+                             "is past the float range")
         return Network._from_checked(*[budgets if name == "_budgets" else getattr(self, name)
                                        for name in Network.__slots__])
 

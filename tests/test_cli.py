@@ -262,6 +262,18 @@ def test_a_cut_weight_past_the_float_range_exits_one_naming_the_arc(capsys, tmp_
     assert err == "error: arc 'e1': capacity must be finite and >= 0, got inf\n"
 
 
+def test_budget_scale_past_the_float_range_names_the_edge_and_the_scale(capsys, tmp_path):
+    doc = json.loads((NETWORKS_DIR / "diamond.json").read_text())
+    doc["edges"][0]["channel"]["eta"] = 0.1  # both cut weights of 1e308 uses stay finite
+    doc["edges"][0]["usage"] = {"freq": 1e308}
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "sweep", str(path), "--param", "budget-scale",
+                         "--values", "1,10")
+    assert code == 1 and out == ""
+    assert err == "error: edge 'e1': freq 1e+308 scaled by 10 is past the float range\n"
+
+
 def test_plan_with_a_pair_count_past_the_float_range_exits_one(capsys, tmp_path):
     doc = json.loads(SINGLE_TEXT)
     doc["edges"][0]["channel"]["eta"] = 0.875  # 3 pairs per use

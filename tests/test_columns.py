@@ -350,18 +350,29 @@ def test_parse_report_plan_validate_and_sweep_build_no_per_edge_objects(monkeypa
     derive = netmodel.Topology._derive
     monkeypatch.setattr(netmodel.Topology, "_derive",
                         lambda self, *args: derived.append(1) or derive(self, *args))
-    monkeypatch.setattr(EdgeSpec, "__init__", _refuse)
-    for module in (capacity, aggregator):  # where edge_weight is called
-        monkeypatch.setattr(module, "edge_weight", _refuse)
+    sweeps = {"budget-scale": ["--values", "0.5,1,2", "--epsilon", "1e-4"],
+              "epsilon": ["--values", "0,1e-4"],
+              "eta": ["--edge", "e40", "--values", "0.1,0.5,0.9", "--epsilon", "1e-4"]}
 
-    sandwich_report(parse_network(lossy_text), Regime.PER_CHANNEL_USE)
-    net = parse_network(count_text)
-    plan_to_dot(net, plan(net, 1e-3))
-    assert cli.main(["validate", str(path)]) == 0
-    derived.clear()
-    assert cli.main(["sweep", str(path), "--param", "budget-scale", "--values", "0.5,1,2",
-                     "--fields", "lower,upper_esq,m", "--epsilon", "1e-4"]) == 0
-    assert derived == [1]  # the parse's topology, shared by every point network
+    def sweep_derives_one_topology(param):
+        for fields in ("lower,upper_esq", "lower,upper_esq,m"):
+            derived.clear()
+            assert cli.main(["sweep", str(path), "--param", param, *sweeps[param],
+                             "--fields", fields]) == 0
+            assert derived == [1]  # the parse's topology, shared by every solve
+
+    with monkeypatch.context() as strict:
+        strict.setattr(EdgeSpec, "__init__", _refuse)
+        for module in (capacity, aggregator):  # where edge_weight is called
+            strict.setattr(module, "edge_weight", _refuse)
+        sandwich_report(parse_network(lossy_text), Regime.PER_CHANNEL_USE)
+        net = parse_network(count_text)
+        plan_to_dot(net, plan(net, 1e-3))
+        assert cli.main(["validate", str(path)]) == 0
+        sweep_derives_one_topology("budget-scale")
+        sweep_derives_one_topology("epsilon")
+    # an eta sweep weighs the swept edge pointwise, as an EdgeSpec per grid point
+    sweep_derives_one_topology("eta")
 
 
 def _check_again(*args, **kwargs):

@@ -309,9 +309,12 @@ def test_topology_rejects_a_repeated_arc_id(vertices, arcs):
          "source must be a non-empty string node label, got ['A']"),
         (("A", "B"), "A", "B", ((5, "A", "B"),), "edge id must be a non-empty string, got 5"),
         (("A", "B"), "A", "B", (("", "A", "B"),), "edge id must be a non-empty string, got ''"),
+        # the arc rows are checked before the labels
+        (("A", 7, "B"), "A", "B", (("", "A", "B"),),
+         "edge id must be a non-empty string, got ''"),
     ],
     ids=["label-not-a-string", "repeated-label", "unhashable-source", "int-arc-id",
-         "empty-arc-id"],
+         "empty-arc-id", "arc-row-before-label"],
 )
 def test_topology_rejects_a_malformed_label(vertices, source, sink, arcs, message):
     with pytest.raises(ValueError) as err:
