@@ -151,7 +151,7 @@ class ProtocolPlan(Immutable):
     @property
     def swap_schedules(self) -> tuple[tuple[NodeId, ...], ...]:
         """Per path, the repeaters that swap, in path order: its inner nodes."""
-        return tuple(p.nodes[1:-1] for p in self.paths)
+        return tuple([nodes[1:-1] for nodes, _, b, _ in self.paths.routes for _ in range(b)])
 
     @property
     def error_budget(self) -> float:
@@ -303,15 +303,14 @@ def sandwich_report_to_dict(report: SandwichReport) -> dict:
 
 
 def plan_to_dict(protocol_plan: ProtocolPlan) -> dict:
+    """The plan with one entry per unit path; no two of its lists are one object."""
+    units = list(protocol_plan.paths._units())
     return {
         "m": protocol_plan.m,
         "epsilon": protocol_plan.epsilon,
         "error_budget": protocol_plan.error_budget,
         "counted_edges": protocol_plan.counted_edges,
-        "paths": [
-            {"nodes": list(p.nodes), "bell_edges": list(p.bell_edges)}
-            for p in protocol_plan.paths
-        ],
-        "swap_schedules": [list(s) for s in protocol_plan.swap_schedules],
+        "paths": [{"nodes": list(nodes), "bell_edges": ids} for nodes, ids in units],
+        "swap_schedules": [list(nodes[1:-1]) for nodes, _ in units],
         "unused_pairs": {k: v for k, v in sorted(protocol_plan.unused_pairs.items())},
     }

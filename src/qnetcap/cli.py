@@ -12,6 +12,7 @@ import argparse
 import json
 import math
 import sys
+import warnings
 from typing import Optional, Sequence
 
 from .aggregator import (
@@ -51,8 +52,12 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_DOMAIN, f"{self.prog}: error: {message}\n")
 
 
+def _json_text(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
 def _print_json(obj) -> None:
-    sys.stdout.write(json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n")
+    sys.stdout.write(_json_text(obj))
 
 
 def _fmt(x: float) -> str:
@@ -121,10 +126,12 @@ def cmd_plan(args) -> int:
     net = load_network(args.network)
     rate_model = _parse_rate_model(args.rate_model)
     result = plan(net, args.epsilon, rate_model, count_all_edges=args.count_all_edges)
-    _print_json(plan_to_dict(result))
-    if args.dot:
+    text = _json_text(plan_to_dict(result))
+    if args.dot:  # written first, so an IO error leaves stdout empty
+        dot = plan_to_dot(net, result)
         with open(args.dot, "w", encoding="utf-8") as fh:
-            fh.write(plan_to_dot(net, result))
+            fh.write(dot)
+    sys.stdout.write(text)
     return EXIT_OK
 
 
@@ -363,10 +370,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _print_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        with warnings.catch_warnings():  # one plain line per warning, no Python source
+            warnings.simplefilter("always")
+            warnings.showwarning = _print_warning
+            return args.func(args)
     except (ValueError, KeyError) as err:  # includes NetworkFormatError
         # str() of a KeyError is the repr of its message, quotes and all
         message = err.args[0] if isinstance(err, KeyError) and err.args else err

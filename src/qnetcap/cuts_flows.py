@@ -11,6 +11,13 @@ capacities: each channel's capacity is the number of Bell pairs it holds,
 so integer flow realizes the edge-disjoint path count, which equals the
 minimum number of Bell pairs crossing any Alice/Bob cut.
 
+That integer flow decomposes into routes, simple Alice-Bob paths that
+each carry a multiplicity b of unit paths (see PathSet). Each route
+empties an arc of the flow, so there are at most as many routes as arcs
+carrying flow, however many pairs there are (Ahuja, Magnanti and Orlin,
+Network Flows, 1993, section 3.5): the decomposition walks once per
+route, not once per pair.
+
 A FlowGraph is a Topology plus one capacity per arc. The topology holds
 the vertices, terminals, arc rows and the solver's residual arc order,
 none of which reads a capacity. The q_cap and esq_upper weightings and
@@ -332,31 +339,58 @@ class DisjointPath(Immutable):
 
 
 class PathSet(Immutable):
-    """Edge-disjoint paths and, per channel id, the Bell pairs they consume."""
+    """Edge-disjoint paths as routes and, per channel id, the Bell pairs they consume.
 
-    __slots__ = ("paths", "pairs_used")
+    A route is a plain tuple (nodes, channels, b, firsts): a simple
+    Alice-to-Bob path, the channel ids of its hops, the multiplicity b of
+    unit paths that run along it, and per channel the index of the first
+    pair they take. A simple path crosses a channel at most once, so the
+    route's pair ids on a channel form one contiguous range: its j-th unit
+    path, 0 <= j < b, takes pair '<channel>#<first + j>'. len() is the sum
+    of the multiplicities. ``paths``, and iteration, list the unit paths as
+    DisjointPaths, route by route, built on each read.
+    """
 
-    def __init__(self, paths: tuple[DisjointPath, ...], pairs_used: Mapping[str, int]):
-        object.__setattr__(self, "paths", paths)
+    __slots__ = ("routes", "pairs_used")
+
+    def __init__(self, routes: tuple[tuple, ...], pairs_used: Mapping[str, int]):
+        object.__setattr__(self, "routes", routes)
         object.__setattr__(self, "pairs_used", dict(pairs_used))
 
     def __len__(self) -> int:
-        return len(self.paths)
+        return sum([route[2] for route in self.routes])
 
     def __iter__(self):
         return iter(self.paths)
 
+    def _units(self):
+        """Each unit path as (nodes, list of pair ids), in route order."""
+        for nodes, channels, b, firsts in self.routes:
+            for j in range(b):
+                yield nodes, [f"{cid}#{first + j}" for cid, first in zip(channels, firsts)]
+
+    @property
+    def paths(self) -> tuple[DisjointPath, ...]:
+        """The unit paths, one DisjointPath per Bell pair path."""
+        return tuple([DisjointPath(nodes, tuple(ids)) for nodes, ids in self._units()])
+
 
 def max_disjoint_paths(bell: FlowGraph) -> PathSet:
-    """Maximum set of pairwise edge-disjoint Alice-Bob paths in the Bell network.
+    """Maximum set of pairwise edge-disjoint Alice-Bob paths in the Bell network, as routes.
 
     Integer max-flow with each channel's capacity equal to its pair count,
-    followed by decomposition of the net flow into unit paths; cycles in
-    the flow are excised since they contribute nothing end to end. Each
-    path takes the next free pair of every channel it crosses, so pair ids
-    read '<channel>#<index>'. The path count, len() of the PathSet, matches
-    the minimum number of Bell pairs crossing any cut. More than
-    MAX_PLAN_PATHS paths is an error, raised before any path is built.
+    then decomposition of the net flow by walks from Alice: each vertex
+    leaves by its first arc, in sorted order, with units left, and a cycle
+    in the walk is excised, since it contributes nothing end to end. A walk
+    that empties no arc never revisits a vertex (the revisit would repeat
+    forever), so every later walk would repeat it until its least arc is
+    empty: it is taken that many times at once, as one route. A walk that
+    empties an arc is taken once. Each route takes the next free pairs of
+    every channel it crosses, so pair ids read '<channel>#<index>'. The
+    path count, len() of the PathSet, matches the minimum number of Bell
+    pairs crossing any cut. Every route empties an arc, so there are at
+    most as many routes as arcs carrying flow. More than MAX_PLAN_PATHS
+    paths is an error, raised before any walk.
     """
     if bell.capacity_kind is not CapacityKind.INTEGER:
         raise ValueError("edge-disjoint paths need a Bell network (integer capacities)")
@@ -377,41 +411,48 @@ def max_disjoint_paths(bell: FlowGraph) -> PathSet:
         arcs.sort()
     cursor = {v: 0 for v in out}
 
-    def next_arc(v: NodeId) -> tuple[NodeId, str]:
-        arc = out[v][cursor[v]]
-        arc[2] -= 1
-        if arc[2] == 0:
-            cursor[v] += 1
-        return arc[0], arc[1]
-
     pairs_used: dict[str, int] = {}
-    paths = []
-    for _ in range(count):
+    routes = []
+    taken = 0
+    while taken < count:
         nodes = [source]
-        channels: list[str] = []
+        used: list[list] = []  # the arc leaving each node of the walk
         position = {source: 0}
+        emptied = False
         v = source
         while v != sink:
-            w, cid = next_arc(v)
+            arc = out[v][cursor[v]]
+            arc[2] -= 1
+            if arc[2] == 0:
+                cursor[v] += 1
+                emptied = True
+            w = arc[0]
             if w in position:
                 # excise the cycle: drop everything after the revisited node
                 k = position[w]
                 for dropped in nodes[k + 1 :]:
                     del position[dropped]
                 nodes = nodes[: k + 1]
-                channels = channels[:k]
+                used = used[:k]
             else:
                 position[w] = len(nodes)
                 nodes.append(w)
-                channels.append(cid)
+                used.append(arc)
             v = w
-        bell_ids = []
-        for cid in channels:
-            index = pairs_used.get(cid, 0)
-            pairs_used[cid] = index + 1
-            bell_ids.append(f"{cid}#{index}")
-        paths.append(DisjointPath(tuple(nodes), tuple(bell_ids)))
-    return PathSet(tuple(paths), pairs_used)
+        b = 1
+        if not emptied:
+            b = 1 + min([arc[2] for arc in used])
+            for tail, arc in zip(nodes, used):
+                arc[2] -= b - 1
+                if arc[2] == 0:
+                    cursor[tail] += 1
+        channels = tuple([arc[1] for arc in used])
+        firsts = tuple([pairs_used.get(cid, 0) for cid in channels])
+        for cid, first in zip(channels, firsts):
+            pairs_used[cid] = first + b
+        routes.append((tuple(nodes), channels, b, firsts))
+        taken += b
+    return PathSet(tuple(routes), pairs_used)
 
 
 _PAIR_ID = re.compile(r"(.+)#(0|[1-9][0-9]*)")
@@ -422,7 +463,8 @@ def check_path_set(bell: FlowGraph, path_set: PathSet) -> None:
 
     Every pair id must read '<channel>#<index>' with index below the
     channel's pair count, no id may repeat, and the per-channel tallies of
-    the ids must equal path_set.pairs_used.
+    the ids must equal path_set.pairs_used. It reads the unit listing,
+    path_set.paths, and trusts nothing the routes claim about it.
     """
     channels = {cid: (u, v, n) for cid, u, v, n in bell.arcs}
     source, sink = bell.topology.source, bell.topology.sink

@@ -192,6 +192,27 @@ def test_plan_writes_dot(capsys, tmp_path):
     assert "2/3 used" in dot
 
 
+def test_plan_dot_to_an_unwritable_path_prints_nothing_and_exits_two(capsys, tmp_path):
+    dot_path = tmp_path / "missing" / "x.dot"
+    code, out, err = run(capsys, "plan", TRIANGLE, "--dot", str(dot_path))
+    assert (code, out) == (2, "")
+    assert err == f"io error: [Errno 2] No such file or directory: '{dot_path}'\n"
+
+
+@pytest.mark.parametrize("command", ["validate", "bound"])
+def test_sandwich_warning_is_one_plain_line(capsys, tmp_path, command):
+    doc = {"nodes": ["A", "B"], "alice": "A", "bob": "B", "edges": [
+        {"id": "e", "tail": "A", "head": "B", "usage": {"freq": 1.0},
+         "channel": {"type": "custom", "q_cap": 2.0, "esq_upper": 1.0}},
+    ]}
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, command, str(path))
+    assert code == 0 and out
+    assert err == ("warning: edge 'e': q_cap=2.0 exceeds esq_upper=1.0; "
+                   "the sandwich guarantee does not apply\n")
+
+
 def test_plan_disconnected(capsys, tmp_path):
     doc = {
         "nodes": ["A", "C", "B"],

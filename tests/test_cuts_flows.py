@@ -198,17 +198,19 @@ def test_path_set_checker_catches_violations():
     bell = bell_from_counts({("A", "C"): 1, ("C", "B"): 1})
     paths = max_disjoint_paths(bell)
     check_path_set(bell, paths)
-    from qnetcap import DisjointPath, PathSet
+    from qnetcap import PathSet
 
-    bad = PathSet((DisjointPath(("A", "B"), ("A-C#0",)),), {"A-C": 1})
+    # a route is (nodes, channels, multiplicity, first pair index per channel)
+    bad = PathSet(((("A", "B"), ("A-C",), 1, (0,)),), {"A-C": 1})
     with pytest.raises(ValueError):
         check_path_set(bell, bad)
-    doubled = PathSet(tuple(paths) + tuple(paths), paths.pairs_used)
+    doubled = PathSet(paths.routes + paths.routes, paths.pairs_used)
     with pytest.raises(ValueError, match="twice"):
         check_path_set(bell, doubled)
-    hop = DisjointPath(("A", "C", "B"), ("A-C#0", "C-B#0"))
-    for ids in (("A-C#1", "C-B#0"), ("A-C#00", "C-B#0"), ("X#0", "C-B#0")):
-        forged = PathSet((DisjointPath(hop.nodes, ids),), {"A-C": 1, "C-B": 1})
+    hop = (("A", "C", "B"), ("A-C", "C-B"), 1, (0, 0))
+    # A-C#1, A-C#-1 and X#0: past the pair count, not an index, no such channel
+    for channels, firsts in ((hop[1], (1, 0)), (hop[1], (-1, 0)), (("X", "C-B"), hop[3])):
+        forged = PathSet(((hop[0], channels, 1, firsts),), {"A-C": 1, "C-B": 1})
         with pytest.raises(ValueError, match="unknown"):
             check_path_set(bell, forged)
     miscounted = PathSet((hop,), {"A-C": 1, "C-B": 2})

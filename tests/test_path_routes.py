@@ -1,0 +1,196 @@
+"""Routes against the per-unit path decomposition they replaced.
+
+``max_disjoint_paths`` walks the net flow once per route and takes the walk
+as many times as it would repeat. The reference below is the decomposition
+it replaced, which walks once per Bell pair; both must give the same unit
+paths, pair ids and pair tallies, and the same plan JSON byte for byte.
+"""
+
+import json
+import random
+
+import pytest
+
+from qnetcap import (
+    Count, EdgeSpec, LossyOptical, Network, PathSet, build_bell_network, max_disjoint_paths,
+    parse_network, plan, plan_to_dict,
+)
+from qnetcap import cuts_flows
+from qnetcap.cuts_flows import _ResidualSolver
+from qnetcap.generators import random_count_network
+
+from conftest import DATA_DIR, NETWORKS_DIR
+
+EPSILON = 1e-3
+ETAS = (0.5, 0.75, 0.875)  # q_cap 1, 2 and 3: whole pair counts
+
+
+def reference_unit_paths(bell):
+    """One walk per Bell pair: the unit paths as (nodes, pair ids), and pairs_used."""
+    solver = _ResidualSolver(bell)
+    count = int(solver.flow_value)
+    source, sink = bell.topology.source, bell.topology.sink
+    out = {v: [] for v in bell.topology.vertices}
+    for cid, (u, v, amount) in solver.net_flow().items():
+        out[u].append([v, cid, int(amount)])
+    for arcs in out.values():
+        arcs.sort()
+    cursor = {v: 0 for v in out}
+
+    def next_arc(v):
+        arc = out[v][cursor[v]]
+        arc[2] -= 1
+        if arc[2] == 0:
+            cursor[v] += 1
+        return arc[0], arc[1]
+
+    pairs_used = {}
+    paths = []
+    for _ in range(count):
+        nodes = [source]
+        channels = []
+        position = {source: 0}
+        v = source
+        while v != sink:
+            w, cid = next_arc(v)
+            if w in position:
+                k = position[w]
+                for dropped in nodes[k + 1:]:
+                    del position[dropped]
+                nodes = nodes[: k + 1]
+                channels = channels[:k]
+            else:
+                position[w] = len(nodes)
+                nodes.append(w)
+                channels.append(cid)
+            v = w
+        bell_ids = []
+        for cid in channels:
+            index = pairs_used.get(cid, 0)
+            pairs_used[cid] = index + 1
+            bell_ids.append(f"{cid}#{index}")
+        paths.append((tuple(nodes), tuple(bell_ids)))
+    return paths, pairs_used
+
+
+def reference_plan_json(net, epsilon):
+    """The plan JSON the per-unit decomposition gave, dumped as the CLI dumps it."""
+    bell = build_bell_network(net)
+    paths, used = reference_unit_paths(bell)
+    ids = [eid for eid, _, _ in bell.topology.arcs]
+    counted = sum(1 for n in bell.capacities if n > 0)
+    doc = {
+        "m": len(paths),
+        "epsilon": epsilon,
+        "error_budget": counted * epsilon,
+        "counted_edges": counted,
+        "paths": [{"nodes": list(nodes), "bell_edges": list(bells)} for nodes, bells in paths],
+        "swap_schedules": [list(nodes[1:-1]) for nodes, _ in paths],
+        "unused_pairs": dict(sorted(
+            (eid, n - used.get(eid, 0)) for eid, n in zip(ids, bell.capacities)
+        )),
+    }
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+
+
+def assert_matches_reference(net):
+    bell = build_bell_network(net)
+    routes = max_disjoint_paths(bell)
+    paths, used = reference_unit_paths(bell)
+    assert [(p.nodes, p.bell_edges) for p in routes.paths] == paths
+    assert routes.pairs_used == used
+    assert len(routes) == len(paths)
+    for nodes, channels, b, firsts in routes.routes:
+        assert b >= 1 and len(set(nodes)) == len(nodes) == len(channels) + 1 == len(firsts) + 1
+    # every route empties an arc of the flow
+    assert len(routes.routes) <= len(_ResidualSolver(bell).net_flow())
+    out = json.dumps(plan_to_dict(plan(net, EPSILON)), indent=2, sort_keys=True, allow_nan=False)
+    assert out == reference_plan_json(net, EPSILON)
+    return len(routes.routes), len(paths)
+
+
+def count_grid(rng, side, cmax):
+    """A side x side count grid, Alice and Bob at opposite corners, counts in 1..cmax."""
+    def label(r, c):
+        return {(0, 0): "A", (side - 1, side - 1): "B"}.get((r, c), f"n{r}_{c}")
+
+    edges = []
+    for r in range(side):
+        for c in range(side):
+            for r2, c2 in ((r, c + 1), (r + 1, c)):
+                if r2 < side and c2 < side:
+                    u, v = label(r, c), label(r2, c2)
+                    if rng.random() < 0.5:
+                        u, v = v, u
+                    edges.append(EdgeSpec(f"e{len(edges)}", u, v, LossyOptical(rng.choice(ETAS)),
+                                          Count(rng.randint(1, cmax))))
+    nodes = [label(r, c) for r in range(side) for c in range(side)]
+    return Network(nodes, "A", "B", edges)
+
+
+def test_routes_match_the_unit_decomposition_on_random_count_networks():
+    rng = random.Random(1616)
+    routes = units = 0
+    # small stacks, then stacks of up to 1000 pairs per channel
+    for max_count in [6] * 1300 + [1000] * 200:
+        net = random_count_network(rng, max_nodes=10, max_edges=16, max_count=max_count)
+        r, u = assert_matches_reference(net)
+        routes, units = routes + r, units + u
+    assert routes < units  # the routes are shared by many unit paths
+
+
+@pytest.mark.parametrize("side, cmax", [(3, 10**4), (5, 10), (6, 10**4), (8, 100), (10, 10**3)])
+def test_routes_match_the_unit_decomposition_on_count_grids(side, cmax):
+    rng = random.Random(f"grid/{side}/{cmax}")
+    for _ in range(3):
+        assert_matches_reference(count_grid(rng, side, cmax))
+
+
+def _count_network_files():
+    files = []
+    for path in sorted([*NETWORKS_DIR.glob("*.json"), *DATA_DIR.glob("*.json")]):
+        doc = json.loads(path.read_text())
+        if isinstance(doc, dict) and "edges" in doc and all(
+            "count" in e["usage"] for e in doc["edges"]
+        ):
+            files.append(path)
+    return files
+
+
+def test_every_sample_count_network_is_held_to_the_reference():
+    names = [p.name for p in _count_network_files()]
+    assert names == ["fig2_analog.json", "triangle_counts.json", "grid12_counts.json"]
+    for path in _count_network_files():
+        assert_matches_reference(parse_network(path.read_text()))
+
+
+def test_plan_and_its_json_build_no_unit_path_objects(monkeypatch):
+    built = []
+    unit_init = cuts_flows.DisjointPath.__init__
+
+    def counting_init(self, *args):
+        built.append(args)
+        unit_init(self, *args)
+
+    monkeypatch.setattr(cuts_flows.DisjointPath, "__init__", counting_init)
+    net = count_grid(random.Random(10), 10, 100)
+    p = plan(net, EPSILON)
+    doc = plan_to_dict(p)
+    assert doc["m"] == p.m == len(doc["paths"]) > len(p.paths.routes)
+    assert built == []
+
+    def no_expansion(self):
+        raise AssertionError("len() expanded the routes")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(PathSet, "_units", no_expansion)
+        assert len(p.paths) == p.m
+    assert built == []
+    assert len(p.paths.paths) == len(built) == p.m  # the unit listing, built on read
+
+
+def test_plan_json_holds_no_shared_lists():
+    doc = plan_to_dict(plan(count_grid(random.Random(3), 4, 50), EPSILON))
+    lists = [p["nodes"] for p in doc["paths"]] + [p["bell_edges"] for p in doc["paths"]]
+    lists += doc["swap_schedules"]
+    assert len(lists) > 3 and len({id(x) for x in lists}) == len(lists)
