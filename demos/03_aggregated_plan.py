@@ -4,9 +4,10 @@ Each channel edge holds an integer number of Bell pairs
 (floor(floor(l) * R) per edge), which is the capacity of its arc row in
 the Bell network, an integer flow graph; the maximum flow splits into
 the maximum set of edge-disjoint Alice-Bob paths through the pairs.
-Every path becomes one swap schedule; the whole plan delivers one ebit
-per path with a total trace-norm error of (number of active edges) *
-epsilon.
+Paths along one chain of repeaters form a route, printed once with its
+multiplicity; every path becomes one swap schedule, and the whole plan
+delivers one ebit per path with a total trace-norm error of (number of
+active edges) * epsilon.
 """
 
 import pathlib
@@ -32,10 +33,11 @@ def main():
     print()
 
     result = plan(net, epsilon=0.001)
-    print(f"edge-disjoint paths (M): {result.m}")
-    for path, schedule in zip(result.paths, result.swap_schedules):
-        swaps = " -> ".join(schedule) if schedule else "(direct, no swaps)"
-        print(f"  {' - '.join(path.nodes):24s} swaps at: {swaps}")
+    routes = result.paths.routes
+    print(f"edge-disjoint paths (M): {result.m}, along {len(routes)} routes")
+    for nodes, _, b, _ in routes:
+        swaps = " -> ".join(nodes[1:-1]) or "(direct, no swaps)"
+        print(f"  {b} × {' - '.join(nodes):24s} swaps at: {swaps}")
     print(f"error budget: {result.counted_edges} active edges x eps = {result.error_budget}")
     print()
 
@@ -47,7 +49,7 @@ def main():
 
     unused = {k: v for k, v in result.unused_pairs.items() if v}
     print(f"\nidle pairs (dashed in the DOT export): {unused}")
-    out = pathlib.Path(__file__).with_suffix(".dot")
+    out = pathlib.Path(pathlib.Path(__file__).stem + ".dot")  # in the working directory
     out.write_text(plan_to_dot(net, result))
     print(f"annotated DOT written to {out.name}")
 

@@ -37,7 +37,6 @@ from .capacity import (
 from .cuts_flows import (
     CapacityKind,
     CutResult,
-    DisjointPath,
     FlowGraph,
     PathSet,
     check_path_set,

@@ -96,14 +96,17 @@ def pair_count(edge: EdgeSpec, model: RateModel) -> int:
 
 
 def _rate_column(net: Network, model: RateModel) -> list:
-    """resolve_rate of every edge in edge order; None where a table has no entry."""
+    """resolve_rate of every edge in edge order; None where a table has no entry.
+
+    An unknown model raises resolve_rate's error, on an edgeless network too.
+    """
     if isinstance(model, AsymptoticQCap):
         return q_cap_column(net)
     if isinstance(model, FixedFraction):
         return [model.alpha * w for w in q_cap_column(net)]
     if isinstance(model, PerEdgeTable):
         return [model.rates.get(eid) for eid, _, _ in net.topology.arcs]
-    return [resolve_rate(e, model) for e in net.edges]  # an unknown model: raises
+    raise ValueError(f"unknown rate model {model!r}")
 
 
 def build_bell_network(net: Network, rate_model: RateModel = AsymptoticQCap()) -> FlowGraph:
@@ -185,18 +188,16 @@ def plan(
 class SandwichReport(Immutable):
     """Achievable lower bound and converse upper bounds for one regime.
 
-    ``lower`` and ``upper_esq`` are the values of the two witness cuts, read
-    from them. ``upper_eps_corrected`` is None when the finite-error
-    correction is vacuous (epsilon >= 1/256).
+    ``lower``, ``upper_esq`` and ``upper_eps_corrected`` are derived from
+    the two witness cuts and epsilon on each read.
     """
 
-    __slots__ = ("regime", "epsilon", "upper_eps_corrected", "lower_witness", "upper_witness")
+    __slots__ = ("regime", "epsilon", "lower_witness", "upper_witness")
 
-    def __init__(self, regime: Regime, epsilon: float, upper_eps_corrected: Optional[float],
-                 lower_witness: CutResult, upper_witness: CutResult):
+    def __init__(self, regime: Regime, epsilon: float, lower_witness: CutResult,
+                 upper_witness: CutResult):
         object.__setattr__(self, "regime", regime)
         object.__setattr__(self, "epsilon", epsilon)
-        object.__setattr__(self, "upper_eps_corrected", upper_eps_corrected)
         object.__setattr__(self, "lower_witness", lower_witness)
         object.__setattr__(self, "upper_witness", upper_witness)
 
@@ -209,6 +210,11 @@ class SandwichReport(Immutable):
     def upper_esq(self) -> float:
         """The converse bound: the esq_upper-weighted minimum cut's value."""
         return self.upper_witness.value
+
+    @property
+    def upper_eps_corrected(self) -> Optional[float]:
+        """The finite-error converse bound, or None once epsilon >= 1/256 makes it vacuous."""
+        return epsilon_corrected_upper(self.upper_esq, self.epsilon)
 
 
 def check_report_inputs(net: Network, regime: Regime, epsilon: float) -> float:
@@ -249,8 +255,7 @@ def sandwich_report(net: Network, regime: Regime, epsilon: float = 0.0) -> Sandw
     per_protocol = regime is Regime.PER_PROTOCOL
     lower_cut = min_cut(flow_graph_from_network(net, WeightKind.Q_CAP, floor_budgets=per_protocol))
     upper_cut = min_cut(flow_graph_from_network(net, WeightKind.ESQ_UPPER))
-    corrected = epsilon_corrected_upper(upper_cut.value, epsilon)
-    return SandwichReport(regime, epsilon, corrected, lower_cut, upper_cut)
+    return SandwichReport(regime, epsilon, lower_cut, upper_cut)
 
 
 def gap_ratio(lower: float, upper_esq: float) -> float:
@@ -290,13 +295,14 @@ def cut_to_dict(cut: CutResult) -> dict:
 
 
 def sandwich_report_to_dict(report: SandwichReport) -> dict:
+    corrected = report.upper_eps_corrected
     return {
         "regime": report.regime.value,
         "epsilon": report.epsilon,
         "lower": report.lower,
         "upper_esq": report.upper_esq,
-        "upper_eps_corrected": report.upper_eps_corrected,
-        "vacuous": report.upper_eps_corrected is None,
+        "upper_eps_corrected": corrected,
+        "vacuous": corrected is None,
         "lower_witness": cut_to_dict(report.lower_witness),
         "upper_witness": cut_to_dict(report.upper_witness),
     }
@@ -304,7 +310,7 @@ def sandwich_report_to_dict(report: SandwichReport) -> dict:
 
 def plan_to_dict(protocol_plan: ProtocolPlan) -> dict:
     """The plan with one entry per unit path; no two of its lists are one object."""
-    units = list(protocol_plan.paths._units())
+    units = list(protocol_plan.paths)
     return {
         "m": protocol_plan.m,
         "epsilon": protocol_plan.epsilon,

@@ -58,8 +58,11 @@ def _check_nonnegative(name: str, value: float) -> float:
 
 
 def check_epsilon(epsilon: float) -> float:
-    """A trace-norm error budget as a float; ValueError unless finite and >= 0."""
-    return _check_nonnegative("epsilon", epsilon)
+    """A trace-norm error budget as a float; ValueError unless finite and >= 0.
+
+    Either zero comes back as +0.0, so a -0 never reaches the output.
+    """
+    return _check_nonnegative("epsilon", epsilon) + 0.0  # -0.0 + 0.0 is +0.0
 
 
 def _check_werner(p: float) -> None:

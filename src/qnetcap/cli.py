@@ -199,7 +199,7 @@ def _parse_grid(args) -> list[float]:
     decreasing = all(a > b for a, b in zip(grid, grid[1:]))
     if not (increasing or decreasing):
         raise ValueError("sweep grid must be strictly monotone")
-    return grid
+    return [v + 0.0 for v in grid]  # -0.0 + 0.0 is +0.0: no row is labelled -0
 
 
 def _eta_points(net: Network, edge_id: str, grid: Sequence[float], epsilon: float, want_m: bool):

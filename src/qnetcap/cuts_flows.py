@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 import re
 from enum import Enum
-from typing import AbstractSet, Mapping
+from typing import AbstractSet, Iterator, Mapping
 
 from .capacity import WeightKind, weight_column
 from .netmodel import Immutable, Network, NodeId, Topology, _interleave
@@ -328,16 +328,6 @@ def min_cut_bruteforce(fg: FlowGraph) -> CutResult:
     return _cut(fg.arcs, fg.capacities, fg.zero, _enumerate_min_cut(fg))
 
 
-class DisjointPath(Immutable):
-    """Simple Alice-to-Bob path with the Bell pairs it consumes."""
-
-    __slots__ = ("nodes", "bell_edges")
-
-    def __init__(self, nodes: tuple[NodeId, ...], bell_edges: tuple[str, ...]):
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "bell_edges", bell_edges)
-
-
 class PathSet(Immutable):
     """Edge-disjoint paths as routes and, per channel id, the Bell pairs they consume.
 
@@ -347,8 +337,8 @@ class PathSet(Immutable):
     pair they take. A simple path crosses a channel at most once, so the
     route's pair ids on a channel form one contiguous range: its j-th unit
     path, 0 <= j < b, takes pair '<channel>#<first + j>'. len() is the sum
-    of the multiplicities. ``paths``, and iteration, list the unit paths as
-    DisjointPaths, route by route, built on each read.
+    of the multiplicities. Iteration lists the unit paths, route by route,
+    as (nodes, pair ids), with a fresh list of pair ids per unit path.
     """
 
     __slots__ = ("routes", "pairs_used")
@@ -360,19 +350,10 @@ class PathSet(Immutable):
     def __len__(self) -> int:
         return sum([route[2] for route in self.routes])
 
-    def __iter__(self):
-        return iter(self.paths)
-
-    def _units(self):
-        """Each unit path as (nodes, list of pair ids), in route order."""
+    def __iter__(self) -> Iterator[tuple[tuple[NodeId, ...], list[str]]]:
         for nodes, channels, b, firsts in self.routes:
             for j in range(b):
                 yield nodes, [f"{cid}#{first + j}" for cid, first in zip(channels, firsts)]
-
-    @property
-    def paths(self) -> tuple[DisjointPath, ...]:
-        """The unit paths, one DisjointPath per Bell pair path."""
-        return tuple([DisjointPath(nodes, tuple(ids)) for nodes, ids in self._units()])
 
 
 def max_disjoint_paths(bell: FlowGraph) -> PathSet:
@@ -463,21 +444,21 @@ def check_path_set(bell: FlowGraph, path_set: PathSet) -> None:
 
     Every pair id must read '<channel>#<index>' with index below the
     channel's pair count, no id may repeat, and the per-channel tallies of
-    the ids must equal path_set.pairs_used. It reads the unit listing,
-    path_set.paths, and trusts nothing the routes claim about it.
+    the ids must equal path_set.pairs_used. It reads the unit listing, the
+    path set's iteration, and trusts nothing the routes claim about it.
     """
     channels = {cid: (u, v, n) for cid, u, v, n in bell.arcs}
     source, sink = bell.topology.source, bell.topology.sink
     seen: set[str] = set()
     tally: dict[str, int] = {}
-    for p in path_set.paths:
-        if len(p.nodes) < 2 or p.nodes[0] != source or p.nodes[-1] != sink:
-            raise ValueError(f"path {p.nodes} does not run alice -> bob")
-        if len(set(p.nodes)) != len(p.nodes):
-            raise ValueError(f"path {p.nodes} repeats a vertex")
-        if len(p.bell_edges) != len(p.nodes) - 1:
-            raise ValueError(f"path {p.nodes} edge count mismatch")
-        for (u, v), eid in zip(zip(p.nodes, p.nodes[1:]), p.bell_edges):
+    for nodes, pair_ids in path_set:
+        if len(nodes) < 2 or nodes[0] != source or nodes[-1] != sink:
+            raise ValueError(f"path {nodes} does not run alice -> bob")
+        if len(set(nodes)) != len(nodes):
+            raise ValueError(f"path {nodes} repeats a vertex")
+        if len(pair_ids) != len(nodes) - 1:
+            raise ValueError(f"path {nodes} edge count mismatch")
+        for (u, v), eid in zip(zip(nodes, nodes[1:]), pair_ids):
             if eid in seen:
                 raise ValueError(f"bell edge {eid!r} consumed twice")
             seen.add(eid)

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -20,6 +21,7 @@ from qnetcap import (
     SandwichReport,
     WeightKind,
     build_bell_network,
+    epsilon_corrected_upper,
     check_path_set,
     flow_graph_from_network,
     lossy_gap_ratio,
@@ -102,6 +104,18 @@ def test_resolve_rate_table_missing_edge():
     assert resolve_rate(edge, PerEdgeTable({"e": 2.5})) == 2.5
 
 
+@pytest.mark.parametrize("edges", [[], [count_edge("ab", "A", "B", 2)]], ids=["edgeless", "edge"])
+@pytest.mark.parametrize("model", ["bogus", object()], ids=["str", "object"])
+def test_unknown_rate_model_is_rejected_on_every_network(edges, model):
+    # no edge asks for a rate on an edgeless network; the model is rejected all the same
+    net = Network(("A", "B"), "A", "B", edges)
+    message = f"^unknown rate model {re.escape(repr(model))}$"
+    with pytest.raises(ValueError, match=message):
+        build_bell_network(net, model)
+    with pytest.raises(ValueError, match=message):
+        plan(net, 0.0, model)
+
+
 @pytest.mark.parametrize(
     "make, message",
     [
@@ -137,7 +151,7 @@ def test_build_bell_network_ids_are_deterministic(triangle_net):
     assert bell.arcs == arcs
     # pair ids are '<channel>#<index>', numbered per channel in path order
     paths = max_disjoint_paths(bell)
-    assert [eid for p in paths for eid in p.bell_edges] == [
+    assert [eid for _, ids in paths for eid in ids] == [
         "ab#0", "ac#0", "cb#0", "ac#1", "cb#1",
     ]
     assert paths.pairs_used == {"ab": 1, "ac": 2, "cb": 2}
@@ -192,15 +206,15 @@ def test_plan_parallel_edges_no_swaps():
     result = plan(net, 0.0)
     assert result.m == 5
     assert all(s == () for s in result.swap_schedules)
-    assert all(p.nodes == ("A", "B") for p in result.paths)
+    assert all(nodes == ("A", "B") for nodes, _ in result.paths)
 
 
 def test_pair_conservation(triangle_net):
     result = plan(triangle_net, 0.0)
     bell = build_bell_network(triangle_net)
     consumed = {}
-    for p in result.paths:
-        for bid in p.bell_edges:
+    for _, ids in result.paths:
+        for bid in ids:
             parent = bid.rsplit("#", 1)[0]
             consumed[parent] = consumed.get(parent, 0) + 1
     for parent, _, _, total in bell.arcs:
@@ -237,12 +251,17 @@ def test_plan_and_report_derive_their_counts_from_their_fields(triangle_net, dia
     result = plan(triangle_net, 0.01)
     assert ProtocolPlan._fields == ("paths", "epsilon", "counted_edges", "unused_pairs")
     assert result.m == len(result.paths) == 3
-    assert result.swap_schedules == tuple(p.nodes[1:-1] for p in result.paths)
+    assert result.swap_schedules == tuple(nodes[1:-1] for nodes, _ in result.paths)
     assert result.error_budget == result.counted_edges * result.epsilon
     report = sandwich_report(diamond_net, Regime.PER_CHANNEL_USE)
     assert "lower" not in SandwichReport._fields and "upper_esq" not in SandwichReport._fields
     assert report.lower == report.lower_witness.value
     assert report.upper_esq == report.upper_witness.value
+    assert SandwichReport._fields == ("regime", "epsilon", "lower_witness", "upper_witness")
+    assert report.upper_eps_corrected == epsilon_corrected_upper(report.upper_esq, 0.0)
+    corrected = sandwich_report(triangle_net, Regime.PER_PROTOCOL, epsilon=1e-4)
+    assert corrected.upper_eps_corrected == epsilon_corrected_upper(corrected.upper_esq, 1e-4)
+    assert corrected.upper_eps_corrected > corrected.upper_esq
 
 
 def test_sandwich_report_rejects_epsilon_outside_per_protocol(diamond_net):
@@ -333,7 +352,7 @@ def test_plan_m_matches_bruteforce_cut_on_random_count_networks():
         assert result.m == min_cut_bruteforce(bell).value
         check_path_set(bell, result.paths)
         # and conservation holds exactly, in total and per channel
-        consumed = sum(len(p.bell_edges) for p in result.paths)
+        consumed = sum(len(ids) for _, ids in result.paths)
         generated = {cid: n for cid, _, _, n in bell.arcs}
         assert consumed + sum(result.unused_pairs.values()) == sum(generated.values())
         for cid, n in generated.items():

@@ -162,6 +162,7 @@ def test_epsilon_budget_flag():
 
 def test_check_epsilon_returns_a_float():
     assert check_epsilon(0) == 0.0 and type(check_epsilon(0)) is float
+    assert math.copysign(1.0, check_epsilon(-0.0)) == 1.0  # either zero comes back as +0.0
     assert check_epsilon(1e-3) == 1e-3
 
 

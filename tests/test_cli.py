@@ -542,6 +542,28 @@ def test_identical_invocations_are_byte_identical(capsys):
     assert sweeps[0] == sweeps[1]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("bound", TRIANGLE, "--epsilon", "{zero}"),
+        ("plan", TRIANGLE, "--epsilon", "{zero}"),
+        ("simulate-swap", "--chain", "0.9", "--eps", "{zero}"),
+        ("sweep", TRIANGLE, "--param", "epsilon", "--values={zero},0.5",
+         "--fields", "lower,upper_eps_corrected,m"),
+        ("sweep", SINGLE, "--param", "budget-scale", "--grid={zero}:0:-1"),
+    ],
+    ids=["bound", "plan", "simulate-swap", "sweep-values", "sweep-grid"],
+)
+def test_negative_zero_prints_as_zero(capsys, argv):
+    outputs = []
+    for zero in ("-0", "0"):
+        code, out, err = run(capsys, *[arg.format(zero=zero) for arg in argv])
+        assert code == 0, err
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+    assert "-0" not in outputs[0]
+
+
 def test_usage_errors_exit_one(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["sweep", SINGLE, "--param", "nope", "--values", "1"])

@@ -119,7 +119,7 @@ def test_max_disjoint_paths_triangle():
     bell = bell_from_counts({("A", "C"): 3, ("C", "B"): 2, ("A", "B"): 1})
     paths = max_disjoint_paths(bell)
     assert len(paths) == 3
-    node_seqs = sorted(p.nodes for p in paths)
+    node_seqs = sorted(nodes for nodes, _ in paths)
     assert node_seqs == [("A", "B"), ("A", "C", "B"), ("A", "C", "B")]
     check_path_set(bell, paths)
     # one A-C pair is left unused
@@ -131,7 +131,7 @@ def test_max_disjoint_paths_bottleneck_chain():
     bell = bell_from_counts({("A", "C"): 5, ("C", "B"): 2})
     paths = max_disjoint_paths(bell)
     assert len(paths) == 2
-    assert all(p.nodes == ("A", "C", "B") for p in paths)
+    assert all(nodes == ("A", "C", "B") for nodes, _ in paths)
 
 
 def test_max_disjoint_paths_empty_network():

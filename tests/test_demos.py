@@ -10,10 +10,11 @@ DEMOS = sorted((REPO_ROOT / "demos").glob("*.py"))
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
-def test_demo_exits_zero(demo):
+def test_demo_exits_zero(demo, tmp_path):
     paths = [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
     proc = subprocess.run(
-        [sys.executable, str(demo)], env=env, capture_output=True, text=True, timeout=300
+        [sys.executable, str(demo)], env=env, cwd=tmp_path, capture_output=True, text=True,
+        timeout=300,
     )
     assert proc.returncode == 0, proc.stderr

@@ -12,10 +12,9 @@ import random
 import pytest
 
 from qnetcap import (
-    Count, EdgeSpec, LossyOptical, Network, PathSet, build_bell_network, max_disjoint_paths,
-    parse_network, plan, plan_to_dict,
+    Count, EdgeSpec, LossyOptical, Network, PathSet, build_bell_network, check_path_set,
+    max_disjoint_paths, parse_network, plan, plan_to_dict,
 )
-from qnetcap import cuts_flows
 from qnetcap.cuts_flows import _ResidualSolver
 from qnetcap.generators import random_count_network
 
@@ -97,7 +96,7 @@ def assert_matches_reference(net):
     bell = build_bell_network(net)
     routes = max_disjoint_paths(bell)
     paths, used = reference_unit_paths(bell)
-    assert [(p.nodes, p.bell_edges) for p in routes.paths] == paths
+    assert [(nodes, tuple(ids)) for nodes, ids in routes] == paths
     assert routes.pairs_used == used
     assert len(routes) == len(paths)
     for nodes, channels, b, firsts in routes.routes:
@@ -164,29 +163,25 @@ def test_every_sample_count_network_is_held_to_the_reference():
         assert_matches_reference(parse_network(path.read_text()))
 
 
-def test_plan_and_its_json_build_no_unit_path_objects(monkeypatch):
-    built = []
-    unit_init = cuts_flows.DisjointPath.__init__
+def test_only_the_json_and_the_checker_expand_the_routes(monkeypatch):
+    expansions = []
+    unit_listing = PathSet.__iter__
 
-    def counting_init(self, *args):
-        built.append(args)
-        unit_init(self, *args)
+    def counting_iter(self):
+        expansions.append(self)
+        return unit_listing(self)
 
-    monkeypatch.setattr(cuts_flows.DisjointPath, "__init__", counting_init)
+    monkeypatch.setattr(PathSet, "__iter__", counting_iter)
     net = count_grid(random.Random(10), 10, 100)
     p = plan(net, EPSILON)
+    assert len(p.paths) == p.m > len(p.paths.routes)
+    assert len(p.swap_schedules) == p.m
+    assert expansions == []
     doc = plan_to_dict(p)
-    assert doc["m"] == p.m == len(doc["paths"]) > len(p.paths.routes)
-    assert built == []
-
-    def no_expansion(self):
-        raise AssertionError("len() expanded the routes")
-
-    with monkeypatch.context() as patch:
-        patch.setattr(PathSet, "_units", no_expansion)
-        assert len(p.paths) == p.m
-    assert built == []
-    assert len(p.paths.paths) == len(built) == p.m  # the unit listing, built on read
+    assert doc["m"] == len(doc["paths"]) == len(doc["swap_schedules"]) == p.m
+    assert expansions == [p.paths]
+    check_path_set(build_bell_network(net), p.paths)
+    assert expansions == [p.paths, p.paths]
 
 
 def test_plan_json_holds_no_shared_lists():

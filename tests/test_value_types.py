@@ -12,7 +12,6 @@ from qnetcap import (
     Count,
     CustomChannel,
     CutResult,
-    DisjointPath,
     EdgeSpec,
     FixedFraction,
     FlowGraph,
@@ -51,7 +50,6 @@ SAMPLES = [
     CHAIN,
     BELL,
     CutResult(1, frozenset({"A", "C"}), ("cb",)),
-    DisjointPath(("A", "C", "B"), ("ac#0", "cb#0")),
     max_disjoint_paths(BELL),
     AsymptoticQCap(),
     FixedFraction(0.5),
