@@ -21,8 +21,8 @@ from qnetcap import (
     SandwichReport,
     WeightKind,
     build_bell_network,
-    epsilon_corrected_upper,
     check_path_set,
+    epsilon_corrected_upper,
     flow_graph_from_network,
     lossy_gap_ratio,
     max_disjoint_paths,
