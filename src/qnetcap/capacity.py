@@ -27,9 +27,12 @@ from __future__ import annotations
 
 import math
 from enum import Enum
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-from .netmodel import CustomChannel, EdgeSpec, LossyOptical, Network
+from .values import CustomChannel, EdgeSpec, LossyOptical
+
+if TYPE_CHECKING:  # annotations only: a Werner chain needs no network model
+    from .netmodel import Network
 
 
 class WeightKind(Enum):
@@ -108,7 +111,7 @@ def werner_chain_report(
     distance = 1.5 * (1.0 - final_p)
     budget = sum(per_pair_eps)
     return {
-        "chain": list(chain),
+        "chain": [abs(p) for p in chain],  # p is in [0, 1]: abs only turns -0.0 into +0.0
         "final_fidelity": (1.0 + 3.0 * final_p) / 4.0,
         "trace_distance": distance,
         "budget": budget,

@@ -4,6 +4,10 @@ All outputs are deterministic for identical invocations: JSON is emitted
 with sorted keys, CSV rows are sorted by grid value, and floats use a
 fixed format. Exit codes: 0 success, 1 domain/validation error, 2 IO
 error.
+
+Each handler imports the library modules it runs when it is called, so a
+process loads, and compiles, only what its subcommand needs; the sweep
+engine below the ``sweep`` flag checks lives in ``qnetcap.sweep``.
 """
 
 from __future__ import annotations
@@ -15,25 +19,7 @@ import sys
 import warnings
 from typing import Optional, Sequence
 
-from .aggregator import (
-    AsymptoticQCap,
-    FixedFraction,
-    PerEdgeTable,
-    RateModel,
-    Regime,
-    build_bell_network,
-    check_report_inputs,
-    gap_ratio,
-    pair_count,
-    plan,
-    plan_to_dict,
-    plan_to_dot,
-    sandwich_report,
-    sandwich_report_to_dict,
-)
-from .capacity import WeightKind, edge_capacity, epsilon_corrected_upper, werner_chain_report
-from .cuts_flows import ArcSweep, flow_graph_from_network, max_flow_value
-from .netmodel import Count, EdgeSpec, LossyOptical, Network, load_network, read_json
+from .values import Count, Regime
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -60,10 +46,6 @@ def _print_json(obj) -> None:
     sys.stdout.write(_json_text(obj))
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.12g}"
-
-
 def _float_flag(flag: str, text) -> float:
     try:
         return float(text)
@@ -71,16 +53,10 @@ def _float_flag(flag: str, text) -> float:
         raise ValueError(f"bad {flag} value: {err}") from err
 
 
-def _infer_regime(net: Network, flag: Optional[str]) -> Regime:
-    if flag is not None:
-        return _REGIMES[flag]
-    kind = net.budget_kind
-    if kind is None:
-        return Regime.PER_CHANNEL_USE
-    return kind.regime
+def _parse_rate_model(spec: str):
+    from .aggregator import AsymptoticQCap, FixedFraction, PerEdgeTable
+    from .netmodel import read_json
 
-
-def _parse_rate_model(spec: str) -> RateModel:
     if spec == "asymptotic":
         return AsymptoticQCap()
     if spec.startswith("fraction:"):
@@ -101,6 +77,8 @@ def _parse_rate_model(spec: str) -> RateModel:
 
 
 def cmd_validate(args) -> int:
+    from .netmodel import load_network
+
     net = load_network(args.network)
     kind = net.budget_kind.__name__.lower() if net.budget_kind else "none"
     print(f"ok: {len(net.nodes)} nodes, {len(net.topology.arcs)} edges, {kind} budgets")
@@ -108,8 +86,11 @@ def cmd_validate(args) -> int:
 
 
 def cmd_bound(args) -> int:
+    from .aggregator import sandwich_report, sandwich_report_to_dict
+    from .netmodel import load_network
+
     net = load_network(args.network)
-    regime = _infer_regime(net, args.regime)
+    regime = net.default_regime if args.regime is None else _REGIMES[args.regime]
     report = sandwich_report(net, regime, args.epsilon)
     doc = sandwich_report_to_dict(report)
     if args.weights == "qcap":
@@ -123,6 +104,9 @@ def cmd_bound(args) -> int:
 
 
 def cmd_plan(args) -> int:
+    from .aggregator import plan, plan_to_dict, plan_to_dot
+    from .netmodel import load_network
+
     net = load_network(args.network)
     rate_model = _parse_rate_model(args.rate_model)
     result = plan(net, args.epsilon, rate_model, count_all_edges=args.count_all_edges)
@@ -136,6 +120,8 @@ def cmd_plan(args) -> int:
 
 
 def _chain_from_args(args) -> list[float]:
+    if args.chain is not None and args.from_plan is not None:
+        raise ValueError("give either --chain or --from-plan, not both")
     if args.chain is not None:
         values = [_float_flag("--chain", v) for v in args.chain.split(",") if v.strip() != ""]
         if not values:
@@ -143,6 +129,8 @@ def _chain_from_args(args) -> list[float]:
         return values
     if args.from_plan is None:
         raise ValueError("give either --chain or --from-plan")
+    from .netmodel import read_json
+
     doc = read_json(args.from_plan, "--from-plan file")
     paths = doc.get("paths") if isinstance(doc, dict) else None
     if not isinstance(paths, list):
@@ -159,6 +147,8 @@ def _chain_from_args(args) -> list[float]:
 
 
 def cmd_simulate_swap(args) -> int:
+    from .capacity import werner_chain_report
+
     chain = _chain_from_args(args)
     eps_values = None  # default budget: each pair's own distance from a perfect Bell pair
     if args.eps is not None:
@@ -171,7 +161,7 @@ def cmd_simulate_swap(args) -> int:
     return EXIT_OK
 
 
-# --- sweep ------------------------------------------------------------------
+# --- sweep flags ------------------------------------------------------------
 
 def _parse_grid(args) -> list[float]:
     if args.values is not None:
@@ -202,97 +192,10 @@ def _parse_grid(args) -> list[float]:
     return [v + 0.0 for v in grid]  # -0.0 + 0.0 is +0.0: no row is labelled -0
 
 
-def _eta_points(net: Network, edge_id: str, grid: Sequence[float], epsilon: float, want_m: bool):
-    """Two max-flows per weight kind (and two for m), whatever the grid size.
-
-    Only the swept edge's capacity changes from point to point, so each
-    cut value comes from an ArcSweep over the base network.
-    """
-    edge = net.edge_by_id(edge_id)
-    if not isinstance(edge.channel, LossyOptical):
-        raise ValueError(f"edge {edge_id!r} is not a lossy channel")
-    regime = _infer_regime(net, None)
-    epsilon = check_report_inputs(net, regime, epsilon)
-    floor = regime is Regime.PER_PROTOCOL
-    lower = ArcSweep(flow_graph_from_network(net, WeightKind.Q_CAP, floor_budgets=floor), edge_id)
-    upper = ArcSweep(flow_graph_from_network(net, WeightKind.ESQ_UPPER), edge_id)
-    pairs = ArcSweep(build_bell_network(net), edge_id) if want_m else None
-    for value in grid:
-        point = EdgeSpec(edge.id, edge.tail, edge.head, LossyOptical(value), edge.usage)
-        upper_esq = upper.min_cut_value(edge_capacity(point, WeightKind.ESQ_UPPER))
-        yield (
-            value,
-            lower.min_cut_value(edge_capacity(point, WeightKind.Q_CAP, floor_budgets=floor)),
-            upper_esq,
-            epsilon_corrected_upper(upper_esq, epsilon),
-            pairs.min_cut_value(pair_count(point, AsymptoticQCap())) if want_m else None,
-        )
-
-
-def _epsilon_points(net: Network, grid: Sequence[float], want_m: bool):
-    """One report (and one m): only the epsilon correction varies."""
-    regime = _infer_regime(net, None)
-    for value in grid:
-        check_report_inputs(net, regime, value)
-    report = sandwich_report(net, regime)
-    m = max_flow_value(build_bell_network(net)) if want_m else None
-    for value in grid:
-        corrected = epsilon_corrected_upper(report.upper_esq, value)
-        yield value, report.lower, report.upper_esq, corrected, m
-
-
-def _budget_scale_points(net: Network, grid: Sequence[float], epsilon: float, want_m: bool):
-    """One report per point: scaling changes every capacity, and the
-    per-protocol floors make the cut non-linear in the scale. Each point
-    network scales the budget column on the network's own topology."""
-    regime = _infer_regime(net, None)
-    for value in grid:
-        if value < 0:
-            raise ValueError(f"budget scale must be >= 0, got {value}")
-        point_net = net._scaled(value)
-        report = sandwich_report(point_net, regime, epsilon)
-        m = max_flow_value(build_bell_network(point_net)) if want_m else None
-        yield value, report.lower, report.upper_esq, report.upper_eps_corrected, m
-
-
-def _sweep_row(fields: Sequence[str], value, lower, upper_esq, corrected, m) -> str:
-    cells = {
-        "lower": _fmt(lower),
-        "upper_esq": _fmt(upper_esq),
-        "upper_eps_corrected": "vacuous" if corrected is None else _fmt(corrected),
-        "ratio": _fmt(gap_ratio(lower, upper_esq)) if lower > 0 else "nan",
-        "m": str(m),
-    }
-    return ",".join([_fmt(value)] + [cells[name] for name in fields])
-
-
-def sweep_csv(
-    net: Network,
-    param: str,
-    grid: Sequence[float],
-    fields: Sequence[str],
-    *,
-    edge: Optional[str] = None,
-    epsilon: float = 0.0,
-) -> str:
-    """CSV of the report fields at each grid value, in grid order.
-
-    The text is returned whole, so an error at any point leaves no partial
-    output; the eta and epsilon sweeps check every point before any cut.
-    """
-    want_m = "m" in fields
-    if param == "eta":
-        points = _eta_points(net, edge, grid, epsilon, want_m)
-    elif param == "epsilon":
-        points = _epsilon_points(net, grid, want_m)
-    else:
-        points = _budget_scale_points(net, grid, epsilon, want_m)
-    lines = [",".join([param, *fields])]
-    lines.extend(_sweep_row(fields, *point) for point in points)
-    return "\r\n".join(lines) + "\r\n"
-
-
 def cmd_sweep(args) -> int:
+    from .netmodel import load_network
+    from .sweep import sweep_csv
+
     net = load_network(args.network)
     fields = [f.strip() for f in args.fields.split(",") if f.strip()]
     if not fields:

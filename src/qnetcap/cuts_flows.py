@@ -442,16 +442,24 @@ _PAIR_ID = re.compile(r"(.+)#(0|[1-9][0-9]*)")
 def check_path_set(bell: FlowGraph, path_set: PathSet) -> None:
     """Machine check of the path-set invariants; raises ValueError on breach.
 
-    Every pair id must read '<channel>#<index>' with index below the
-    channel's pair count, no id may repeat, and the per-channel tallies of
-    the ids must equal path_set.pairs_used. It reads the unit listing, the
-    path set's iteration, and trusts nothing the routes claim about it.
+    Every route must run at least once, every pair id must read
+    '<channel>#<index>' with index below the channel's pair count, no id
+    may repeat, the per-channel tallies of the ids must equal
+    path_set.pairs_used, and len(path_set), a plan's m, must count the unit
+    paths listed. It reads the unit listing, the path set's iteration, and
+    trusts nothing the routes claim about it.
     """
+    for route in path_set.routes:
+        b = route[2]
+        if type(b) is not int or b < 1:
+            raise ValueError(f"route {route[0]} has multiplicity {b!r}; it must be at least 1")
     channels = {cid: (u, v, n) for cid, u, v, n in bell.arcs}
     source, sink = bell.topology.source, bell.topology.sink
     seen: set[str] = set()
     tally: dict[str, int] = {}
+    listed = 0
     for nodes, pair_ids in path_set:
+        listed += 1
         if len(nodes) < 2 or nodes[0] != source or nodes[-1] != sink:
             raise ValueError(f"path {nodes} does not run alice -> bob")
         if len(set(nodes)) != len(nodes):
@@ -472,3 +480,5 @@ def check_path_set(bell: FlowGraph, path_set: PathSet) -> None:
     claimed = {cid: n for cid, n in path_set.pairs_used.items() if n}
     if claimed != tally:
         raise ValueError(f"pairs_used {claimed} does not match the pair ids {tally}")
+    if len(path_set) != listed:
+        raise ValueError(f"len() is {len(path_set)} but {listed} unit paths are listed")

@@ -181,6 +181,12 @@ class Network(Immutable):
         return self._budget_kind
 
     @property
+    def default_regime(self) -> Regime:
+        """The regime the budget variant is read in; per-use if edgeless."""
+        kind = self._budget_kind
+        return Regime.PER_CHANNEL_USE if kind is None else kind.regime
+
+    @property
     def edges(self) -> tuple[EdgeSpec, ...]:
         """The edges as EdgeSpecs in input order, built from the columns on each read."""
         return tuple([self._edge(k) for k in range(len(self._budgets))])

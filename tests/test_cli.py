@@ -387,6 +387,15 @@ def test_simulate_swap_from_plan_rejects_non_plan(capsys, tmp_path, doc, problem
 
 
 @pytest.mark.parametrize(
+    "plan_path", [DATA_DIR / "plan_triangle_counts.json", DATA_DIR / "no_such_plan.json"],
+    ids=["plan", "missing-file"],
+)
+def test_simulate_swap_rejects_a_chain_and_a_plan_together(plan_path):
+    err = cli_in_child_fails("simulate-swap", "--chain", "0.9", "--from-plan", plan_path)
+    assert err == "error: give either --chain or --from-plan, not both\n"
+
+
+@pytest.mark.parametrize(
     "argv, flag",
     [
         (("simulate-swap", "--chain", "0.9,0.9", "--eps", "abc"), "--eps"),
@@ -548,11 +557,15 @@ def test_identical_invocations_are_byte_identical(capsys):
         ("bound", TRIANGLE, "--epsilon", "{zero}"),
         ("plan", TRIANGLE, "--epsilon", "{zero}"),
         ("simulate-swap", "--chain", "0.9", "--eps", "{zero}"),
+        ("simulate-swap", "--chain={zero},0.9"),
+        ("simulate-swap", "--from-plan", str(DATA_DIR / "plan_triangle_counts.json"),
+         "--path-index", "1", "--pair-p", "{zero}"),
         ("sweep", TRIANGLE, "--param", "epsilon", "--values={zero},0.5",
          "--fields", "lower,upper_eps_corrected,m"),
         ("sweep", SINGLE, "--param", "budget-scale", "--grid={zero}:0:-1"),
     ],
-    ids=["bound", "plan", "simulate-swap", "sweep-values", "sweep-grid"],
+    ids=["bound", "plan", "simulate-swap", "swap-chain", "swap-pair-p", "sweep-values",
+         "sweep-grid"],
 )
 def test_negative_zero_prints_as_zero(capsys, argv):
     outputs = []

@@ -11,6 +11,7 @@ from qnetcap import (
     Frequency,
     LossyOptical,
     Network,
+    PathSet,
     Topology,
     WeightKind,
     build_bell_network,
@@ -198,7 +199,6 @@ def test_path_set_checker_catches_violations():
     bell = bell_from_counts({("A", "C"): 1, ("C", "B"): 1})
     paths = max_disjoint_paths(bell)
     check_path_set(bell, paths)
-    from qnetcap import PathSet
 
     # a route is (nodes, channels, multiplicity, first pair index per channel)
     bad = PathSet(((("A", "B"), ("A-C",), 1, (0,)),), {"A-C": 1})
@@ -216,6 +216,30 @@ def test_path_set_checker_catches_violations():
     miscounted = PathSet((hop,), {"A-C": 1, "C-B": 2})
     with pytest.raises(ValueError, match="pairs_used"):
         check_path_set(bell, miscounted)
+
+
+@pytest.mark.parametrize("b", [-1, 0, -7, True, 1.0, 2.5])
+def test_path_set_checker_rejects_a_multiplicity_below_one_or_not_an_integer(b):
+    # at b = -1 the second route cancels the first: len() reads 0 while one
+    # unit path is listed, and every pair id that is listed checks out
+    bell = bell_from_counts({("A", "B"): 1})
+    bad = (("A", "B"), ("A-B",), b, (7,))
+    for routes in ((bad,), ((("A", "B"), ("A-B",), 1, (0,)), bad)):
+        with pytest.raises(ValueError, match=f"multiplicity {b!r}"):
+            check_path_set(bell, PathSet(routes, {"A-B": 1}))
+
+
+@pytest.mark.parametrize("shift", [-1, 1])
+def test_path_set_checker_holds_len_to_the_unit_listing(monkeypatch, shift):
+    # mutant path sets whose len(), and so a plan's m, miscounts the listed unit paths
+    bell = bell_from_counts({("A", "C"): 2, ("C", "B"): 2, ("A", "B"): 1})
+    paths = max_disjoint_paths(bell)
+    assert len(paths) == 3
+    check_path_set(bell, paths)
+    counted = PathSet.__len__
+    monkeypatch.setattr(PathSet, "__len__", lambda self: counted(self) + shift)
+    with pytest.raises(ValueError, match=f"len\\(\\) is {3 + shift} but 3 unit paths are listed"):
+        check_path_set(bell, paths)
 
 
 def test_flow_graph_from_network_rejects_a_kind_that_is_not_a_weight_kind(diamond_net):

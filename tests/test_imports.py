@@ -1,8 +1,14 @@
-"""The package and every CLI subcommand run where numpy, dataclasses and inspect
-cannot be imported: a CLI process pays for none of them."""
+"""What a process loads: each CLI subcommand only the qnetcap modules it runs, and
+none of numpy, dataclasses or inspect; the package resolves its names on first use."""
 
+import importlib
+import json
 import subprocess
 import sys
+
+import pytest
+
+import qnetcap
 
 from conftest import DATA_DIR, NETWORKS_DIR, src_env
 
@@ -46,3 +52,114 @@ def test_simulate_swap_never_imports_numpy():
         ["simulate-swap", "--from-plan", str(DATA_DIR / "plan_triangle_counts.json"),
          "--path-index", "1", "--pair-p", "0.9"],
     ])
+
+
+# --- the modules each subcommand loads ------------------------------------------
+
+LOADED_SCRIPT = """
+import contextlib, io, json, sys
+{imports}
+with contextlib.redirect_stdout(io.StringIO()):
+    code = qnetcap.cli.main({argv!r}) if {argv!r} else 0
+loaded = sorted(name for name in sys.modules if name.split(".")[0] == "qnetcap")
+print(json.dumps([code, loaded]))
+"""
+
+CLI = {"qnetcap", "qnetcap.cli", "qnetcap.values"}
+CORE = CLI | {"qnetcap.netmodel", "qnetcap.capacity", "qnetcap.cuts_flows", "qnetcap.aggregator"}
+DIAMOND = str(NETWORKS_DIR / "diamond.json")
+FIG2 = str(NETWORKS_DIR / "fig2_analog.json")
+LOADS = {
+    "validate": (["validate", DIAMOND], CLI | {"qnetcap.netmodel"}),
+    "simulate-swap-chain": (["simulate-swap", "--chain", "0.9,0.9"], CLI | {"qnetcap.capacity"}),
+    # the plan file is read by netmodel's JSON reader, which names the file in its errors
+    "simulate-swap-plan": (["simulate-swap", "--from-plan",
+                            str(DATA_DIR / "plan_triangle_counts.json"), "--path-index", "1"],
+                           CLI | {"qnetcap.capacity", "qnetcap.netmodel"}),
+    "bound": (["bound", DIAMOND], CORE),
+    "plan": (["plan", FIG2, "--epsilon", "0.001"], CORE),
+    "sweep-eta": (["sweep", DIAMOND, "--param", "eta", "--edge", "e1", "--values", "0,0.5"],
+                  CORE | {"qnetcap.sweep"}),
+    "sweep-epsilon": (["sweep", FIG2, "--param", "epsilon", "--values", "0,0.001",
+                       "--fields", "m"], CORE | {"qnetcap.sweep"}),
+    "sweep-budget-scale": (["sweep", DIAMOND, "--param", "budget-scale", "--values", "1,2"],
+                           CORE | {"qnetcap.sweep"}),
+}
+
+
+def loaded_modules(imports: str, argv: list) -> set:
+    """The qnetcap modules a fresh interpreter holds after imports and main(argv)."""
+    result = subprocess.run(
+        [sys.executable, "-c", LOADED_SCRIPT.format(imports=imports, argv=argv)],
+        env=src_env(), capture_output=True, text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    code, loaded = json.loads(result.stdout)
+    assert code == 0, result.stderr
+    return set(loaded)
+
+
+@pytest.mark.parametrize("case", sorted(LOADS))
+def test_each_subcommand_loads_only_the_modules_it_runs(case):
+    argv, expected = LOADS[case]
+    assert loaded_modules("import qnetcap.cli", argv) == expected
+
+
+def test_importing_the_package_or_the_cli_loads_no_library_module():
+    assert loaded_modules("import qnetcap", []) == {"qnetcap"}
+    assert loaded_modules("import qnetcap.cli", []) == CLI
+
+
+# --- names resolved on first use ------------------------------------------------
+
+EXPORTS = {
+    "aggregator": (
+        "AsymptoticQCap", "FixedFraction", "PerEdgeTable", "ProtocolPlan", "RateModel",
+        "SandwichReport", "build_bell_network", "lossy_gap_ratio", "pair_count", "plan",
+        "plan_to_dict", "plan_to_dot", "resolve_rate", "sandwich_report",
+        "sandwich_report_to_dict",
+    ),
+    "capacity": (
+        "WeightKind", "binary_entropy", "check_epsilon", "edge_weight",
+        "epsilon_corrected_upper", "lossy_esq_upper", "lossy_q_cap", "werner_chain_report",
+    ),
+    "cuts_flows": (
+        "CapacityKind", "CutResult", "FlowGraph", "PathSet", "check_path_set",
+        "flow_graph_from_network", "max_disjoint_paths", "max_flow_value", "min_cut",
+        "min_cut_bruteforce",
+    ),
+    "netmodel": (
+        "ChannelSpec", "Count", "CustomChannel", "EdgeSpec", "Frequency", "LossyOptical",
+        "Network", "NetworkFormatError", "NodeId", "Rate", "Regime", "Topology", "UsageBudget",
+        "crossing_edges", "export_dot", "load_network", "parse_network", "serialize_network",
+    ),
+}
+NAMES = {name for names in EXPORTS.values() for name in names}
+
+
+def test_every_exported_name_is_the_object_in_its_home_module():
+    for module, names in EXPORTS.items():
+        home = importlib.import_module(f"qnetcap.{module}")
+        for name in names:
+            assert getattr(qnetcap, name) is getattr(home, name), (module, name)
+
+
+def test_dir_and_all_list_every_exported_name():
+    assert set(qnetcap.__all__) == NAMES
+    assert NAMES <= set(dir(qnetcap))
+
+
+def test_star_import_binds_every_exported_name():
+    namespace = {}
+    exec("from qnetcap import *", namespace)
+    del namespace["__builtins__"]
+    assert namespace.keys() == NAMES
+    for module, names in EXPORTS.items():
+        home = importlib.import_module(f"qnetcap.{module}")
+        assert all(namespace[name] is getattr(home, name) for name in names)
+
+
+def test_unknown_package_attribute_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        qnetcap.no_such_name
+    assert not hasattr(qnetcap, "no_such_name")

@@ -29,7 +29,8 @@ from qnetcap import (
     plan,
     sandwich_report,
 )
-from qnetcap.cli import SWEEP_FIELDS, sweep_csv
+from qnetcap.cli import SWEEP_FIELDS
+from qnetcap.sweep import sweep_csv
 from qnetcap.capacity import edge_capacity
 from qnetcap.cuts_flows import ArcSweep
 from qnetcap.generators import random_count_network, random_lossy_network
