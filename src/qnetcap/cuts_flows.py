@@ -446,8 +446,9 @@ def check_path_set(bell: FlowGraph, path_set: PathSet) -> None:
     '<channel>#<index>' with index below the channel's pair count, no id
     may repeat, the per-channel tallies of the ids must equal
     path_set.pairs_used, and len(path_set), a plan's m, must count the unit
-    paths listed. It reads the unit listing, the path set's iteration, and
-    trusts nothing the routes claim about it.
+    paths listed. Beyond each route's multiplicity it reads only the unit
+    listing, the path set's iteration, and trusts nothing the routes claim
+    about it.
     """
     for route in path_set.routes:
         b = route[2]

@@ -770,5 +770,14 @@ def test_budget_kind_end_to_end(capsys, tmp_path, key, cls, regime, label):
     code, out, _ = run(capsys, "validate", str(path))
     assert code == 0
     assert out == f"ok: 4 nodes, 4 edges, {label} budgets\n"
+    assert net.default_regime is regime
+    assert run_json(capsys, "bound", str(path))["regime"] == regime.value
     for other in {Count, Frequency, Rate} - {cls}:
         assert cls(1.0) != other(1.0)
+
+
+def test_an_edgeless_network_is_bounded_per_use(capsys, tmp_path):
+    path = tmp_path / "edgeless.json"
+    path.write_text(json.dumps({"nodes": ["A", "B"], "alice": "A", "bob": "B", "edges": []}))
+    doc = run_json(capsys, "bound", str(path))
+    assert (doc["regime"], doc["lower"], doc["upper_esq"]) == ("per-use", 0.0, 0.0)

@@ -144,9 +144,22 @@ def test_every_exported_name_is_the_object_in_its_home_module():
             assert getattr(qnetcap, name) is getattr(home, name), (module, name)
 
 
-def test_dir_and_all_list_every_exported_name():
+DIR_SCRIPT = """
+import json, sys
+import qnetcap
+listed = dir(qnetcap)
+print(json.dumps([listed, sorted(name for name in sys.modules if name.startswith("qnetcap."))]))
+"""
+
+
+def test_dir_and_all_list_every_exported_name_before_any_is_read():
     assert set(qnetcap.__all__) == NAMES
-    assert NAMES <= set(dir(qnetcap))
+    result = subprocess.run([sys.executable, "-c", DIR_SCRIPT], env=src_env(),
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    listed, submodules = json.loads(result.stdout)
+    assert NAMES <= set(listed)
+    assert submodules == []  # dir() resolves nothing
 
 
 def test_star_import_binds_every_exported_name():
