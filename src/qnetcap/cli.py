@@ -123,6 +123,9 @@ def _chain_from_args(args) -> list[float]:
     if args.chain is not None and args.from_plan is not None:
         raise ValueError("give either --chain or --from-plan, not both")
     if args.chain is not None:
+        for flag, value in (("--path-index", args.path_index), ("--pair-p", args.pair_p)):
+            if value is not None:
+                raise ValueError(f"{flag} applies only to --from-plan, not to --chain")
         values = [_float_flag("--chain", v) for v in args.chain.split(",") if v.strip() != ""]
         if not values:
             raise ValueError("--chain must list at least one Werner parameter")
@@ -131,19 +134,21 @@ def _chain_from_args(args) -> list[float]:
         raise ValueError("give either --chain or --from-plan")
     from .netmodel import read_json
 
+    path_index = 0 if args.path_index is None else args.path_index
+    pair_p = 1.0 if args.pair_p is None else args.pair_p
     doc = read_json(args.from_plan, "--from-plan file")
     paths = doc.get("paths") if isinstance(doc, dict) else None
     if not isinstance(paths, list):
         raise ValueError(f"{args.from_plan!r} is not a plan: it has no 'paths' list")
-    if not 0 <= args.path_index < len(paths):
-        raise ValueError(f"path index {args.path_index} out of range (plan has {len(paths)})")
-    path = paths[args.path_index]
+    if not 0 <= path_index < len(paths):
+        raise ValueError(f"path index {path_index} out of range (plan has {len(paths)})")
+    path = paths[path_index]
     hops = path.get("bell_edges") if isinstance(path, dict) else None
     if not isinstance(hops, list):
         raise ValueError(
-            f"{args.from_plan!r} is not a plan: path {args.path_index} has no 'bell_edges' list"
+            f"{args.from_plan!r} is not a plan: path {path_index} has no 'bell_edges' list"
         )
-    return [args.pair_p] * len(hops)
+    return [pair_p] * len(hops)
 
 
 def cmd_simulate_swap(args) -> int:
@@ -250,8 +255,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate-swap", help="swap a Werner chain and check its error budget")
     p.add_argument("--chain", default=None, help="comma list of Werner parameters")
     p.add_argument("--from-plan", default=None, help="plan JSON emitted by 'plan'")
-    p.add_argument("--path-index", type=int, default=0)
-    p.add_argument("--pair-p", type=float, default=1.0,
+    p.add_argument("--path-index", type=int, default=None)  # 0 with --from-plan
+    p.add_argument("--pair-p", type=float, default=None,  # 1.0 with --from-plan
                    help="Werner parameter per link when using --from-plan")
     p.add_argument("--eps", default=None,
                    help="per-pair budgets (one value or a comma list); "

@@ -10,6 +10,7 @@ network are direction-blind, so the crossing set contains edges leaving
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import sys
@@ -282,7 +283,27 @@ def parse_network(text: str) -> Network:
     general route, ``_read_edge``, which gives the same values bit for bit.
     Raises NetworkFormatError with line/position info on malformed JSON and
     with the offending node or edge named on semantic violations.
+
+    The cyclic garbage collector is paused while the document is decoded
+    and the columns filled. Neither the decoded document nor the Network
+    holds a reference cycle, so the collector's passes over that growing
+    tree would free nothing; reference counting frees the document on
+    return. The caller's collector state is restored on return and on
+    error, and a collector the caller turned off stays off. The pause is
+    process-wide: while it lasts, other threads' cyclic garbage is not
+    collected either.
     """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _parse_document(text)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _parse_document(text: str) -> Network:
+    """The body of ``parse_network``, run with the collector paused."""
     doc = _loads(text)
     if not isinstance(doc, dict):
         raise NetworkFormatError("top-level document must be an object")
@@ -325,7 +346,7 @@ def parse_network(text: str) -> Network:
             warnings.warn(
                 f"edge {eid!r}: q_cap={channel[0]} exceeds esq_upper="
                 f"{channel[1]}; the sandwich guarantee does not apply",
-                stacklevel=2,
+                stacklevel=3,  # the caller of parse_network
             )
         rows.append((eid, tail, head))
         kinds.add(kind)

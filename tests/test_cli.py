@@ -396,6 +396,18 @@ def test_simulate_swap_rejects_a_chain_and_a_plan_together(plan_path):
 
 
 @pytest.mark.parametrize(
+    "flags, named",
+    [(("--path-index", "7"), "--path-index"), (("--pair-p", "0.5"), "--pair-p"),
+     (("--pair-p", "0.5", "--path-index", "7"), "--path-index"),
+     (("--path-index", "0"), "--path-index"), (("--pair-p", "1.0"), "--pair-p")],
+    ids=["path-index", "pair-p", "both", "path-index-default-value", "pair-p-default-value"],
+)
+def test_simulate_swap_chain_rejects_plan_flags(flags, named):
+    err = cli_in_child_fails("simulate-swap", "--chain", "0.9", *flags)
+    assert err == f"error: {named} applies only to --from-plan, not to --chain\n"
+
+
+@pytest.mark.parametrize(
     "argv, flag",
     [
         (("simulate-swap", "--chain", "0.9,0.9", "--eps", "abc"), "--eps"),

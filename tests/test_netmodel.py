@@ -1,3 +1,5 @@
+import gc
+import json
 import random
 
 import pytest
@@ -19,7 +21,7 @@ from qnetcap import (
 )
 from qnetcap.generators import random_lossy_network
 
-from conftest import NETWORKS_DIR
+from conftest import DATA_DIR, NETWORKS_DIR
 
 MINIMAL = """
 {"nodes": ["A", "B"], "alice": "A", "bob": "B",
@@ -134,8 +136,32 @@ def test_custom_channel_sandwich_violation_is_flagged_and_warned():
         '{"type": "lossy", "eta": 0.5}',
         '{"type": "custom", "q_cap": 1.7, "esq_upper": 1.2}',
     )
-    with pytest.warns(UserWarning, match="sandwich"):
+    with pytest.warns(UserWarning, match="sandwich") as record:
         parse_network(doc)
+    assert [w.filename for w in record] == [__file__]  # the warning names the caller
+
+
+BAD_DOCUMENT = next(entry["document"] for entry in json.loads(
+    (DATA_DIR / "bad_networks.json").read_text(encoding="utf-8")
+) if entry["name"] == "alice-undeclared")
+
+
+@pytest.mark.parametrize("document, raises", [(MINIMAL, False), (BAD_DOCUMENT, True)],
+                         ids=["valid", "invalid"])
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+def test_parse_restores_the_collector_state(document, raises, enabled):
+    was_enabled = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        try:
+            parse_network(document)
+        except NetworkFormatError:
+            assert raises
+        else:
+            assert not raises
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
 
 
 def test_alice_and_bob_must_be_distinct_declared_nodes():
