@@ -9,11 +9,13 @@ multigraphs and reports the worst gap seen.
 import random
 
 from qnetcap import Regime, lossy_gap_ratio, sandwich_report
-from qnetcap.generators import default_seed, random_lossy_network
+from qnetcap.generators import random_lossy_network
+
+SEED = 1601
 
 
 def main():
-    rng = random.Random(default_seed())
+    rng = random.Random(SEED)
     worst = 0.0
     worst_net = None
     checked = 0
@@ -26,7 +28,7 @@ def main():
         ratio = lossy_gap_ratio(report)
         if ratio > worst:
             worst, worst_net = ratio, net
-    print(f"checked {checked} connected random lossy networks (seed {default_seed()})")
+    print(f"checked {checked} connected random lossy networks (seed {SEED})")
     print(f"worst converse/achievable ratio: {worst:.6f}  (theory caps it at 2)")
     if worst_net is not None:
         etas = sorted(e.channel.eta for e in worst_net.edges)

@@ -36,7 +36,7 @@ import re
 from enum import Enum
 from typing import AbstractSet, Iterator, Mapping
 
-from .capacity import WeightKind, weight_column
+from .capacity import WeightKind, _check_nonnegative, weight_column
 from .netmodel import Immutable, Network, NodeId, Topology, _interleave
 
 BRUTEFORCE_MAX_VERTICES = 20
@@ -70,11 +70,9 @@ class FlowGraph(Immutable):
         if not integer and capacity_kind is not CapacityKind.REAL:
             raise ValueError(f"capacity_kind must be a CapacityKind, got {capacity_kind!r}")
         for (eid, _, _), cap in zip(topology.arcs, capacities):
-            if isinstance(cap, bool) or (integer and not isinstance(cap, int)):
-                kind = "an integer" if integer else "a real number"
-                raise ValueError(f"arc {eid!r}: capacity must be {kind}, got {cap!r}")
-            if not (math.isfinite(cap) and cap >= 0):
-                raise ValueError(f"arc {eid!r}: capacity must be finite and >= 0, got {cap}")
+            if integer and (isinstance(cap, bool) or not isinstance(cap, int)):
+                raise ValueError(f"arc {eid!r}: capacity must be an integer, got {cap!r}")
+            _check_nonnegative(f"arc {eid!r}: capacity", cap)
         object.__setattr__(self, "topology", topology)
         object.__setattr__(self, "capacities", capacities)
         object.__setattr__(self, "capacity_kind", capacity_kind)

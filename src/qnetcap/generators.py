@@ -1,25 +1,15 @@
 """Seeded random networks and Bell networks for property tests and scans.
 
-Every generator takes an explicit random.Random; default_seed() supplies
-the fixed package seed, which the QNETCAP_SEED environment variable
-overrides.
+Every generator takes an explicit random.Random.
 """
 
 from __future__ import annotations
 
-import os
 import random
 from typing import Optional
 
 from .cuts_flows import CapacityKind, FlowGraph
 from .netmodel import Count, CustomChannel, EdgeSpec, Frequency, LossyOptical, Network, Topology
-
-DEFAULT_SEED = 1601
-
-
-def default_seed() -> int:
-    env = os.environ.get("QNETCAP_SEED")
-    return int(env) if env else DEFAULT_SEED
 
 
 def _node_labels(rng: random.Random, max_nodes: int) -> list[str]:

@@ -293,16 +293,22 @@ def parse_network(text: str) -> Network:
     process-wide: while it lasts, other threads' cyclic garbage is not
     collected either.
     """
+    return _parse_paused(text, stacklevel=4)
+
+
+def _parse_paused(text: str, stacklevel: int) -> Network:
+    """_parse_document with the collector paused; a warning names the frame
+    ``stacklevel`` up: 4 is the caller of parse_network, 6 of load_network."""
     enabled = gc.isenabled()
     gc.disable()
     try:
-        return _parse_document(text)
+        return _parse_document(text, stacklevel)
     finally:
         if enabled:
             gc.enable()
 
 
-def _parse_document(text: str) -> Network:
+def _parse_document(text: str, stacklevel: int) -> Network:
     """The body of ``parse_network``, run with the collector paused."""
     doc = _loads(text)
     if not isinstance(doc, dict):
@@ -346,7 +352,7 @@ def _parse_document(text: str) -> Network:
             warnings.warn(
                 f"edge {eid!r}: q_cap={channel[0]} exceeds esq_upper="
                 f"{channel[1]}; the sandwich guarantee does not apply",
-                stacklevel=3,  # the caller of parse_network
+                stacklevel=stacklevel,
             )
         rows.append((eid, tail, head))
         kinds.add(kind)
@@ -391,7 +397,7 @@ def serialize_network(net: Network) -> str:
 
 def load_network(path) -> Network:
     """Read and parse a network file. IO failures surface as OSError."""
-    return read_json(path, "network file", parse_network)
+    return read_json(path, "network file", lambda text: _parse_paused(text, stacklevel=6))
 
 
 # --- DOT export -------------------------------------------------------------

@@ -1,13 +1,14 @@
 """Parametric sweeps: the sandwich report's fields over a grid of one parameter.
 
-``sweep_csv`` is the engine below the CLI's ``sweep`` flag checks. The
-swept parameter is the transmittance eta of one lossy edge, the error
-budget epsilon, or a common scale of every budget. Each reads its regime
-from the network's budget variant, as ``bound`` does by default.
+``sweep_csv`` checks every rule of a sweep; the CLI's ``sweep`` only reads
+its flags. The swept parameter is the transmittance eta of one lossy
+edge, the error budget epsilon, or a common scale of every budget. Each
+reads its regime from the network's budget variant, as ``bound`` does.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Optional, Sequence
 
 from .aggregator import (
@@ -16,30 +17,34 @@ from .aggregator import (
 )
 from .capacity import WeightKind, edge_capacity, epsilon_corrected_upper
 from .cuts_flows import ArcSweep, flow_graph_from_network, max_flow_value
-from .netmodel import EdgeSpec, LossyOptical, Network, Regime
+from .netmodel import Count, EdgeSpec, LossyOptical, Network, Regime
 
 
 def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
-def _eta_points(net: Network, edge_id: str, grid: Sequence[float], epsilon: float, want_m: bool):
+def _eta_points(net: Network, grid: Sequence[float], want_m: bool, edge_id: Optional[str],
+                epsilon: float):
     """Two max-flows per weight kind (and two for m), whatever the grid size.
 
     Only the swept edge's capacity changes from point to point, so each
     cut value comes from an ArcSweep over the base network.
     """
+    if edge_id is None:
+        raise ValueError("an eta sweep needs the id of the swept edge")
     edge = net.edge_by_id(edge_id)
     if not isinstance(edge.channel, LossyOptical):
         raise ValueError(f"edge {edge_id!r} is not a lossy channel")
+    channels = [LossyOptical(value) for value in grid]  # each eta in [0, 1)
     regime = net.default_regime
     epsilon = check_report_inputs(net, regime, epsilon)
     floor = regime is Regime.PER_PROTOCOL
     lower = ArcSweep(flow_graph_from_network(net, WeightKind.Q_CAP, floor_budgets=floor), edge_id)
     upper = ArcSweep(flow_graph_from_network(net, WeightKind.ESQ_UPPER), edge_id)
     pairs = ArcSweep(build_bell_network(net), edge_id) if want_m else None
-    for value in grid:
-        point = EdgeSpec(edge.id, edge.tail, edge.head, LossyOptical(value), edge.usage)
+    for value, channel in zip(grid, channels):
+        point = EdgeSpec(edge.id, edge.tail, edge.head, channel, edge.usage)
         upper_esq = upper.min_cut_value(edge_capacity(point, WeightKind.ESQ_UPPER))
         yield (
             value,
@@ -50,7 +55,7 @@ def _eta_points(net: Network, edge_id: str, grid: Sequence[float], epsilon: floa
         )
 
 
-def _epsilon_points(net: Network, grid: Sequence[float], want_m: bool):
+def _epsilon_points(net: Network, grid: Sequence[float], want_m: bool, **_):
     """One report (and one m): only the epsilon correction varies."""
     regime = net.default_regime
     for value in grid:
@@ -62,29 +67,35 @@ def _epsilon_points(net: Network, grid: Sequence[float], want_m: bool):
         yield value, report.lower, report.upper_esq, corrected, m
 
 
-def _budget_scale_points(net: Network, grid: Sequence[float], epsilon: float, want_m: bool):
+def _budget_scale_points(net: Network, grid: Sequence[float], want_m: bool, epsilon: float, **_):
     """One report per point: scaling changes every capacity, and the
     per-protocol floors make the cut non-linear in the scale. Each point
     network scales the budget column on the network's own topology."""
-    regime = net.default_regime
     for value in grid:
-        if value < 0:
+        if not value >= 0:  # NaN fails this too
             raise ValueError(f"budget scale must be >= 0, got {value}")
+        if value == math.inf:
+            raise ValueError("budget scale must be finite, got inf")
+    regime = net.default_regime
+    check_report_inputs(net, regime, epsilon)
+    for value in grid:
         point_net = net._scaled(value)
         report = sandwich_report(point_net, regime, epsilon)
         m = max_flow_value(build_bell_network(point_net)) if want_m else None
         yield value, report.lower, report.upper_esq, report.upper_eps_corrected, m
 
 
-def _sweep_row(fields: Sequence[str], value, lower, upper_esq, corrected, m) -> str:
-    cells = {
-        "lower": _fmt(lower),
-        "upper_esq": _fmt(upper_esq),
-        "upper_eps_corrected": "vacuous" if corrected is None else _fmt(corrected),
-        "ratio": _fmt(gap_ratio(lower, upper_esq)) if lower > 0 else "nan",
-        "m": str(m),
-    }
-    return ",".join([_fmt(value)] + [cells[name] for name in fields])
+_POINTS = {"eta": _eta_points, "epsilon": _epsilon_points, "budget-scale": _budget_scale_points}
+
+# each field's cell at a point, from its (lower, upper_esq, eps-corrected upper, m)
+_CELLS = {
+    "lower": lambda lo, up, corr, m: _fmt(lo),
+    "upper_esq": lambda lo, up, corr, m: _fmt(up),
+    "upper_eps_corrected": lambda lo, up, corr, m: "vacuous" if corr is None else _fmt(corr),
+    "ratio": lambda lo, up, corr, m: _fmt(gap_ratio(lo, up)) if lo > 0 else "nan",
+    "m": lambda lo, up, corr, m: str(m),
+}
+SWEEP_FIELDS = tuple(_CELLS)
 
 
 def sweep_csv(
@@ -98,16 +109,24 @@ def sweep_csv(
 ) -> str:
     """CSV of the report fields at each grid value, in grid order.
 
-    The text is returned whole, so an error at any point leaves no partial
-    output; the eta and epsilon sweeps check every point before any cut.
+    Rules: ``param`` is eta, epsilon or budget-scale; ``fields`` is one or
+    more of SWEEP_FIELDS; eta needs ``edge``, a lossy edge's id, and values
+    in [0, 1); scales are finite and >= 0; epsilon, swept or fixed, is
+    finite, >= 0, and > 0 only on Count budgets; ``m`` needs Count budgets
+    or no edges. All three params check every rule at every point before
+    any cut, so an error (a KeyError for an unknown edge, else ValueError)
+    leaves no output. ``edge`` and ``epsilon`` are ignored where moot.
     """
+    points = _POINTS.get(param)
+    if points is None:
+        raise ValueError(f"unknown sweep param {param!r}; choose from {list(_POINTS)}")
+    if not fields or not _CELLS.keys() >= set(fields):
+        raise ValueError(f"sweep fields must be one or more of {list(SWEEP_FIELDS)}, "
+                         f"got {list(fields)}")
     want_m = "m" in fields
-    if param == "eta":
-        points = _eta_points(net, edge, grid, epsilon, want_m)
-    elif param == "epsilon":
-        points = _epsilon_points(net, grid, want_m)
-    else:
-        points = _budget_scale_points(net, grid, epsilon, want_m)
+    if want_m and net.budget_kind not in (Count, None):
+        raise ValueError("field 'm' needs Count budgets (protocol plans)")
     lines = [",".join([param, *fields])]
-    lines.extend(_sweep_row(fields, *point) for point in points)
+    lines.extend(",".join([_fmt(value)] + [_CELLS[name](*bounds) for name in fields])
+                 for value, *bounds in points(net, grid, want_m, edge_id=edge, epsilon=epsilon))
     return "\r\n".join(lines) + "\r\n"

@@ -122,8 +122,7 @@ class LossyOptical(Immutable):
 class CustomChannel(Immutable):
     """User-supplied per-use weights: achievable rate and converse upper bound.
 
-    q_cap > esq_upper breaks the sandwich guarantee; such channels are
-    accepted but flagged (see ``sandwich_warning``), never silently.
+    q_cap > esq_upper breaks the sandwich guarantee: parse_network accepts it but warns.
     """
 
     __slots__ = ("q_cap", "esq_upper")
@@ -137,10 +136,6 @@ class CustomChannel(Immutable):
             )
         object.__setattr__(self, "q_cap", q_cap)
         object.__setattr__(self, "esq_upper", esq_upper)
-
-    @property
-    def sandwich_warning(self) -> bool:
-        return self.q_cap > self.esq_upper
 
 
 ChannelSpec = Union[LossyOptical, CustomChannel]

@@ -543,6 +543,42 @@ def test_sweep_writes_csv_file(capsys, tmp_path):
     assert raw.startswith(b"eta,lower,upper_esq,ratio\r\n")
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ((TRIANGLE, "--param", "epsilon", "--epsilon", "nan", "--values", "0"),
+         "--epsilon applies only to --param eta or budget-scale, not to --param epsilon"),
+        ((TRIANGLE, "--param", "epsilon", "--epsilon", "0", "--values", "0"),
+         "--epsilon applies only to --param eta or budget-scale, not to --param epsilon"),
+        ((TRIANGLE, "--param", "epsilon", "--edge", "ab", "--values", "0"),
+         "--edge applies only to --param eta, not to --param epsilon"),
+        ((DIAMOND, "--param", "budget-scale", "--edge", "e1", "--values", "1"),
+         "--edge applies only to --param eta, not to --param budget-scale"),
+    ],
+    ids=["epsilon-nan", "epsilon-zero", "edge-epsilon", "edge-budget-scale"],
+)
+def test_sweep_rejects_flags_that_do_not_apply(capsys, argv, message):
+    code, out, err = run(capsys, "sweep", *argv)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+def test_sweep_fields_help_lists_the_sweep_fields(capsys, monkeypatch):
+    from qnetcap.sweep import SWEEP_FIELDS
+
+    monkeypatch.setenv("COLUMNS", "200")  # one help line per flag
+    with pytest.raises(SystemExit):
+        main(["sweep", "--help"])
+    assert f" comma list from {','.join(SWEEP_FIELDS)}\n" in capsys.readouterr().out
+
+
+def test_sweep_field_m_on_an_edgeless_network_is_zero(capsys, tmp_path):
+    path = tmp_path / "edgeless.json"
+    path.write_text(json.dumps({"nodes": ["A", "B"], "alice": "A", "bob": "B", "edges": []}))
+    code, out, err = run(capsys, "sweep", str(path), "--param", "budget-scale",
+                         "--values", "1,2", "--fields", "m")
+    assert (code, out, err) == (0, "budget-scale,m\r\n1,0\r\n2,0\r\n", "")
+
+
 # --- whole-CLI contracts -------------------------------------------------------
 
 def test_identical_invocations_are_byte_identical(capsys):

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -269,6 +270,29 @@ def test_flow_graph_rejects_a_boolean_capacity(kind):
     word = "an integer" if kind is CapacityKind.INTEGER else "a real number"
     with pytest.raises(ValueError, match=f"^arc 'e': capacity must be {word}, got True$"):
         FlowGraph(AB, (True,), kind)
+
+
+NOT_FINITE = "capacity must be finite and >= 0, got"
+
+
+@pytest.mark.parametrize(
+    "cap, kind, message",
+    [
+        ("2", CapacityKind.REAL, "capacity must be a real number, got '2'"),
+        (None, CapacityKind.REAL, "capacity must be a real number, got None"),
+        ("2", CapacityKind.INTEGER, "capacity must be an integer, got '2'"),
+        (10**400, CapacityKind.REAL, f"{NOT_FINITE} an integer of 1329 bits"),
+        (10**400, CapacityKind.INTEGER, f"{NOT_FINITE} an integer of 1329 bits"),
+        (math.inf, CapacityKind.REAL, f"{NOT_FINITE} inf"),
+        (math.nan, CapacityKind.REAL, f"{NOT_FINITE} nan"),
+        (-0.5, CapacityKind.REAL, f"{NOT_FINITE} -0.5"),
+    ],
+    ids=["str", "none", "str-integer", "huge-int", "huge-int-integer", "inf", "nan", "negative"],
+)
+def test_flow_graph_rejects_a_bad_capacity_with_a_value_error_naming_the_arc(cap, kind, message):
+    with pytest.raises(ValueError) as err:
+        FlowGraph(AB, (cap,), kind)
+    assert str(err.value) == f"arc 'e': {message}"
 
 
 def test_flow_graph_rejects_a_capacity_kind_that_is_not_a_capacity_kind():

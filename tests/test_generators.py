@@ -2,20 +2,11 @@ import random
 
 from qnetcap import CapacityKind
 from qnetcap.generators import (
-    DEFAULT_SEED,
-    default_seed,
     random_bell_network,
     random_count_network,
     random_custom_network,
     random_lossy_network,
 )
-
-
-def test_default_seed_env_override(monkeypatch):
-    monkeypatch.delenv("QNETCAP_SEED", raising=False)
-    assert default_seed() == DEFAULT_SEED
-    monkeypatch.setenv("QNETCAP_SEED", "4242")
-    assert default_seed() == 4242
 
 
 def test_generators_are_reproducible():

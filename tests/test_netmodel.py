@@ -6,7 +6,6 @@ import pytest
 
 from qnetcap import (
     Count,
-    CustomChannel,
     EdgeSpec,
     Frequency,
     LossyOptical,
@@ -16,6 +15,7 @@ from qnetcap import (
     UsageBudget,
     crossing_edges,
     export_dot,
+    load_network,
     parse_network,
     serialize_network,
 )
@@ -128,17 +128,25 @@ def test_parallel_edges_are_allowed():
     assert len(parse_network(doc).edges) == 2
 
 
+SANDWICH_VIOLATION = MINIMAL.replace(
+    '{"type": "lossy", "eta": 0.5}',
+    '{"type": "custom", "q_cap": 1.7, "esq_upper": 1.2}',
+)
+
+
 def test_custom_channel_sandwich_violation_is_flagged_and_warned():
-    assert CustomChannel(1.2, 1.7).sandwich_warning is False
-    bad = CustomChannel(1.7, 1.2)
-    assert bad.sandwich_warning is True
-    doc = MINIMAL.replace(
-        '{"type": "lossy", "eta": 0.5}',
-        '{"type": "custom", "q_cap": 1.7, "esq_upper": 1.2}',
-    )
     with pytest.warns(UserWarning, match="sandwich") as record:
-        parse_network(doc)
+        parse_network(SANDWICH_VIOLATION)
     assert [w.filename for w in record] == [__file__]  # the warning names the caller
+
+
+def test_sandwich_warning_names_the_caller_of_parse_and_of_load(tmp_path):
+    path = tmp_path / "net.json"
+    path.write_text(SANDWICH_VIOLATION)
+    for read, source in ((parse_network, SANDWICH_VIOLATION), (load_network, path)):
+        with pytest.warns(UserWarning, match="q_cap=1.7 exceeds esq_upper=1.2") as record:
+            read(source)
+        assert [w.filename for w in record] == [__file__], read.__name__
 
 
 BAD_DOCUMENT = next(entry["document"] for entry in json.loads(

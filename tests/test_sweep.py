@@ -5,6 +5,7 @@ sandwich_report, and one plan for field m, per grid point. The brute-force
 cut enumeration referees ArcSweep itself on small networks.
 """
 
+import math
 import random
 
 import pytest
@@ -26,16 +27,19 @@ from qnetcap import (
     flow_graph_from_network,
     lossy_gap_ratio,
     min_cut_bruteforce,
+    parse_network,
     plan,
     sandwich_report,
 )
-from qnetcap.cli import SWEEP_FIELDS
+from qnetcap.sweep import SWEEP_FIELDS
 from qnetcap.sweep import sweep_csv
+from qnetcap import cuts_flows
 from qnetcap.capacity import edge_capacity
+from qnetcap.cli import main
 from qnetcap.cuts_flows import ArcSweep
 from qnetcap.generators import random_count_network, random_lossy_network
 
-from conftest import edge_with, network_with
+from conftest import NETWORKS_DIR, edge_with, network_with
 
 
 LOSSY_FIELDS = [f for f in SWEEP_FIELDS if f != "m"]
@@ -268,3 +272,67 @@ def test_parametric_sweep_matches_pointwise_at_large_budgets(max_budget):
             point = flow_graph_from_network(point_net, WeightKind.Q_CAP)
             expected = min_cut_bruteforce(point).value
             assert sweep.min_cut_value(capacity) == pytest.approx(expected, rel=1e-12)
+
+
+# --- the sweep's rules, checked before any cut ----------------------------------
+
+def _no_max_flow(*args, **kwargs):
+    raise AssertionError("a max-flow ran before the sweep's checks")
+
+
+FIELDS_FAULT = ("sweep fields must be one or more of "
+                "['lower', 'upper_esq', 'upper_eps_corrected', 'ratio', 'm'], got")
+ETA_FAULT = "eta must be in [0, 1), got"
+M_FAULT = "field 'm' needs Count budgets (protocol plans)"
+SWEEP_RULES = {
+    # name: network file, param, grid, fields, edge, message, CLI flags (None: unreachable)
+    "unknown-param": ("triangle_counts", "eps", [0.0, 2.0], ["lower"], None,
+                      "unknown sweep param 'eps'; choose from ['eta', 'epsilon', 'budget-scale']",
+                      None),
+    "no-fields": ("triangle_counts", "epsilon", [0.0], [], None, f"{FIELDS_FAULT} []",
+                  ("--fields", ",")),
+    "unknown-field": ("diamond", "budget-scale", [1.0, 2.0], ["lower", "bogus"], None,
+                      f"{FIELDS_FAULT} ['lower', 'bogus']", ("--fields", "lower,bogus")),
+    "eta-without-edge": ("diamond", "eta", [0.5], ["lower"], None,
+                         "an eta sweep needs the id of the swept edge", ()),
+    "eta-above-one": ("diamond", "eta", [0.2, 0.5, 1.5], ["lower"], "e1",
+                      f"{ETA_FAULT} 1.5", ("--edge", "e1")),
+    "eta-negative": ("triangle_counts", "eta", [-0.1, 0.5], ["lower", "m"], "ab",
+                     f"{ETA_FAULT} -0.1", ("--edge", "ab")),
+    "eta-nan": ("diamond", "eta", [0.5, math.nan], ["lower"], "e1",
+                "eta must be finite, got nan", None),
+    "negative-scale": ("diamond", "budget-scale", [-1.0, 1.0], ["lower"], None,
+                       "budget scale must be >= 0, got -1.0", ()),
+    "nan-scale": ("diamond", "budget-scale", [1.0, 2.0, math.nan], ["lower"], None,
+                  "budget scale must be >= 0, got nan", None),
+    "inf-scale": ("diamond", "budget-scale", [1.0, math.inf], ["lower"], None,
+                  "budget scale must be finite, got inf", None),
+    "m-freq-eta": ("diamond", "eta", [0.5], ["lower", "m"], "e1", M_FAULT, ("--edge", "e1")),
+    "m-freq-epsilon": ("diamond", "epsilon", [0.0], ["m"], None, M_FAULT, ()),
+    "m-freq-budget-scale": ("diamond", "budget-scale", [1.0, 2.0], ["m"], None, M_FAULT, ()),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_RULES))
+def test_sweep_rules_fail_before_any_cut_with_the_message_the_cli_prints(
+        monkeypatch, capsys, name):
+    network, param, grid, fields, edge, message, flags = SWEEP_RULES[name]
+    path = NETWORKS_DIR / f"{network}.json"
+    net = parse_network(path.read_text())
+    monkeypatch.setattr(cuts_flows, "_ResidualSolver", _no_max_flow)
+    with pytest.raises(ValueError) as err:
+        sweep_csv(net, param, grid, fields, edge=edge)
+    assert str(err.value) == message
+    if flags is not None:
+        values = ",".join(repr(v) for v in grid)
+        assert main(["sweep", str(path), "--param", param, f"--values={values}",
+                     "--fields", ",".join(fields), *flags]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_a_sweep_that_passes_its_rules_runs_its_cuts(monkeypatch, diamond_net):
+    # the guard above would catch a cut: each param reaches one
+    monkeypatch.setattr(cuts_flows, "_ResidualSolver", _no_max_flow)
+    for param, edge in (("eta", "e1"), ("epsilon", None), ("budget-scale", None)):
+        with pytest.raises(AssertionError, match="a max-flow ran"):
+            sweep_csv(diamond_net, param, [0.0], ["lower"], edge=edge)
