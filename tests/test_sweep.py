@@ -301,7 +301,7 @@ SWEEP_RULES = {
                      f"{ETA_FAULT} -0.1", ("--edge", "ab")),
     "eta-nan": ("diamond", "eta", [0.5, math.nan], ["lower"], "e1",
                 "eta must be finite, got nan", None),
-    "negative-scale": ("diamond", "budget-scale", [-1.0, 1.0], ["lower"], None,
+    "negative-scale": ("diamond", "budget-scale", [2.0, -1.0], ["lower"], None,
                        "budget scale must be >= 0, got -1.0", ()),
     "nan-scale": ("diamond", "budget-scale", [1.0, 2.0, math.nan], ["lower"], None,
                   "budget scale must be >= 0, got nan", None),
