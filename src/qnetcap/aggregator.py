@@ -23,9 +23,8 @@ from .cuts_flows import (
     CapacityKind, CutResult, FlowGraph, PathSet,
     flow_graph_from_network, max_disjoint_paths, min_cut,
 )
-from .netmodel import (
-    Count, EdgeSpec, Immutable, Network, NodeId, Regime, _require_finite, export_dot,
-)
+from .netmodel import Count, EdgeSpec, Immutable, Network, NodeId, Regime, export_dot
+from .values import _require_finite
 
 
 class AsymptoticQCap(Immutable):
@@ -52,12 +51,8 @@ class PerEdgeTable(Immutable):
     __slots__ = ("rates",)
 
     def __init__(self, rates: Mapping[str, float]):
-        table = {}
-        for eid, r in dict(rates).items():
-            r = _require_finite(f"rate for edge {eid!r}", r)
-            if r < 0:
-                raise ValueError(f"rate for edge {eid!r} must be finite and >= 0, got {r}")
-            table[eid] = r
+        table = {eid: _require_finite(f"rate for edge {eid!r}", r, nonnegative=True)
+                 for eid, r in dict(rates).items()}
         object.__setattr__(self, "rates", MappingProxyType(table))
 
     def __reduce__(self):

@@ -18,9 +18,10 @@ give every edge's weight of a network at once, read from its channel
 column, and agree with ``edge_weight`` bit for bit.
 
 A trace-norm error budget epsilon is a plain float, checked once by
-``check_epsilon`` wherever it enters. The finite-error correction of a cut
-value is a float, or None once eps >= 1/256, where the corrected bound
-constrains nothing.
+``check_epsilon`` wherever it enters, with ``values._require_finite``, the
+one real-number check, as the cut value of ``epsilon_corrected_upper`` is.
+The finite-error correction of a cut value is a float, or None once eps >=
+1/256, where the corrected bound constrains nothing.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import math
 from enum import Enum
 from typing import TYPE_CHECKING, Optional, Sequence
 
-from .values import CustomChannel, EdgeSpec, LossyOptical
+from .values import CustomChannel, EdgeSpec, LossyOptical, _require_finite
 
 if TYPE_CHECKING:  # annotations only: a Werner chain needs no network model
     from .netmodel import Network
@@ -45,27 +46,12 @@ class WeightKind(Enum):
 COMPARE_SLACK = 1e-12  # absorbs float dust in budget comparisons
 
 
-def _check_nonnegative(name: str, value: float) -> float:
-    """value as a float; ValueError naming it unless a finite real number >= 0."""
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ValueError(f"{name} must be a real number, got {value!r}")
-    try:
-        as_float = float(value)
-    except OverflowError:  # an integer past the float range
-        raise ValueError(
-            f"{name} must be finite and >= 0, got an integer of {value.bit_length()} bits"
-        ) from None
-    if not math.isfinite(as_float) or as_float < 0:
-        raise ValueError(f"{name} must be finite and >= 0, got {as_float}")
-    return as_float
-
-
 def check_epsilon(epsilon: float) -> float:
     """A trace-norm error budget as a float; ValueError unless finite and >= 0.
 
     Either zero comes back as +0.0, so a -0 never reaches the output.
     """
-    return _check_nonnegative("epsilon", epsilon) + 0.0  # -0.0 + 0.0 is +0.0
+    return _require_finite("epsilon", epsilon, nonnegative=True) + 0.0  # -0.0 + 0.0 is +0.0
 
 
 def _check_werner(p: float) -> None:
@@ -199,7 +185,7 @@ def epsilon_corrected_upper(cut_value: float, epsilon: float) -> Optional[float]
     prefactor changes sign, so no finite number is a faithful answer and
     the bound is vacuous. At eps = 0 the bare cut value is returned unchanged.
     """
-    cut_value = _check_nonnegative("cut value", cut_value)
+    cut_value = _require_finite("cut value", cut_value, nonnegative=True)
     root = math.sqrt(check_epsilon(epsilon))
     # 16 * sqrt(eps) >= 1  <=>  eps >= 1/256, both sides exact in binary floats
     if 16.0 * root >= 1.0:

@@ -36,8 +36,9 @@ import re
 from enum import Enum
 from typing import AbstractSet, Iterator, Mapping
 
-from .capacity import WeightKind, _check_nonnegative, weight_column
+from .capacity import WeightKind, weight_column
 from .netmodel import Immutable, Network, NodeId, Topology, _interleave
+from .values import _require_finite
 
 BRUTEFORCE_MAX_VERTICES = 20
 # a plan lists every path, so m beyond this would exhaust time and memory
@@ -72,7 +73,7 @@ class FlowGraph(Immutable):
         for (eid, _, _), cap in zip(topology.arcs, capacities):
             if integer and (isinstance(cap, bool) or not isinstance(cap, int)):
                 raise ValueError(f"arc {eid!r}: capacity must be an integer, got {cap!r}")
-            _check_nonnegative(f"arc {eid!r}: capacity", cap)
+            _require_finite(f"arc {eid!r}: capacity", cap, nonnegative=True)
         object.__setattr__(self, "topology", topology)
         object.__setattr__(self, "capacities", capacities)
         object.__setattr__(self, "capacity_kind", capacity_kind)
@@ -239,13 +240,15 @@ class CutResult(Immutable):
         object.__setattr__(self, "crossing", crossing)
 
 
-def _cut(rows: tuple, capacities: tuple, zero: float, side: AbstractSet[NodeId]) -> CutResult:
-    """The cut with Alice side `side`: its crossing arcs and their capacity sum.
+def _crossing(rows: tuple, capacities: tuple, side: AbstractSet[NodeId]) -> list[tuple]:
+    """(id, capacity) of each (id, u, v) row the cut with Alice side `side` crosses."""
+    return [(row[0], c) for row, c in zip(rows, capacities)
+            if (row[1] in side) != (row[2] in side)]
 
-    Each row starts (id, u, v); capacities pairs with rows, both in arc order.
-    """
-    crossing = [(row[0], c) for row, c in zip(rows, capacities)
-                if (row[1] in side) != (row[2] in side)]
+
+def _cut(rows: tuple, capacities: tuple, zero: float, side: AbstractSet[NodeId]) -> CutResult:
+    """The cut with Alice side `side`: its crossing arcs and their capacity sum, in arc order."""
+    crossing = _crossing(rows, capacities, side)
     value = sum((c for _, c in crossing), zero)
     return CutResult(value, side, tuple(eid for eid, _ in crossing))
 
@@ -277,27 +280,26 @@ class ArcSweep:
     """
 
     def __init__(self, fg: FlowGraph, arc_id: str):
-        arcs = fg.arcs
-        k = next((k for k, row in enumerate(arcs) if row[0] == arc_id), None)
+        rows, capacities = fg.topology.arcs, fg.capacities
+        k = next((k for k, row in enumerate(rows) if row[0] == arc_id), None)
         if k is None:
             raise KeyError(f"no arc with id {arc_id!r}")
         self.arc_id = arc_id
         self.zero = fg.zero
-        capacities = tuple([self.zero if eid == arc_id else c for eid, _, _, c in arcs])
-        at_zero = FlowGraph._from_checked(fg.topology, capacities, fg.capacity_kind)
+        at_zero = FlowGraph._from_checked(
+            fg.topology, capacities[:k] + (self.zero,) + capacities[k + 1:], fg.capacity_kind)
         sides = [_ResidualSolver(at_zero).reachable]
         ends = (fg.topology.source, fg.topology.sink)
-        _, u, v, _ = arcs[k]
+        _, u, v = rows[k]
         if not (u in ends and v in ends):
             sides.append(_ResidualSolver(at_zero, k).reachable)
-        self.crossing = [[row for row in arcs if (row[1] in side) != (row[2] in side)]
-                         for side in sides]
+        self.crossing = [_crossing(rows, capacities, side) for side in sides]
 
     def min_cut_value(self, capacity: float) -> float:
         """F(capacity), summed over the crossing arcs in arc order as min_cut does."""
         return min(
-            sum((capacity if eid == self.arc_id else c for eid, _, _, c in rows), self.zero)
-            for rows in self.crossing
+            sum((capacity if eid == self.arc_id else c for eid, c in pairs), self.zero)
+            for pairs in self.crossing
         )
 
 
@@ -317,13 +319,13 @@ def _enumerate_min_cut(fg: FlowGraph) -> frozenset[NodeId]:
         frozenset([source, *(v for i, v in enumerate(intermediates) if mask >> i & 1)])
         for mask in range(1 << len(intermediates))
     )
-    arcs, caps, zero = fg.arcs, fg.capacities, fg.zero
-    return min(sides, key=lambda side: (_cut(arcs, caps, zero, side).value, sorted(side)))
+    rows, caps, zero = fg.topology.arcs, fg.capacities, fg.zero
+    return min(sides, key=lambda side: (_cut(rows, caps, zero, side).value, sorted(side)))
 
 
 def min_cut_bruteforce(fg: FlowGraph) -> CutResult:
     """Exhaustive-enumeration oracle for min_cut; exact up to 20 vertices."""
-    return _cut(fg.arcs, fg.capacities, fg.zero, _enumerate_min_cut(fg))
+    return _cut(fg.topology.arcs, fg.capacities, fg.zero, _enumerate_min_cut(fg))
 
 
 class PathSet(Immutable):
@@ -452,7 +454,7 @@ def check_path_set(bell: FlowGraph, path_set: PathSet) -> None:
         b = route[2]
         if type(b) is not int or b < 1:
             raise ValueError(f"route {route[0]} has multiplicity {b!r}; it must be at least 1")
-    channels = {cid: (u, v, n) for cid, u, v, n in bell.arcs}
+    channels = {cid: (u, v, n) for (cid, u, v), n in zip(bell.topology.arcs, bell.capacities)}
     source, sink = bell.topology.source, bell.topology.sink
     seen: set[str] = set()
     tally: dict[str, int] = {}

@@ -19,8 +19,7 @@ from typing import AbstractSet, Mapping, Optional
 
 from .values import (  # the value types, also the model's public names
     _BUDGET_BY_KEY, ChannelParams, ChannelSpec, Count, CustomChannel, EdgeSpec, Frequency,
-    Immutable, LossyOptical, NodeId, Rate, Regime, UsageBudget, _read_edge, _require_finite,
-    _require_label,
+    Immutable, LossyOptical, NodeId, Rate, Regime, UsageBudget, _read_edge, _require_label,
 )
 
 

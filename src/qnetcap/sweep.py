@@ -8,7 +8,6 @@ reads its regime from the network's budget variant, as ``bound`` does.
 
 from __future__ import annotations
 
-import math
 from typing import Optional, Sequence
 
 from .aggregator import (
@@ -18,6 +17,7 @@ from .aggregator import (
 from .capacity import WeightKind, edge_capacity, epsilon_corrected_upper
 from .cuts_flows import ArcSweep, flow_graph_from_network, max_flow_value
 from .netmodel import Count, EdgeSpec, LossyOptical, Network, Regime
+from .values import _require_finite
 
 
 def _fmt(x: float) -> str:
@@ -29,7 +29,8 @@ def _eta_points(net: Network, grid: Sequence[float], want_m: bool, edge_id: Opti
     """Two max-flows per weight kind (and two for m), whatever the grid size.
 
     Only the swept edge's capacity changes from point to point, so each
-    cut value comes from an ArcSweep over the base network.
+    cut value comes from an ArcSweep over the base network. Every point's
+    swept capacities (and pairs) are checked, as ``bound`` checks them, first.
     """
     if edge_id is None:
         raise ValueError("an eta sweep needs the id of the swept edge")
@@ -40,18 +41,26 @@ def _eta_points(net: Network, grid: Sequence[float], want_m: bool, edge_id: Opti
     regime = net.default_regime
     epsilon = check_report_inputs(net, regime, epsilon)
     floor = regime is Regime.PER_PROTOCOL
+    name = f"arc {edge_id!r}: capacity"
+    swept = []  # per point: the swept arc's q_cap and esq_upper capacities and pair count
+    for channel in channels:
+        point = EdgeSpec(edge.id, edge.tail, edge.head, channel, edge.usage)
+        q_cap = edge_capacity(point, WeightKind.Q_CAP, floor_budgets=floor)
+        esq_upper = edge_capacity(point, WeightKind.ESQ_UPPER)
+        for capacity in (q_cap, esq_upper):
+            _require_finite(name, capacity, nonnegative=True)
+        swept.append((q_cap, esq_upper, pair_count(point, AsymptoticQCap()) if want_m else None))
     lower = ArcSweep(flow_graph_from_network(net, WeightKind.Q_CAP, floor_budgets=floor), edge_id)
     upper = ArcSweep(flow_graph_from_network(net, WeightKind.ESQ_UPPER), edge_id)
     pairs = ArcSweep(build_bell_network(net), edge_id) if want_m else None
-    for value, channel in zip(grid, channels):
-        point = EdgeSpec(edge.id, edge.tail, edge.head, channel, edge.usage)
-        upper_esq = upper.min_cut_value(edge_capacity(point, WeightKind.ESQ_UPPER))
+    for value, (q_cap, esq_upper, count) in zip(grid, swept):
+        upper_esq = upper.min_cut_value(esq_upper)
         yield (
             value,
-            lower.min_cut_value(edge_capacity(point, WeightKind.Q_CAP, floor_budgets=floor)),
+            lower.min_cut_value(q_cap),
             upper_esq,
             epsilon_corrected_upper(upper_esq, epsilon),
-            pairs.min_cut_value(pair_count(point, AsymptoticQCap())) if want_m else None,
+            pairs.min_cut_value(count) if want_m else None,
         )
 
 
@@ -70,14 +79,13 @@ def _epsilon_points(net: Network, grid: Sequence[float], want_m: bool, **_):
 def _budget_scale_points(net: Network, grid: Sequence[float], want_m: bool, epsilon: float, **_):
     """One report per point: scaling changes every capacity, and the
     per-protocol floors make the cut non-linear in the scale. Each point
-    network scales the budget column on the network's own topology."""
-    for value in grid:
-        if not value >= 0:  # NaN fails this too
-            raise ValueError(f"budget scale must be >= 0, got {value}")
-        if value == math.inf:
-            raise ValueError("budget scale must be finite, got inf")
+    network scales the budget column on the network's own topology; the
+    largest scale goes first, so a budget overflow fails before any cut."""
+    grid = [_require_finite("budget scale", value, nonnegative=True) for value in grid]
     regime = net.default_regime
     check_report_inputs(net, regime, epsilon)
+    if grid:
+        net._scaled(max(grid))
     for value in grid:
         point_net = net._scaled(value)
         report = sandwich_report(point_net, regime, epsilon)
@@ -111,11 +119,13 @@ def sweep_csv(
 
     Rules: ``param`` is eta, epsilon or budget-scale; ``fields`` is one or
     more of SWEEP_FIELDS; eta needs ``edge``, a lossy edge's id, and values
-    in [0, 1); scales are finite and >= 0; epsilon, swept or fixed, is
-    finite, >= 0, and > 0 only on Count budgets; ``m`` needs Count budgets
-    or no edges. All three params check every rule at every point before
-    any cut, so an error (a KeyError for an unknown edge, else ValueError)
-    leaves no output. ``edge`` and ``epsilon`` are ignored where moot.
+    in [0, 1) at which its capacities stay within the float range; scales
+    are finite real numbers >= 0 that keep every budget within the float
+    range; epsilon, swept or fixed, is finite, >= 0, and > 0 only on
+    Count budgets; ``m`` needs Count budgets or no edges. All three params
+    check every rule at every point before any cut, so an error (a
+    KeyError for an unknown edge, else ValueError) leaves no output.
+    ``edge`` and ``epsilon`` are ignored where moot.
     """
     points = _POINTS.get(param)
     if points is None:

@@ -6,7 +6,9 @@ AttributeError, and values compare by exact type and value. There is no
 generic field-replacing copy: a changed copy is built with the constructor,
 which validates it like any other value; ``_from_checked`` builds one from
 values that were checked where they were read, without checking them again.
-The types are safe to share across concurrent workers.
+The types are safe to share across concurrent workers. ``_require_finite``
+is the one check, for every module, that a value is a finite real number
+(and >= 0, if asked).
 
 The general reader of one edge of a network document, ``_read_edge``, is
 here too: it checks every value with these constructors, so it raises their
@@ -23,18 +25,19 @@ from typing import ClassVar, Union
 NodeId = str
 
 
-def _require_finite(name: str, value: float) -> float:
+def _require_finite(name: str, value: float, *, nonnegative: bool = False) -> float:
+    """value as a float; ValueError naming it unless a finite real number, >= 0 if nonnegative."""
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ValueError(f"{name} must be a real number, got {value!r}")
     try:
-        value = float(value)
+        as_float = float(value)
     except OverflowError:  # an integer past the float range
-        raise ValueError(
-            f"{name} must be finite, got an integer of {value.bit_length()} bits"
-        ) from None
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value}")
-    return value
+        got = f"an integer of {value.bit_length()} bits"
+    else:
+        if math.isfinite(as_float) and not (nonnegative and as_float < 0):
+            return as_float
+        got = as_float
+    raise ValueError(f"{name} must be finite{' and >= 0' if nonnegative else ''}, got {got}")
 
 
 def _require_label(name: str, value) -> None:

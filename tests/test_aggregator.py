@@ -126,7 +126,8 @@ def test_unknown_rate_model_is_rejected_on_every_network(edges, model):
         (lambda: FixedFraction(0), r"alpha must be in \(0, 1\], got 0.0"),
         (lambda: PerEdgeTable({"e": True}), "rate for edge 'e' must be a real number, got True"),
         (lambda: PerEdgeTable({"e": "x"}), "rate for edge 'e' must be a real number, got 'x'"),
-        (lambda: PerEdgeTable({"e": 10**400}), "rate for edge 'e' must be finite, got an integer"),
+        (lambda: PerEdgeTable({"e": 10**400}),
+         "rate for edge 'e' must be finite and >= 0, got an integer"),
         (lambda: PerEdgeTable({"e": -1}), "rate for edge 'e' must be finite and >= 0, got -1.0"),
     ],
     ids=["alpha-bool", "alpha-str", "alpha-nan", "alpha-above-one", "alpha-zero",

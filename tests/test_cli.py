@@ -3,11 +3,15 @@ import math
 import random
 import subprocess
 import sys
+from functools import partial
 
 import jsonschema
 import pytest
 
-from qnetcap import Count, Frequency, Rate, Regime, parse_network, serialize_network
+from qnetcap import (
+    Count, Frequency, PerEdgeTable, Rate, Regime, parse_network, serialize_network,
+    werner_chain_report,
+)
 from qnetcap.cli import MAX_SWEEP_POINTS, main
 
 from conftest import DATA_DIR, NETWORKS_DIR, load_schema, src_env
@@ -311,7 +315,8 @@ def test_plan_rejects_a_rate_table_integer_past_the_float_range(capsys, tmp_path
     table.write_text('{"ac": 1' + "0" * 400 + ', "cb": 1, "ab": 1}')
     code, out, err = run(capsys, "plan", TRIANGLE, "--rate-model", f"table:{table}")
     assert code == 1 and out == ""
-    assert err == "error: rate for edge 'ac' must be finite, got an integer of 1329 bits\n"
+    assert err == ("error: rate for edge 'ac' must be finite and >= 0, "
+                   "got an integer of 1329 bits\n")
 
 
 def test_plan_rejects_frequency_budgets(capsys):
@@ -413,30 +418,48 @@ def test_simulate_swap_chain_rejects_plan_flags(flags, named):
         (("simulate-swap", "--chain", "0.9,0.9", "--eps", "abc"), "--eps"),
         (("simulate-swap", "--chain", "0.9,0.9", "--eps", "0.1,"), "--eps"),
         (("plan", FIG2, "--rate-model", "fraction:abc"), "--rate-model"),
-        (("plan", FIG2, "--rate-model", "table:{table}"), "--rate-model"),
-        (("plan", TRIANGLE, "--rate-model", "table:{bool_table}"), "--rate-model"),
         (("plan", TRIANGLE, "--rate-model", "table:{bad_json}"), "--rate-model"),
         (("sweep", SINGLE, "--param", "eta", "--edge", "ab", "--values", "abc"), "--values"),
         (("sweep", SINGLE, "--param", "eta", "--edge", "ab", "--grid", "0.1:x:0.1"), "--grid"),
     ],
-    ids=["eps-word", "eps-trailing-comma", "fraction-word", "table-word", "table-booleans",
-         "table-not-json", "values-word", "grid-word"],
+    ids=["eps-word", "eps-trailing-comma", "fraction-word", "table-not-json", "values-word",
+         "grid-word"],
 )
 def test_bad_flag_value_names_the_flag(capsys, tmp_path, argv, flag):
-    files = {
-        "table": json.dumps({"a-c1": "abc"}),
-        "bool_table": json.dumps({"ac": True, "cb": True, "ab": True}),
-        "bad_json": "nope",
-    }
-    for name, text in files.items():
-        (tmp_path / f"{name}.json").write_text(text)
-    paths = {name: tmp_path / f"{name}.json" for name in files}
-    code, out, err = run(capsys, *(a.format(**paths) for a in argv))
+    bad_json = tmp_path / "bad_json.json"
+    bad_json.write_text("nope")
+    code, out, err = run(capsys, *(a.format(bad_json=bad_json) for a in argv))
     assert code == 1
     assert out == ""
     assert f"bad {flag}" in err
     if "bad_json" in argv[-1]:
         assert "bad_json.json" in err  # the message names the file
+
+
+@pytest.mark.parametrize(
+    "argv, table, library",
+    [
+        (("plan", FIG2, "--rate-model", "table:{table}"), '{"a-c1": "abc"}', None),
+        (("plan", TRIANGLE, "--rate-model", "table:{table}"),
+         '{"ac": true, "cb": true, "ab": true}', None),
+        (("plan", TRIANGLE, "--rate-model", "table:{table}"),
+         '{"ac": 1, "cb": 1, "ab": -1}', None),
+        (("plan", TRIANGLE, "--rate-model", "table:{table}"),
+         '{"ac": 1, "cb": 1' + "0" * 400 + ', "ab": 1}', None),
+        (("simulate-swap", "--chain", ","), None, partial(werner_chain_report, [])),
+    ],
+    ids=["table-word", "table-booleans", "table-negative", "table-huge-int", "chain-empty"],
+)
+def test_the_cli_prints_the_library_message_for_a_rule_it_leaves_to_it(
+        capsys, tmp_path, argv, table, library):
+    # the CLI reads the file or the flag; the rule and its message are the library's
+    path = tmp_path / "table.json"
+    if table is not None:
+        path.write_text(table)
+        library = partial(PerEdgeTable, json.loads(table))
+    with pytest.raises(ValueError) as err:
+        library()
+    assert run(capsys, *(a.format(table=path) for a in argv)) == (1, "", f"error: {err.value}\n")
 
 
 # --- sweep -------------------------------------------------------------------

@@ -23,10 +23,14 @@ from qnetcap import (
     max_flow_value,
     min_cut,
     min_cut_bruteforce,
+    plan,
 )
 from qnetcap import cuts_flows
 from qnetcap.capacity import edge_capacity
-from qnetcap.generators import random_bell_network, random_custom_network, random_lossy_network
+from qnetcap.generators import (
+    random_bell_network, random_count_network, random_custom_network, random_lossy_network,
+)
+from qnetcap.sweep import sweep_csv
 
 from conftest import edge_with, network_with
 
@@ -561,3 +565,31 @@ def test_layout_arc_order_is_the_label_sort(kind):
         want = [min(tol, c / 2) for c in caps for _ in range(2)]
         assert (solver.tol, type(solver.tol)) == (tol, type(tol))
         assert [(t, type(t)) for t in solver.threshold] == [(t, type(t)) for t in want]
+
+
+def test_library_code_reads_the_topology_not_the_arc_rows(monkeypatch):
+    # FlowGraph.arcs builds a row tuple on every read; the solvers, ArcSweep and
+    # the oracles read fg.topology.arcs and fg.capacities instead
+    rng = random.Random(22)
+    nets = [random_count_network(rng, max_nodes=7, max_count=20) for _ in range(8)]
+
+    def outcomes():
+        found = []
+        for net in nets:
+            bell = build_bell_network(net)
+            paths = plan(net).paths
+            check_path_set(bell, paths)
+            sweep = sweep_csv(net, "eta", [0.0, 0.3, 0.9], ["lower", "upper_esq", "m"],
+                              edge=net.edges[-1].id)
+            lossy = flow_graph_from_network(net, WeightKind.ESQ_UPPER)
+            found.append((sweep, list(paths), min_cut_bruteforce(bell),
+                           min_cut_bruteforce(lossy), min_cut(lossy)))
+        return found
+
+    expected = outcomes()
+
+    def no_rows(fg):
+        raise AssertionError("FlowGraph.arcs was read")
+
+    monkeypatch.setattr(FlowGraph, "arcs", property(no_rows))
+    assert outcomes() == expected

@@ -5,6 +5,7 @@ sandwich_report, and one plan for field m, per grid point. The brute-force
 cut enumeration referees ArcSweep itself on small networks.
 """
 
+import json
 import math
 import random
 
@@ -61,7 +62,7 @@ def _network_at(net, param, edge_id, value):
         return network_with(net, new_edges)
     if param == "budget-scale":
         if value < 0:
-            raise ValueError(f"budget scale must be >= 0, got {value}")
+            raise ValueError(f"budget scale must be finite and >= 0, got {value}")
         new_edges = tuple(
             edge_with(e, usage=type(e.usage)(e.usage.value * value))
             for e in net.edges
@@ -284,6 +285,19 @@ FIELDS_FAULT = ("sweep fields must be one or more of "
                 "['lower', 'upper_esq', 'upper_eps_corrected', 'ratio', 'm'], got")
 ETA_FAULT = "eta must be in [0, 1), got"
 M_FAULT = "field 'm' needs Count budgets (protocol plans)"
+SCALE_FAULT = "budget scale must be finite and >= 0, got"
+
+
+def _diamond_with_huge_e1() -> str:
+    # e1 at eta 0.1 with 1e308 uses: both its cut weights are finite, but not at eta 0.9
+    doc = json.loads((NETWORKS_DIR / "diamond.json").read_text())
+    doc["edges"][0]["channel"]["eta"] = 0.1
+    doc["edges"][0]["usage"] = {"freq": 1e308}
+    return json.dumps(doc)
+
+
+# the rules' networks that are not files under networks/, by name
+MADE_NETWORKS = {"diamond-huge-e1": _diamond_with_huge_e1}
 SWEEP_RULES = {
     # name: network file, param, grid, fields, edge, message, CLI flags (None: unreachable)
     "unknown-param": ("triangle_counts", "eps", [0.0, 2.0], ["lower"], None,
@@ -301,12 +315,21 @@ SWEEP_RULES = {
                      f"{ETA_FAULT} -0.1", ("--edge", "ab")),
     "eta-nan": ("diamond", "eta", [0.5, math.nan], ["lower"], "e1",
                 "eta must be finite, got nan", None),
+    "eta-capacity-overflow": ("diamond-huge-e1", "eta", [0.1, 0.9], ["lower"], "e1",
+                              "arc 'e1': capacity must be finite and >= 0, got inf",
+                              ("--edge", "e1")),
     "negative-scale": ("diamond", "budget-scale", [2.0, -1.0], ["lower"], None,
-                       "budget scale must be >= 0, got -1.0", ()),
+                       f"{SCALE_FAULT} -1.0", ()),
     "nan-scale": ("diamond", "budget-scale", [1.0, 2.0, math.nan], ["lower"], None,
-                  "budget scale must be >= 0, got nan", None),
+                  f"{SCALE_FAULT} nan", None),
     "inf-scale": ("diamond", "budget-scale", [1.0, math.inf], ["lower"], None,
-                  "budget scale must be finite, got inf", None),
+                  f"{SCALE_FAULT} inf", None),
+    "bool-scale": ("diamond", "budget-scale", [1.0, True], ["lower"], None,
+                   "budget scale must be a real number, got True", None),
+    "str-scale": ("diamond", "budget-scale", [1.0, "2"], ["lower"], None,
+                  "budget scale must be a real number, got '2'", None),
+    "scale-overflow": ("diamond-huge-e1", "budget-scale", [1.0, 10.0], ["lower"], None,
+                       "edge 'e1': freq 1e+308 scaled by 10 is past the float range", ()),
     "m-freq-eta": ("diamond", "eta", [0.5], ["lower", "m"], "e1", M_FAULT, ("--edge", "e1")),
     "m-freq-epsilon": ("diamond", "epsilon", [0.0], ["m"], None, M_FAULT, ()),
     "m-freq-budget-scale": ("diamond", "budget-scale", [1.0, 2.0], ["m"], None, M_FAULT, ()),
@@ -315,9 +338,12 @@ SWEEP_RULES = {
 
 @pytest.mark.parametrize("name", sorted(SWEEP_RULES))
 def test_sweep_rules_fail_before_any_cut_with_the_message_the_cli_prints(
-        monkeypatch, capsys, name):
+        monkeypatch, capsys, tmp_path, name):
     network, param, grid, fields, edge, message, flags = SWEEP_RULES[name]
     path = NETWORKS_DIR / f"{network}.json"
+    if network in MADE_NETWORKS:
+        path = tmp_path / f"{network}.json"
+        path.write_text(MADE_NETWORKS[network]())
     net = parse_network(path.read_text())
     monkeypatch.setattr(cuts_flows, "_ResidualSolver", _no_max_flow)
     with pytest.raises(ValueError) as err:
