@@ -17,7 +17,7 @@ from types import MappingProxyType
 from typing import Mapping, Optional, Union
 
 from .capacity import (
-    WeightKind, check_epsilon, edge_weight, epsilon_corrected_upper, q_cap_column,
+    WeightKind, check_epsilon, edge_weight, epsilon_corrected_upper, weight_column,
 )
 from .cuts_flows import (
     CapacityKind, CutResult, FlowGraph, PathSet,
@@ -96,9 +96,9 @@ def _rate_column(net: Network, model: RateModel) -> list:
     An unknown model raises resolve_rate's error, on an edgeless network too.
     """
     if isinstance(model, AsymptoticQCap):
-        return q_cap_column(net)
+        return weight_column(net, WeightKind.Q_CAP)
     if isinstance(model, FixedFraction):
-        return [model.alpha * w for w in q_cap_column(net)]
+        return [model.alpha * w for w in weight_column(net, WeightKind.Q_CAP)]
     if isinstance(model, PerEdgeTable):
         return [model.rates.get(eid) for eid, _, _ in net.topology.arcs]
     raise ValueError(f"unknown rate model {model!r}")
@@ -253,19 +253,14 @@ def sandwich_report(net: Network, regime: Regime, epsilon: float = 0.0) -> Sandw
     return SandwichReport(regime, epsilon, lower_cut, upper_cut)
 
 
-def gap_ratio(lower: float, upper_esq: float) -> float:
-    """Converse/achievable ratio of two bound values; the lower must be positive."""
-    if lower <= 0:
-        raise ValueError(
-            "gap ratio undefined: lower bound is zero"
-            + (" while the upper bound is positive" if upper_esq > 0 else "")
-        )
-    return upper_esq / lower
-
-
 def lossy_gap_ratio(report: SandwichReport) -> float:
     """Converse/achievable ratio; at most 2 on all-lossy networks."""
-    return gap_ratio(report.lower, report.upper_esq)
+    if report.lower <= 0:
+        raise ValueError(
+            "gap ratio undefined: lower bound is zero"
+            + (" while the upper bound is positive" if report.upper_esq > 0 else "")
+        )
+    return report.upper_esq / report.lower
 
 
 def plan_to_dot(net: Network, protocol_plan: ProtocolPlan) -> str:

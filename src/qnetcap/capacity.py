@@ -13,9 +13,9 @@ twice the achievable weight on lossy edges.
 
 All logarithms are base 2 (units of ebits / secret bits) and one channel
 use means one optical mode. ``edge_weight`` gives one edge's weight and
-``edge_capacity`` its cut weight, budget times weight; the column functions
-give every edge's weight of a network at once, read from its channel
-column, and agree with ``edge_weight`` bit for bit.
+``edge_capacity`` its cut weight, budget times weight; ``weight_column``
+gives every edge's weight of a network at once, read from its channel
+column, and agrees with ``edge_weight`` bit for bit.
 
 A trace-norm error budget epsilon is a plain float, checked once by
 ``check_epsilon`` wherever it enters, with ``values._require_finite``, the
@@ -156,24 +156,13 @@ def edge_capacity(edge: EdgeSpec, kind: WeightKind, *, floor_budgets: bool = Fal
     return budget * edge_weight(edge, kind)
 
 
-def q_cap_column(net: Network) -> list[float]:
-    """edge_weight(e, WeightKind.Q_CAP) of every edge e of net, in edge order."""
-    log2 = math.log2
-    return [c[0] if type(c) is tuple else log2(1.0 / (1.0 - c)) for c in net._channels]
-
-
-def esq_upper_column(net: Network) -> list[float]:
-    """edge_weight(e, WeightKind.ESQ_UPPER) of every edge e of net, in edge order."""
-    log2 = math.log2
-    return [c[1] if type(c) is tuple else log2((1.0 + c) / (1.0 - c)) for c in net._channels]
-
-
 def weight_column(net: Network, kind: WeightKind) -> list[float]:
     """edge_weight(e, kind) of every edge e of net, in edge order."""
+    log2 = math.log2
     if kind is WeightKind.Q_CAP:
-        return q_cap_column(net)
+        return [c[0] if type(c) is tuple else log2(1.0 / (1.0 - c)) for c in net._channels]
     if kind is WeightKind.ESQ_UPPER:
-        return esq_upper_column(net)
+        return [c[1] if type(c) is tuple else log2((1.0 + c) / (1.0 - c)) for c in net._channels]
     raise ValueError(f"kind must be a WeightKind, got {kind!r}")
 
 

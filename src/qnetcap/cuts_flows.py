@@ -113,9 +113,10 @@ class _ResidualSolver:
     The residual arc order comes from fg's topology and the capacities from
     fg. Both arcs of a row start at the row's full capacity; pushing flow on
     one grows the residual of its partner, which models undirected
-    traversal exactly. A residual at or below
-    min(tol, capacity / 2) counts as saturated: float dust left on a used
-    arc closes it, while an unused arc below the tolerance stays open. Each
+    traversal exactly. A residual at or below min(tol, capacity / 2)
+    counts as saturated, where tol is 1e-12 times the total capacity (at
+    least 1e-12), summed without overflow: float dust left on a used arc
+    closes it, while an unused arc below the tolerance stays open. Each
     phase runs one BFS for the level graph, then pushes a blocking flow
     along its shortest paths by a depth-first search that keeps a
     current-arc pointer per vertex, trying arcs in the topology's order. A
@@ -136,6 +137,8 @@ class _ResidualSolver:
         else:
             caps = [float(c) for c in fg.capacities]
             self.tol = tol = 1e-12 * max(1.0, sum(fg.capacities))
+            if tol == math.inf:  # the sum is past the float range: scale before summing
+                self.tol = tol = sum([1e-12 * c for c in caps])
             # min(tol, c / 2), spelled out: a call per arc costs more than the rest
             thresholds = [h if h < tol else tol for h in [c / 2 for c in caps]]
             self.threshold = _interleave(thresholds, thresholds)

@@ -8,7 +8,8 @@ which validates it like any other value; ``_from_checked`` builds one from
 values that were checked where they were read, without checking them again.
 The types are safe to share across concurrent workers. ``_require_finite``
 is the one check, for every module, that a value is a finite real number
-(and >= 0, if asked).
+(and >= 0, if asked), and ``_check_ends`` the one check of an edge's two
+ends.
 
 The general reader of one edge of a network document, ``_read_edge``, is
 here too: it checks every value with these constructors, so it raises their
@@ -43,6 +44,15 @@ def _require_finite(name: str, value: float, *, nonnegative: bool = False) -> fl
 def _require_label(name: str, value) -> None:
     if not isinstance(value, str) or not value:
         raise ValueError(f"{name} must be a non-empty string node label, got {value!r}")
+
+
+def _check_ends(eid: str, tail, head) -> None:
+    """ValueError naming edge eid unless its ends are two distinct non-empty string labels."""
+    if not (isinstance(tail, str) and tail and isinstance(head, str) and head):
+        for key, label in (("tail", tail), ("head", head)):
+            _require_label(f"edge {eid!r}: {key}", label)
+    if tail == head:
+        raise ValueError(f"edge {eid!r}: self-loop at {tail!r} rejected")
 
 
 class Immutable:
@@ -206,11 +216,7 @@ class EdgeSpec(Immutable):
                  usage: UsageBudget):
         if not id or not isinstance(id, str):
             raise ValueError(f"edge id must be a non-empty string, got {id!r}")
-        if not (isinstance(tail, str) and tail and isinstance(head, str) and head):
-            for key, label in (("tail", tail), ("head", head)):
-                _require_label(f"edge {id!r}: {key}", label)
-        if tail == head:
-            raise ValueError(f"edge {id!r}: self-loop at {tail!r} rejected")
+        _check_ends(id, tail, head)
         if not isinstance(channel, (LossyOptical, CustomChannel)):
             raise ValueError(f"edge {id!r}: unknown channel spec {channel!r}")
         if not isinstance(usage, _BUDGET_KINDS):
@@ -280,11 +286,7 @@ def _read_edge(i: int, eobj) -> tuple:
         channel = _read_channel(eobj["channel"])
         kind, budget = _read_usage(eobj["usage"])
         tail, head = eobj["tail"], eobj["head"]
-        if not (isinstance(tail, str) and tail and isinstance(head, str) and head):
-            _require_label("tail", tail)
-            _require_label("head", head)
-        if tail == head:
-            raise ValueError(f"self-loop at {tail!r} rejected")
     except ValueError as err:
         raise ValueError(f"edge {eid!r}: {err}") from err
+    _check_ends(eid, tail, head)
     return eid, tail, head, channel, kind, budget

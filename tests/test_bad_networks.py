@@ -1,4 +1,5 @@
-"""Every invalid document in tests/data/bad_networks.json gets its pinned error.
+"""Every invalid document in tests/data/bad_networks.json gets its pinned error,
+and the corpus is what make_bad_networks.py writes.
 
 The corpus and the way it was built are described in make_bad_networks.py.
 """
@@ -9,9 +10,16 @@ import pytest
 
 from qnetcap import NetworkFormatError, cli, parse_network
 
+import make_bad_networks
 from conftest import DATA_DIR
 
 CORPUS = json.loads((DATA_DIR / "bad_networks.json").read_text(encoding="utf-8"))
+
+
+def test_corpus_is_its_generators_output():
+    # an edited generator must not drift from the pinned corpus unseen
+    pinned = [(entry["name"], entry["document"]) for entry in CORPUS]
+    assert pinned == list(make_bad_networks.documents())
 
 
 def test_corpus_names_are_unique():

@@ -447,8 +447,13 @@ def test_bad_flag_value_names_the_flag(capsys, tmp_path, argv, flag):
         (("plan", TRIANGLE, "--rate-model", "table:{table}"),
          '{"ac": 1, "cb": 1' + "0" * 400 + ', "ab": 1}', None),
         (("simulate-swap", "--chain", ","), None, partial(werner_chain_report, [])),
+        (("simulate-swap", "--chain", ",", "--eps", "0.1,0.2"), None,
+         partial(werner_chain_report, [], [0.1, 0.2])),
+        (("simulate-swap", "--chain", "0.9,0.9", "--eps", "0.1,0.2,0.3"), None,
+         partial(werner_chain_report, [0.9, 0.9], [0.1, 0.2, 0.3])),
     ],
-    ids=["table-word", "table-booleans", "table-negative", "table-huge-int", "chain-empty"],
+    ids=["table-word", "table-booleans", "table-negative", "table-huge-int", "chain-empty",
+         "chain-empty-two-eps", "eps-count"],
 )
 def test_the_cli_prints_the_library_message_for_a_rule_it_leaves_to_it(
         capsys, tmp_path, argv, table, library):

@@ -51,7 +51,7 @@ from qnetcap import (
     serialize_network,
 )
 from qnetcap import aggregator, capacity, netmodel
-from qnetcap.capacity import esq_upper_column, q_cap_column, weight_column
+from qnetcap.capacity import weight_column
 from qnetcap.capacity import edge_capacity
 from qnetcap.generators import random_count_network, random_custom_network, random_lossy_network
 from qnetcap.values import _read_channel, _read_usage
@@ -173,13 +173,12 @@ def test_weight_columns_equal_edge_weight_bit_for_bit(channels):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # q_cap > esq_upper is flagged, and allowed
         net = Network(("A", "B"), "A", "B", edges)
-    for kind, column in ((WeightKind.Q_CAP, q_cap_column),
-                         (WeightKind.ESQ_UPPER, esq_upper_column)):
+    for kind in WeightKind:
+        got = weight_column(net, kind)
         expected = [edge_weight(e, kind) for e in edges]
-        for got in (column(net), weight_column(net, kind)):
-            # == alone would let 0.0 stand for -0.0
-            assert [(w, math.copysign(1.0, w)) for w in got] == [
-                (w, math.copysign(1.0, w)) for w in expected]
+        # == alone would let 0.0 stand for -0.0
+        assert [(w, math.copysign(1.0, w)) for w in got] == [
+            (w, math.copysign(1.0, w)) for w in expected]
 
 
 def test_weight_column_rejects_a_kind_that_is_not_a_weight_kind(diamond_net):

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 
@@ -27,6 +28,7 @@ from qnetcap import (
 )
 from qnetcap import cuts_flows
 from qnetcap.capacity import edge_capacity
+from qnetcap.cli import main
 from qnetcap.generators import (
     random_bell_network, random_count_network, random_custom_network, random_lossy_network,
 )
@@ -593,3 +595,46 @@ def test_library_code_reads_the_topology_not_the_arc_rows(monkeypatch):
 
     monkeypatch.setattr(FlowGraph, "arcs", property(no_rows))
     assert outcomes() == expected
+
+
+HUGE_CAPACITIES = (0.0, 1e-300, 1.0, 3e307, 5e307, 1e308, 1.7e308)
+
+
+def huge_capacity_graph(rng):
+    """A random multigraph on 3 to 5 vertices whose capacities may sum past the floats."""
+    vertices = ("A", "B", *(f"C{k}" for k in range(rng.randint(1, 3))))
+    arcs = []
+    for k in range(rng.randint(1, 7)):
+        u, v = rng.sample(vertices, 2)
+        arcs.append((f"e{k}", u, v))
+    capacities = tuple(rng.choice(HUGE_CAPACITIES) for _ in arcs)
+    return FlowGraph(Topology(vertices, "A", "B", tuple(arcs)), capacities, CapacityKind.REAL)
+
+
+def test_min_cut_agrees_with_bruteforce_when_the_capacities_sum_past_the_floats():
+    # the solver's tolerance, 1e-12 x the total capacity, must not overflow to inf
+    rng = random.Random(606)
+    for _ in range(3000):
+        fg = huge_capacity_graph(rng)
+        fast, brute = min_cut(fg), min_cut_bruteforce(fg)
+        if brute.value < math.inf:  # else every cut sums past the floats, as does fast's
+            assert abs(fast.value - brute.value) <= 1e-9 * max(1.0, brute.value), fg
+        else:
+            assert fast.value == math.inf, fg
+
+
+def test_bound_reports_the_minimum_cut_when_the_budgets_sum_past_the_floats(tmp_path, capsys):
+    edges = [("e0", "C0", "A", 1e308), ("e1", "B", "A", 5e307), ("e2", "B", "C0", 5e307)]
+    for channel in ({"type": "custom", "q_cap": 1.0, "esq_upper": 1.0},
+                    {"type": "lossy", "eta": 0.5}):
+        doc = {"nodes": ["A", "B", "C0"], "alice": "A", "bob": "B", "edges": [
+            {"id": eid, "tail": u, "head": v, "channel": channel, "usage": {"freq": freq}}
+            for eid, u, v, freq in edges]}
+        path = tmp_path / "net.json"
+        path.write_text(json.dumps(doc))
+        assert main(["bound", str(path)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["lower"] == 1e308
+        for witness in ("lower_witness", "upper_witness"):
+            assert report[witness]["v_a"] == ["A", "C0"]
+            assert report[witness]["crossing"] == ["e1", "e2"]

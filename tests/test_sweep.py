@@ -323,7 +323,11 @@ SWEEP_RULES = {
     "nan-scale": ("diamond", "budget-scale", [1.0, 2.0, math.nan], ["lower"], None,
                   f"{SCALE_FAULT} nan", None),
     "inf-scale": ("diamond", "budget-scale", [1.0, math.inf], ["lower"], None,
-                  f"{SCALE_FAULT} inf", None),
+                  f"{SCALE_FAULT} inf", ()),
+    "eta-lone-nan": ("diamond", "eta", [math.nan], ["lower"], "e1",
+                     "eta must be finite, got nan", ("--edge", "e1")),
+    "inf-epsilon": ("triangle_counts", "epsilon", [math.inf], ["lower"], None,
+                    "epsilon must be finite and >= 0, got inf", ()),
     "bool-scale": ("diamond", "budget-scale", [1.0, True], ["lower"], None,
                    "budget scale must be a real number, got True", None),
     "str-scale": ("diamond", "budget-scale", [1.0, "2"], ["lower"], None,
