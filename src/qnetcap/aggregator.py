@@ -244,12 +244,18 @@ def sandwich_report(net: Network, regime: Regime, epsilon: float = 0.0) -> Sandw
     un-floored budgets. Both are built on the network's topology, so both
     solves walk its one residual arc order. The finite-error correction
     applies only to the per-protocol regime; the asymptotic regimes take
-    their error to zero, so a positive epsilon there is rejected.
+    their error to zero, so a positive epsilon there is rejected. A minimum
+    cut whose value sums past the float range is an error that names its
+    weighting and the edges it crosses.
     """
     epsilon = check_report_inputs(net, regime, epsilon)
     per_protocol = regime is Regime.PER_PROTOCOL
     lower_cut = min_cut(flow_graph_from_network(net, WeightKind.Q_CAP, floor_budgets=per_protocol))
     upper_cut = min_cut(flow_graph_from_network(net, WeightKind.ESQ_UPPER))
+    for weighting, cut in (("q_cap", lower_cut), ("esq_upper", upper_cut)):
+        if cut.value == math.inf:
+            raise ValueError(f"the {weighting}-weighted minimum cut sums past the float range: "
+                             f"it crosses {list(cut.crossing)}")
     return SandwichReport(regime, epsilon, lower_cut, upper_cut)
 
 

@@ -30,7 +30,7 @@ import math
 from enum import Enum
 from typing import TYPE_CHECKING, Optional, Sequence
 
-from .values import CustomChannel, EdgeSpec, LossyOptical, _require_finite
+from .values import CustomChannel, EdgeSpec, LossyOptical, _require_finite, _sum_in_order
 
 if TYPE_CHECKING:  # annotations only: a Werner chain needs no network model
     from .netmodel import Network
@@ -95,7 +95,7 @@ def werner_chain_report(
     ]
     final_p = math.prod(chain)
     distance = 1.5 * (1.0 - final_p)
-    budget = sum(per_pair_eps)
+    budget = _sum_in_order(per_pair_eps)
     return {
         "chain": [abs(p) for p in chain],  # p is in [0, 1]: abs only turns -0.0 into +0.0
         "final_fidelity": (1.0 + 3.0 * final_p) / 4.0,

@@ -3,11 +3,14 @@
 Channels are directed but cuts and Bell pairs are not, so every edge is
 modeled as traversable in both directions at its full weight. The fast
 path is Dinic's max-flow (per phase, one BFS level graph and one blocking
-flow, with arcs tried in lexicographic order, hence deterministic); the
-independent oracle enumerates every bipartition. Both report a cut
-through one helper that sums the capacities of the arc rows a side
-crosses, in arc order. The Bell network is a FlowGraph too, with integer
-capacities: each channel's capacity is the number of Bell pairs it holds,
+flow, with arcs tried in arc order, the file order of a parsed network,
+hence deterministic); the independent oracle enumerates every
+bipartition. Both report a cut through one helper that sums the
+capacities of the arc rows a side crosses, left to right in arc order.
+The side a solve reports is the set its residual graph reaches from the
+source, the minimal minimum cut, which is the same for every maximum
+flow; only a plan reads the flow itself. The Bell network is a FlowGraph
+too, with integer capacities: each channel's capacity is the number of Bell pairs it holds,
 so integer flow realizes the edge-disjoint path count, which equals the
 minimum number of Bell pairs crossing any Alice/Bob cut.
 
@@ -38,7 +41,7 @@ from typing import AbstractSet, Iterator, Mapping
 
 from .capacity import WeightKind, weight_column
 from .netmodel import Immutable, Network, NodeId, Topology, _interleave
-from .values import _require_finite
+from .values import _require_finite, _sum_in_order
 
 BRUTEFORCE_MAX_VERTICES = 20
 # a plan lists every path, so m beyond this would exhaust time and memory
@@ -113,13 +116,18 @@ class _ResidualSolver:
     The residual arc order comes from fg's topology and the capacities from
     fg. Both arcs of a row start at the row's full capacity; pushing flow on
     one grows the residual of its partner, which models undirected
-    traversal exactly. A residual at or below min(tol, capacity / 2)
-    counts as saturated, where tol is 1e-12 times the total capacity (at
-    least 1e-12), summed without overflow: float dust left on a used arc
-    closes it, while an unused arc below the tolerance stays open. Each
-    phase runs one BFS for the level graph, then pushes a blocking flow
-    along its shortest paths by a depth-first search that keeps a
-    current-arc pointer per vertex, trying arcs in the topology's order. A
+    traversal exactly. An arc is open while its residual exceeds
+    min(tol, c / 2), c its row's capacity: float dust left on a used arc
+    closes it, while an unused arc below the tolerance stays open. tol is
+    1e-12 times the total capacity (at least 1e-12), summed with sum() and
+    without overflow; it only sets the threshold, so no printed value
+    depends on how the interpreter rounds that sum. The threshold is tol but
+    on rows with 0 < c and c / 2 < tol, whose arcs the table `low` maps to
+    c / 2, so only a residual at or below tol reads it. A zero-capacity row
+    never opens, and integer graphs take tol = 0. Each phase runs one BFS
+    for the level graph, then pushes a blocking flow along its shortest
+    paths by a depth-first search that keeps a current-arc pointer per
+    vertex, trying arcs in the topology's order, which is arc order. A
     solve writes only its own cap list and its per-phase level and
     current-arc lists, never the topology. The level set of the last BFS,
     which fails to reach the sink, is `reachable`, the Alice side of a
@@ -130,18 +138,20 @@ class _ResidualSolver:
         self.topology = topology = fg.topology
         self.source, self.sink = topology._terminals
         self.to, self.adj = topology._to, topology._adj
+        self.low = {}
         if fg.capacity_kind is CapacityKind.INTEGER:
             caps = list(fg.capacities)
-            self.tol = 0
-            self.threshold = [0] * len(self.to)  # min(0, c / 2) is the int 0 for c >= 0
+            self.tol = 0  # min(0, c / 2) is 0 for c >= 0
         else:
             caps = [float(c) for c in fg.capacities]
             self.tol = tol = 1e-12 * max(1.0, sum(fg.capacities))
             if tol == math.inf:  # the sum is past the float range: scale before summing
                 self.tol = tol = sum([1e-12 * c for c in caps])
-            # min(tol, c / 2), spelled out: a call per arc costs more than the rest
-            thresholds = [h if h < tol else tol for h in [c / 2 for c in caps]]
-            self.threshold = _interleave(thresholds, thresholds)
+            # rows below 2 tol are rare: look for them only if the least positive one is
+            if min(filter(None, caps), default=math.inf) / 2 < tol:
+                for k, c in enumerate(caps):
+                    if 0.0 < c and c / 2 < tol:
+                        self.low[2 * k] = self.low[2 * k + 1] = c / 2
         self.cap = _interleave(caps, caps)
         if _unbounded_row is not None:
             self.cap[2 * _unbounded_row] = self.cap[2 * _unbounded_row + 1] = math.inf
@@ -150,7 +160,7 @@ class _ResidualSolver:
 
     def _levels(self) -> list[int]:
         """BFS distance from the source over open arcs, -1 if none, up to the sink's level."""
-        adj, to, cap, threshold = self.adj, self.to, self.cap, self.threshold
+        adj, to, cap, tol, low = self.adj, self.to, self.cap, self.tol, self.low
         sink = self.sink
         level = [-1] * len(adj)
         level[self.source] = 0
@@ -162,7 +172,7 @@ class _ResidualSolver:
             for u in frontier:
                 for i in adj[u]:
                     w = to[i]
-                    if level[w] < 0 and cap[i] > threshold[i]:
+                    if level[w] < 0 and (cap[i] > tol or low and cap[i] > low.get(i, tol)):
                         level[w] = depth
                         found.append(w)
             frontier = found
@@ -170,31 +180,37 @@ class _ResidualSolver:
 
     def _push_blocking_flow(self, level: list[int]) -> None:
         """Augment along level-increasing paths until none reaches the sink."""
-        adj, to, cap, threshold = self.adj, self.to, self.cap, self.threshold
+        adj, to, cap, tol, low = self.adj, self.to, self.cap, self.tol, self.low
         source, sink = self.source, self.sink
         current = [0] * len(adj)  # next arc of adj[v] to try
         path: list[int] = []  # arcs from the source to u
         u = source
         while True:
             if u == sink:
-                bottleneck = min(cap[i] for i in path)
+                bottleneck = min([cap[i] for i in path])
                 for i in path:
                     cap[i] -= bottleneck
                     cap[i ^ 1] += bottleneck
                 self.flow_value += bottleneck
                 # resume from the tail of the first arc the push saturated
-                k = next(k for k, i in enumerate(path) if cap[i] <= threshold[i])
+                k = 0
+                for i in path:
+                    if not (cap[i] > tol or low and cap[i] > low.get(i, tol)):
+                        break
+                    k += 1
                 del path[k:]
                 u = to[path[-1]] if path else source
                 continue
             arcs, k, next_level = adj[u], current[u], level[u] + 1
-            while k < len(arcs):
+            n = len(arcs)
+            while k < n:
                 i = arcs[k]
-                if cap[i] > threshold[i] and level[to[i]] == next_level:
+                if ((cap[i] > tol or low and cap[i] > low.get(i, tol))
+                        and level[to[i]] == next_level):
                     break
                 k += 1
             current[u] = k
-            if k < len(arcs):
+            if k < n:
                 path.append(arcs[k])
                 u = to[arcs[k]]
             elif u == source:
@@ -252,7 +268,7 @@ def _crossing(rows: tuple, capacities: tuple, side: AbstractSet[NodeId]) -> list
 def _cut(rows: tuple, capacities: tuple, zero: float, side: AbstractSet[NodeId]) -> CutResult:
     """The cut with Alice side `side`: its crossing arcs and their capacity sum, in arc order."""
     crossing = _crossing(rows, capacities, side)
-    value = sum((c for _, c in crossing), zero)
+    value = _sum_in_order([c for _, c in crossing], zero)
     return CutResult(value, side, tuple(eid for eid, _ in crossing))
 
 
@@ -301,7 +317,7 @@ class ArcSweep:
     def min_cut_value(self, capacity: float) -> float:
         """F(capacity), summed over the crossing arcs in arc order as min_cut does."""
         return min(
-            sum((capacity if eid == self.arc_id else c for eid, c in pairs), self.zero)
+            _sum_in_order([capacity if eid == self.arc_id else c for eid, c in pairs], self.zero)
             for pairs in self.crossing
         )
 

@@ -40,10 +40,9 @@ class Topology(Immutable):
     residual doubling the max-flow solver walks, which reads no capacity:
     arc 2k runs u->v and arc 2k+1 runs v->u for row k, ``_to`` holds each
     arc's head as a position in ``vertices``, and ``_adj[x]`` lists the
-    arcs leaving x by head label, ties by arc index, so every solve is
-    deterministic. The arcs are bucketed by head in arc order and the
-    buckets dealt to their tails in label order: one sort of the |V|
-    labels, none per vertex. A solve never writes to this state.
+    arcs leaving x in arc order, so a solve tries them in the order of the
+    rows, a parsed network's file order, and is deterministic. One pass
+    over the rows builds it. A solve never writes to this state.
     """
 
     __slots__ = ("vertices", "source", "sink", "arcs", "_terminals", "_to", "_adj")
@@ -80,24 +79,21 @@ class Topology(Immutable):
         if source == sink:
             raise ValueError(f"source and sink are the same vertex {source!r}")
         ids, tails, heads = set(), [], []
-        for eid, u, v in arcs:
+        adj: list[list[int]] = [[] for _ in vertices]
+        for k, (eid, u, v) in enumerate(arcs):
             if eid in ids:
                 raise ValueError(f"duplicate edge id {eid!r}")
             ids.add(eid)
             try:
-                tails.append(index[u])
-                heads.append(index[v])
+                tail, head = index[u], index[v]
             except (KeyError, TypeError):  # TypeError: an unhashable endpoint
                 bad = v if isinstance(u, str) and u in index else u
                 raise ValueError(f"edge {eid!r} references undeclared node {bad!r}") from None
+            adj[tail].append(2 * k)
+            adj[head].append(2 * k + 1)
+            tails.append(tail)
+            heads.append(head)
         to = _interleave(heads, tails)
-        into: list[list[int]] = [[] for _ in vertices]
-        for i, head in enumerate(to):
-            into[head].append(i)
-        adj: list[list[int]] = [[] for _ in vertices]
-        for head in sorted(range(len(vertices)), key=vertices.__getitem__):
-            for i in into[head]:
-                adj[to[i ^ 1]].append(i)
         set_field = object.__setattr__
         set_field(self, "vertices", vertices)
         set_field(self, "source", source)

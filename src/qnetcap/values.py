@@ -8,8 +8,8 @@ which validates it like any other value; ``_from_checked`` builds one from
 values that were checked where they were read, without checking them again.
 The types are safe to share across concurrent workers. ``_require_finite``
 is the one check, for every module, that a value is a finite real number
-(and >= 0, if asked), and ``_check_ends`` the one check of an edge's two
-ends.
+(and >= 0, if asked), ``_check_ends`` the one check of an edge's two
+ends, and ``_sum_in_order`` the one way a printed value is summed.
 
 The general reader of one edge of a network document, ``_read_edge``, is
 here too: it checks every value with these constructors, so it raises their
@@ -21,9 +21,22 @@ from __future__ import annotations
 
 import math
 from enum import Enum
+from functools import reduce
+from operator import add
 from typing import ClassVar, Union
 
 NodeId = str
+
+
+def _sum_in_order(values, start=0):
+    """start + values[0] + values[1] + ..., rounded after each addition, left to right.
+
+    That is what sum() returned through Python 3.11. From 3.12 on, sum()
+    compensates the rounding of floats, which can move the last digit of
+    a printed value, so every sum that reaches an output is taken here and
+    prints the same bytes under every interpreter.
+    """
+    return reduce(add, values, start)
 
 
 def _require_finite(name: str, value: float, *, nonnegative: bool = False) -> float:

@@ -440,6 +440,40 @@ def with_budgets(net, budget):
     return network_with(net, (edge_with(e, usage=budget(e.usage.value)) for e in net.edges))
 
 
+ORDER_GENERATORS = {
+    "lossy": random_lossy_network,
+    "custom": random_custom_network,
+    "count": lambda rng: random_count_network(rng, max_edges=25, max_count=20),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(ORDER_GENERATORS))
+def test_reports_and_plans_do_not_depend_on_the_edge_order(kind):
+    """Shuffling the edges reorders the solver's arcs, which it tries in file order.
+
+    The witness side is the residual-reachable one, the same for every
+    maximum flow, so both reports agree but for the order of the summands;
+    a plan may list other paths, but as many, and they pass the check.
+    """
+    rng = random.Random(f"edge-order/{kind}")
+    for k in range(1000):
+        net = ORDER_GENERATORS[kind](rng)
+        edges = list(net.edges)
+        rng.shuffle(edges)
+        shuffled = network_with(net, edges)
+        regime = net.default_regime
+        report, other = sandwich_report(net, regime), sandwich_report(shuffled, regime)
+        for cut, twin in ((report.lower_witness, other.lower_witness),
+                          (report.upper_witness, other.upper_witness)):
+            assert cut.v_a == twin.v_a, k
+            assert set(cut.crossing) == set(twin.crossing), k
+            assert twin.value == pytest.approx(cut.value, rel=1e-12, abs=0), k
+        if kind == "count":
+            protocol = plan(shuffled)
+            assert protocol.m == plan(net).m, k
+            check_path_set(build_bell_network(shuffled), protocol.paths)
+
+
 def test_shared_layout_report_matches_separate_cuts():
     """Both report cuts equal a min_cut of each weighting built on its own.
 

@@ -120,7 +120,7 @@ def test_json_file_flags_reject_unreadable_documents(tmp_path, flag, content, me
     assert repr(str(path)) in err
 
 
-@pytest.mark.parametrize("freq", ["1e-13", "4.1e-306"])
+@pytest.mark.parametrize("freq", ["1e-13", "4.1e-306", "5e-324"])
 def test_bound_does_not_cut_an_arc_below_the_solver_tolerance(capsys, tmp_path, freq):
     path = tmp_path / "tiny.json"
     path.write_text(
@@ -297,6 +297,30 @@ def test_budget_scale_past_the_float_range_names_the_edge_and_the_scale(capsys, 
                          "--values", "1,10")
     assert code == 1 and out == ""
     assert err == "error: edge 'e1': freq 1e+308 scaled by 10 is past the float range\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("bound",),
+    ("bound", "--weights", "qcap"),
+    ("bound", "--weights", "esq"),
+    ("sweep", "--param", "budget-scale", "--values", "0.5,1"),
+    ("sweep", "--param", "epsilon", "--values", "0"),
+])
+@pytest.mark.parametrize("q_cap, weighting", [(1.0, "q_cap"), (0.5, "esq_upper")])
+def test_a_minimum_cut_past_the_float_range_exits_one_naming_its_edges(
+        capsys, tmp_path, argv, q_cap, weighting):
+    # two parallel edges of 1.7e308 uses: each weight fits a float, their sum does not
+    channel = {"type": "custom", "q_cap": q_cap, "esq_upper": 1.0}
+    doc = {"nodes": ["A", "B"], "alice": "A", "bob": "B", "edges": [
+        {"id": eid, "tail": "A", "head": "B", "channel": channel, "usage": {"freq": 1.7e308}}
+        for eid in ("e0", "e1")]}
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    command, *flags = argv
+    code, out, err = run(capsys, command, str(path), *flags)
+    assert code == 1 and out == ""
+    assert err == (f"error: the {weighting}-weighted minimum cut sums past the float range: "
+                   "it crosses ['e0', 'e1']\n")
 
 
 def test_plan_with_a_pair_count_past_the_float_range_exits_one(capsys, tmp_path):
@@ -667,8 +691,7 @@ def test_fig2_plan_roundtrip_schema(capsys):
 
 # The grid12 networks are perfbench.inputs grids of side 12: lossy with freq
 # budgets from random.Random(1601), counts up to 6 from random.Random(1602).
-# Labels like n10_0 sort before n2_0, so lexicographic arc order differs from
-# declaration order there and fixes which paths the plan lists.
+# The solver tries arcs in file order, which fixes which paths the plan lists.
 GOLDEN_PLANS = {
     "fig2_analog": FIG2,
     "triangle_counts": TRIANGLE,

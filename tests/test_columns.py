@@ -67,8 +67,8 @@ def grid_network(rng: random.Random, side: int, budget: str) -> Network:
     """A side x side grid built from EdgeSpecs, Alice and Bob at opposite corners.
 
     Each grid link becomes one edge of random direction. Labels read
-    n<row>_<col>, so from side 11 on n10_0 sorts before n2_0 and the
-    solver's label order differs from declaration order.
+    n<row>_<col>, so from side 11 on n10_0 sorts before n2_0 and label
+    order differs from declaration order.
     """
     def label(r, c):
         return {(0, 0): "A", (side - 1, side - 1): "B"}.get((r, c), f"n{r}_{c}")

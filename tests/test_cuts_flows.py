@@ -1,6 +1,8 @@
 import json
 import math
 import random
+from functools import reduce
+from operator import add
 
 import pytest
 
@@ -35,6 +37,12 @@ from qnetcap.generators import (
 from qnetcap.sweep import sweep_csv
 
 from conftest import edge_with, network_with
+
+
+def in_order_sum(values):
+    """The float sum rounded left to right, as cut values are summed on every Python;
+    sum() compensates its rounding from 3.12 on."""
+    return reduce(add, values, 0.0)
 
 
 DIAMOND_LOWER = 3.3219280948873623479
@@ -391,7 +399,7 @@ def sub_tolerance_net(freq):
     return Network(("A", "B", "C"), "A", "B", (edge,))
 
 
-@pytest.mark.parametrize("freq", [1e-13, 4.1e-306])
+@pytest.mark.parametrize("freq", [1e-13, 4.1e-306, 5e-324])
 def test_arc_below_the_solver_tolerance_is_not_cut_needlessly(freq):
     # 1e-13 lies below the solver's 1e-12 x max(1, total) saturation tolerance
     for kind in WeightKind:
@@ -438,7 +446,8 @@ def test_min_cut_witness_is_the_network_cut_it_names(kind):
             cut = min_cut(flow_graph_from_network(net, kind, floor_budgets=floor))
             edges = crossing_edges(net, cut.v_a)
             assert cut.crossing == tuple(e.id for e in edges)
-            assert cut.value == sum(edge_capacity(e, kind, floor_budgets=floor) for e in edges)
+            assert cut.value == in_order_sum([edge_capacity(e, kind, floor_budgets=floor)
+                                              for e in edges])
 
 
 def lossy_grid(rng, side, fixed_ends):
@@ -500,7 +509,7 @@ def check_against_networkx(net, kind):
     assert type(cut.v_a) is frozenset
     edges = crossing_edges(net, cut.v_a)  # checks the side: alice in, bob out, no unknown node
     assert cut.crossing == tuple(e.id for e in edges)
-    assert cut.value == sum(edge_capacity(e, kind) for e in edges)
+    assert cut.value == in_order_sum([edge_capacity(e, kind) for e in edges])
     return cut
 
 
@@ -521,20 +530,25 @@ def test_min_cut_of_a_dumbbell_is_its_bridges():
 
 
 def reference_adjacency(topology):
-    """Per-vertex arc lists of the residual doubling, each sorted by (head label, arc index)."""
-    names = topology.vertices
-    index = {v: k for k, v in enumerate(names)}
-    to, adj = [], [[] for _ in names]
-    for _, u, v in topology.arcs:
-        for tail, head in ((index[u], index[v]), (index[v], index[u])):
-            adj[tail].append(len(to))
-            to.append(head)
-    return [sorted(arcs, key=lambda i: (names[to[i]], i)) for arcs in adj]
+    """Per-vertex arc lists of the residual doubling in arc order: row k's arc 2k
+    leaves its tail and arc 2k+1 its head."""
+    index = {v: k for k, v in enumerate(topology.vertices)}
+    adj = [[] for _ in topology.vertices]
+    for k, (_, u, v) in enumerate(topology.arcs):
+        adj[index[u]].append(2 * k)
+        adj[index[v]].append(2 * k + 1)
+    return adj
+
+
+# real capacities at or below twice the solver's 1e-12 tolerance, down to the
+# smallest subnormal, whose half rounds to 0.0
+SUB_TOLERANCE = (5e-324, 4.1e-306, 1e-13, 1e-12, 2e-12)
 
 
 def random_multigraph(rng, kind):
     """Labels declared in shuffled order, so n10 and n2 do not sit in label order,
-    with parallel arcs and a share of zero capacities."""
+    with parallel arcs, a share of zero capacities and, on real graphs, a share
+    below the solver's tolerance."""
     inner = [f"n{k}" for k in range(rng.randint(0, 14))]
     vertices = ["A", "B", *inner]
     rng.shuffle(vertices)
@@ -542,10 +556,13 @@ def random_multigraph(rng, kind):
     arcs, caps = [], []
     for j in range(rng.randint(1, 40)):
         u, v = rng.choice(pairs)  # few endpoint pairs, so many parallel arcs
-        if rng.random() < 0.2:
+        draw = rng.random()
+        if draw < 0.2:
             cap = 0 if kind is CapacityKind.INTEGER else 0.0
         elif kind is CapacityKind.INTEGER:
             cap = rng.randint(1, 5)
+        elif draw < 0.35:
+            cap = rng.choice(SUB_TOLERANCE)
         else:
             cap = rng.uniform(0.0, 3.0)
         arcs.append((f"e{j}", u, v))
@@ -553,20 +570,55 @@ def random_multigraph(rng, kind):
     return FlowGraph(Topology(vertices, "A", "B", arcs), caps, kind)
 
 
+def reachable_by_the_rule(fg, cap, tol):
+    """Labels a BFS from the source reaches over arcs whose residual in `cap`
+    exceeds min(tol, c / 2), c the capacity of the arc's row."""
+    topology, adj = fg.topology, reference_adjacency(fg.topology)
+    threshold = [min(tol, c / 2) for c in fg.capacities for _ in range(2)]
+    seen, frontier = {topology._terminals[0]}, [topology._terminals[0]]
+    while frontier:
+        found = []
+        for x in frontier:
+            for i in adj[x]:
+                w = topology._to[i]
+                if w not in seen and cap[i] > threshold[i]:
+                    seen.add(w)
+                    found.append(w)
+        frontier = found
+    return frozenset(topology.vertices[k] for k in seen)
+
+
 @pytest.mark.parametrize("kind", list(CapacityKind))
-def test_layout_arc_order_is_the_label_sort(kind):
+def test_layout_arc_order_is_the_file_order(kind):
     rng = random.Random(f"layout/{kind.value}")
+    tables = 0
     for _ in range(300):
         fg = random_multigraph(rng, kind)
-        assert fg.topology._adj == reference_adjacency(fg.topology)
-        solver = cuts_flows._ResidualSolver(fg)
-        # tolerance and thresholds as the per-arc construction made them, types included
-        caps = [c if kind is CapacityKind.INTEGER else float(c) for _, _, _, c in fg.arcs]
-        tol = 0 if kind is CapacityKind.INTEGER else 1e-12 * max(
-            1.0, sum(c for _, _, _, c in fg.arcs))
-        want = [min(tol, c / 2) for c in caps for _ in range(2)]
+        topology = fg.topology
+        assert topology._adj == reference_adjacency(topology)
+        assert topology._to == [topology.vertices.index(w) for _, u, v in topology.arcs
+                                for w in (v, u)]
+        ends = set(topology._terminals)
+        rows = [k for k, (_, u, v) in enumerate(topology.arcs)
+                if {topology.vertices.index(u), topology.vertices.index(v)} != ends]
+        unbounded = rng.choice(rows) if rows and rng.random() < 0.3 else None
+        solver = cuts_flows._ResidualSolver(fg, unbounded)
+        # the tolerance as the per-arc construction made it, type included
+        caps = [c if kind is CapacityKind.INTEGER else float(c) for c in fg.capacities]
+        tol = 0 if kind is CapacityKind.INTEGER else 1e-12 * max(1.0, sum(fg.capacities))
         assert (solver.tol, type(solver.tol)) == (tol, type(tol))
-        assert [(t, type(t)) for t in solver.threshold] == [(t, type(t)) for t in want]
+        tables += bool(solver.low)
+        for i, c in enumerate(c for c in caps for _ in range(2)):
+            want = min(tol, c / 2)
+            threshold = solver.low.get(i, solver.tol)
+            if c > 0:  # the threshold itself, bit for bit
+                assert (threshold, type(threshold)) == (want, type(want))
+            else:  # a zero row never opens: its residual stays 0, or inf when unbounded
+                assert i not in solver.low
+                assert solver.cap[i] == (math.inf if i // 2 == unbounded else 0)
+                assert (solver.cap[i] > threshold) == (solver.cap[i] > want)
+        assert solver.reachable == reachable_by_the_rule(fg, solver.cap, tol)
+    assert tables > 0 if kind is CapacityKind.REAL else tables == 0
 
 
 def test_library_code_reads_the_topology_not_the_arc_rows(monkeypatch):
