@@ -598,9 +598,8 @@ def test_layout_arc_order_is_the_file_order(kind):
         assert topology._adj == reference_adjacency(topology)
         assert topology._to == [topology.vertices.index(w) for _, u, v in topology.arcs
                                 for w in (v, u)]
-        ends = set(topology._terminals)
         rows = [k for k, (_, u, v) in enumerate(topology.arcs)
-                if {topology.vertices.index(u), topology.vertices.index(v)} != ends]
+                if {u, v} != {topology.source, topology.sink}]
         unbounded = rng.choice(rows) if rows and rng.random() < 0.3 else None
         solver = cuts_flows._ResidualSolver(fg, unbounded)
         # the tolerance as the per-arc construction made it, type included
