@@ -184,13 +184,20 @@ class SandwichReport(Immutable):
     """Achievable lower bound and converse upper bounds for one regime.
 
     ``lower``, ``upper_esq`` and ``upper_eps_corrected`` are derived from
-    the two witness cuts and epsilon on each read.
+    the two witness cuts and epsilon on each read. A witness cut whose value
+    sums past the float range is an error that names its weighting, q_cap
+    for the lower witness and esq_upper for the upper one, and the edges it
+    crosses; the lower witness is checked first.
     """
 
     __slots__ = ("regime", "epsilon", "lower_witness", "upper_witness")
 
     def __init__(self, regime: Regime, epsilon: float, lower_witness: CutResult,
                  upper_witness: CutResult):
+        for kind, cut in (("q_cap", lower_witness), ("esq_upper", upper_witness)):
+            if cut.value == math.inf:
+                raise ValueError(f"the {kind}-weighted minimum cut sums past the float range: "
+                                 f"it crosses {list(cut.crossing)}")
         object.__setattr__(self, "regime", regime)
         object.__setattr__(self, "epsilon", epsilon)
         object.__setattr__(self, "lower_witness", lower_witness)
@@ -245,17 +252,12 @@ def sandwich_report(net: Network, regime: Regime, epsilon: float = 0.0) -> Sandw
     solves walk its one residual arc order. The finite-error correction
     applies only to the per-protocol regime; the asymptotic regimes take
     their error to zero, so a positive epsilon there is rejected. A minimum
-    cut whose value sums past the float range is an error that names its
-    weighting and the edges it crosses.
+    cut past the float range fails as SandwichReport says.
     """
     epsilon = check_report_inputs(net, regime, epsilon)
     per_protocol = regime is Regime.PER_PROTOCOL
     lower_cut = min_cut(flow_graph_from_network(net, WeightKind.Q_CAP, floor_budgets=per_protocol))
     upper_cut = min_cut(flow_graph_from_network(net, WeightKind.ESQ_UPPER))
-    for weighting, cut in (("q_cap", lower_cut), ("esq_upper", upper_cut)):
-        if cut.value == math.inf:
-            raise ValueError(f"the {weighting}-weighted minimum cut sums past the float range: "
-                             f"it crosses {list(cut.crossing)}")
     return SandwichReport(regime, epsilon, lower_cut, upper_cut)
 
 

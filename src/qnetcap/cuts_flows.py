@@ -5,8 +5,9 @@ modeled as traversable in both directions at its full weight. The fast
 path is Dinic's max-flow (per phase, one BFS level graph and one blocking
 flow, with arcs tried in arc order, the file order of a parsed network,
 hence deterministic); the independent oracle enumerates every
-bipartition. Both report a cut through one helper that sums the
-capacities of the arc rows a side crosses, left to right in arc order.
+bipartition. Both, and ArcSweep at every capacity of its arc, report a
+cut through one helper that sums the capacities of the arc rows a side
+crosses, left to right in arc order.
 The side a solve reports is the set its residual graph reaches from the
 source, the minimal minimum cut, which is the same for every maximum
 flow; only a plan reads the flow itself. The Bell network is a FlowGraph
@@ -265,11 +266,15 @@ def _crossing(rows: tuple, capacities: tuple, side: AbstractSet[NodeId]) -> list
             if (row[1] in side) != (row[2] in side)]
 
 
-def _cut(rows: tuple, capacities: tuple, zero: float, side: AbstractSet[NodeId]) -> CutResult:
-    """The cut with Alice side `side`: its crossing arcs and their capacity sum, in arc order."""
-    crossing = _crossing(rows, capacities, side)
+def _cut(side: AbstractSet[NodeId], crossing: list[tuple], zero: float) -> CutResult:
+    """The cut with Alice side `side` and (id, capacity) pairs `crossing`, summed in order."""
     value = _sum_in_order([c for _, c in crossing], zero)
-    return CutResult(value, side, tuple(eid for eid, _ in crossing))
+    return CutResult(value, side, tuple([eid for eid, _ in crossing]))
+
+
+def _side_cut(fg: FlowGraph, side: AbstractSet[NodeId]) -> CutResult:
+    """The cut of fg with Alice side `side`."""
+    return _cut(side, _crossing(fg.topology.arcs, fg.capacities, side), fg.zero)
 
 
 def min_cut(fg: FlowGraph) -> CutResult:
@@ -279,12 +284,11 @@ def min_cut(fg: FlowGraph) -> CutResult:
     value is summed over the crossing arcs rather than taken from the flow,
     to keep floating-point drift out of the reported number.
     """
-    side = _ResidualSolver(fg).reachable
-    return _cut(fg.topology.arcs, fg.capacities, fg.zero, side)
+    return _side_cut(fg, _ResidualSolver(fg).reachable)
 
 
 class ArcSweep:
-    """Minimum-cut value of a flow instance as the capacity w of one arc varies.
+    """Minimum cut of a flow instance as the capacity w of one arc varies.
 
     Every cut either crosses the arc, at value A + w, or avoids it, at B, so
     the minimum is F(w) = min(F(0) + w, F(inf)). Two max-flows give the Alice
@@ -312,14 +316,15 @@ class ArcSweep:
         _, u, v = rows[k]
         if not (u in ends and v in ends):
             sides.append(_ResidualSolver(at_zero, k).reachable)
-        self.crossing = [_crossing(rows, capacities, side) for side in sides]
+        # a side crosses the same rows at every w: only the swept arc's capacity changes
+        self.sides = [(side, _crossing(rows, capacities, side)) for side in sides]
 
-    def min_cut_value(self, capacity: float) -> float:
-        """F(capacity), summed over the crossing arcs in arc order as min_cut does."""
-        return min(
-            _sum_in_order([capacity if eid == self.arc_id else c for eid, c in pairs], self.zero)
-            for pairs in self.crossing
-        )
+    def min_cut(self, capacity: float) -> CutResult:
+        """A minimum cut with the arc at `capacity`: the smaller side's, the first on a tie."""
+        cuts = [_cut(side, [(eid, capacity if eid == self.arc_id else c) for eid, c in pairs],
+                     self.zero)
+                for side, pairs in self.sides]
+        return min(cuts, key=lambda cut: cut.value)
 
 
 def _enumerate_min_cut(fg: FlowGraph) -> frozenset[NodeId]:
@@ -338,13 +343,12 @@ def _enumerate_min_cut(fg: FlowGraph) -> frozenset[NodeId]:
         frozenset([source, *(v for i, v in enumerate(intermediates) if mask >> i & 1)])
         for mask in range(1 << len(intermediates))
     )
-    rows, caps, zero = fg.topology.arcs, fg.capacities, fg.zero
-    return min(sides, key=lambda side: (_cut(rows, caps, zero, side).value, sorted(side)))
+    return min(sides, key=lambda side: (_side_cut(fg, side).value, sorted(side)))
 
 
 def min_cut_bruteforce(fg: FlowGraph) -> CutResult:
     """Exhaustive-enumeration oracle for min_cut; exact up to 20 vertices."""
-    return _cut(fg.topology.arcs, fg.capacities, fg.zero, _enumerate_min_cut(fg))
+    return _side_cut(fg, _enumerate_min_cut(fg))
 
 
 class PathSet(Immutable):

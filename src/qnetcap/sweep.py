@@ -11,9 +11,10 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from .aggregator import (
-    AsymptoticQCap, build_bell_network, check_report_inputs, pair_count, sandwich_report,
+    AsymptoticQCap, SandwichReport, build_bell_network, check_report_inputs, lossy_gap_ratio,
+    pair_count, sandwich_report,
 )
-from .capacity import WeightKind, edge_capacity, epsilon_corrected_upper
+from .capacity import WeightKind, edge_capacity
 from .cuts_flows import ArcSweep, flow_graph_from_network, max_flow_value
 from .netmodel import Count, EdgeSpec, LossyOptical, Network, Regime
 from .values import _require_finite
@@ -28,8 +29,8 @@ def _eta_points(net: Network, grid: Sequence[float], want_m: bool, edge_id: Opti
     """Two max-flows per weight kind (and two for m), whatever the grid size.
 
     Only the swept edge's capacity changes from point to point, so each
-    cut value comes from an ArcSweep over the base network. Every point's
-    swept capacities (and pairs) are checked, as ``bound`` checks them, first.
+    cut comes from an ArcSweep over the base network. Every point's swept
+    capacities (and pairs) are checked, as ``bound`` checks them, first.
     """
     if edge_id is None:
         raise ValueError("an eta sweep needs the id of the swept edge")
@@ -53,26 +54,18 @@ def _eta_points(net: Network, grid: Sequence[float], want_m: bool, edge_id: Opti
     upper = ArcSweep(flow_graph_from_network(net, WeightKind.ESQ_UPPER), edge_id)
     pairs = ArcSweep(build_bell_network(net), edge_id) if want_m else None
     for value, (q_cap, esq_upper, count) in zip(grid, swept):
-        upper_esq = upper.min_cut_value(esq_upper)
-        yield (
-            value,
-            lower.min_cut_value(q_cap),
-            upper_esq,
-            epsilon_corrected_upper(upper_esq, epsilon),
-            pairs.min_cut_value(count) if want_m else None,
-        )
+        report = SandwichReport(regime, epsilon, lower.min_cut(q_cap), upper.min_cut(esq_upper))
+        yield value, report, pairs.min_cut(count).value if want_m else None
 
 
 def _epsilon_points(net: Network, grid: Sequence[float], want_m: bool, **_):
     """One report (and one m): only the epsilon correction varies."""
     regime = net.default_regime
-    for value in grid:
-        check_report_inputs(net, regime, value)
+    epsilons = [check_report_inputs(net, regime, value) for value in grid]
     report = sandwich_report(net, regime)
     m = max_flow_value(build_bell_network(net)) if want_m else None
-    for value in grid:
-        corrected = epsilon_corrected_upper(report.upper_esq, value)
-        yield value, report.lower, report.upper_esq, corrected, m
+    for value, epsilon in zip(grid, epsilons):
+        yield value, SandwichReport(regime, epsilon, report.lower_witness, report.upper_witness), m
 
 
 def _budget_scale_points(net: Network, grid: Sequence[float], want_m: bool, epsilon: float, **_):
@@ -89,18 +82,19 @@ def _budget_scale_points(net: Network, grid: Sequence[float], want_m: bool, epsi
         point_net = net._scaled(value)
         report = sandwich_report(point_net, regime, epsilon)
         m = max_flow_value(build_bell_network(point_net)) if want_m else None
-        yield value, report.lower, report.upper_esq, report.upper_eps_corrected, m
+        yield value, report, m
 
 
 _POINTS = {"eta": _eta_points, "epsilon": _epsilon_points, "budget-scale": _budget_scale_points}
 
-# each field's cell at a point, from its (lower, upper_esq, eps-corrected upper, m)
+# each field's cell at a point, from its SandwichReport and m
 _CELLS = {
-    "lower": lambda lo, up, corr, m: _fmt(lo),
-    "upper_esq": lambda lo, up, corr, m: _fmt(up),
-    "upper_eps_corrected": lambda lo, up, corr, m: "vacuous" if corr is None else _fmt(corr),
-    "ratio": lambda lo, up, corr, m: _fmt(up / lo) if lo > 0 else "nan",
-    "m": lambda lo, up, corr, m: str(m),
+    "lower": lambda report, m: _fmt(report.lower),
+    "upper_esq": lambda report, m: _fmt(report.upper_esq),
+    "upper_eps_corrected": lambda report, m: (
+        "vacuous" if (corrected := report.upper_eps_corrected) is None else _fmt(corrected)),
+    "ratio": lambda report, m: _fmt(lossy_gap_ratio(report)) if report.lower > 0 else "nan",
+    "m": lambda report, m: str(m),
 }
 SWEEP_FIELDS = tuple(_CELLS)
 
@@ -123,7 +117,9 @@ def sweep_csv(
     range; epsilon, swept or fixed, is finite, >= 0, and > 0 only on
     Count budgets; ``m`` needs Count budgets or no edges. All three params
     check every rule at every point before any cut, so an error (a
-    KeyError for an unknown edge, else ValueError) leaves no output.
+    KeyError for an unknown edge, else ValueError) leaves no output. Each
+    row is a SandwichReport, so a minimum cut past the float range, known
+    only once the cuts ran, fails as ``bound`` fails and leaves none either.
     ``edge`` and ``epsilon`` are ignored where moot.
     """
     points = _POINTS.get(param)
@@ -136,6 +132,6 @@ def sweep_csv(
     if want_m and net.budget_kind not in (Count, None):
         raise ValueError("field 'm' needs Count budgets (protocol plans)")
     lines = [",".join([param, *fields])]
-    lines.extend(",".join([_fmt(value)] + [_CELLS[name](*bounds) for name in fields])
-                 for value, *bounds in points(net, grid, want_m, edge_id=edge, epsilon=epsilon))
+    lines.extend(",".join([_fmt(value)] + [_CELLS[name](report, m) for name in fields])
+                 for value, report, m in points(net, grid, want_m, edge_id=edge, epsilon=epsilon))
     return "\r\n".join(lines) + "\r\n"

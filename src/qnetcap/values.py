@@ -154,12 +154,8 @@ class CustomChannel(Immutable):
     __slots__ = ("q_cap", "esq_upper")
 
     def __init__(self, q_cap: float, esq_upper: float):
-        q_cap = _require_finite("q_cap", q_cap)
-        esq_upper = _require_finite("esq_upper", esq_upper)
-        if q_cap < 0 or esq_upper < 0:
-            raise ValueError(
-                f"q_cap and esq_upper must be >= 0, got {q_cap}, {esq_upper}"
-            )
+        q_cap = _require_finite("q_cap", q_cap, nonnegative=True)
+        esq_upper = _require_finite("esq_upper", esq_upper, nonnegative=True)
         object.__setattr__(self, "q_cap", q_cap)
         object.__setattr__(self, "esq_upper", esq_upper)
 
@@ -187,10 +183,7 @@ class UsageBudget(Immutable):
     regime: ClassVar[Regime]
 
     def __init__(self, value: float):
-        v = _require_finite(self.key, value)
-        if v < 0:
-            raise ValueError(f"{self.key} must be >= 0, got {v}")
-        object.__setattr__(self, "value", v)
+        object.__setattr__(self, "value", _require_finite(self.key, value, nonnegative=True))
 
 
 class Count(UsageBudget):

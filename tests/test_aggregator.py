@@ -29,6 +29,7 @@ from qnetcap import (
     min_cut,
     min_cut_bruteforce,
     pair_count,
+    parse_network,
     plan,
     plan_to_dot,
     resolve_rate,
@@ -37,7 +38,7 @@ from qnetcap import (
 from qnetcap import cuts_flows
 from qnetcap.generators import random_count_network, random_custom_network, random_lossy_network
 
-from conftest import edge_with, network_with
+from conftest import DATA_DIR, edge_with, network_with
 
 
 DIAMOND_LOWER = 3.3219280948873623479
@@ -358,6 +359,38 @@ def test_plan_m_matches_bruteforce_cut_on_random_count_networks():
         assert consumed + sum(result.unused_pairs.values()) == sum(generated.values())
         for cid, n in generated.items():
             assert result.paths.pairs_used.get(cid, 0) + result.unused_pairs[cid] == n
+
+
+def _assert_plan_yield_within_the_bound(net, model, alpha):
+    # m <= alpha * lower, the Bell cut S being at most the q_cap cut; and since each
+    # channel of S loses less than one pair to the floors, alpha * lower - m < |S|
+    lower = sandwich_report(net, Regime.PER_PROTOCOL).lower
+    cut = min_cut(build_bell_network(net, model))
+    m = plan(net, 0.0, model).m
+    if not cut.crossing:
+        assert lower == m == 0
+        return
+    bound = alpha * lower
+    assert m <= bound * (1 + 1e-9)
+    assert bound - m < len(cut.crossing) + 1e-9 * bound
+
+
+YIELD_MODELS = [(AsymptoticQCap(), 1.0), (FixedFraction(0.3), 0.3), (FixedFraction(0.77), 0.77)]
+
+
+@pytest.mark.parametrize("model, alpha", YIELD_MODELS)
+def test_plan_yield_is_within_one_pair_per_cut_edge_of_the_lower_bound(model, alpha):
+    rng = random.Random(36)
+    for _ in range(150):
+        net = random_count_network(rng, max_nodes=9, max_edges=20, max_count=50)
+        _assert_plan_yield_within_the_bound(net, model, alpha)
+        # the same topology at random etas and fractional counts
+        net = network_with(net, (
+            edge_with(e, channel=LossyOptical(rng.uniform(0, 0.99)),
+                      usage=Count(rng.uniform(0, 50))) for e in net.edges))
+        _assert_plan_yield_within_the_bound(net, model, alpha)
+    grid = parse_network((DATA_DIR / "grid12_counts.json").read_text())  # a bench-size grid
+    _assert_plan_yield_within_the_bound(grid, model, alpha)
 
 
 def test_budget_scaling_covariance():

@@ -82,7 +82,7 @@ def cli_in_child_fails(*argv) -> str:
     "content, message",
     [
         (SINGLE_TEXT.replace(b'{"freq": 1.0}', b'{"count": 1' + b"0" * 400 + b"}"),
-         "error: edge 'ab': count must be finite, got an integer of 1329 bits"),
+         "error: edge 'ab': count must be finite and >= 0, got an integer of 1329 bits"),
         (SINGLE_TEXT.replace(b'"A"', b'"\xff"', 1),
          "error: network file {path!r} is not UTF-8 text: invalid start byte"),
         (b"[" * 10**5, "error: document nests too deeply to parse"),
@@ -321,6 +321,39 @@ def test_a_minimum_cut_past_the_float_range_exits_one_naming_its_edges(
     assert code == 1 and out == ""
     assert err == (f"error: the {weighting}-weighted minimum cut sums past the float range: "
                    "it crosses ['e0', 'e1']\n")
+
+
+def _lossy(eid, usage):
+    return {"id": eid, "tail": "A", "head": "B", "channel": {"type": "lossy", "eta": 0.5},
+            "usage": usage}
+
+
+# eta-sweep networks whose every capacity fits a float but whose minimum cut sums past it
+ETA_OVERFLOWS = {
+    # two custom q_cap weights of 1e308 overflow the q_cap cut; the esq_upper cut is 3.58
+    "q_cap": ([_lossy("e0", {"freq": 1.0})] + [
+        {"id": eid, "tail": "A", "head": "B", "usage": {"freq": 1.0},
+         "channel": {"type": "custom", "q_cap": 1e308, "esq_upper": 1.0}}
+        for eid in ("e1", "e2")], ["e0", "e1", "e2"]),
+    # both cuts overflow (q_cap weights of 1e308, esq_upper ones of 1.58e308): q_cap is named
+    "both": ([_lossy(eid, {"freq": 1e308}) for eid in ("e0", "e1")], ["e0", "e1"]),
+}
+
+
+@pytest.mark.parametrize("fields", ["lower", "upper_esq,ratio"])
+@pytest.mark.parametrize("name", sorted(ETA_OVERFLOWS))
+def test_an_eta_sweep_whose_minimum_cut_is_past_the_float_range_fails_as_bound_does(
+        capsys, tmp_path, name, fields):
+    edges, crossing = ETA_OVERFLOWS[name]
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"nodes": ["A", "B"], "alice": "A", "bob": "B", "edges": edges}))
+    code, out, bound_err = run(capsys, "bound", str(path))
+    assert code == 1 and out == ""
+    assert bound_err.endswith("error: the q_cap-weighted minimum cut sums past the float range: "
+                              f"it crosses {crossing}\n")
+    code, out, err = run(capsys, "sweep", str(path), "--param", "eta", "--edge", "e0",
+                         "--values", "0.5", "--fields", fields)
+    assert (code, out, err) == (1, "", bound_err)
 
 
 def test_plan_with_a_pair_count_past_the_float_range_exits_one(capsys, tmp_path):

@@ -189,6 +189,14 @@ def _with_eta(net, edge_id, eta):
     ))
 
 
+def _sweep_cut(sweep, topology, capacity):
+    """sweep.min_cut(capacity), checked to cross exactly the rows its Alice side splits."""
+    cut = sweep.min_cut(capacity)
+    side = cut.v_a
+    assert cut.crossing == tuple(eid for eid, u, v in topology.arcs if (u in side) != (v in side))
+    return cut
+
+
 @pytest.mark.parametrize("kind", list(WeightKind))
 def test_arc_sweep_matches_bruteforce_weighted_cut(kind):
     rng = random.Random(20)
@@ -200,7 +208,8 @@ def test_arc_sweep_matches_bruteforce_weighted_cut(kind):
             point_net = _with_eta(net, edge.id, eta)
             capacity = edge_capacity(point_net.edge_by_id(edge.id), kind)
             expected = min_cut_bruteforce(flow_graph_from_network(point_net, kind)).value
-            assert sweep.min_cut_value(capacity) == pytest.approx(expected, rel=1e-12, abs=1e-12)
+            cut = _sweep_cut(sweep, net.topology, capacity)
+            assert cut.value == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
 
 def test_arc_sweep_matches_bruteforce_bell_cut():
@@ -213,7 +222,7 @@ def test_arc_sweep_matches_bruteforce_bell_cut():
         for pairs in (0, 1, rng.randint(2, 60)):
             caps = [pairs if c == cid else n for c, _, _, n in bell.arcs]
             expected = min_cut_bruteforce(FlowGraph(bell.topology, caps, bell.capacity_kind)).value
-            value = sweep.min_cut_value(pairs)
+            value = _sweep_cut(sweep, bell.topology, pairs).value
             assert value == expected and isinstance(value, int)
 
 
@@ -226,7 +235,7 @@ def test_arc_sweep_direct_edge_is_crossed_by_every_cut():
     sweep = ArcSweep(flow_graph_from_network(net, WeightKind.Q_CAP), "ab")
     # F(0) = min(2, 2) = 2 through C; the direct edge adds its full capacity
     for w in (0.0, 0.5, 3.0, 100.0):
-        assert sweep.min_cut_value(w) == 2.0 + w
+        assert sweep.min_cut(w).value == 2.0 + w
     with pytest.raises(KeyError, match="nope"):
         ArcSweep(flow_graph_from_network(net, WeightKind.Q_CAP), "nope")
 
@@ -248,7 +257,7 @@ def test_arc_sweep_avoiding_side_holds_at_large_capacities(scale):
         sweep = ArcSweep(flow_graph_from_network(net, kind), "e0")
         rest = edge_capacity(net.edge_by_id("e1"), kind)
         for w in (0.0, rest / 2, rest, edge_capacity(net.edge_by_id("e0"), kind)):
-            assert sweep.min_cut_value(w) == min(w, rest)
+            assert sweep.min_cut(w).value == min(w, rest)
     csv = "eta,lower\r\n0.5,%s\r\n" % _fmt(scale)
     assert sweep_csv(net, "eta", [0.5], ["lower"], edge="e0") == csv
 
@@ -272,7 +281,59 @@ def test_parametric_sweep_matches_pointwise_at_large_budgets(max_budget):
             capacity = edge_capacity(point_net.edge_by_id(edge.id), WeightKind.Q_CAP)
             point = flow_graph_from_network(point_net, WeightKind.Q_CAP)
             expected = min_cut_bruteforce(point).value
-            assert sweep.min_cut_value(capacity) == pytest.approx(expected, rel=1e-12)
+            cut = _sweep_cut(sweep, net.topology, capacity)
+            assert cut.value == pytest.approx(expected, rel=1e-12)
+
+
+# --- how many max-flows each computation runs -------------------------------------
+
+@pytest.fixture
+def solves(monkeypatch):
+    """A list that gains one entry per residual solver built, that is per max-flow."""
+    made = []
+
+    class CountingSolver(cuts_flows._ResidualSolver):
+        def __init__(self, *args, **kwargs):
+            made.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(cuts_flows, "_ResidualSolver", CountingSolver)
+    return made
+
+
+def test_a_report_solves_twice_and_a_plan_once(solves, triangle_net):
+    sandwich_report(triangle_net, Regime.PER_PROTOCOL)
+    assert len(solves) == 2
+    plan(triangle_net)
+    assert len(solves) == 3
+
+
+# each param's grid of n points
+SOLVE_GRIDS = {"eta": lambda n: [0.9 * i / n for i in range(n)],
+               "epsilon": lambda n: [1e-3 * i / n for i in range(n)],
+               "budget-scale": lambda n: [1.0 + i for i in range(n)]}
+# name: param, swept edge, max-flows without m and with it (per point for budget-scale)
+SOLVE_COUNTS = {
+    "eta-ac": ("eta", "ac", 4, 6),
+    "eta-cb": ("eta", "cb", 4, 6),
+    # ab joins Alice and Bob: every cut crosses it, so one side is solved per kind
+    "eta-ab": ("eta", "ab", 2, 3),
+    "epsilon": ("epsilon", None, 2, 3),
+    "budget-scale": ("budget-scale", None, 2, 3),
+}
+
+
+@pytest.mark.parametrize("points", [1, 10, 100])
+@pytest.mark.parametrize("name", sorted(SOLVE_COUNTS))
+def test_sweep_solve_counts(solves, triangle_net, name, points):
+    param, edge, without_m, with_m = SOLVE_COUNTS[name]
+    grid = SOLVE_GRIDS[param](points)
+    per = points if param == "budget-scale" else 1
+    sweep_csv(triangle_net, param, grid, ["lower", "upper_esq"], edge=edge)
+    assert len(solves) == without_m * per
+    solves.clear()
+    sweep_csv(triangle_net, param, grid, ["lower", "m"], edge=edge)
+    assert len(solves) == with_m * per
 
 
 # --- the sweep's rules, checked before any cut ----------------------------------
