@@ -116,10 +116,10 @@ def build_bell_network(net: Network, rate_model: RateModel = AsymptoticQCap()) -
         pair_count(net._edge(0), rate_model)  # raises: pair counts need Count budgets
     rates = _rate_column(net, rate_model)
     try:
-        pairs = [math.floor(math.floor(uses) * rate) for uses, rate in zip(net._budgets, rates)]
+        pairs = [math.floor(math.floor(uses) * rate) for uses, rate in zip(net.budgets, rates)]
     except (TypeError, OverflowError):  # a rate missing from a table, or pairs past the floats
-        for edge in net.edges:
-            pair_count(edge, rate_model)
+        for k in range(len(net.budgets)):
+            pair_count(net._edge(k), rate_model)
         raise
     return FlowGraph._from_checked(net.topology, tuple(pairs), CapacityKind.INTEGER)
 
@@ -180,20 +180,36 @@ def plan(
     return ProtocolPlan(paths, epsilon, counted, unused)
 
 
+def _check_regime_epsilon(regime: Regime, epsilon: float) -> float:
+    """epsilon as a float; ValueError unless regime is a Regime and epsilon is
+    finite, >= 0, and positive only in the per-protocol regime."""
+    if not isinstance(regime, Regime):
+        raise ValueError(f"regime must be a Regime, got {regime!r}")
+    epsilon = check_epsilon(epsilon)
+    if epsilon > 0 and regime is not Regime.PER_PROTOCOL:
+        raise ValueError(
+            f"epsilon={epsilon} applies only to the per-protocol regime; "
+            f"regime {regime.value!r} takes epsilon to 0"
+        )
+    return epsilon
+
+
 class SandwichReport(Immutable):
     """Achievable lower bound and converse upper bounds for one regime.
 
     ``lower``, ``upper_esq`` and ``upper_eps_corrected`` are derived from
-    the two witness cuts and epsilon on each read. A witness cut whose value
-    sums past the float range is an error that names its weighting, q_cap
-    for the lower witness and esq_upper for the upper one, and the edges it
-    crosses; the lower witness is checked first.
+    the two witness cuts and epsilon on each read. The regime and epsilon
+    are checked first, by ``sandwich_report``'s rules. A witness cut whose
+    value sums past the float range is an error that names its weighting,
+    q_cap for the lower witness and esq_upper for the upper one, and the
+    edges it crosses; the lower witness is checked first.
     """
 
     __slots__ = ("regime", "epsilon", "lower_witness", "upper_witness")
 
     def __init__(self, regime: Regime, epsilon: float, lower_witness: CutResult,
                  upper_witness: CutResult):
+        epsilon = _check_regime_epsilon(regime, epsilon)
         for kind, cut in (("q_cap", lower_witness), ("esq_upper", upper_witness)):
             if cut.value == math.inf:
                 raise ValueError(f"the {kind}-weighted minimum cut sums past the float range: "
@@ -222,18 +238,10 @@ class SandwichReport(Immutable):
 def check_report_inputs(net: Network, regime: Regime, epsilon: float) -> float:
     """The checks sandwich_report makes before any cut; returns epsilon as a float.
 
-    Epsilon must be finite and >= 0, positive only in the per-protocol
-    regime, and the regime must be a Regime, the one the network's budgets
-    read as.
+    To a SandwichReport's checks of regime and epsilon it adds that the
+    regime is the one the network's budgets read as.
     """
-    if not isinstance(regime, Regime):
-        raise ValueError(f"regime must be a Regime, got {regime!r}")
-    epsilon = check_epsilon(epsilon)
-    if epsilon > 0 and regime is not Regime.PER_PROTOCOL:
-        raise ValueError(
-            f"epsilon={epsilon} applies only to the per-protocol regime; "
-            f"regime {regime.value!r} takes epsilon to 0"
-        )
+    epsilon = _check_regime_epsilon(regime, epsilon)
     kind = net.budget_kind
     if kind is not None and kind.regime is not regime:
         raise ValueError(

@@ -160,9 +160,9 @@ def weight_column(net: Network, kind: WeightKind) -> list[float]:
     """edge_weight(e, kind) of every edge e of net, in edge order."""
     log2 = math.log2
     if kind is WeightKind.Q_CAP:
-        return [c[0] if type(c) is tuple else log2(1.0 / (1.0 - c)) for c in net._channels]
+        return [c[0] if type(c) is tuple else log2(1.0 / (1.0 - c)) for c in net.channels]
     if kind is WeightKind.ESQ_UPPER:
-        return [c[1] if type(c) is tuple else log2((1.0 + c) / (1.0 - c)) for c in net._channels]
+        return [c[1] if type(c) is tuple else log2((1.0 + c) / (1.0 - c)) for c in net.channels]
     raise ValueError(f"kind must be a WeightKind, got {kind!r}")
 
 

@@ -103,7 +103,7 @@ def flow_graph_from_network(
     columns were checked as they were read; the one fault left, a product
     past the float range, goes to the constructor, which names its arc.
     """
-    budgets = net._budgets
+    budgets = net.budgets
     if floor_budgets:
         budgets = [float(math.floor(b)) for b in budgets]
     capacities = tuple([b * w for b, w in zip(budgets, weight_column(net, kind))])

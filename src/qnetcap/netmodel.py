@@ -115,20 +115,19 @@ def _interleave(even: list, odd: list) -> list:
 class Network(Immutable):
     """Validated two-terminal network, held as columns in input edge order.
 
-    The columns are the topology's (id, tail, head) arc rows, each edge's
-    channel parameters (a ChannelParams) and budget value, and the one
-    budget variant all edges share. ``edges`` and ``edge_by_id`` build
-    EdgeSpecs from the columns on each read; equality, hashing, repr and
-    pickling go through them, so a network compares and copies as the
-    EdgeSpecs it was built from.
+    Its fields are nodes, alice, bob and the columns: the topology's arc
+    rows, the budget variant all edges share (None if edgeless), and per
+    edge its ChannelParams and budget value, as tuples. Equality, hashing
+    and repr read the fields. ``edges`` and ``edge_by_id`` build EdgeSpecs
+    from the columns on each read; pickling and copying hand ``edges`` to
+    the checked constructor, ``Network(nodes, alice, bob, edges)``.
 
     The network checks first that alice and bob are distinct declared
     nodes, then its Topology checks the graph, and last the network checks
     that its edges share one budget variant.
     """
 
-    __slots__ = ("nodes", "alice", "bob", "_topology", "_budget_kind", "_channels", "_budgets")
-    _fields = ("nodes", "alice", "bob", "edges")
+    __slots__ = ("nodes", "alice", "bob", "topology", "budget_kind", "channels", "budgets")
 
     def __init__(self, nodes: tuple[NodeId, ...], alice: NodeId, bob: NodeId,
                  edges: tuple[EdgeSpec, ...]):
@@ -143,7 +142,7 @@ class Network(Immutable):
 
     def _fill(self, nodes, alice, bob, rows: list, kinds: set, channels: list,
               budgets: list) -> None:
-        """Check the network and set its columns; each row's id and ends are already checked."""
+        """Check the network and set its fields; each row's id and ends are already checked."""
         nodes = tuple(nodes)
         _require_label("alice", alice)
         _require_label("bob", bob)
@@ -161,53 +160,46 @@ class Network(Immutable):
         set_field(self, "nodes", nodes)
         set_field(self, "alice", alice)
         set_field(self, "bob", bob)
-        set_field(self, "_topology", topology)
-        set_field(self, "_budget_kind", next(iter(kinds), None))
-        set_field(self, "_channels", channels)
-        set_field(self, "_budgets", budgets)
+        set_field(self, "topology", topology)
+        set_field(self, "budget_kind", next(iter(kinds), None))
+        set_field(self, "channels", tuple(channels))
+        set_field(self, "budgets", tuple(budgets))
 
-    @property
-    def topology(self) -> Topology:
-        """Nodes, alice as source, bob as sink and an (id, tail, head) arc per edge."""
-        return self._topology
-
-    @property
-    def budget_kind(self) -> Optional[type[UsageBudget]]:
-        """The single budget variant used by the edges, or None if edgeless."""
-        return self._budget_kind
+    def __reduce__(self):
+        return Network, (self.nodes, self.alice, self.bob, self.edges)
 
     @property
     def default_regime(self) -> Regime:
         """The regime the budget variant is read in; per-use if edgeless."""
-        kind = self._budget_kind
+        kind = self.budget_kind
         return Regime.PER_CHANNEL_USE if kind is None else kind.regime
 
     @property
     def edges(self) -> tuple[EdgeSpec, ...]:
         """The edges as EdgeSpecs in input order, built from the columns on each read."""
-        return tuple([self._edge(k) for k in range(len(self._budgets))])
+        return tuple([self._edge(k) for k in range(len(self.budgets))])
 
     def _edge(self, k: int) -> EdgeSpec:
-        channel = self._channels[k]
+        channel = self.channels[k]
         channel = CustomChannel(*channel) if type(channel) is tuple else LossyOptical(channel)
-        return EdgeSpec(*self._topology.arcs[k], channel, self._budget_kind(self._budgets[k]))
+        return EdgeSpec(*self.topology.arcs[k], channel, self.budget_kind(self.budgets[k]))
 
     def edge_by_id(self, edge_id: str) -> EdgeSpec:
-        for k, row in enumerate(self._topology.arcs):
+        for k, row in enumerate(self.topology.arcs):
             if row[0] == edge_id:
                 return self._edge(k)
         raise KeyError(f"no edge with id {edge_id!r}")
 
     def _scaled(self, factor: float) -> Network:
         """This network on its own topology with every budget times factor >= 0."""
-        budgets = [b * factor for b in self._budgets]
+        budgets = tuple([b * factor for b in self.budgets])
         if math.inf in budgets:
             k = budgets.index(math.inf)
-            raise ValueError(f"edge {self._topology.arcs[k][0]!r}: {self._budget_kind.key} "
-                             f"{self._budgets[k]:.12g} scaled by {factor:.12g} "
+            raise ValueError(f"edge {self.topology.arcs[k][0]!r}: {self.budget_kind.key} "
+                             f"{self.budgets[k]:.12g} scaled by {factor:.12g} "
                              "is past the float range")
-        return Network._from_checked(*[budgets if name == "_budgets" else getattr(self, name)
-                                       for name in Network.__slots__])
+        return Network._from_checked(self.nodes, self.alice, self.bob, self.topology,
+                                     self.budget_kind, self.channels, budgets)
 
 
 def crossing_edges(net: Network, side: AbstractSet[NodeId]) -> tuple[EdgeSpec, ...]:
@@ -384,7 +376,7 @@ def serialize_network(net: Network) -> str:
                 "usage": {key: budget},
             }
             for (eid, tail, head), channel, budget
-            in zip(net.topology.arcs, net._channels, net._budgets)
+            in zip(net.topology.arcs, net.channels, net.budgets)
         ],
     }
     return json.dumps(doc, indent=2) + "\n"
@@ -421,7 +413,7 @@ def export_dot(net: Network, annotations: Optional[Mapping[str, str]] = None) ->
         shape = "doublecircle" if n in (net.alice, net.bob) else "circle"
         lines.append(f'  "{_dot_escape(n)}" [shape={shape}];')
     key = net.budget_kind.key if net.budget_kind is not None else None
-    for (eid, tail, head), channel, budget in zip(net.topology.arcs, net._channels, net._budgets):
+    for (eid, tail, head), channel, budget in zip(net.topology.arcs, net.channels, net.budgets):
         label = _edge_label(eid, channel, key, budget)
         attrs = []
         if annotations is not None:

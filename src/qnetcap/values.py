@@ -72,15 +72,15 @@ class Immutable:
     """Base of the value types: slotted, immutable, compared by exact type and value.
 
     A subclass names its fields in ``__slots__`` (the field tuple is the
-    concatenation along the class chain), or in ``_fields`` when a field is
-    a view derived from private slots; it takes them positionally in that
-    order in ``__init__``, and sets them there with ``object.__setattr__``.
-    Any other assignment or deletion raises AttributeError. The repr reads
-    ``Name(field=value, ...)``, and pickling and copying go through the
-    constructor, so a copy is validated like the original. A slot whose
-    name starts with an underscore is not a field: it holds state the
-    constructor derives from the fields, and takes no part in equality,
-    hashing, repr or pickling.
+    concatenation along the class chain); it takes them positionally in
+    that order in ``__init__`` (one exception: Network takes EdgeSpecs for
+    its columns, and its ``__reduce__`` hands it those), and sets them
+    there with ``object.__setattr__``. Any other assignment or deletion
+    raises AttributeError. The repr reads ``Name(field=value, ...)``, and
+    pickling and copying go through the constructor, so a copy is validated
+    like the original. A slot whose name starts with an underscore is not a
+    field: it holds state the constructor derives from the fields, and
+    takes no part in equality, hashing, repr or pickling.
     """
 
     __slots__ = ()
@@ -88,9 +88,8 @@ class Immutable:
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        if "_fields" not in cls.__dict__:  # a class may name its fields itself
-            slots = cls.__dict__.get("__slots__", ())
-            cls._fields = cls._fields + tuple(name for name in slots if name[0] != "_")
+        slots = cls.__dict__.get("__slots__", ())
+        cls._fields = cls._fields + tuple(name for name in slots if name[0] != "_")
 
     @classmethod
     def _from_checked(cls, *values):

@@ -8,6 +8,7 @@ from qnetcap import (
     CapacityKind,
     Count,
     CustomChannel,
+    CutResult,
     EdgeSpec,
     FixedFraction,
     FlowGraph,
@@ -275,6 +276,27 @@ def test_sandwich_report_rejects_epsilon_outside_per_protocol(diamond_net):
     with pytest.raises(ValueError, match="'per-time'"):
         sandwich_report(timed, Regime.PER_TIME, epsilon=1e-4)
     assert sandwich_report(timed, Regime.PER_TIME, epsilon=0.0).epsilon == 0.0
+
+
+@pytest.mark.parametrize("regime, epsilon, message", [
+    (Regime.PER_TIME, 0.3,
+     "epsilon=0.3 applies only to the per-protocol regime; regime 'per-time' takes epsilon to 0"),
+    ("x", float("nan"), "regime must be a Regime, got 'x'"),
+    (Regime.PER_PROTOCOL, float("nan"), "epsilon must be finite and >= 0, got nan"),
+])
+def test_a_sandwich_report_checks_its_regime_and_epsilon(diamond_net, regime, epsilon, message):
+    cut = CutResult(1.0, {"A"}, ("e",))
+    with pytest.raises(ValueError) as built:
+        SandwichReport(regime, epsilon, cut, cut)
+    assert str(built.value) == message
+    budget = Rate if regime is Regime.PER_TIME else Count  # the regime the budgets read as
+    net = network_with(
+        diamond_net, (edge_with(e, usage=budget(e.usage.value)) for e in diamond_net.edges))
+    with pytest.raises(ValueError) as reported:
+        sandwich_report(net, regime, epsilon)
+    assert str(reported.value) == message
+    report = SandwichReport(Regime.PER_PROTOCOL, 0, cut, cut)
+    assert (report.epsilon, type(report.epsilon)) == (0.0, float)
 
 
 def test_sandwich_report_zero_budgets():

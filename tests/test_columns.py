@@ -10,7 +10,7 @@ are held to the EdgeSpec-built network, and the columns of the inline
 edge checks to the general edge readers, bit for bit. Two structural
 guards keep per-edge objects off the parse, report, plan, validate and
 budget-scale sweep paths, and second checks off the parse, report, plan
-and eta sweep paths.
+and eta sweep paths; a third keeps library code off the ``edges`` view.
 """
 
 import copy
@@ -33,11 +33,13 @@ from qnetcap import (
     LossyOptical,
     Network,
     NetworkFormatError,
+    PerEdgeTable,
     Rate,
     Regime,
     WeightKind,
     build_bell_network,
     cli,
+    crossing_edges,
     edge_weight,
     export_dot,
     flow_graph_from_network,
@@ -54,6 +56,7 @@ from qnetcap import aggregator, capacity, netmodel
 from qnetcap.capacity import weight_column
 from qnetcap.capacity import edge_capacity
 from qnetcap.generators import random_count_network, random_custom_network, random_lossy_network
+from qnetcap.sweep import sweep_csv
 from qnetcap.values import _read_channel, _read_usage
 
 from conftest import NETWORKS_DIR
@@ -281,8 +284,8 @@ def test_rarer_valid_edge_shapes_parse_to_the_edge_spec_network(change, e2):
     assert parsed == built
     assert serialize_network(parsed) == serialize_network(built)
     # repr tells -0.0 from 0.0 and 1 from 1.0, where == does not
-    assert repr(parsed._channels) == repr(built._channels)
-    assert repr(parsed._budgets) == repr(built._budgets)
+    assert repr(parsed.channels) == repr(built.channels)
+    assert repr(parsed.budgets) == repr(built.budgets)
     assert _outputs(parsed) == _outputs(built)
     assert repr(_column_capacities(parsed)) == repr(_pointwise_capacities(built))
 
@@ -329,8 +332,8 @@ def test_parsed_columns_equal_the_general_edge_readers_bit_for_bit(doc):
         kind, budget = _read_usage(edge["usage"])
         assert net.budget_kind is kind
         # repr tells -0.0 from 0.0 and 1 from 1.0, where == does not
-        assert repr(net._budgets[k]) == repr(budget)
-        assert repr(net._channels[k]) == repr(_read_channel(edge["channel"]))
+        assert repr(net.budgets[k]) == repr(budget)
+        assert repr(net.channels[k]) == repr(_read_channel(edge["channel"]))
 
 
 # --- no per-edge objects on the column paths -------------------------------------
@@ -397,3 +400,40 @@ def test_parse_report_plan_and_eta_sweep_check_each_edge_once(monkeypatch, tmp_p
     plan(parse_network(count_text), 1e-3)
     assert cli.main(sweep) == 0
     assert capsys.readouterr().out == expected
+
+
+def test_library_code_reads_the_columns_not_the_edge_view(monkeypatch, tmp_path, capsys):
+    # Network.edges builds an EdgeSpec, channel and budget per edge on each read;
+    # library code reads the columns, and only a caller who asks builds the view
+    rng = random.Random(27)
+    count_text = serialize_network(grid_network(rng, 6, "count"))
+    lossy_text = serialize_network(grid_network(rng, 6, "freq"))
+    path = tmp_path / "counts.json"
+    path.write_text(count_text)
+    sweeps = {"eta": ([0.1, 0.5, 0.9], {"edge": "e7", "epsilon": 1e-4}),
+              "epsilon": ([0.0, 1e-4], {}),
+              "budget-scale": ([0.5, 1.0, 2.0], {"epsilon": 1e-4})}
+
+    def outcomes():
+        count, lossy = parse_network(count_text), parse_network(lossy_text)
+        report = sandwich_report(lossy, Regime.PER_CHANNEL_USE)
+        protocol = plan(count, 1e-3)
+        found = [count == parse_network(count_text), count == lossy, hash(count), hash(lossy),
+                 report, protocol, plan_to_dot(count, protocol),
+                 crossing_edges(lossy, report.upper_witness.v_a),
+                 serialize_network(count), export_dot(lossy),
+                 cli.main(["validate", str(path)]), capsys.readouterr()]
+        found += [sweep_csv(count, param, grid, ["lower", "upper_esq", "m"], **flags)
+                  for param, (grid, flags) in sweeps.items()]
+        with pytest.raises(ValueError) as err:  # the table has no rate for edge e1
+            build_bell_network(count, PerEdgeTable({"e0": 1.0}))
+        return found + [str(err.value)]
+
+    expected = outcomes()
+    assert expected[-1] == "rate table has no entry for edge 'e1'"
+
+    def no_view(net):
+        raise AssertionError("Network.edges was read")
+
+    monkeypatch.setattr(Network, "edges", property(no_view))
+    assert outcomes() == expected

@@ -17,6 +17,7 @@ from qnetcap import (
     FlowGraph,
     Frequency,
     LossyOptical,
+    Network,
     PathSet,
     PerEdgeTable,
     ProtocolPlan,
@@ -134,6 +135,40 @@ def test_equality_is_by_exact_type_and_value():
     )
 
 
+EDGES = (EdgeSpec("ac", "A", "C", LossyOptical(0.5), Count(3)),
+         EdgeSpec("cb", "C", "B", CustomChannel(0.5, 0.5), Count(2)))
+
+
+def _edges_with(k, **change):
+    fields = dict(zip(EdgeSpec._fields, EDGES[k]._values()), **change)
+    return EDGES[:k] + (EdgeSpec(**fields),) + EDGES[k + 1:]
+
+
+@pytest.mark.parametrize("nodes, alice, bob, edges", [
+    (("C", "A", "B"), "A", "B", EDGES),
+    (("A", "C", "B"), "B", "A", EDGES),
+    (("A", "C", "B"), "A", "B", _edges_with(0, id="ax")),
+    (("A", "C", "B"), "A", "B", _edges_with(0, tail="C", head="A")),
+    (("A", "C", "B"), "A", "B", _edges_with(0, channel=CustomChannel(0.5, 0.5))),
+    (("A", "C", "B"), "A", "B", tuple(EdgeSpec(*e._values()[:4], Frequency(e.usage.value))
+                                      for e in EDGES)),
+    (("A", "C", "B"), "A", "B", _edges_with(1, usage=Count(4))),
+], ids=["node-order", "alice-bob", "edge-id", "ends-reversed", "lossy-vs-custom",
+        "count-vs-frequency", "budget-value"])
+def test_network_equality_reads_every_column(nodes, alice, bob, edges):
+    base = Network(("A", "C", "B"), "A", "B", EDGES)
+    assert Network(nodes, alice, bob, edges) != base
+
+
+def test_a_parsed_network_equals_its_edge_spec_twin():
+    parsed = parse_network(serialize_network(Network(("A", "C", "B"), "A", "B", EDGES)))
+    built = Network(parsed.nodes, parsed.alice, parsed.bob, EDGES)
+    assert parsed == built and hash(parsed) == hash(built)
+    assert parsed._scaled(1.0) == parsed
+    assert type(parsed.channels) is tuple and type(parsed.budgets) is tuple
+    assert parsed.channels == (0.5, (0.5, 0.5)) and parsed.budgets == (3.0, 2.0)
+
+
 def test_repr_names_each_field():
     assert repr(LossyOptical(0.5)) == "LossyOptical(eta=0.5)"
     assert repr(Count(3)) == "Count(value=3.0)"
@@ -142,5 +177,12 @@ def test_repr_names_each_field():
     assert repr(TRIANGLE.edges[0]) == (
         "EdgeSpec(id='ac', tail='A', head='C', channel=LossyOptical(eta=0.5), "
         "usage=Count(value=3.0))"
+    )
+    one_edge = Network(("A", "B"), "A", "B",
+                       (EdgeSpec("e", "A", "B", LossyOptical(0.5), Count(3)),))
+    assert repr(one_edge) == (
+        "Network(nodes=('A', 'B'), alice='A', bob='B', topology=Topology(vertices=('A', 'B'), "
+        "source='A', sink='B', arcs=(('e', 'A', 'B'),)), "
+        "budget_kind=<class 'qnetcap.values.Count'>, channels=(0.5,), budgets=(3.0,))"
     )
 
