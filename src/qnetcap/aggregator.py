@@ -235,36 +235,24 @@ class SandwichReport(Immutable):
         return epsilon_corrected_upper(self.upper_esq, self.epsilon)
 
 
-def check_report_inputs(net: Network, regime: Regime, epsilon: float) -> float:
-    """The checks sandwich_report makes before any cut; returns epsilon as a float.
+def sandwich_report(net: Network, regime: Regime, epsilon: float = 0.0) -> SandwichReport:
+    """Two-sided bounds on the optimal performance under the given regime.
 
-    To a SandwichReport's checks of regime and epsilon it adds that the
-    regime is the one the network's budgets read as.
+    The regime must be the one the network's budgets read as. The lower
+    bound weights cuts by q_cap (Count budgets floored: the per-protocol
+    regime spends whole uses); the upper bound weights them by esq_upper
+    with un-floored budgets. Both are built on the network's topology, so
+    both solves walk its one residual arc order. The finite-error
+    correction applies only to the per-protocol regime; the asymptotic
+    regimes take their error to zero, so a positive epsilon there is
+    rejected. A minimum cut past the float range fails as SandwichReport says.
     """
     epsilon = _check_regime_epsilon(regime, epsilon)
     kind = net.budget_kind
     if kind is not None and kind.regime is not regime:
-        raise ValueError(
-            f"regime {regime.value!r} does not match the network's {kind.__name__} "
-            f"budgets, which read as regime {kind.regime.value!r}"
-        )
-    return epsilon
-
-
-def sandwich_report(net: Network, regime: Regime, epsilon: float = 0.0) -> SandwichReport:
-    """Two-sided bounds on the optimal performance under the given regime.
-
-    The lower bound weights cuts by q_cap (budgets floored in the
-    per-protocol regime); the upper bound weights them by esq_upper with
-    un-floored budgets. Both are built on the network's topology, so both
-    solves walk its one residual arc order. The finite-error correction
-    applies only to the per-protocol regime; the asymptotic regimes take
-    their error to zero, so a positive epsilon there is rejected. A minimum
-    cut past the float range fails as SandwichReport says.
-    """
-    epsilon = check_report_inputs(net, regime, epsilon)
-    per_protocol = regime is Regime.PER_PROTOCOL
-    lower_cut = min_cut(flow_graph_from_network(net, WeightKind.Q_CAP, floor_budgets=per_protocol))
+        raise ValueError(f"regime {regime.value!r} does not match the network's {kind.__name__} "
+                         f"budgets, which read as regime {kind.regime.value!r}")
+    lower_cut = min_cut(flow_graph_from_network(net, WeightKind.Q_CAP))
     upper_cut = min_cut(flow_graph_from_network(net, WeightKind.ESQ_UPPER))
     return SandwichReport(regime, epsilon, lower_cut, upper_cut)
 
@@ -316,13 +304,12 @@ def sandwich_report_to_dict(report: SandwichReport) -> dict:
 
 def plan_to_dict(protocol_plan: ProtocolPlan) -> dict:
     """The plan with one entry per unit path; no two of its lists are one object."""
-    units = list(protocol_plan.paths)
     return {
         "m": protocol_plan.m,
         "epsilon": protocol_plan.epsilon,
         "error_budget": protocol_plan.error_budget,
         "counted_edges": protocol_plan.counted_edges,
-        "paths": [{"nodes": list(nodes), "bell_edges": ids} for nodes, ids in units],
-        "swap_schedules": [list(nodes[1:-1]) for nodes, _ in units],
+        "paths": [{"nodes": list(nodes), "bell_edges": ids} for nodes, ids in protocol_plan.paths],
+        "swap_schedules": [list(nodes) for nodes in protocol_plan.swap_schedules],
         "unused_pairs": {k: v for k, v in sorted(protocol_plan.unused_pairs.items())},
     }

@@ -30,7 +30,7 @@ import math
 from enum import Enum
 from typing import TYPE_CHECKING, Optional, Sequence
 
-from .values import CustomChannel, EdgeSpec, LossyOptical, _require_finite, _sum_in_order
+from .values import Count, CustomChannel, EdgeSpec, LossyOptical, _require_finite, _sum_in_order
 
 if TYPE_CHECKING:  # annotations only: a Werner chain needs no network model
     from .netmodel import Network
@@ -149,10 +149,12 @@ def edge_weight(edge: EdgeSpec, kind: WeightKind) -> float:
     raise ValueError(f"kind must be a WeightKind, got {kind!r}")
 
 
-def edge_capacity(edge: EdgeSpec, kind: WeightKind, *, floor_budgets: bool = False) -> float:
-    """Cut weight of one edge: budget (floored if asked) x per-use weight."""
-    value = edge.usage.value
-    budget = float(math.floor(value)) if floor_budgets else value
+def edge_capacity(edge: EdgeSpec, kind: WeightKind) -> float:
+    """Cut weight of one edge: budget l x per-use weight, but floor(l) x q_cap for
+    the q_cap capacity of a Count budget, which a protocol spends in whole uses."""
+    budget = edge.usage.value
+    if kind is WeightKind.Q_CAP and isinstance(edge.usage, Count):
+        budget = float(math.floor(budget))
     return budget * edge_weight(edge, kind)
 
 

@@ -41,7 +41,7 @@ from enum import Enum
 from typing import AbstractSet, Iterator, Mapping
 
 from .capacity import WeightKind, weight_column
-from .netmodel import Immutable, Network, NodeId, Topology, _interleave
+from .netmodel import Count, Immutable, Network, NodeId, Topology, _interleave
 from .values import _require_finite, _sum_in_order
 
 BRUTEFORCE_MAX_VERTICES = 20
@@ -93,18 +93,16 @@ class FlowGraph(Immutable):
         return 0 if self.capacity_kind is CapacityKind.INTEGER else 0.0
 
 
-def flow_graph_from_network(
-    net: Network, kind: WeightKind, *, floor_budgets: bool = False
-) -> FlowGraph:
+def flow_graph_from_network(net: Network, kind: WeightKind) -> FlowGraph:
     """Weighted flow instance on the network's topology: each edge's edge_capacity.
 
     The capacities are computed column-wise, from the network's budget
-    column and weight_column, with the arithmetic of edge_capacity. Both
-    columns were checked as they were read; the one fault left, a product
-    past the float range, goes to the constructor, which names its arc.
+    column and weight_column, with the arithmetic of edge_capacity: floor(l)
+    x q_cap for a Count budget l, else l x weight. Both columns were checked
+    as read; a product past the float range goes to the constructor, which names its arc.
     """
     budgets = net.budgets
-    if floor_budgets:
+    if kind is WeightKind.Q_CAP and net.budget_kind is Count:
         budgets = [float(math.floor(b)) for b in budgets]
     capacities = tuple([b * w for b, w in zip(budgets, weight_column(net, kind))])
     build = FlowGraph if math.inf in capacities else FlowGraph._from_checked

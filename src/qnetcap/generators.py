@@ -17,6 +17,16 @@ def _node_labels(rng: random.Random, max_nodes: int) -> list[str]:
     return ["A", "B"] + [f"C{i + 1}" for i in range(n_intermediate)]
 
 
+def _random_network(rng: random.Random, max_nodes: int, max_edges: int, draw) -> Network:
+    """A random multigraph between A and B; draw() gives each edge's (channel, budget)."""
+    nodes = _node_labels(rng, max_nodes)
+    edges = []
+    for i in range(rng.randint(1, max_edges)):
+        tail, head = rng.sample(nodes, 2)
+        edges.append(EdgeSpec(f"e{i}", tail, head, *draw()))
+    return Network(tuple(nodes), "A", "B", tuple(edges))
+
+
 def random_lossy_network(
     rng: random.Random,
     *,
@@ -26,15 +36,8 @@ def random_lossy_network(
     max_budget: float = 5.0,
 ) -> Network:
     """All-lossy random multigraph between A and B; may be disconnected."""
-    nodes = _node_labels(rng, max_nodes)
-    n_edges = rng.randint(1, max_edges)
-    edges = []
-    for i in range(n_edges):
-        tail, head = rng.sample(nodes, 2)
-        eta = rng.uniform(*eta_range)
-        budget = Frequency(rng.uniform(0.0, max_budget))
-        edges.append(EdgeSpec(f"e{i}", tail, head, LossyOptical(eta), budget))
-    return Network(tuple(nodes), "A", "B", tuple(edges))
+    return _random_network(rng, max_nodes, max_edges, lambda: (
+        LossyOptical(rng.uniform(*eta_range)), Frequency(rng.uniform(0.0, max_budget))))
 
 
 def random_custom_network(
@@ -46,16 +49,10 @@ def random_custom_network(
     max_budget: float = 5.0,
 ) -> Network:
     """Random multigraph with arbitrary (q_cap <= esq_upper) edge weights."""
-    nodes = _node_labels(rng, max_nodes)
-    n_edges = rng.randint(1, max_edges)
-    edges = []
-    for i in range(n_edges):
-        tail, head = rng.sample(nodes, 2)
+    def draw():
         q = rng.uniform(0.0, max_weight)
-        esq = q * rng.uniform(1.0, 2.0)
-        budget = Frequency(rng.uniform(0.0, max_budget))
-        edges.append(EdgeSpec(f"e{i}", tail, head, CustomChannel(q, esq), budget))
-    return Network(tuple(nodes), "A", "B", tuple(edges))
+        return CustomChannel(q, q * rng.uniform(1.0, 2.0)), Frequency(rng.uniform(0.0, max_budget))
+    return _random_network(rng, max_nodes, max_edges, draw)
 
 
 def random_count_network(
@@ -66,15 +63,8 @@ def random_count_network(
     max_count: int = 6,
 ) -> Network:
     """Random lossy network with eta = 0.5 (unit q_cap) and integer counts."""
-    nodes = _node_labels(rng, max_nodes)
-    n_edges = rng.randint(1, max_edges)
-    edges = []
-    for i in range(n_edges):
-        tail, head = rng.sample(nodes, 2)
-        edges.append(
-            EdgeSpec(f"e{i}", tail, head, LossyOptical(0.5), Count(rng.randint(0, max_count)))
-        )
-    return Network(tuple(nodes), "A", "B", tuple(edges))
+    return _random_network(rng, max_nodes, max_edges, lambda: (
+        LossyOptical(0.5), Count(rng.randint(0, max_count))))
 
 
 def random_bell_network(

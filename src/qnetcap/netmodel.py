@@ -15,6 +15,7 @@ import json
 import math
 import sys
 import warnings
+from operator import attrgetter
 from typing import AbstractSet, Mapping, Optional
 
 from .values import (  # the value types, also the model's public names
@@ -31,18 +32,19 @@ class Topology(Immutable):
     """The graph of a flow instance: vertices, two terminals and (id, u, v) arc rows.
 
     The constructor is the one place a graph is checked, in this order:
-    each arc row has a non-empty string id and two distinct ends, vertices
-    are unique non-empty string labels, source and sink distinct vertices,
-    and, row by row, arc ids are unique and each arc joins two vertices. A
-    Network's rows were checked as they were read, from its EdgeSpecs or
-    its document, so it builds its topology with ``_from_checked_rows``,
-    which makes every check but the first. The constructor also derives the
-    residual doubling the max-flow solver walks, which reads no capacity:
-    arc 2k runs u->v and arc 2k+1 runs v->u for row k, ``_to`` holds each
-    arc's head as a position in ``vertices``, and ``_adj[x]`` lists the
-    arcs leaving x in arc order, so a solve tries them in the order of the
-    rows, a parsed network's file order, and is deterministic. One pass
-    over the rows builds it. A solve never writes to this state.
+    each arc row is an (id, u, v) triple, its id a non-empty string and its
+    ends distinct, vertices are unique non-empty string labels, source and
+    sink distinct vertices, and, row by row, arc ids are unique and each arc
+    joins two vertices. A Network's rows were checked as they were read,
+    from its EdgeSpecs or its document, so it builds its topology with
+    ``_from_checked_rows``, which makes every check but the first. The
+    constructor also derives the residual doubling the max-flow solver
+    walks, which reads no capacity: arc 2k runs u->v and arc 2k+1 runs v->u
+    for row k, ``_to`` holds each arc's head as a position in ``vertices``,
+    and ``_adj[x]`` lists the arcs leaving x in arc order, so a solve tries
+    them in the order of the rows, a parsed network's file order, and is
+    deterministic. One pass over the rows builds it. A solve never writes
+    to this state.
     """
 
     __slots__ = ("vertices", "source", "sink", "arcs", "_terminals", "_to", "_adj")
@@ -50,7 +52,12 @@ class Topology(Immutable):
     def __init__(self, vertices: tuple[NodeId, ...], source: NodeId, sink: NodeId,
                  arcs: tuple[tuple[str, NodeId, NodeId], ...]):
         arcs = tuple(arcs)
-        for eid, u, v in arcs:
+        for k, row in enumerate(arcs):
+            try:
+                eid, u, v = row
+            except (TypeError, ValueError):
+                raise ValueError(
+                    f"arc row #{k} must be an (id, u, v) triple, got {row!r}") from None
             if not isinstance(eid, str) or not eid:
                 raise ValueError(f"edge id must be a non-empty string, got {eid!r}")
             if u == v:
@@ -115,23 +122,28 @@ def _interleave(even: list, odd: list) -> list:
 class Network(Immutable):
     """Validated two-terminal network, held as columns in input edge order.
 
-    Its fields are nodes, alice, bob and the columns: the topology's arc
-    rows, the budget variant all edges share (None if edgeless), and per
-    edge its ChannelParams and budget value, as tuples. Equality, hashing
+    Its fields are its topology and the columns: the budget variant all
+    edges share (None if edgeless), and per edge its ChannelParams and
+    budget value, as tuples. ``nodes``, ``alice`` and ``bob`` are read-only
+    views of the topology's vertices, source and sink. Equality, hashing
     and repr read the fields. ``edges`` and ``edge_by_id`` build EdgeSpecs
     from the columns on each read; pickling and copying hand ``edges`` to
-    the checked constructor, ``Network(nodes, alice, bob, edges)``.
+    the checked constructor, ``Network(nodes, alice, bob, edges)``. A Count
+    budget l spends whole uses: its q_cap capacity is floor(l) x q_cap.
 
-    The network checks first that alice and bob are distinct declared
-    nodes, then its Topology checks the graph, and last the network checks
-    that its edges share one budget variant.
+    The network checks first that each edge is an EdgeSpec and that alice
+    and bob are distinct declared nodes, then its Topology checks the
+    graph, and last the network checks that its edges share one budget variant.
     """
 
-    __slots__ = ("nodes", "alice", "bob", "topology", "budget_kind", "channels", "budgets")
+    __slots__ = ("topology", "budget_kind", "channels", "budgets")
 
     def __init__(self, nodes: tuple[NodeId, ...], alice: NodeId, bob: NodeId,
                  edges: tuple[EdgeSpec, ...]):
         edges = tuple(edges)
+        for k, e in enumerate(edges):
+            if not isinstance(e, EdgeSpec):
+                raise ValueError(f"edge #{k} must be an EdgeSpec, got {e!r}")
         channels = [
             e.channel.eta if isinstance(e.channel, LossyOptical)
             else (e.channel.q_cap, e.channel.esq_upper)
@@ -157,9 +169,6 @@ class Network(Immutable):
             names = sorted(k.__name__ for k in kinds)
             raise ValueError(f"mixed usage budget variants {names}; use one per network")
         set_field = object.__setattr__
-        set_field(self, "nodes", nodes)
-        set_field(self, "alice", alice)
-        set_field(self, "bob", bob)
         set_field(self, "topology", topology)
         set_field(self, "budget_kind", next(iter(kinds), None))
         set_field(self, "channels", tuple(channels))
@@ -168,11 +177,14 @@ class Network(Immutable):
     def __reduce__(self):
         return Network, (self.nodes, self.alice, self.bob, self.edges)
 
+    nodes = property(attrgetter("topology.vertices"))
+    alice = property(attrgetter("topology.source"))
+    bob = property(attrgetter("topology.sink"))
+
     @property
     def default_regime(self) -> Regime:
         """The regime the budget variant is read in; per-use if edgeless."""
-        kind = self.budget_kind
-        return Regime.PER_CHANNEL_USE if kind is None else kind.regime
+        return Regime.PER_CHANNEL_USE if self.budget_kind is None else self.budget_kind.regime
 
     @property
     def edges(self) -> tuple[EdgeSpec, ...]:
@@ -198,8 +210,7 @@ class Network(Immutable):
             raise ValueError(f"edge {self.topology.arcs[k][0]!r}: {self.budget_kind.key} "
                              f"{self.budgets[k]:.12g} scaled by {factor:.12g} "
                              "is past the float range")
-        return Network._from_checked(self.nodes, self.alice, self.bob, self.topology,
-                                     self.budget_kind, self.channels, budgets)
+        return Network._from_checked(self.topology, self.budget_kind, self.channels, budgets)
 
 
 def crossing_edges(net: Network, side: AbstractSet[NodeId]) -> tuple[EdgeSpec, ...]:

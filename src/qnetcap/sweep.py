@@ -11,12 +11,12 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from .aggregator import (
-    AsymptoticQCap, SandwichReport, build_bell_network, check_report_inputs, lossy_gap_ratio,
+    AsymptoticQCap, SandwichReport, _check_regime_epsilon, build_bell_network, lossy_gap_ratio,
     pair_count, sandwich_report,
 )
 from .capacity import WeightKind, edge_capacity
 from .cuts_flows import ArcSweep, flow_graph_from_network, max_flow_value
-from .netmodel import Count, EdgeSpec, LossyOptical, Network, Regime
+from .netmodel import Count, EdgeSpec, LossyOptical, Network
 from .values import _require_finite
 
 
@@ -39,18 +39,15 @@ def _eta_points(net: Network, grid: Sequence[float], want_m: bool, edge_id: Opti
         raise ValueError(f"edge {edge_id!r} is not a lossy channel")
     channels = [LossyOptical(value) for value in grid]  # each eta in [0, 1)
     regime = net.default_regime
-    epsilon = check_report_inputs(net, regime, epsilon)
-    floor = regime is Regime.PER_PROTOCOL
+    epsilon = _check_regime_epsilon(regime, epsilon)
     name = f"arc {edge_id!r}: capacity"
     swept = []  # per point: the swept arc's q_cap and esq_upper capacities and pair count
     for channel in channels:
         point = EdgeSpec(edge.id, edge.tail, edge.head, channel, edge.usage)
-        q_cap = edge_capacity(point, WeightKind.Q_CAP, floor_budgets=floor)
-        esq_upper = edge_capacity(point, WeightKind.ESQ_UPPER)
-        for capacity in (q_cap, esq_upper):
-            _require_finite(name, capacity, nonnegative=True)
+        q_cap, esq_upper = [_require_finite(name, edge_capacity(point, kind), nonnegative=True)
+                            for kind in (WeightKind.Q_CAP, WeightKind.ESQ_UPPER)]
         swept.append((q_cap, esq_upper, pair_count(point, AsymptoticQCap()) if want_m else None))
-    lower = ArcSweep(flow_graph_from_network(net, WeightKind.Q_CAP, floor_budgets=floor), edge_id)
+    lower = ArcSweep(flow_graph_from_network(net, WeightKind.Q_CAP), edge_id)
     upper = ArcSweep(flow_graph_from_network(net, WeightKind.ESQ_UPPER), edge_id)
     pairs = ArcSweep(build_bell_network(net), edge_id) if want_m else None
     for value, (q_cap, esq_upper, count) in zip(grid, swept):
@@ -61,7 +58,7 @@ def _eta_points(net: Network, grid: Sequence[float], want_m: bool, edge_id: Opti
 def _epsilon_points(net: Network, grid: Sequence[float], want_m: bool, **_):
     """One report (and one m): only the epsilon correction varies."""
     regime = net.default_regime
-    epsilons = [check_report_inputs(net, regime, value) for value in grid]
+    epsilons = [_check_regime_epsilon(regime, value) for value in grid]
     report = sandwich_report(net, regime)
     m = max_flow_value(build_bell_network(net)) if want_m else None
     for value, epsilon in zip(grid, epsilons):
@@ -75,7 +72,7 @@ def _budget_scale_points(net: Network, grid: Sequence[float], want_m: bool, epsi
     largest scale goes first, so a budget overflow fails before any cut."""
     grid = [_require_finite("budget scale", value, nonnegative=True) for value in grid]
     regime = net.default_regime
-    check_report_inputs(net, regime, epsilon)
+    _check_regime_epsilon(regime, epsilon)
     if grid:
         net._scaled(max(grid))
     for value in grid:

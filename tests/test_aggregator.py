@@ -472,8 +472,7 @@ def test_fig2_analog_plan(fig2_net):
     witness = set(brute.v_a)
     assert witness == {"A", "C1", "C3"}
     # weighted per-protocol cut agrees with the bell-graph cut here
-    weighted = min_cut_bruteforce(flow_graph_from_network(fig2_net, WeightKind.Q_CAP,
-                                                          floor_budgets=True))
+    weighted = min_cut_bruteforce(flow_graph_from_network(fig2_net, WeightKind.Q_CAP))
     assert weighted.value == pytest.approx(7.0)
 
 
@@ -541,8 +540,7 @@ def test_shared_layout_report_matches_separate_cuts():
         for budget in (Count, Frequency, Rate):
             point = with_budgets(net, budget)
             report = sandwich_report(point, budget.regime)
-            floor = budget is Count
-            lower = min_cut(flow_graph_from_network(point, WeightKind.Q_CAP, floor_budgets=floor))
+            lower = min_cut(flow_graph_from_network(point, WeightKind.Q_CAP))
             upper = min_cut(flow_graph_from_network(point, WeightKind.ESQ_UPPER))
             assert (report.lower_witness, report.upper_witness) == (lower, upper), (k, budget)
             assert (report.lower, report.upper_esq) == (lower.value, upper.value)

@@ -59,7 +59,7 @@ from qnetcap.generators import random_count_network, random_custom_network, rand
 from qnetcap.sweep import sweep_csv
 from qnetcap.values import _read_channel, _read_usage
 
-from conftest import NETWORKS_DIR
+from conftest import NETWORKS_DIR, edge_with, network_with
 
 NETWORKS_PER_KIND = 1000
 BUDGETS = {"count": Count, "freq": Frequency, "rate": Rate}
@@ -101,10 +101,17 @@ def _grid(rng):
     return grid_network(rng, side, rng.choice(sorted(BUDGETS)))
 
 
+def _fractional_count(rng):
+    # random_count_network's counts are whole, where floor is the identity
+    net = random_lossy_network(rng)
+    return network_with(net, (edge_with(e, usage=Count(e.usage.value)) for e in net.edges))
+
+
 GENERATORS = {
     "lossy": random_lossy_network,
     "custom": random_custom_network,
     "count": random_count_network,
+    "count-fractional": _fractional_count,
     "grid": _grid,
 }
 
@@ -126,23 +133,28 @@ def _outputs(net: Network) -> dict:
 def _pointwise_capacities(net: Network) -> dict:
     """Every cut weighting and the Bell network, one EdgeSpec at a time."""
     edges = net.edges
-    caps = {
-        (kind, floor): tuple(edge_capacity(e, kind, floor_budgets=floor) for e in edges)
-        for kind in WeightKind for floor in (False, True)
-    }
+    caps = {kind: tuple(edge_capacity(e, kind) for e in edges) for kind in WeightKind}
     if net.budget_kind is Count:
         caps["bell"] = tuple(pair_count(e, AsymptoticQCap()) for e in edges)
     return caps
 
 
 def _column_capacities(net: Network) -> dict:
-    caps = {
-        (kind, floor): flow_graph_from_network(net, kind, floor_budgets=floor).capacities
-        for kind in WeightKind for floor in (False, True)
-    }
+    caps = {kind: flow_graph_from_network(net, kind).capacities for kind in WeightKind}
     if net.budget_kind is Count:
         caps["bell"] = build_bell_network(net).capacities
     return caps
+
+
+@pytest.mark.parametrize("budget", [Count, Frequency, Rate], ids=lambda b: b.__name__)
+@pytest.mark.parametrize("kind", list(WeightKind))
+def test_only_the_q_cap_capacity_of_a_count_budget_is_floored(budget, kind):
+    edge = EdgeSpec("e", "A", "B", LossyOptical(0.5), budget(2.5))
+    net = Network(("A", "B"), "A", "B", (edge,))
+    uses = 2.0 if budget is Count and kind is WeightKind.Q_CAP else 2.5
+    want = uses * edge_weight(edge, kind)
+    assert edge_capacity(edge, kind) == want
+    assert flow_graph_from_network(net, kind).capacities == (want,)
 
 
 @pytest.mark.parametrize("kind", sorted(GENERATORS))

@@ -376,9 +376,12 @@ def test_topology_rejects_a_repeated_arc_id(vertices, arcs):
         # the arc rows are checked before the labels
         (("A", 7, "B"), "A", "B", (("", "A", "B"),),
          "edge id must be a non-empty string, got ''"),
+        (("A", "B"), "A", "B", (5,), "arc row #0 must be an (id, u, v) triple, got 5"),
+        (("A", "B"), "A", "B", (("e", "A", "B"), ("f", "A")),
+         "arc row #1 must be an (id, u, v) triple, got ('f', 'A')"),
     ],
     ids=["label-not-a-string", "repeated-label", "unhashable-source", "int-arc-id",
-         "empty-arc-id", "arc-row-before-label"],
+         "empty-arc-id", "arc-row-before-label", "arc-row-not-iterable", "arc-row-of-two"],
 )
 def test_topology_rejects_a_malformed_label(vertices, source, sink, arcs, message):
     with pytest.raises(ValueError) as err:
@@ -442,12 +445,13 @@ def test_min_cut_witness_is_the_network_cut_it_names(kind):
         else:
             maker = random_custom_network if i % 3 else random_lossy_network
             net = maker(rng, max_nodes=9, max_edges=16)
-        for floor in (False, True):
-            cut = min_cut(flow_graph_from_network(net, kind, floor_budgets=floor))
-            edges = crossing_edges(net, cut.v_a)
+        # its Count twin: fractional counts, floored on the q_cap side
+        counted = network_with(net, (edge_with(e, usage=Count(e.usage.value)) for e in net.edges))
+        for each in (net, counted):
+            cut = min_cut(flow_graph_from_network(each, kind))
+            edges = crossing_edges(each, cut.v_a)
             assert cut.crossing == tuple(e.id for e in edges)
-            assert cut.value == in_order_sum([edge_capacity(e, kind, floor_budgets=floor)
-                                              for e in edges])
+            assert cut.value == in_order_sum([edge_capacity(e, kind) for e in edges])
 
 
 def lossy_grid(rng, side, fixed_ends):

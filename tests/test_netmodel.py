@@ -172,6 +172,17 @@ def test_parse_restores_the_collector_state(document, raises, enabled):
         (gc.enable if was_enabled else gc.disable)()
 
 
+@pytest.mark.parametrize("edges, message", [
+    ([1], "edge #0 must be an EdgeSpec, got 1"),
+    ([EdgeSpec("e", "A", "B", LossyOptical(0.5), Count(1)), ("f", "A", "B")],
+     "edge #1 must be an EdgeSpec, got ('f', 'A', 'B')"),
+], ids=["int", "row-tuple"])
+def test_network_names_an_edge_that_is_not_an_edge_spec(edges, message):
+    with pytest.raises(ValueError) as err:
+        Network(("A", "B"), "A", "B", edges)
+    assert str(err.value) == message
+
+
 def test_alice_and_bob_must_be_distinct_declared_nodes():
     with pytest.raises(ValueError, match="distinct"):
         Network(("A", "B"), "A", "A", ())

@@ -181,8 +181,25 @@ def test_repr_names_each_field():
     one_edge = Network(("A", "B"), "A", "B",
                        (EdgeSpec("e", "A", "B", LossyOptical(0.5), Count(3)),))
     assert repr(one_edge) == (
-        "Network(nodes=('A', 'B'), alice='A', bob='B', topology=Topology(vertices=('A', 'B'), "
-        "source='A', sink='B', arcs=(('e', 'A', 'B'),)), "
+        "Network(topology=Topology(vertices=('A', 'B'), source='A', sink='B', "
+        "arcs=(('e', 'A', 'B'),)), "
         "budget_kind=<class 'qnetcap.values.Count'>, channels=(0.5,), budgets=(3.0,))"
     )
+
+
+def test_nodes_alice_and_bob_are_read_only_views_of_the_topology():
+    assert Network._fields == ("topology", "budget_kind", "channels", "budgets")
+    for net in (TRIANGLE, Network(("A", "C", "B"), "A", "B", EDGES)):
+        topology = net.topology
+        assert net.nodes is topology.vertices
+        assert net.alice is topology.source and net.bob is topology.sink
+        for name in ("nodes", "alice", "bob"):
+            with pytest.raises(AttributeError):
+                setattr(net, name, getattr(net, name))
+            with pytest.raises(AttributeError):
+                delattr(net, name)
+        for clone in (pickle.loads(pickle.dumps(net)), copy.copy(net), copy.deepcopy(net)):
+            assert clone == net and hash(clone) == hash(net)
+            assert (clone.nodes, clone.alice, clone.bob) == (net.nodes, net.alice, net.bob)
+            assert clone.nodes is clone.topology.vertices
 
