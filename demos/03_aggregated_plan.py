@@ -27,9 +27,9 @@ def main():
     net = load_network(NETWORKS / "fig2_analog.json")
     bell = build_bell_network(net)
     print("Bell pairs generated per edge:")
-    for edge_id, _, _, n in bell.arcs:
+    for (edge_id, _, _), n in zip(bell.topology.arcs, bell.capacities):
         print(f"  {edge_id}: {n}")
-    print(f"total: {sum(n for _, _, _, n in bell.arcs)} pairs")
+    print(f"total: {sum(bell.capacities)} pairs")
     print()
 
     result = plan(net, epsilon=0.001)

@@ -11,6 +11,7 @@ imported from its home module on first use (PEP 562) and then kept in the
 package namespace, so later reads are plain attribute lookups. A CLI
 process therefore compiles only the modules its subcommand runs: the
 parametric sweep engine, ``qnetcap.sweep``, is loaded by ``sweep`` alone.
+A value type, such as ``Regime``, loads only its home, ``qnetcap.values``.
 """
 
 import importlib
@@ -33,9 +34,12 @@ _EXPORTS = {
         "min_cut_bruteforce",
     ),
     "netmodel": (
+        "Network", "NetworkFormatError", "Topology", "crossing_edges", "export_dot",
+        "load_network", "parse_network", "serialize_network",
+    ),
+    "values": (
         "ChannelSpec", "Count", "CustomChannel", "EdgeSpec", "Frequency", "LossyOptical",
-        "Network", "NetworkFormatError", "NodeId", "Rate", "Regime", "Topology", "UsageBudget",
-        "crossing_edges", "export_dot", "load_network", "parse_network", "serialize_network",
+        "NodeId", "Rate", "Regime", "UsageBudget",
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -23,8 +23,8 @@ from .cuts_flows import (
     CapacityKind, CutResult, FlowGraph, PathSet,
     flow_graph_from_network, max_disjoint_paths, min_cut,
 )
-from .netmodel import Count, EdgeSpec, Immutable, Network, NodeId, Regime, export_dot
-from .values import _require_finite
+from .netmodel import Network, export_dot
+from .values import Count, EdgeSpec, Immutable, NodeId, Regime, _require_finite
 
 
 class AsymptoticQCap(Immutable):
@@ -127,9 +127,9 @@ def build_bell_network(net: Network, rate_model: RateModel = AsymptoticQCap()) -
 class ProtocolPlan(Immutable):
     """Executable aggregated-repeater plan: its paths, epsilon and counted edges.
 
-    ``unused_pairs`` maps each channel id to the pairs it leaves idle. The
-    path count ``m``, the swap schedules and the error budget are derived
-    from the fields on each read, so they cannot disagree with them.
+    ``unused_pairs``, read-only, maps each channel id to the pairs it leaves
+    idle. The path count ``m``, the swap schedules and the error budget are
+    derived from the fields on each read, so they cannot disagree with them.
     """
 
     __slots__ = ("paths", "epsilon", "counted_edges", "unused_pairs")
@@ -139,7 +139,10 @@ class ProtocolPlan(Immutable):
         object.__setattr__(self, "paths", paths)
         object.__setattr__(self, "epsilon", epsilon)
         object.__setattr__(self, "counted_edges", counted_edges)
-        object.__setattr__(self, "unused_pairs", dict(unused_pairs))
+        object.__setattr__(self, "unused_pairs", MappingProxyType(dict(unused_pairs)))
+
+    def __reduce__(self):
+        return type(self), (self.paths, self.epsilon, self.counted_edges, dict(self.unused_pairs))
 
     @property
     def m(self) -> int:

@@ -38,11 +38,12 @@ from __future__ import annotations
 import math
 import re
 from enum import Enum
+from types import MappingProxyType
 from typing import AbstractSet, Iterator, Mapping
 
 from .capacity import WeightKind, weight_column
-from .netmodel import Count, Immutable, Network, NodeId, Topology, _interleave
-from .values import _require_finite, _sum_in_order
+from .netmodel import Network, Topology, _interleave
+from .values import Count, Immutable, NodeId, _require_finite, _sum_in_order
 
 BRUTEFORCE_MAX_VERTICES = 20
 # a plan lists every path, so m beyond this would exhaust time and memory
@@ -255,7 +256,7 @@ class CutResult(Immutable):
     def __init__(self, value: float, v_a: AbstractSet[NodeId], crossing: tuple[str, ...]):
         object.__setattr__(self, "value", value)
         object.__setattr__(self, "v_a", frozenset(v_a))
-        object.__setattr__(self, "crossing", crossing)
+        object.__setattr__(self, "crossing", tuple(crossing))
 
 
 def _crossing(rows: tuple, capacities: tuple, side: AbstractSet[NodeId]) -> list[tuple]:
@@ -350,7 +351,7 @@ def min_cut_bruteforce(fg: FlowGraph) -> CutResult:
 
 
 class PathSet(Immutable):
-    """Edge-disjoint paths as routes and, per channel id, the Bell pairs they consume.
+    """Edge-disjoint paths as routes and a read-only map: channel id -> pairs consumed.
 
     A route is a plain tuple (nodes, channels, b, firsts): a simple
     Alice-to-Bob path, the channel ids of its hops, the multiplicity b of
@@ -366,7 +367,10 @@ class PathSet(Immutable):
 
     def __init__(self, routes: tuple[tuple, ...], pairs_used: Mapping[str, int]):
         object.__setattr__(self, "routes", routes)
-        object.__setattr__(self, "pairs_used", dict(pairs_used))
+        object.__setattr__(self, "pairs_used", MappingProxyType(dict(pairs_used)))
+
+    def __reduce__(self):
+        return type(self), (self.routes, dict(self.pairs_used))
 
     def __len__(self) -> int:
         return sum([route[2] for route in self.routes])

@@ -1,25 +1,19 @@
-"""Seeded random networks and Bell networks for property tests and scans.
-
-Every generator takes an explicit random.Random.
+"""Seeded random networks for property tests and scans; ``build_bell_network``
+makes their Bell networks. Every generator takes an explicit random.Random.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Optional
 
-from .cuts_flows import CapacityKind, FlowGraph
-from .netmodel import Count, CustomChannel, EdgeSpec, Frequency, LossyOptical, Network, Topology
-
-
-def _node_labels(rng: random.Random, max_nodes: int) -> list[str]:
-    n_intermediate = rng.randint(0, max(0, max_nodes - 2))
-    return ["A", "B"] + [f"C{i + 1}" for i in range(n_intermediate)]
+from .netmodel import Network
+from .values import Count, CustomChannel, EdgeSpec, Frequency, LossyOptical
 
 
 def _random_network(rng: random.Random, max_nodes: int, max_edges: int, draw) -> Network:
     """A random multigraph between A and B; draw() gives each edge's (channel, budget)."""
-    nodes = _node_labels(rng, max_nodes)
+    n_intermediate = rng.randint(0, max(0, max_nodes - 2))
+    nodes = ["A", "B"] + [f"C{i + 1}" for i in range(n_intermediate)]
     edges = []
     for i in range(rng.randint(1, max_edges)):
         tail, head = rng.sample(nodes, 2)
@@ -66,29 +60,3 @@ def random_count_network(
     return _random_network(rng, max_nodes, max_edges, lambda: (
         LossyOptical(0.5), Count(rng.randint(0, max_count))))
 
-
-def random_bell_network(
-    rng: random.Random,
-    *,
-    max_nodes: int = 10,
-    max_pairs: int = 30,
-) -> FlowGraph:
-    """Random Bell network (integer capacities) with synthetic channel ids g0, g1, ..."""
-    nodes = _node_labels(rng, max_nodes)
-    n_pairs = rng.randint(0, max_pairs)
-    counts: dict[str, int] = {}
-    endpoints: dict[str, tuple[str, str]] = {}
-    for _ in range(n_pairs):
-        u, v = rng.sample(nodes, 2)
-        key = f"g{len(counts)}"
-        for existing, (eu, ev) in endpoints.items():
-            if {eu, ev} == {u, v}:
-                key = existing
-                break
-        if key not in counts:
-            counts[key] = 0
-            endpoints[key] = (u, v)
-        counts[key] += 1
-    channels = sorted(counts)
-    topology = Topology(nodes, "A", "B", [(cid, *endpoints[cid]) for cid in channels])
-    return FlowGraph(topology, [counts[cid] for cid in channels], CapacityKind.INTEGER)

@@ -2,10 +2,10 @@
 
 A network is a directed multigraph between two terminals (Alice and Bob)
 plus intermediate relay nodes. Every edge carries a channel model and a
-usage budget, value types from ``qnetcap.values``. A cut is named by its
-Alice side, a set of node labels holding alice but not bob; cuts over the
-network are direction-blind, so the crossing set contains edges leaving
-*and* entering the Alice side.
+usage budget, value types whose one home is ``qnetcap.values``. A cut is
+named by its Alice side, a set of node labels holding alice but not bob;
+cuts over the network are direction-blind, so the crossing set contains
+edges leaving *and* entering the Alice side.
 """
 
 from __future__ import annotations
@@ -18,9 +18,9 @@ import warnings
 from operator import attrgetter
 from typing import AbstractSet, Mapping, Optional
 
-from .values import (  # the value types, also the model's public names
-    _BUDGET_BY_KEY, ChannelParams, ChannelSpec, Count, CustomChannel, EdgeSpec, Frequency,
-    Immutable, LossyOptical, NodeId, Rate, Regime, UsageBudget, _read_edge, _require_label,
+from .values import (
+    _BUDGET_BY_KEY, ChannelParams, CustomChannel, EdgeSpec, Immutable, LossyOptical, NodeId,
+    Regime, _read_edge, _require_label,
 )
 
 

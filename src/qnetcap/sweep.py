@@ -16,8 +16,8 @@ from .aggregator import (
 )
 from .capacity import WeightKind, edge_capacity
 from .cuts_flows import ArcSweep, flow_graph_from_network, max_flow_value
-from .netmodel import Count, EdgeSpec, LossyOptical, Network
-from .values import _require_finite
+from .netmodel import Network
+from .values import Count, EdgeSpec, LossyOptical, _require_finite
 
 
 def _fmt(x: float) -> str:
@@ -56,13 +56,16 @@ def _eta_points(net: Network, grid: Sequence[float], want_m: bool, edge_id: Opti
 
 
 def _epsilon_points(net: Network, grid: Sequence[float], want_m: bool, **_):
-    """One report (and one m): only the epsilon correction varies."""
+    """One report (and one m): only the epsilon correction varies. Each epsilon
+    is checked once, before any cut, and the report checked both witnesses,
+    so each point's report is built unchecked."""
     regime = net.default_regime
     epsilons = [_check_regime_epsilon(regime, value) for value in grid]
     report = sandwich_report(net, regime)
     m = max_flow_value(build_bell_network(net)) if want_m else None
+    lower, upper = report.lower_witness, report.upper_witness
     for value, epsilon in zip(grid, epsilons):
-        yield value, SandwichReport(regime, epsilon, report.lower_witness, report.upper_witness), m
+        yield value, SandwichReport._from_checked(regime, epsilon, lower, upper), m
 
 
 def _budget_scale_points(net: Network, grid: Sequence[float], want_m: bool, epsilon: float, **_):

@@ -34,6 +34,13 @@ def network_with(net: Network, edges) -> Network:
     return Network(net.nodes, net.alice, net.bob, tuple(edges))
 
 
+def bell_shapes(bell) -> set:
+    """'parallel' if two channels of bell join one node pair, 'zero' if one holds no pair."""
+    pairs = [frozenset((u, v)) for _, u, v in bell.topology.arcs]
+    return ({"parallel"} if len(set(pairs)) < len(pairs) else set()) | (
+        {"zero"} if 0 in bell.capacities else set())
+
+
 def src_env() -> dict:
     """Environment for a child interpreter that imports qnetcap from src/."""
     src = str(REPO_ROOT / "src")

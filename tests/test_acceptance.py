@@ -24,7 +24,7 @@ from qnetcap import (
     plan,
     sandwich_report,
 )
-from qnetcap.generators import random_bell_network, random_lossy_network
+from qnetcap.generators import random_count_network, random_lossy_network
 from qnetcap.qsim_oracle import (
     bell_fidelity,
     bell_pair,
@@ -33,6 +33,8 @@ from qnetcap.qsim_oracle import (
     verify_error_chain,
     werner_pair,
 )
+
+from conftest import bell_shapes
 
 
 @contextlib.contextmanager
@@ -84,9 +86,12 @@ def test_criterion_2_factor_two_theorem():
 def test_criterion_3_menger_equality():
     with criterion(3, "Menger equality on 200 random Bell multigraphs", runtime_limit=10.0):
         rng = random.Random(7741)
+        shapes = set()
         for _ in range(200):
-            bell = random_bell_network(rng, max_nodes=10, max_pairs=30)
+            bell = build_bell_network(random_count_network(rng, max_nodes=10, max_edges=20))
             assert len(max_disjoint_paths(bell)) == min_cut_bruteforce(bell).value
+            shapes |= bell_shapes(bell)
+        assert shapes == {"parallel", "zero"}
 
 
 def test_criterion_4_sandwich_and_epsilon_correction():

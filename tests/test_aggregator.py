@@ -220,7 +220,7 @@ def test_pair_conservation(triangle_net):
         for bid in ids:
             parent = bid.rsplit("#", 1)[0]
             consumed[parent] = consumed.get(parent, 0) + 1
-    for parent, _, _, total in bell.arcs:
+    for (parent, _, _), total in zip(bell.topology.arcs, bell.capacities):
         assert consumed.get(parent, 0) + result.unused_pairs[parent] == total
 
 
@@ -377,7 +377,7 @@ def test_plan_m_matches_bruteforce_cut_on_random_count_networks():
         check_path_set(bell, result.paths)
         # and conservation holds exactly, in total and per channel
         consumed = sum(len(ids) for _, ids in result.paths)
-        generated = {cid: n for cid, _, _, n in bell.arcs}
+        generated = {cid: n for (cid, _, _), n in zip(bell.topology.arcs, bell.capacities)}
         assert consumed + sum(result.unused_pairs.values()) == sum(generated.values())
         for cid, n in generated.items():
             assert result.paths.pairs_used.get(cid, 0) + result.unused_pairs[cid] == n

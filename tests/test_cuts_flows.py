@@ -32,11 +32,11 @@ from qnetcap import cuts_flows
 from qnetcap.capacity import edge_capacity
 from qnetcap.cli import main
 from qnetcap.generators import (
-    random_bell_network, random_count_network, random_custom_network, random_lossy_network,
+    random_count_network, random_custom_network, random_lossy_network,
 )
 from qnetcap.sweep import sweep_csv
 
-from conftest import edge_with, network_with
+from conftest import bell_shapes, edge_with, network_with
 
 
 def in_order_sum(values):
@@ -139,7 +139,8 @@ def test_max_disjoint_paths_triangle():
     assert node_seqs == [("A", "B"), ("A", "C", "B"), ("A", "C", "B")]
     check_path_set(bell, paths)
     # one A-C pair is left unused
-    idle = {cid: n - paths.pairs_used.get(cid, 0) for cid, _, _, n in bell.arcs}
+    idle = {cid: n - paths.pairs_used.get(cid, 0)
+            for (cid, _, _), n in zip(bell.topology.arcs, bell.capacities)}
     assert idle == {"A-C": 1, "C-B": 0, "A-B": 0}
 
 
@@ -157,7 +158,7 @@ def test_max_disjoint_paths_empty_network():
 
 def test_max_disjoint_paths_deterministic():
     rng = random.Random(5)
-    bell = random_bell_network(rng, max_nodes=8, max_pairs=20)
+    bell = build_bell_network(random_count_network(rng, max_nodes=8, max_edges=12))
     first = max_disjoint_paths(bell)
     second = max_disjoint_paths(bell)
     assert first == second
@@ -165,12 +166,15 @@ def test_max_disjoint_paths_deterministic():
 
 def test_menger_equality_on_random_multigraphs():
     rng = random.Random(101)
+    shapes = set()
     for _ in range(200):
-        bell = random_bell_network(rng, max_nodes=10, max_pairs=30)
+        bell = build_bell_network(random_count_network(rng, max_nodes=10, max_edges=20))
         paths = max_disjoint_paths(bell)
         brute = min_cut_bruteforce(bell)
         assert len(paths) == brute.value
         check_path_set(bell, paths)
+        shapes |= bell_shapes(bell)
+    assert shapes == {"parallel", "zero"}  # parallel channels and zero-pair rows both occur
 
 
 def test_min_cut_agrees_with_bruteforce_on_random_weighted_networks():
@@ -194,7 +198,7 @@ def test_flow_equals_cut_duality():
         cut = min_cut(flow_graph_from_network(net, WeightKind.Q_CAP))
         assert flow == pytest.approx(cut.value, abs=1e-9 * max(1.0, cut.value))
     for _ in range(60):
-        bell = random_bell_network(rng, max_nodes=8, max_pairs=20)
+        bell = build_bell_network(random_count_network(rng, max_nodes=8, max_edges=12))
         flow = max_flow_value(bell)
         assert flow == min_cut_bruteforce(bell).value  # integers, exact
 

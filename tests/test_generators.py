@@ -1,8 +1,6 @@
 import random
 
-from qnetcap import CapacityKind
 from qnetcap.generators import (
-    random_bell_network,
     random_count_network,
     random_custom_network,
     random_lossy_network,
@@ -12,7 +10,6 @@ from qnetcap.generators import (
 def test_generators_are_reproducible():
     for maker in (random_lossy_network, random_custom_network, random_count_network):
         assert maker(random.Random(9)) == maker(random.Random(9))
-    assert random_bell_network(random.Random(9)) == random_bell_network(random.Random(9))
 
 
 def test_generated_networks_respect_bounds():
@@ -22,10 +19,3 @@ def test_generated_networks_respect_bounds():
         assert len(net.nodes) <= 6
         assert 1 <= len(net.edges) <= 8
         assert all(0.2 <= e.channel.eta <= 0.4 for e in net.edges)
-        bell = random_bell_network(rng, max_nodes=6, max_pairs=9)
-        assert bell.capacity_kind is CapacityKind.INTEGER
-        assert (bell.topology.source, bell.topology.sink) == ("A", "B")
-        assert sum(n for _, _, _, n in bell.arcs) <= 9
-        # one row per endpoint pair, each holding at least one Bell pair
-        assert all(n >= 1 and {u, v} <= set(bell.topology.vertices) for _, u, v, n in bell.arcs)
-        assert len({frozenset((u, v)) for _, u, v, _ in bell.arcs}) == len(bell.arcs)

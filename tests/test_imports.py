@@ -1,5 +1,6 @@
 """What a process loads: each CLI subcommand only the qnetcap modules it runs, and
-none of numpy, dataclasses or inspect; the package resolves its names on first use."""
+none of numpy, dataclasses or inspect, nor anything outside the standard library;
+the package resolves its names on first use."""
 
 import importlib
 import json
@@ -110,6 +111,20 @@ def test_importing_the_package_or_the_cli_loads_no_library_module():
     assert loaded_modules("import qnetcap.cli", []) == CLI
 
 
+def test_a_value_type_loads_only_its_home():
+    assert loaded_modules("from qnetcap import Count, EdgeSpec, Regime", []) == {
+        "qnetcap", "qnetcap.values"}
+    assert "qnetcap.cuts_flows" not in loaded_modules("import qnetcap.generators", [])
+
+
+def test_cli_runs_on_the_standard_library_alone():
+    # -S skips site-packages: only the standard library and src/ are importable
+    for argv, _ in LOADS.values():
+        result = subprocess.run([sys.executable, "-S", "-m", "qnetcap.cli", *argv],
+                                env=src_env(), capture_output=True, text=True)
+        assert result.returncode == 0, (argv, result.stderr)
+
+
 # --- names resolved on first use ------------------------------------------------
 
 EXPORTS = {
@@ -129,9 +144,12 @@ EXPORTS = {
         "min_cut_bruteforce",
     ),
     "netmodel": (
+        "Network", "NetworkFormatError", "Topology", "crossing_edges", "export_dot",
+        "load_network", "parse_network", "serialize_network",
+    ),
+    "values": (
         "ChannelSpec", "Count", "CustomChannel", "EdgeSpec", "Frequency", "LossyOptical",
-        "Network", "NetworkFormatError", "NodeId", "Rate", "Regime", "Topology", "UsageBudget",
-        "crossing_edges", "export_dot", "load_network", "parse_network", "serialize_network",
+        "NodeId", "Rate", "Regime", "UsageBudget",
     ),
 }
 NAMES = {name for names in EXPORTS.values() for name in names}

@@ -34,7 +34,7 @@ from qnetcap import (
 )
 from qnetcap.sweep import SWEEP_FIELDS
 from qnetcap.sweep import sweep_csv
-from qnetcap import cuts_flows
+from qnetcap import aggregator, cuts_flows
 from qnetcap.capacity import edge_capacity
 from qnetcap.cli import main
 from qnetcap.cuts_flows import ArcSweep
@@ -217,10 +217,11 @@ def test_arc_sweep_matches_bruteforce_bell_cut():
     for _ in range(60):
         net = random_count_network(rng, max_nodes=7, max_count=20)
         bell = build_bell_network(net)
-        cid = rng.choice(bell.arcs)[0]
+        cid = rng.choice(bell.topology.arcs)[0]
         sweep = ArcSweep(bell, cid)
         for pairs in (0, 1, rng.randint(2, 60)):
-            caps = [pairs if c == cid else n for c, _, _, n in bell.arcs]
+            caps = [pairs if c == cid else n
+                    for (c, _, _), n in zip(bell.topology.arcs, bell.capacities)]
             expected = min_cut_bruteforce(FlowGraph(bell.topology, caps, bell.capacity_kind)).value
             value = _sweep_cut(sweep, bell.topology, pairs).value
             assert value == expected and isinstance(value, int)
@@ -334,6 +335,21 @@ def test_sweep_solve_counts(solves, triangle_net, name, points):
     solves.clear()
     sweep_csv(triangle_net, param, grid, ["lower", "m"], edge=edge)
     assert len(solves) == with_m * per
+
+
+def test_an_epsilon_sweep_checks_each_grid_epsilon_once(monkeypatch, triangle_net):
+    checked = []
+
+    def counting(regime, epsilon):
+        checked.append(epsilon)
+        return check(regime, epsilon)
+
+    check = aggregator._check_regime_epsilon
+    for module in ("qnetcap.aggregator", "qnetcap.sweep"):
+        monkeypatch.setattr(f"{module}._check_regime_epsilon", counting)
+    grid = [1e-3 * (i + 1) for i in range(10)]
+    sweep_csv(triangle_net, "epsilon", grid, ["lower", "upper_eps_corrected"])
+    assert all(checked.count(epsilon) == 1 for epsilon in grid), checked
 
 
 # --- the sweep's rules, checked before any cut ----------------------------------

@@ -28,6 +28,7 @@ from qnetcap import (
     max_disjoint_paths,
     parse_network,
     plan,
+    plan_to_dict,
     sandwich_report,
     serialize_network,
 )
@@ -58,7 +59,7 @@ SAMPLES = [
     plan(TRIANGLE, 1e-3),
     sandwich_report(DIAMOND, Regime.PER_CHANNEL_USE),
 ]
-# types with a dict field compare by value but cannot be hashed
+# types with a mapping field compare by value but cannot be hashed
 UNHASHABLE = (PathSet, PerEdgeTable, ProtocolPlan)
 
 
@@ -117,6 +118,27 @@ def test_hashable_unless_a_field_is_a_dict(sample):
             hash(sample)
     else:
         hash(sample)
+
+
+def test_no_field_holds_a_container_that_can_be_changed():
+    protocol_plan = plan(TRIANGLE, 1e-3)
+    with pytest.raises(TypeError):
+        protocol_plan.unused_pairs["ab"] = 99
+    assert plan_to_dict(protocol_plan)["unused_pairs"]["ab"] == 0
+    with pytest.raises(AttributeError):
+        protocol_plan.paths.pairs_used.clear()
+    assert protocol_plan.paths.pairs_used == {"ab": 1, "ac": 2, "cb": 2}
+    used = {"ac": 1}
+    paths = PathSet((), used)
+    used["ac"] = 2  # the constructor kept a copy
+    assert paths.pairs_used == {"ac": 1}
+    crossing = ["e"]
+    cut = CutResult(1.0, {"A"}, crossing)
+    crossing.append("x")
+    assert cut.crossing == ("e",)
+    with pytest.raises(AttributeError):
+        cut.crossing.append("x")
+    assert hash(cut) == hash(CutResult(1.0, {"A"}, ("e",)))
 
 
 def test_equality_is_by_exact_type_and_value():
