@@ -8,9 +8,23 @@ oracle in ``qnetcap.qsim_oracle``, the one module that needs numpy.
 
 Importing the package loads no submodule. Each public name below is
 imported from its home module on first use (PEP 562) and then kept in the
-package namespace, so later reads are plain attribute lookups. A CLI
-process therefore compiles only the modules its subcommand runs: the
-parametric sweep engine, ``qnetcap.sweep``, is loaded by ``sweep`` alone.
+package namespace, so later reads are plain attribute lookups. Every name
+has one home, and the modules are split by role, so a process compiles
+only the code it runs:
+
+- ``values``: channels, budgets, regimes and edges;
+- ``netmodel``: the network and its JSON reader;
+- ``capacity``: weight columns and the finite-error correction;
+- ``cuts_flows``: flow graphs, the max-flow solver and minimum cuts;
+- ``report``: the sandwich report and its JSON view (``bound``);
+- ``routes`` and ``aggregator``: the Bell network, its edge-disjoint
+  paths and the protocol plan (``plan``);
+- ``export``: JSON and DOT writers (``plan --dot``);
+- ``swap``: the Werner closure (``simulate-swap``);
+- ``pointwise``: one-edge references and the general edge reader;
+- ``sweep``: the parametric sweep engine (``sweep``);
+- ``bruteforce``: the exhaustive minimum-cut oracle, for tests.
+
 A value type, such as ``Regime``, loads only its home, ``qnetcap.values``.
 """
 
@@ -20,23 +34,23 @@ import importlib
 _EXPORTS = {
     "aggregator": (
         "AsymptoticQCap", "FixedFraction", "PerEdgeTable", "ProtocolPlan", "RateModel",
-        "SandwichReport", "build_bell_network", "lossy_gap_ratio", "pair_count", "plan",
-        "plan_to_dict", "plan_to_dot", "resolve_rate", "sandwich_report",
-        "sandwich_report_to_dict",
+        "build_bell_network", "plan", "plan_to_dict",
     ),
-    "capacity": (
-        "WeightKind", "binary_entropy", "check_epsilon", "edge_weight",
-        "epsilon_corrected_upper", "lossy_esq_upper", "lossy_q_cap", "werner_chain_report",
-    ),
+    "bruteforce": ("min_cut_bruteforce",),
+    "capacity": ("WeightKind", "binary_entropy", "check_epsilon", "epsilon_corrected_upper"),
     "cuts_flows": (
-        "CapacityKind", "CutResult", "FlowGraph", "PathSet", "check_path_set",
-        "flow_graph_from_network", "max_disjoint_paths", "max_flow_value", "min_cut",
-        "min_cut_bruteforce",
+        "CapacityKind", "CutResult", "FlowGraph", "flow_graph_from_network", "max_flow_value",
+        "min_cut",
     ),
-    "netmodel": (
-        "Network", "NetworkFormatError", "Topology", "crossing_edges", "export_dot",
-        "load_network", "parse_network", "serialize_network",
+    "export": ("export_dot", "plan_to_dot", "serialize_network"),
+    "netmodel": ("Network", "NetworkFormatError", "Topology", "load_network", "parse_network"),
+    "pointwise": (
+        "crossing_edges", "edge_weight", "lossy_esq_upper", "lossy_q_cap", "pair_count",
+        "resolve_rate",
     ),
+    "report": ("SandwichReport", "lossy_gap_ratio", "sandwich_report", "sandwich_report_to_dict"),
+    "routes": ("PathSet", "check_path_set", "max_disjoint_paths"),
+    "swap": ("werner_chain_report",),
     "values": (
         "ChannelSpec", "Count", "CustomChannel", "EdgeSpec", "Frequency", "LossyOptical",
         "NodeId", "Rate", "Regime", "UsageBudget",

@@ -1,30 +1,30 @@
-"""Bell-pair network construction, protocol plans, and sandwich reports.
+"""Bell-pair network construction and the aggregated protocol plan.
 
 The aggregated protocol gives each channel edge an integer number of
 Bell pairs (floor(floor(l) * R) per edge), extracts the maximum set of
-edge-disjoint Alice-Bob paths through the pairs, and swaps along each
-path. The Bell network is the network's topology with one integer
-capacity per channel, its pair count. The protocol's yield and the
-converse cut bound, min-cuts of flow graphs on that one topology,
-sandwich the best achievable performance; on all-lossy networks the two
-sides differ by at most a factor of two.
+edge-disjoint Alice-Bob paths through the pairs (``qnetcap.routes``), and
+swaps along each path. The Bell network is the network's topology with one
+integer capacity per channel, its pair count. The plan's yield and the
+converse cut bound of ``qnetcap.report``, min-cuts of flow graphs on that
+one topology, sandwich the best achievable performance; on all-lossy
+networks the two sides differ by at most a factor of two.
+
+Loaded by ``plan`` and by a sweep of field m.
 """
 
 from __future__ import annotations
 
 import math
 from types import MappingProxyType
-from typing import Mapping, Optional, Union
+from typing import TYPE_CHECKING, Mapping, Union
 
-from .capacity import (
-    WeightKind, check_epsilon, edge_weight, epsilon_corrected_upper, weight_column,
-)
-from .cuts_flows import (
-    CapacityKind, CutResult, FlowGraph, PathSet,
-    flow_graph_from_network, max_disjoint_paths, min_cut,
-)
-from .netmodel import Network, export_dot
-from .values import Count, EdgeSpec, Immutable, NodeId, Regime, _require_finite
+from .capacity import WeightKind, check_epsilon, weight_column
+from .cuts_flows import CapacityKind, FlowGraph
+from .routes import PathSet, max_disjoint_paths
+from .values import Count, Immutable, NodeId, _require_finite
+
+if TYPE_CHECKING:  # annotations only
+    from .netmodel import Network
 
 
 class AsymptoticQCap(Immutable):
@@ -62,36 +62,8 @@ class PerEdgeTable(Immutable):
 RateModel = Union[AsymptoticQCap, FixedFraction, PerEdgeTable]
 
 
-def resolve_rate(edge: EdgeSpec, model: RateModel) -> float:
-    """Bell pairs per channel use for one edge under the given rate model."""
-    if isinstance(model, AsymptoticQCap):
-        return edge_weight(edge, WeightKind.Q_CAP)
-    if isinstance(model, FixedFraction):
-        return model.alpha * edge_weight(edge, WeightKind.Q_CAP)
-    if isinstance(model, PerEdgeTable):
-        if edge.id not in model.rates:
-            raise ValueError(f"rate table has no entry for edge {edge.id!r}")
-        return model.rates[edge.id]
-    raise ValueError(f"unknown rate model {model!r}")
-
-
-def pair_count(edge: EdgeSpec, model: RateModel) -> int:
-    """floor(floor(l) * R): the conservative integer reading of the pair stack."""
-    if not isinstance(edge.usage, Count):
-        raise ValueError(
-            f"edge {edge.id!r} carries a {type(edge.usage).__name__} budget; "
-            "Bell-pair counts are defined only for Count budgets"
-        )
-    uses = math.floor(edge.usage.value)
-    rate = resolve_rate(edge, model)
-    pairs = uses * rate
-    if not math.isfinite(pairs):
-        raise ValueError(f"edge {edge.id!r}: {uses} uses at {rate} pairs per use overflow a float")
-    return math.floor(pairs)
-
-
 def _rate_column(net: Network, model: RateModel) -> list:
-    """resolve_rate of every edge in edge order; None where a table has no entry.
+    """pointwise.resolve_rate of every edge in edge order; None where a table has no entry.
 
     An unknown model raises resolve_rate's error, on an edgeless network too.
     """
@@ -105,7 +77,7 @@ def _rate_column(net: Network, model: RateModel) -> list:
 
 
 def build_bell_network(net: Network, rate_model: RateModel = AsymptoticQCap()) -> FlowGraph:
-    """The Bell network on the network's topology: each edge's pair_count.
+    """The Bell network on the network's topology: each edge's pointwise.pair_count.
 
     The counts are computed column-wise with pair_count's arithmetic; where
     that fails, pair_count itself names the first edge at fault. Budgets and
@@ -113,15 +85,25 @@ def build_bell_network(net: Network, rate_model: RateModel = AsymptoticQCap()) -
     table is read-only, so the counts are not checked again.
     """
     if net.budget_kind not in (Count, None):
+        from .pointwise import pair_count
+
         pair_count(net._edge(0), rate_model)  # raises: pair counts need Count budgets
     rates = _rate_column(net, rate_model)
     try:
         pairs = [math.floor(math.floor(uses) * rate) for uses, rate in zip(net.budgets, rates)]
     except (TypeError, OverflowError):  # a rate missing from a table, or pairs past the floats
+        from .pointwise import pair_count
+
         for k in range(len(net.budgets)):
             pair_count(net._edge(k), rate_model)
         raise
     return FlowGraph._from_checked(net.topology, tuple(pairs), CapacityKind.INTEGER)
+
+
+def _require_count(name: str, value) -> None:
+    """ValueError naming value unless it is an int >= 0, and not a bool."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ValueError(f"{name} must be an integer >= 0, got {value!r}")
 
 
 class ProtocolPlan(Immutable):
@@ -130,16 +112,26 @@ class ProtocolPlan(Immutable):
     ``unused_pairs``, read-only, maps each channel id to the pairs it leaves
     idle. The path count ``m``, the swap schedules and the error budget are
     derived from the fields on each read, so they cannot disagree with them.
+    The constructor checks that ``paths`` is a PathSet, epsilon as
+    ``check_epsilon`` does, and that ``counted_edges`` and every idle count
+    are integers >= 0; ``plan`` builds its plan from checked values.
     """
 
     __slots__ = ("paths", "epsilon", "counted_edges", "unused_pairs")
 
     def __init__(self, paths: PathSet, epsilon: float, counted_edges: int,
                  unused_pairs: Mapping[str, int]):
+        if not isinstance(paths, PathSet):
+            raise ValueError(f"paths must be a PathSet, got {paths!r}")
+        epsilon = check_epsilon(epsilon)
+        _require_count("counted_edges", counted_edges)
+        unused_pairs = dict(unused_pairs)
+        for cid, n in unused_pairs.items():
+            _require_count(f"unused pairs of {cid!r}", n)
         object.__setattr__(self, "paths", paths)
         object.__setattr__(self, "epsilon", epsilon)
         object.__setattr__(self, "counted_edges", counted_edges)
-        object.__setattr__(self, "unused_pairs", MappingProxyType(dict(unused_pairs)))
+        object.__setattr__(self, "unused_pairs", MappingProxyType(unused_pairs))
 
     def __reduce__(self):
         return type(self), (self.paths, self.epsilon, self.counted_edges, dict(self.unused_pairs))
@@ -180,130 +172,10 @@ def plan(
     ids = [eid for eid, _, _ in bell.topology.arcs]
     unused = {eid: n - used.get(eid, 0) for eid, n in zip(ids, bell.capacities)}
     counted = len(bell.capacities) if count_all_edges else sum(1 for n in bell.capacities if n > 0)
-    return ProtocolPlan(paths, epsilon, counted, unused)
+    return ProtocolPlan._from_checked(paths, epsilon, counted, MappingProxyType(unused))
 
 
-def _check_regime_epsilon(regime: Regime, epsilon: float) -> float:
-    """epsilon as a float; ValueError unless regime is a Regime and epsilon is
-    finite, >= 0, and positive only in the per-protocol regime."""
-    if not isinstance(regime, Regime):
-        raise ValueError(f"regime must be a Regime, got {regime!r}")
-    epsilon = check_epsilon(epsilon)
-    if epsilon > 0 and regime is not Regime.PER_PROTOCOL:
-        raise ValueError(
-            f"epsilon={epsilon} applies only to the per-protocol regime; "
-            f"regime {regime.value!r} takes epsilon to 0"
-        )
-    return epsilon
-
-
-class SandwichReport(Immutable):
-    """Achievable lower bound and converse upper bounds for one regime.
-
-    ``lower``, ``upper_esq`` and ``upper_eps_corrected`` are derived from
-    the two witness cuts and epsilon on each read. The regime and epsilon
-    are checked first, by ``sandwich_report``'s rules. A witness cut whose
-    value sums past the float range is an error that names its weighting,
-    q_cap for the lower witness and esq_upper for the upper one, and the
-    edges it crosses; the lower witness is checked first.
-    """
-
-    __slots__ = ("regime", "epsilon", "lower_witness", "upper_witness")
-
-    def __init__(self, regime: Regime, epsilon: float, lower_witness: CutResult,
-                 upper_witness: CutResult):
-        epsilon = _check_regime_epsilon(regime, epsilon)
-        for kind, cut in (("q_cap", lower_witness), ("esq_upper", upper_witness)):
-            if cut.value == math.inf:
-                raise ValueError(f"the {kind}-weighted minimum cut sums past the float range: "
-                                 f"it crosses {list(cut.crossing)}")
-        object.__setattr__(self, "regime", regime)
-        object.__setattr__(self, "epsilon", epsilon)
-        object.__setattr__(self, "lower_witness", lower_witness)
-        object.__setattr__(self, "upper_witness", upper_witness)
-
-    @property
-    def lower(self) -> float:
-        """The achievable bound: the q_cap-weighted minimum cut's value."""
-        return self.lower_witness.value
-
-    @property
-    def upper_esq(self) -> float:
-        """The converse bound: the esq_upper-weighted minimum cut's value."""
-        return self.upper_witness.value
-
-    @property
-    def upper_eps_corrected(self) -> Optional[float]:
-        """The finite-error converse bound, or None once epsilon >= 1/256 makes it vacuous."""
-        return epsilon_corrected_upper(self.upper_esq, self.epsilon)
-
-
-def sandwich_report(net: Network, regime: Regime, epsilon: float = 0.0) -> SandwichReport:
-    """Two-sided bounds on the optimal performance under the given regime.
-
-    The regime must be the one the network's budgets read as. The lower
-    bound weights cuts by q_cap (Count budgets floored: the per-protocol
-    regime spends whole uses); the upper bound weights them by esq_upper
-    with un-floored budgets. Both are built on the network's topology, so
-    both solves walk its one residual arc order. The finite-error
-    correction applies only to the per-protocol regime; the asymptotic
-    regimes take their error to zero, so a positive epsilon there is
-    rejected. A minimum cut past the float range fails as SandwichReport says.
-    """
-    epsilon = _check_regime_epsilon(regime, epsilon)
-    kind = net.budget_kind
-    if kind is not None and kind.regime is not regime:
-        raise ValueError(f"regime {regime.value!r} does not match the network's {kind.__name__} "
-                         f"budgets, which read as regime {kind.regime.value!r}")
-    lower_cut = min_cut(flow_graph_from_network(net, WeightKind.Q_CAP))
-    upper_cut = min_cut(flow_graph_from_network(net, WeightKind.ESQ_UPPER))
-    return SandwichReport(regime, epsilon, lower_cut, upper_cut)
-
-
-def lossy_gap_ratio(report: SandwichReport) -> float:
-    """Converse/achievable ratio; at most 2 on all-lossy networks."""
-    if report.lower <= 0:
-        raise ValueError(
-            "gap ratio undefined: lower bound is zero"
-            + (" while the upper bound is positive" if report.upper_esq > 0 else "")
-        )
-    return report.upper_esq / report.lower
-
-
-def plan_to_dot(net: Network, protocol_plan: ProtocolPlan) -> str:
-    """DOT rendering with consumed pair fractions; fully idle edges are dashed."""
-    unused = protocol_plan.unused_pairs
-    annotations = {
-        cid: f"{k}/{k + unused.get(cid, 0)} used"
-        for cid, k in protocol_plan.paths.pairs_used.items()
-        if k > 0
-    }
-    return export_dot(net, annotations)
-
-
-# --- JSON views -------------------------------------------------------------
-
-def cut_to_dict(cut: CutResult) -> dict:
-    return {
-        "value": cut.value,
-        "v_a": sorted(cut.v_a),
-        "crossing": list(cut.crossing),
-    }
-
-
-def sandwich_report_to_dict(report: SandwichReport) -> dict:
-    corrected = report.upper_eps_corrected
-    return {
-        "regime": report.regime.value,
-        "epsilon": report.epsilon,
-        "lower": report.lower,
-        "upper_esq": report.upper_esq,
-        "upper_eps_corrected": corrected,
-        "vacuous": corrected is None,
-        "lower_witness": cut_to_dict(report.lower_witness),
-        "upper_witness": cut_to_dict(report.upper_witness),
-    }
-
+# --- JSON view --------------------------------------------------------------
 
 def plan_to_dict(protocol_plan: ProtocolPlan) -> dict:
     """The plan with one entry per unit path; no two of its lists are one object."""

@@ -6,9 +6,10 @@ fixed format. Exit codes: 0 success, 1 domain/validation error, 2 IO
 error.
 
 Each handler imports the library modules it runs when it is called, so a
-process loads, and compiles, only what its subcommand needs. The handlers
-only read flags and files: the library checks what the values mean (a
-sweep, a rate table, a Werner chain), and its message is the one printed.
+process loads, and compiles, only what its subcommand needs: ``plan``
+loads the DOT writer only for ``--dot``. The handlers only read flags and
+files: the library checks what the values mean (a sweep, a rate table, a
+Werner chain), and its message is the one printed.
 """
 
 from __future__ import annotations
@@ -82,8 +83,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_bound(args) -> int:
-    from .aggregator import sandwich_report, sandwich_report_to_dict
     from .netmodel import load_network
+    from .report import sandwich_report, sandwich_report_to_dict
 
     net = load_network(args.network)
     regime = net.default_regime if args.regime is None else _REGIMES[args.regime]
@@ -100,7 +101,7 @@ def cmd_bound(args) -> int:
 
 
 def cmd_plan(args) -> int:
-    from .aggregator import plan, plan_to_dict, plan_to_dot
+    from .aggregator import plan, plan_to_dict
     from .netmodel import load_network
 
     net = load_network(args.network)
@@ -108,6 +109,8 @@ def cmd_plan(args) -> int:
     result = plan(net, args.epsilon, rate_model, count_all_edges=args.count_all_edges)
     text = _json_text(plan_to_dict(result))
     if args.dot:  # written first, so an IO error leaves stdout empty
+        from .export import plan_to_dot
+
         dot = plan_to_dot(net, result)
         with open(args.dot, "w", encoding="utf-8") as fh:
             fh.write(dot)
@@ -145,7 +148,7 @@ def _chain_from_args(args) -> list[float]:
 
 
 def cmd_simulate_swap(args) -> int:
-    from .capacity import werner_chain_report
+    from .swap import werner_chain_report
 
     chain = _chain_from_args(args)
     eps_values = None  # default budget: each pair's own distance from a perfect Bell pair

@@ -1,11 +1,12 @@
-"""Network topology model: nodes, channels, usage budgets, JSON ingestion, DOT export.
+"""Network topology model: nodes, channels, usage budgets and JSON ingestion.
 
 A network is a directed multigraph between two terminals (Alice and Bob)
 plus intermediate relay nodes. Every edge carries a channel model and a
 usage budget, value types whose one home is ``qnetcap.values``. A cut is
 named by its Alice side, a set of node labels holding alice but not bob;
 cuts over the network are direction-blind, so the crossing set contains
-edges leaving *and* entering the Alice side.
+edges leaving *and* entering the Alice side. Writing a network back out,
+as JSON or DOT, is ``qnetcap.export``'s job.
 """
 
 from __future__ import annotations
@@ -16,11 +17,10 @@ import math
 import sys
 import warnings
 from operator import attrgetter
-from typing import AbstractSet, Mapping, Optional
 
 from .values import (
-    _BUDGET_BY_KEY, ChannelParams, CustomChannel, EdgeSpec, Immutable, LossyOptical, NodeId,
-    Regime, _read_edge, _require_label,
+    _BUDGET_BY_KEY, CustomChannel, EdgeSpec, Immutable, LossyOptical, NodeId, Regime,
+    _require_label,
 )
 
 
@@ -213,24 +213,6 @@ class Network(Immutable):
         return Network._from_checked(self.topology, self.budget_kind, self.channels, budgets)
 
 
-def crossing_edges(net: Network, side: AbstractSet[NodeId]) -> tuple[EdgeSpec, ...]:
-    """Edges with exactly one endpoint in the Alice side ``side``, in input order.
-
-    Both orientations cross: the cut is direction-blind even though the
-    channels are directed. ``side`` must hold alice, not bob, and only
-    nodes of the network.
-    """
-    extra = sorted(set(side).difference(net.nodes))
-    if extra:
-        raise ValueError(f"bipartition contains unknown nodes {extra}")
-    if net.alice not in side:
-        raise ValueError(f"bipartition must contain alice ({net.alice!r})")
-    if net.bob in side:
-        raise ValueError(f"bipartition must not contain bob ({net.bob!r})")
-    return tuple(net._edge(k) for k, (_, u, v) in enumerate(net.topology.arcs)
-                 if (u in side) != (v in side))
-
-
 # --- JSON document format -------------------------------------------------
 
 _FLOAT_MAX = sys.float_info.max
@@ -278,7 +260,8 @@ def parse_network(text: str) -> Network:
     budget key holding an int or float, and distinct non-empty string ends.
     Exact type tests and range tests keep out booleans, NaN, infinities and
     numbers past the float range. Any other edge, valid or not, takes the
-    general route, ``_read_edge``, which gives the same values bit for bit.
+    general route, ``pointwise._read_edge``, which gives the same values bit
+    for bit; only a document with such an edge loads it.
     Raises NetworkFormatError with line/position info on malformed JSON and
     with the offending node or edge named on semantic violations.
 
@@ -342,6 +325,8 @@ def _parse_document(text: str, stacklevel: int) -> Network:
                 and eid and tail and head and tail != head):
             budget = float(budget)
         else:
+            from .pointwise import _read_edge
+
             try:
                 eid, tail, head, channel, kind, budget = _read_edge(i, eobj)
             except ValueError as err:
@@ -365,78 +350,7 @@ def _parse_document(text: str, stacklevel: int) -> Network:
     return net
 
 
-def _channel_to_obj(channel: ChannelParams) -> dict:
-    if type(channel) is tuple:
-        return {"type": "custom", "q_cap": channel[0], "esq_upper": channel[1]}
-    return {"type": "lossy", "eta": channel}
-
-
-def serialize_network(net: Network) -> str:
-    """Canonical JSON text; parse(serialize(net)) is structurally identical to net."""
-    key = net.budget_kind.key if net.budget_kind is not None else None
-    doc = {
-        "nodes": list(net.nodes),
-        "alice": net.alice,
-        "bob": net.bob,
-        "edges": [
-            {
-                "id": eid,
-                "tail": tail,
-                "head": head,
-                "channel": _channel_to_obj(channel),
-                "usage": {key: budget},
-            }
-            for (eid, tail, head), channel, budget
-            in zip(net.topology.arcs, net.channels, net.budgets)
-        ],
-    }
-    return json.dumps(doc, indent=2) + "\n"
-
-
 def load_network(path) -> Network:
     """Read and parse a network file. IO failures surface as OSError."""
     return read_json(path, "network file", lambda text: _parse_paused(text, stacklevel=6))
 
-
-# --- DOT export -------------------------------------------------------------
-
-def _dot_escape(text: str) -> str:
-    return text.replace("\\", "\\\\").replace('"', '\\"')
-
-
-def _edge_label(eid: str, channel: ChannelParams, key: str, budget: float) -> str:
-    if type(channel) is tuple:
-        chan = f"custom q={channel[0]:g} esq={channel[1]:g}"
-    else:
-        chan = f"lossy eta={channel:g}"
-    return f"{eid}: {chan}, {key}={budget:g}"
-
-
-def export_dot(net: Network, annotations: Optional[Mapping[str, str]] = None) -> str:
-    """Render the network as a deterministic Graphviz digraph.
-
-    When ``annotations`` is given, edges present in the map are drawn solid
-    with the annotation appended to their label; absent edges are drawn
-    dashed (unused).
-    """
-    lines = ["digraph qnet {", "  rankdir=LR;"]
-    for n in net.nodes:
-        shape = "doublecircle" if n in (net.alice, net.bob) else "circle"
-        lines.append(f'  "{_dot_escape(n)}" [shape={shape}];')
-    key = net.budget_kind.key if net.budget_kind is not None else None
-    for (eid, tail, head), channel, budget in zip(net.topology.arcs, net.channels, net.budgets):
-        label = _edge_label(eid, channel, key, budget)
-        attrs = []
-        if annotations is not None:
-            note = annotations.get(eid)
-            if note is None:
-                attrs.append("style=dashed")
-            else:
-                attrs.append("style=solid")
-                label = f"{label} [{note}]"
-        attrs.insert(0, f'label="{_dot_escape(label)}"')
-        lines.append(
-            f'  "{_dot_escape(tail)}" -> "{_dot_escape(head)}" [{", ".join(attrs)}];'
-        )
-    lines.append("}")
-    return "\n".join(lines) + "\n"

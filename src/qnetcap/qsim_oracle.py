@@ -20,7 +20,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .capacity import COMPARE_SLACK, _check_werner, check_epsilon
+from .capacity import check_epsilon
+from .swap import COMPARE_SLACK, _check_werner
 
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12

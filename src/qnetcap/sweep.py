@@ -4,20 +4,67 @@
 its flags. The swept parameter is the transmittance eta of one lossy
 edge, the error budget epsilon, or a common scale of every budget. Each
 reads its regime from the network's budget variant, as ``bound`` does.
+
+An eta sweep cuts every point from two ``ArcSweep`` solves of the base
+network per weight kind. The plan modules, ``qnetcap.aggregator`` and
+``qnetcap.routes``, load only for field m, and the one-edge references of
+``qnetcap.pointwise`` only for eta, whose grid points are edges.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-from .aggregator import (
-    AsymptoticQCap, SandwichReport, _check_regime_epsilon, build_bell_network, lossy_gap_ratio,
-    pair_count, sandwich_report,
+from . import cuts_flows
+from .capacity import WeightKind
+from .cuts_flows import (
+    CutResult, FlowGraph, _crossing, _cut, flow_graph_from_network, max_flow_value,
 )
-from .capacity import WeightKind, edge_capacity
-from .cuts_flows import ArcSweep, flow_graph_from_network, max_flow_value
-from .netmodel import Network
+from .report import SandwichReport, _check_regime_epsilon, lossy_gap_ratio, sandwich_report
 from .values import Count, EdgeSpec, LossyOptical, _require_finite
+
+if TYPE_CHECKING:  # annotations only
+    from .netmodel import Network
+
+
+class ArcSweep:
+    """Minimum cut of a flow instance as the capacity w of one arc varies.
+
+    Every cut either crosses the arc, at value A + w, or avoids it, at B, so
+    the minimum is F(w) = min(F(0) + w, F(inf)). Two max-flows give the Alice
+    sides of a minimum cut with the arc at 0 and of a minimum cut among those
+    that avoid the arc; at any w the smaller of those two cuts is a minimum
+    cut. Both solve the arc-at-zero graph on fg's topology; the second gives
+    the arc's two residual arcs an infinite capacity, which no cut crosses
+    (Ford and Fulkerson, 1956). A large finite stand-in would sit within the
+    solver's relative tolerance, or past float precision, of the other arcs
+    once they are large. When the arc joins source and sink, every cut
+    crosses it and only the first side is kept.
+    """
+
+    def __init__(self, fg: FlowGraph, arc_id: str):
+        rows, capacities = fg.topology.arcs, fg.capacities
+        k = next((k for k, row in enumerate(rows) if row[0] == arc_id), None)
+        if k is None:
+            raise KeyError(f"no arc with id {arc_id!r}")
+        self.arc_id = arc_id
+        self.zero = fg.zero
+        at_zero = FlowGraph._from_checked(
+            fg.topology, capacities[:k] + (self.zero,) + capacities[k + 1:], fg.capacity_kind)
+        sides = [cuts_flows._ResidualSolver(at_zero).reachable]
+        ends = (fg.topology.source, fg.topology.sink)
+        _, u, v = rows[k]
+        if not (u in ends and v in ends):
+            sides.append(cuts_flows._ResidualSolver(at_zero, k).reachable)
+        # a side crosses the same rows at every w: only the swept arc's capacity changes
+        self.sides = [(side, _crossing(rows, capacities, side)) for side in sides]
+
+    def min_cut(self, capacity: float) -> CutResult:
+        """A minimum cut with the arc at `capacity`: the smaller side's, the first on a tie."""
+        cuts = [_cut(side, [(eid, capacity if eid == self.arc_id else c) for eid, c in pairs],
+                     self.zero)
+                for side, pairs in self.sides]
+        return min(cuts, key=lambda cut: cut.value)
 
 
 def _fmt(x: float) -> str:
@@ -32,6 +79,10 @@ def _eta_points(net: Network, grid: Sequence[float], want_m: bool, edge_id: Opti
     cut comes from an ArcSweep over the base network. Every point's swept
     capacities (and pairs) are checked, as ``bound`` checks them, first.
     """
+    from .pointwise import edge_capacity, pair_count
+
+    if want_m:
+        from .aggregator import AsymptoticQCap, build_bell_network
     if edge_id is None:
         raise ValueError("an eta sweep needs the id of the swept edge")
     edge = net.edge_by_id(edge_id)
@@ -59,6 +110,8 @@ def _epsilon_points(net: Network, grid: Sequence[float], want_m: bool, **_):
     """One report (and one m): only the epsilon correction varies. Each epsilon
     is checked once, before any cut, and the report checked both witnesses,
     so each point's report is built unchecked."""
+    if want_m:
+        from .aggregator import build_bell_network
     regime = net.default_regime
     epsilons = [_check_regime_epsilon(regime, value) for value in grid]
     report = sandwich_report(net, regime)
@@ -73,6 +126,8 @@ def _budget_scale_points(net: Network, grid: Sequence[float], want_m: bool, epsi
     per-protocol floors make the cut non-linear in the scale. Each point
     network scales the budget column on the network's own topology; the
     largest scale goes first, so a budget overflow fails before any cut."""
+    if want_m:
+        from .aggregator import build_bell_network
     grid = [_require_finite("budget scale", value, nonnegative=True) for value in grid]
     regime = net.default_regime
     _check_regime_epsilon(regime, epsilon)

@@ -11,10 +11,9 @@ is the one check, for every module, that a value is a finite real number
 (and >= 0, if asked), ``_check_ends`` the one check of an edge's two
 ends, and ``_sum_in_order`` the one way a printed value is summed.
 
-The general reader of one edge of a network document, ``_read_edge``, is
-here too: it checks every value with these constructors, so it raises their
-messages, and parse_network sends it every edge its inline checks do not
-take.
+The general reader of one edge of a network document lives in
+``qnetcap.pointwise``: it checks every value with these constructors, so it
+raises their messages.
 """
 
 from __future__ import annotations
@@ -234,64 +233,10 @@ class EdgeSpec(Immutable):
         set_field(self, "usage", usage)
 
 
-# --- one edge of a network document --------------------------------------------
+# --- the columns of a network --------------------------------------------------
 
 # A channel column entry: the eta of a lossy channel, or (q_cap, esq_upper) of a custom one
 ChannelParams = Union[float, tuple[float, float]]
 
-_EDGE_KEYS = ("tail", "head", "channel", "usage")
 _BUDGET_BY_KEY = {cls.key: cls for cls in _BUDGET_KINDS}
 
-
-def _read_channel(obj) -> ChannelParams:
-    if not isinstance(obj, dict) or "type" not in obj:
-        raise ValueError("channel must be an object with a 'type'")
-    ctype = obj["type"]
-    if ctype == "lossy":
-        if "eta" not in obj:
-            raise ValueError("lossy channel requires 'eta'")
-        return LossyOptical(obj["eta"]).eta
-    if ctype == "custom":
-        if "q_cap" not in obj or "esq_upper" not in obj:
-            raise ValueError("custom channel requires 'q_cap' and 'esq_upper'")
-        custom = CustomChannel(obj["q_cap"], obj["esq_upper"])
-        return custom.q_cap, custom.esq_upper
-    raise ValueError(f"unknown channel type {ctype!r}")
-
-
-def _read_usage(obj) -> tuple[type[UsageBudget], float]:
-    if not isinstance(obj, dict):
-        raise ValueError("usage must be an object")
-    kind, found = None, 0
-    for key in obj:
-        if key in _BUDGET_BY_KEY:
-            kind, found = _BUDGET_BY_KEY[key], found + 1
-    if found != 1:
-        names = ", ".join(repr(cls.key) for cls in _BUDGET_KINDS)
-        raise ValueError(f"usage must carry exactly one of {names}")
-    return kind, kind(obj[kind.key]).value
-
-
-def _read_edge(i: int, eobj) -> tuple:
-    """Edge #i of a network document as (eid, tail, head, ChannelParams, budget kind, budget).
-
-    The general reader: it takes an edge object of any shape, checks its
-    values with the constructors above, and raises a ValueError naming the
-    edge for every fault.
-    """
-    if not isinstance(eobj, dict):
-        raise ValueError(f"edge #{i}: must be an object")
-    eid = eobj.get("id")
-    if not isinstance(eid, str) or not eid:
-        raise ValueError(f"edge #{i}: missing or empty 'id'")
-    try:
-        for key in _EDGE_KEYS:
-            if key not in eobj:
-                raise ValueError(f"missing key {key!r}")
-        channel = _read_channel(eobj["channel"])
-        kind, budget = _read_usage(eobj["usage"])
-        tail, head = eobj["tail"], eobj["head"]
-    except ValueError as err:
-        raise ValueError(f"edge {eid!r}: {err}") from err
-    _check_ends(eid, tail, head)
-    return eid, tail, head, channel, kind, budget

@@ -1,5 +1,7 @@
+import pickle
 import random
 import re
+from types import MappingProxyType
 
 import pytest
 
@@ -32,11 +34,12 @@ from qnetcap import (
     pair_count,
     parse_network,
     plan,
+    plan_to_dict,
     plan_to_dot,
     resolve_rate,
     sandwich_report,
 )
-from qnetcap import cuts_flows
+from qnetcap import routes
 from qnetcap.generators import random_count_network, random_custom_network, random_lossy_network
 
 from conftest import DATA_DIR, edge_with, network_with
@@ -267,6 +270,38 @@ def test_plan_and_report_derive_their_counts_from_their_fields(triangle_net, dia
     assert corrected.upper_eps_corrected > corrected.upper_esq
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("epsilon", float("nan"), "epsilon must be finite and >= 0, got nan"),
+    ("epsilon", -0.1, "epsilon must be finite and >= 0, got -0.1"),
+    ("counted_edges", -3, "counted_edges must be an integer >= 0, got -3"),
+    ("counted_edges", True, "counted_edges must be an integer >= 0, got True"),
+    ("counted_edges", 2.5, "counted_edges must be an integer >= 0, got 2.5"),
+    ("unused_pairs", {"ab": -1}, "unused pairs of 'ab' must be an integer >= 0, got -1"),
+    ("unused_pairs", {"ab": True}, "unused pairs of 'ab' must be an integer >= 0, got True"),
+    ("unused_pairs", {"ab": 2.5}, "unused pairs of 'ab' must be an integer >= 0, got 2.5"),
+    ("paths", [], "paths must be a PathSet, got []"),
+])
+def test_a_protocol_plan_checks_its_fields(triangle_net, field, value, message):
+    fields = dict(zip(ProtocolPlan._fields, plan(triangle_net)._values()))
+    fields[field] = value
+    with pytest.raises(ValueError) as built:
+        ProtocolPlan(**fields)
+    assert str(built.value) == message
+
+
+def test_a_protocol_plan_from_the_constructor_equals_the_planned_one(triangle_net):
+    # the repro of an unchecked constructor: NaN epsilon, negative edge count
+    p = plan(triangle_net, 0.01)
+    with pytest.raises(ValueError, match="^epsilon must be finite and >= 0, got nan$"):
+        ProtocolPlan(p.paths, float("nan"), -3, p.unused_pairs)
+    rebuilt = ProtocolPlan(p.paths, p.epsilon, p.counted_edges, p.unused_pairs)
+    assert rebuilt == p and plan_to_dict(rebuilt) == plan_to_dict(p)
+    assert pickle.loads(pickle.dumps(p)) == p
+    assert type(p.unused_pairs) is MappingProxyType
+    zero = ProtocolPlan(p.paths, 0, 0, {})
+    assert (zero.epsilon, type(zero.epsilon), zero.error_budget) == (0.0, float, 0.0)
+
+
 def test_sandwich_report_rejects_epsilon_outside_per_protocol(diamond_net):
     with pytest.raises(ValueError, match="epsilon=0.3.*'per-use'"):
         sandwich_report(diamond_net, Regime.PER_CHANNEL_USE, epsilon=0.3)
@@ -484,7 +519,7 @@ def test_plan_rejects_more_paths_than_it_can_list(monkeypatch):
     # the cut side never lists paths, so it is unaffected
     assert sandwich_report(huge, Regime.PER_PROTOCOL).lower == 1e300
     # the limit itself is inclusive
-    monkeypatch.setattr(cuts_flows, "MAX_PLAN_PATHS", 3)
+    monkeypatch.setattr(routes, "MAX_PLAN_PATHS", 3)
     assert plan(Network(("A", "B"), "A", "B", (count_edge("ab", "A", "B", 3),))).m == 3
     with pytest.raises(ValueError, match="m = 4 edge-disjoint paths exceeds the limit of 3"):
         plan(Network(("A", "B"), "A", "B", (count_edge("ab", "A", "B", 4),)))

@@ -52,12 +52,12 @@ from qnetcap import (
     sandwich_report_to_dict,
     serialize_network,
 )
-from qnetcap import aggregator, capacity, netmodel
+from qnetcap import netmodel, pointwise
 from qnetcap.capacity import weight_column
-from qnetcap.capacity import edge_capacity
+from qnetcap.pointwise import edge_capacity
 from qnetcap.generators import random_count_network, random_custom_network, random_lossy_network
 from qnetcap.sweep import sweep_csv
-from qnetcap.values import _read_channel, _read_usage
+from qnetcap.pointwise import _read_channel, _read_usage
 
 from conftest import NETWORKS_DIR, edge_with, network_with
 
@@ -377,8 +377,7 @@ def test_parse_report_plan_validate_and_sweep_build_no_per_edge_objects(monkeypa
 
     with monkeypatch.context() as strict:
         strict.setattr(EdgeSpec, "__init__", _refuse)
-        for module in (capacity, aggregator):  # where edge_weight is called
-            strict.setattr(module, "edge_weight", _refuse)
+        strict.setattr(pointwise, "edge_weight", _refuse)  # where edge_weight is called
         sandwich_report(parse_network(lossy_text), Regime.PER_CHANNEL_USE)
         net = parse_network(count_text)
         plan_to_dot(net, plan(net, 1e-3))
@@ -404,8 +403,8 @@ def test_parse_report_plan_and_eta_sweep_check_each_edge_once(monkeypatch, tmp_p
     assert cli.main(sweep) == 0
     expected = capsys.readouterr().out
     # the public FlowGraph constructor and the general edge readers
-    for target in ("qnetcap.cuts_flows.FlowGraph.__init__", "qnetcap.values._read_channel",
-                   "qnetcap.values._read_usage"):
+    for target in ("qnetcap.cuts_flows.FlowGraph.__init__", "qnetcap.pointwise._read_channel",
+                   "qnetcap.pointwise._read_usage"):
         monkeypatch.setattr(target, _check_again)
 
     sandwich_report(parse_network(lossy_text), Regime.PER_CHANNEL_USE)

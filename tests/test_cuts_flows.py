@@ -29,7 +29,7 @@ from qnetcap import (
     plan,
 )
 from qnetcap import cuts_flows
-from qnetcap.capacity import edge_capacity
+from qnetcap.pointwise import edge_capacity
 from qnetcap.cli import main
 from qnetcap.generators import (
     random_count_network, random_custom_network, random_lossy_network,

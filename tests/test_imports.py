@@ -4,6 +4,7 @@ the package resolves its names on first use."""
 
 import importlib
 import json
+import os
 import subprocess
 import sys
 
@@ -67,25 +68,40 @@ print(json.dumps([code, loaded]))
 """
 
 CLI = {"qnetcap", "qnetcap.cli", "qnetcap.values"}
-CORE = CLI | {"qnetcap.netmodel", "qnetcap.capacity", "qnetcap.cuts_flows", "qnetcap.aggregator"}
+SOLVER = CLI | {"qnetcap.netmodel", "qnetcap.capacity", "qnetcap.cuts_flows"}
+BOUND = SOLVER | {"qnetcap.report"}
+PLAN = SOLVER | {"qnetcap.routes", "qnetcap.aggregator"}
+SWEEP = BOUND | {"qnetcap.sweep"}
 DIAMOND = str(NETWORKS_DIR / "diamond.json")
 FIG2 = str(NETWORKS_DIR / "fig2_analog.json")
 LOADS = {
     "validate": (["validate", DIAMOND], CLI | {"qnetcap.netmodel"}),
-    "simulate-swap-chain": (["simulate-swap", "--chain", "0.9,0.9"], CLI | {"qnetcap.capacity"}),
+    "simulate-swap-chain": (["simulate-swap", "--chain", "0.9,0.9"],
+                            CLI | {"qnetcap.capacity", "qnetcap.swap"}),
     # the plan file is read by netmodel's JSON reader, which names the file in its errors
     "simulate-swap-plan": (["simulate-swap", "--from-plan",
                             str(DATA_DIR / "plan_triangle_counts.json"), "--path-index", "1"],
-                           CLI | {"qnetcap.capacity", "qnetcap.netmodel"}),
-    "bound": (["bound", DIAMOND], CORE),
-    "plan": (["plan", FIG2, "--epsilon", "0.001"], CORE),
+                           CLI | {"qnetcap.capacity", "qnetcap.swap", "qnetcap.netmodel"}),
+    "bound": (["bound", DIAMOND], BOUND),
+    "plan": (["plan", FIG2, "--epsilon", "0.001"], PLAN),
+    # the DOT writer only for --dot; the file goes to the null device
+    "plan-dot": (["plan", FIG2, "--dot", os.devnull], PLAN | {"qnetcap.export"}),
+    # the one-edge references only for eta, whose grid points are edges
     "sweep-eta": (["sweep", DIAMOND, "--param", "eta", "--edge", "e1", "--values", "0,0.5"],
-                  CORE | {"qnetcap.sweep"}),
-    "sweep-epsilon": (["sweep", FIG2, "--param", "epsilon", "--values", "0,0.001",
-                       "--fields", "m"], CORE | {"qnetcap.sweep"}),
+                  SWEEP | {"qnetcap.pointwise"}),
+    "sweep-epsilon": (["sweep", FIG2, "--param", "epsilon", "--values", "0,0.001"], SWEEP),
     "sweep-budget-scale": (["sweep", DIAMOND, "--param", "budget-scale", "--values", "1,2"],
-                           CORE | {"qnetcap.sweep"}),
+                           SWEEP),
+    # the plan modules only for field m
+    "sweep-eta-m": (["sweep", FIG2, "--param", "eta", "--edge", "a-c1", "--values", "0,0.5",
+                     "--fields", "m"], SWEEP | PLAN | {"qnetcap.pointwise"}),
+    "sweep-epsilon-m": (["sweep", FIG2, "--param", "epsilon", "--values", "0,0.001",
+                         "--fields", "m"], SWEEP | PLAN),
+    "sweep-budget-scale-m": (["sweep", FIG2, "--param", "budget-scale", "--values", "1,2",
+                              "--fields", "m"], SWEEP | PLAN),
 }
+# only the tests load the brute-force oracle
+assert all("qnetcap.bruteforce" not in modules for _, modules in LOADS.values())
 
 
 def loaded_modules(imports: str, argv: list) -> set:
@@ -111,6 +127,14 @@ def test_importing_the_package_or_the_cli_loads_no_library_module():
     assert loaded_modules("import qnetcap.cli", []) == CLI
 
 
+def test_an_in_process_report_loads_only_the_report_path():
+    imports = ("import json, qnetcap\n"
+               f"net = qnetcap.parse_network(open({DIAMOND!r}).read())\n"
+               "report = qnetcap.sandwich_report(net, qnetcap.Regime.PER_CHANNEL_USE)\n"
+               "json.dumps(qnetcap.sandwich_report_to_dict(report))")
+    assert loaded_modules(imports, []) == BOUND - {"qnetcap.cli"}
+
+
 def test_a_value_type_loads_only_its_home():
     assert loaded_modules("from qnetcap import Count, EdgeSpec, Regime", []) == {
         "qnetcap", "qnetcap.values"}
@@ -130,23 +154,23 @@ def test_cli_runs_on_the_standard_library_alone():
 EXPORTS = {
     "aggregator": (
         "AsymptoticQCap", "FixedFraction", "PerEdgeTable", "ProtocolPlan", "RateModel",
-        "SandwichReport", "build_bell_network", "lossy_gap_ratio", "pair_count", "plan",
-        "plan_to_dict", "plan_to_dot", "resolve_rate", "sandwich_report",
-        "sandwich_report_to_dict",
+        "build_bell_network", "plan", "plan_to_dict",
     ),
-    "capacity": (
-        "WeightKind", "binary_entropy", "check_epsilon", "edge_weight",
-        "epsilon_corrected_upper", "lossy_esq_upper", "lossy_q_cap", "werner_chain_report",
-    ),
+    "bruteforce": ("min_cut_bruteforce",),
+    "capacity": ("WeightKind", "binary_entropy", "check_epsilon", "epsilon_corrected_upper"),
     "cuts_flows": (
-        "CapacityKind", "CutResult", "FlowGraph", "PathSet", "check_path_set",
-        "flow_graph_from_network", "max_disjoint_paths", "max_flow_value", "min_cut",
-        "min_cut_bruteforce",
+        "CapacityKind", "CutResult", "FlowGraph", "flow_graph_from_network", "max_flow_value",
+        "min_cut",
     ),
-    "netmodel": (
-        "Network", "NetworkFormatError", "Topology", "crossing_edges", "export_dot",
-        "load_network", "parse_network", "serialize_network",
+    "export": ("export_dot", "plan_to_dot", "serialize_network"),
+    "netmodel": ("Network", "NetworkFormatError", "Topology", "load_network", "parse_network"),
+    "pointwise": (
+        "crossing_edges", "edge_weight", "lossy_esq_upper", "lossy_q_cap", "pair_count",
+        "resolve_rate",
     ),
+    "report": ("SandwichReport", "lossy_gap_ratio", "sandwich_report", "sandwich_report_to_dict"),
+    "routes": ("PathSet", "check_path_set", "max_disjoint_paths"),
+    "swap": ("werner_chain_report",),
     "values": (
         "ChannelSpec", "Count", "CustomChannel", "EdgeSpec", "Frequency", "LossyOptical",
         "NodeId", "Rate", "Regime", "UsageBudget",

@@ -34,10 +34,11 @@ from qnetcap import (
 )
 from qnetcap.sweep import SWEEP_FIELDS
 from qnetcap.sweep import sweep_csv
-from qnetcap import aggregator, cuts_flows
-from qnetcap.capacity import edge_capacity
+from qnetcap import cuts_flows
+from qnetcap.pointwise import edge_capacity
+from qnetcap.report import _check_regime_epsilon
 from qnetcap.cli import main
-from qnetcap.cuts_flows import ArcSweep
+from qnetcap.sweep import ArcSweep
 from qnetcap.generators import random_count_network, random_lossy_network
 
 from conftest import NETWORKS_DIR, edge_with, network_with
@@ -344,8 +345,8 @@ def test_an_epsilon_sweep_checks_each_grid_epsilon_once(monkeypatch, triangle_ne
         checked.append(epsilon)
         return check(regime, epsilon)
 
-    check = aggregator._check_regime_epsilon
-    for module in ("qnetcap.aggregator", "qnetcap.sweep"):
+    check = _check_regime_epsilon
+    for module in ("qnetcap.report", "qnetcap.sweep"):
         monkeypatch.setattr(f"{module}._check_regime_epsilon", counting)
     grid = [1e-3 * (i + 1) for i in range(10)]
     sweep_csv(triangle_net, "epsilon", grid, ["lower", "upper_eps_corrected"])
