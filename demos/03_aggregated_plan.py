@@ -35,7 +35,7 @@ def main():
     result = plan(net, epsilon=0.001)
     routes = result.paths.routes
     print(f"edge-disjoint paths (M): {result.m}, along {len(routes)} routes")
-    for nodes, _, b, _ in routes:
+    for nodes, _, b in routes:
         swaps = " -> ".join(nodes[1:-1]) or "(direct, no swaps)"
         print(f"  {b} × {' - '.join(nodes):24s} swaps at: {swaps}")
     print(f"error budget: {result.counted_edges} active edges x eps = {result.error_budget}")

@@ -144,7 +144,7 @@ class ProtocolPlan(Immutable):
     @property
     def swap_schedules(self) -> tuple[tuple[NodeId, ...], ...]:
         """Per path, the repeaters that swap, in path order: its inner nodes."""
-        return tuple([nodes[1:-1] for nodes, _, b, _ in self.paths.routes for _ in range(b)])
+        return tuple([nodes[1:-1] for nodes, _, b in self.paths.routes for _ in range(b)])
 
     @property
     def error_budget(self) -> float:

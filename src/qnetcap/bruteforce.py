@@ -16,7 +16,9 @@ BRUTEFORCE_MAX_VERTICES = 20
 def _enumerate_min_cut(fg: FlowGraph) -> frozenset[NodeId]:
     """Alice side of the exact minimum over all 2^(|V|-2) bipartitions.
 
-    Ties go to the lexicographically smallest sorted Alice-side label tuple.
+    Ties go to the smallest side, which is the inclusion-minimal minimum
+    cut that min_cut prints (the residual-reachable set), then to the
+    lexicographically smallest sorted label tuple.
     """
     vertices, source, sink = fg.topology.vertices, fg.topology.source, fg.topology.sink
     if len(vertices) > BRUTEFORCE_MAX_VERTICES:
@@ -29,7 +31,7 @@ def _enumerate_min_cut(fg: FlowGraph) -> frozenset[NodeId]:
         frozenset([source, *(v for i, v in enumerate(intermediates) if mask >> i & 1)])
         for mask in range(1 << len(intermediates))
     )
-    return min(sides, key=lambda side: (_side_cut(fg, side).value, sorted(side)))
+    return min(sides, key=lambda side: (_side_cut(fg, side).value, len(side), sorted(side)))
 
 
 def min_cut_bruteforce(fg: FlowGraph) -> CutResult:

@@ -26,32 +26,43 @@ MAX_PLAN_PATHS = 10**6
 
 
 class PathSet(Immutable):
-    """Edge-disjoint paths as routes and a read-only map: channel id -> pairs consumed.
+    """Edge-disjoint paths as routes, each a simple path and the unit paths along it.
 
-    A route is a plain tuple (nodes, channels, b, firsts): a simple
-    Alice-to-Bob path, the channel ids of its hops, the multiplicity b of
-    unit paths that run along it, and per channel the index of the first
-    pair they take. A simple path crosses a channel at most once, so the
-    route's pair ids on a channel form one contiguous range: its j-th unit
-    path, 0 <= j < b, takes pair '<channel>#<first + j>'. len() is the sum
-    of the multiplicities. Iteration lists the unit paths, route by route,
-    as (nodes, pair ids), with a fresh list of pair ids per unit path.
+    A route is a plain tuple (nodes, channels, b): a simple Alice-to-Bob
+    path, the channel ids of its hops, and the multiplicity b of unit paths
+    that run along it. Pairs are numbered in route order: per channel, the
+    routes that cross it take its pairs in turn, b each, and a simple path
+    crosses a channel at most once. So the j-th unit path of a route,
+    0 <= j < b, takes pair '<channel>#<first + j>', where first counts the
+    pairs the channel's earlier routes took. len() is the sum of the
+    multiplicities. Iteration lists the unit paths, route by route, as
+    (nodes, pair ids), with a fresh list of pair ids per unit path;
+    ``pairs_used`` is derived from the routes on each read.
     """
 
-    __slots__ = ("routes", "pairs_used")
+    __slots__ = ("routes",)
 
-    def __init__(self, routes: tuple[tuple, ...], pairs_used: Mapping[str, int]):
-        object.__setattr__(self, "routes", routes)
-        object.__setattr__(self, "pairs_used", MappingProxyType(dict(pairs_used)))
+    def __init__(self, routes: tuple[tuple, ...]):
+        object.__setattr__(self, "routes", tuple(routes))
 
-    def __reduce__(self):
-        return type(self), (self.routes, dict(self.pairs_used))
+    @property
+    def pairs_used(self) -> Mapping[str, int]:
+        """Read-only map: channel id -> pairs its routes consume."""
+        used: dict[str, int] = {}
+        for _, channels, b in self.routes:
+            for cid in channels:
+                used[cid] = used.get(cid, 0) + b
+        return MappingProxyType(used)
 
     def __len__(self) -> int:
         return sum([route[2] for route in self.routes])
 
     def __iter__(self) -> Iterator[tuple[tuple[NodeId, ...], list[str]]]:
-        for nodes, channels, b, firsts in self.routes:
+        next_pair: dict[str, int] = {}
+        for nodes, channels, b in self.routes:
+            firsts = [next_pair.get(cid, 0) for cid in channels]
+            for cid, first in zip(channels, firsts):
+                next_pair[cid] = first + b
             for j in range(b):
                 yield nodes, [f"{cid}#{first + j}" for cid, first in zip(channels, firsts)]
 
@@ -60,18 +71,15 @@ def max_disjoint_paths(bell: FlowGraph) -> PathSet:
     """Maximum set of pairwise edge-disjoint Alice-Bob paths in the Bell network, as routes.
 
     Integer max-flow with each channel's capacity equal to its pair count,
-    then decomposition of the net flow by walks from Alice: each vertex
-    leaves by its first arc, in sorted order, with units left, and a cycle
-    in the walk is excised, since it contributes nothing end to end. A walk
-    that empties no arc never revisits a vertex (the revisit would repeat
-    forever), so every later walk would repeat it until its least arc is
-    empty: it is taken that many times at once, as one route. A walk that
-    empties an arc is taken once. Each route takes the next free pairs of
-    every channel it crosses, so pair ids read '<channel>#<index>'. The
-    path count, len() of the PathSet, matches the minimum number of Bell
-    pairs crossing any cut. Every route empties an arc, so there are at
-    most as many routes as arcs carrying flow. More than MAX_PLAN_PATHS
-    paths is an error, raised before any walk.
+    then the textbook decomposition of the net flow by walks from Alice:
+    each vertex leaves by its cursor arc, the first in sorted order with
+    units left. A walk that closes a cycle cancels it by its least arc, as
+    the cycle carries nothing end to end, and walks on from the revisited
+    node. A walk that reaches Bob is taken as often as its least arc
+    allows, as one route. Either way the least arc empties, so there are
+    at most as many routes as arcs carrying flow. The path count, len() of
+    the PathSet, matches the minimum number of Bell pairs crossing any cut.
+    More than MAX_PLAN_PATHS paths is an error, raised before any walk.
     """
     if bell.capacity_kind is not CapacityKind.INTEGER:
         raise ValueError("edge-disjoint paths need a Bell network (integer capacities)")
@@ -92,48 +100,40 @@ def max_disjoint_paths(bell: FlowGraph) -> PathSet:
         arcs.sort()
     cursor = {v: 0 for v in out}
 
-    pairs_used: dict[str, int] = {}
+    def take(tails: list, arcs: list[list]) -> int:
+        """Take the least arc's units off every arc, moving past those emptied."""
+        b = min([arc[2] for arc in arcs])
+        for tail, arc in zip(tails, arcs):
+            arc[2] -= b
+            if arc[2] == 0:
+                cursor[tail] += 1
+        return b
+
     routes = []
     taken = 0
     while taken < count:
         nodes = [source]
         used: list[list] = []  # the arc leaving each node of the walk
         position = {source: 0}
-        emptied = False
         v = source
         while v != sink:
             arc = out[v][cursor[v]]
-            arc[2] -= 1
-            if arc[2] == 0:
-                cursor[v] += 1
-                emptied = True
-            w = arc[0]
-            if w in position:
-                # excise the cycle: drop everything after the revisited node
-                k = position[w]
+            used.append(arc)
+            v = arc[0]
+            if v in position:
+                k = position[v]
+                take(nodes[k:], used[k:])  # cancel the cycle back to v
                 for dropped in nodes[k + 1 :]:
                     del position[dropped]
                 nodes = nodes[: k + 1]
                 used = used[:k]
             else:
-                position[w] = len(nodes)
-                nodes.append(w)
-                used.append(arc)
-            v = w
-        b = 1
-        if not emptied:
-            b = 1 + min([arc[2] for arc in used])
-            for tail, arc in zip(nodes, used):
-                arc[2] -= b - 1
-                if arc[2] == 0:
-                    cursor[tail] += 1
-        channels = tuple([arc[1] for arc in used])
-        firsts = tuple([pairs_used.get(cid, 0) for cid in channels])
-        for cid, first in zip(channels, firsts):
-            pairs_used[cid] = first + b
-        routes.append((tuple(nodes), channels, b, firsts))
+                position[v] = len(nodes)
+                nodes.append(v)
+        b = take(nodes, used)
+        routes.append((tuple(nodes), tuple([arc[1] for arc in used]), b))
         taken += b
-    return PathSet(tuple(routes), pairs_used)
+    return PathSet(routes)
 
 
 _PAIR_ID = re.compile(r"(.+)#(0|[1-9][0-9]*)")

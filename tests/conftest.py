@@ -1,15 +1,19 @@
 import json
 import os
 import pathlib
+import random
 
 import pytest
 
-from qnetcap import EdgeSpec, Network, parse_network
+from qnetcap import Count, EdgeSpec, Frequency, LossyOptical, Network, Rate, parse_network
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 NETWORKS_DIR = REPO_ROOT / "networks"
 DATA_DIR = REPO_ROOT / "tests" / "data"
 SCHEMAS_DIR = REPO_ROOT / "docs" / "schemas"
+
+BUDGETS = {"count": Count, "freq": Frequency, "rate": Rate}
+EXACT_ETAS = (0.5, 0.75, 0.875)  # q_cap 1, 2 and 3: whole pair counts
 
 
 def load_sample(name: str):
@@ -32,6 +36,36 @@ def edge_with(edge: EdgeSpec, *, channel=None, usage=None) -> EdgeSpec:
 def network_with(net: Network, edges) -> Network:
     """A copy of net over the given edges."""
     return Network(net.nodes, net.alice, net.bob, tuple(edges))
+
+
+def grid_network(rng: random.Random, side: int, budget: str, *, max_count: int = 6) -> Network:
+    """A side x side grid built from EdgeSpecs, Alice and Bob at opposite corners.
+
+    Each grid link becomes one edge of random direction. Count grids draw
+    an eta of EXACT_ETAS and a count in 1..max_count per edge. Labels read
+    n<row>_<col>, so from side 11 on n10_0 sorts before n2_0 and label
+    order differs from declaration order.
+    """
+    def label(r, c):
+        return {(0, 0): "A", (side - 1, side - 1): "B"}.get((r, c), f"n{r}_{c}")
+
+    nodes = [label(r, c) for r in range(side) for c in range(side)]
+    edges = []
+    for r in range(side):
+        for c in range(side):
+            for r2, c2 in ((r, c + 1), (r + 1, c)):
+                if r2 < side and c2 < side:
+                    u, v = label(r, c), label(r2, c2)
+                    if rng.random() < 0.5:
+                        u, v = v, u
+                    if budget == "count":
+                        channel = LossyOptical(rng.choice(EXACT_ETAS))
+                        usage = Count(rng.randint(1, max_count))
+                    else:
+                        channel = LossyOptical(rng.uniform(0.05, 0.95))
+                        usage = BUDGETS[budget](rng.uniform(0.2, 5.0))
+                    edges.append(EdgeSpec(f"e{len(edges)}", u, v, channel, usage))
+    return Network(nodes, "A", "B", edges)
 
 
 def bell_shapes(bell) -> set:

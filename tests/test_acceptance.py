@@ -20,6 +20,7 @@ from qnetcap import (
     lossy_gap_ratio,
     lossy_q_cap,
     max_disjoint_paths,
+    min_cut,
     min_cut_bruteforce,
     plan,
     sandwich_report,
@@ -89,7 +90,9 @@ def test_criterion_3_menger_equality():
         shapes = set()
         for _ in range(200):
             bell = build_bell_network(random_count_network(rng, max_nodes=10, max_edges=20))
-            assert len(max_disjoint_paths(bell)) == min_cut_bruteforce(bell).value
+            brute = min_cut_bruteforce(bell)
+            assert len(max_disjoint_paths(bell)) == brute.value
+            assert min_cut(bell).v_a == brute.v_a
             shapes |= bell_shapes(bell)
         assert shapes == {"parallel", "zero"}
 
@@ -151,6 +154,7 @@ def test_criterion_8_fig2_analog(fig2_net):
         bell = build_bell_network(fig2_net)
         brute = min_cut_bruteforce(bell)
         assert result.m == brute.value
+        assert min_cut(bell).v_a == brute.v_a
         witness = set(brute.v_a)
         print(f"  witness cut v_a = {sorted(witness)} with {brute.value} crossing pairs")
         nodes = set(fig2_net.nodes)

@@ -408,7 +408,9 @@ def test_plan_m_matches_bruteforce_cut_on_random_count_networks():
         net = random_count_network(rng, max_nodes=9, max_edges=10, max_count=max_count)
         result = plan(net, 0.0)
         bell = build_bell_network(net)
-        assert result.m == min_cut_bruteforce(bell).value
+        brute = min_cut_bruteforce(bell)
+        assert result.m == brute.value
+        assert min_cut(bell).v_a == brute.v_a
         check_path_set(bell, result.paths)
         # and conservation holds exactly, in total and per channel
         consumed = sum(len(ids) for _, ids in result.paths)
@@ -505,7 +507,7 @@ def test_fig2_analog_plan(fig2_net):
     brute = min_cut_bruteforce(bell)
     assert result.m == brute.value == 7
     witness = set(brute.v_a)
-    assert witness == {"A", "C1", "C3"}
+    assert witness == {"A", "C1", "C3"} == set(min_cut(bell).v_a)
     # weighted per-protocol cut agrees with the bell-graph cut here
     weighted = min_cut_bruteforce(flow_graph_from_network(fig2_net, WeightKind.Q_CAP))
     assert weighted.value == pytest.approx(7.0)

@@ -59,42 +59,9 @@ from qnetcap.generators import random_count_network, random_custom_network, rand
 from qnetcap.sweep import sweep_csv
 from qnetcap.pointwise import _read_channel, _read_usage
 
-from conftest import NETWORKS_DIR, edge_with, network_with
+from conftest import BUDGETS, NETWORKS_DIR, edge_with, grid_network, network_with
 
 NETWORKS_PER_KIND = 1000
-BUDGETS = {"count": Count, "freq": Frequency, "rate": Rate}
-EXACT_ETAS = (0.5, 0.75, 0.875)  # q_cap 1, 2 and 3: whole pair counts
-
-
-def grid_network(rng: random.Random, side: int, budget: str) -> Network:
-    """A side x side grid built from EdgeSpecs, Alice and Bob at opposite corners.
-
-    Each grid link becomes one edge of random direction. Labels read
-    n<row>_<col>, so from side 11 on n10_0 sorts before n2_0 and label
-    order differs from declaration order.
-    """
-    def label(r, c):
-        return {(0, 0): "A", (side - 1, side - 1): "B"}.get((r, c), f"n{r}_{c}")
-
-    nodes = [label(r, c) for r in range(side) for c in range(side)]
-    edges = []
-    for r in range(side):
-        for c in range(side):
-            for r2, c2 in ((r, c + 1), (r + 1, c)):
-                if r2 < side and c2 < side:
-                    u, v = label(r, c), label(r2, c2)
-                    if rng.random() < 0.5:
-                        u, v = v, u
-                    if budget == "count":
-                        channel = LossyOptical(rng.choice(EXACT_ETAS))
-                        usage = Count(rng.randint(1, 6))
-                    else:
-                        channel = LossyOptical(rng.uniform(0.05, 0.95))
-                        usage = BUDGETS[budget](rng.uniform(0.2, 5.0))
-                    edges.append(EdgeSpec(f"e{len(edges)}", u, v, channel, usage))
-    return Network(nodes, "A", "B", edges)
-
-
 def _grid(rng):
     # one grid in ten is wide enough for labels that sort out of declaration order
     side = rng.choice((11, 12)) if rng.random() < 0.1 else rng.randint(2, 7)

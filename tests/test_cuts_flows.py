@@ -103,7 +103,20 @@ def test_bruteforce_matches_fast_path_on_diamond(diamond_net):
         fast = min_cut(flow_graph_from_network(diamond_net, kind))
         brute = min_cut_bruteforce(flow_graph_from_network(diamond_net, kind))
         assert fast.value == pytest.approx(brute.value, abs=1e-9)
-        assert tuple(sorted(brute.v_a)) == ("A", "C1")  # lexicographic tie-break
+        assert tuple(sorted(brute.v_a)) == ("A", "C1")  # the inclusion-minimal minimum cut
+
+
+def test_bruteforce_breaks_ties_toward_the_smallest_side():
+    # A - 0 - B with unit weights: {A} and {0, A} both cut 1, and "0" < "A",
+    # so a lexicographic tie-break would pick {0, A} where min_cut picks {A}
+    edges = (unit_edge("a", "A", "0"), unit_edge("b", "0", "B"))
+    net = Network(("A", "0", "B"), "A", "B", edges)
+    for kind in WeightKind:
+        fg = flow_graph_from_network(net, kind)
+        assert min_cut(fg).v_a == min_cut_bruteforce(fg).v_a == frozenset({"A"})
+        sides = (frozenset({"A"}), frozenset({"0", "A"}))
+        assert cuts_flows._side_cut(fg, sides[0]).value == cuts_flows._side_cut(fg, sides[1]).value == 1
+        assert min(sides, key=sorted) == sides[1]  # the old, lexicographic tie-break
 
 
 def test_bruteforce_complete_graph_unit_weights():
@@ -172,6 +185,7 @@ def test_menger_equality_on_random_multigraphs():
         paths = max_disjoint_paths(bell)
         brute = min_cut_bruteforce(bell)
         assert len(paths) == brute.value
+        assert min_cut(bell).v_a == brute.v_a
         check_path_set(bell, paths)
         shapes |= bell_shapes(bell)
     assert shapes == {"parallel", "zero"}  # parallel channels and zero-pair rows both occur
@@ -200,7 +214,9 @@ def test_flow_equals_cut_duality():
     for _ in range(60):
         bell = build_bell_network(random_count_network(rng, max_nodes=8, max_edges=12))
         flow = max_flow_value(bell)
-        assert flow == min_cut_bruteforce(bell).value  # integers, exact
+        brute = min_cut_bruteforce(bell)
+        assert flow == brute.value  # integers, exact
+        assert min_cut(bell).v_a == brute.v_a  # ties are exact too
 
 
 def test_adding_an_edge_never_decreases_the_cut():
@@ -219,22 +235,20 @@ def test_path_set_checker_catches_violations():
     paths = max_disjoint_paths(bell)
     check_path_set(bell, paths)
 
-    # a route is (nodes, channels, multiplicity, first pair index per channel)
-    bad = PathSet(((("A", "B"), ("A-C",), 1, (0,)),), {"A-C": 1})
+    # a route is (nodes, channels, multiplicity)
+    bad = PathSet(((("A", "B"), ("A-C",), 1),))
     with pytest.raises(ValueError):
         check_path_set(bell, bad)
-    doubled = PathSet(paths.routes + paths.routes, paths.pairs_used)
-    with pytest.raises(ValueError, match="twice"):
+    # a doubled route numbers A-C#1 and C-B#1, past each channel's one pair
+    doubled = PathSet(paths.routes + paths.routes)
+    with pytest.raises(ValueError, match="unknown"):
         check_path_set(bell, doubled)
-    hop = (("A", "C", "B"), ("A-C", "C-B"), 1, (0, 0))
-    # A-C#1, A-C#-1 and X#0: past the pair count, not an index, no such channel
-    for channels, firsts in ((hop[1], (1, 0)), (hop[1], (-1, 0)), (("X", "C-B"), hop[3])):
-        forged = PathSet(((hop[0], channels, 1, firsts),), {"A-C": 1, "C-B": 1})
-        with pytest.raises(ValueError, match="unknown"):
-            check_path_set(bell, forged)
-    miscounted = PathSet((hop,), {"A-C": 1, "C-B": 2})
-    with pytest.raises(ValueError, match="pairs_used"):
-        check_path_set(bell, miscounted)
+    forged = PathSet(((("A", "C", "B"), ("X", "C-B"), 1),))  # no such channel
+    with pytest.raises(ValueError, match="unknown"):
+        check_path_set(bell, forged)
+    twice = PathSet(((("A", "C", "B"), ("A-C", "A-C"), 1),))  # one channel for both hops
+    with pytest.raises(ValueError, match="twice"):
+        check_path_set(bell, twice)
 
 
 @pytest.mark.parametrize("b", [-1, 0, -7, True, 1.0, 2.5])
@@ -242,10 +256,10 @@ def test_path_set_checker_rejects_a_multiplicity_below_one_or_not_an_integer(b):
     # at b = -1 the second route cancels the first: len() reads 0 while one
     # unit path is listed, and every pair id that is listed checks out
     bell = bell_from_counts({("A", "B"): 1})
-    bad = (("A", "B"), ("A-B",), b, (7,))
-    for routes in ((bad,), ((("A", "B"), ("A-B",), 1, (0,)), bad)):
+    bad = (("A", "B"), ("A-B",), b)
+    for routes in ((bad,), ((("A", "B"), ("A-B",), 1), bad)):
         with pytest.raises(ValueError, match=f"multiplicity {b!r}"):
-            check_path_set(bell, PathSet(routes, {"A-B": 1}))
+            check_path_set(bell, PathSet(routes))
 
 
 @pytest.mark.parametrize("shift", [-1, 1])
@@ -258,6 +272,16 @@ def test_path_set_checker_holds_len_to_the_unit_listing(monkeypatch, shift):
     counted = PathSet.__len__
     monkeypatch.setattr(PathSet, "__len__", lambda self: counted(self) + shift)
     with pytest.raises(ValueError, match=f"len\\(\\) is {3 + shift} but 3 unit paths are listed"):
+        check_path_set(bell, paths)
+
+
+def test_path_set_checker_holds_pairs_used_to_the_unit_listing(monkeypatch):
+    # a mutant path set whose pair tallies disagree with the pair ids it lists
+    bell = bell_from_counts({("A", "C"): 1, ("C", "B"): 1})
+    paths = max_disjoint_paths(bell)
+    check_path_set(bell, paths)
+    monkeypatch.setattr(PathSet, "pairs_used", property(lambda self: {"A-C": 1, "C-B": 2}))
+    with pytest.raises(ValueError, match="pairs_used"):
         check_path_set(bell, paths)
 
 

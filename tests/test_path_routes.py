@@ -1,8 +1,8 @@
 """Routes against the per-unit path decomposition they replaced.
 
-``max_disjoint_paths`` walks the net flow once per route and takes the walk
-as many times as it would repeat. The reference below is the decomposition
-it replaced, which walks once per Bell pair; both must give the same unit
+``max_disjoint_paths`` walks the net flow once per route or cancelled
+cycle, and takes each path as often as its least arc allows. The reference
+below is the decomposition it replaced, which walks once per Bell pair; both must give the same unit
 paths, pair ids and pair tallies, and the same plan JSON byte for byte.
 """
 
@@ -12,16 +12,15 @@ import random
 import pytest
 
 from qnetcap import (
-    Count, EdgeSpec, LossyOptical, Network, PathSet, build_bell_network, check_path_set,
+    CapacityKind, FlowGraph, PathSet, Topology, build_bell_network, check_path_set, load_network,
     max_disjoint_paths, parse_network, plan, plan_to_dict,
 )
 from qnetcap.cuts_flows import _ResidualSolver
 from qnetcap.generators import random_count_network
 
-from conftest import DATA_DIR, NETWORKS_DIR
+from conftest import DATA_DIR, NETWORKS_DIR, grid_network
 
 EPSILON = 1e-3
-ETAS = (0.5, 0.75, 0.875)  # q_cap 1, 2 and 3: whole pair counts
 
 
 def reference_unit_paths(bell):
@@ -99,32 +98,13 @@ def assert_matches_reference(net):
     assert [(nodes, tuple(ids)) for nodes, ids in routes] == paths
     assert routes.pairs_used == used
     assert len(routes) == len(paths)
-    for nodes, channels, b, firsts in routes.routes:
-        assert b >= 1 and len(set(nodes)) == len(nodes) == len(channels) + 1 == len(firsts) + 1
+    for nodes, channels, b in routes.routes:
+        assert b >= 1 and len(set(nodes)) == len(nodes) == len(channels) + 1
     # every route empties an arc of the flow
     assert len(routes.routes) <= len(_ResidualSolver(bell).net_flow())
     out = json.dumps(plan_to_dict(plan(net, EPSILON)), indent=2, sort_keys=True, allow_nan=False)
     assert out == reference_plan_json(net, EPSILON)
     return len(routes.routes), len(paths)
-
-
-def count_grid(rng, side, cmax):
-    """A side x side count grid, Alice and Bob at opposite corners, counts in 1..cmax."""
-    def label(r, c):
-        return {(0, 0): "A", (side - 1, side - 1): "B"}.get((r, c), f"n{r}_{c}")
-
-    edges = []
-    for r in range(side):
-        for c in range(side):
-            for r2, c2 in ((r, c + 1), (r + 1, c)):
-                if r2 < side and c2 < side:
-                    u, v = label(r, c), label(r2, c2)
-                    if rng.random() < 0.5:
-                        u, v = v, u
-                    edges.append(EdgeSpec(f"e{len(edges)}", u, v, LossyOptical(rng.choice(ETAS)),
-                                          Count(rng.randint(1, cmax))))
-    nodes = [label(r, c) for r in range(side) for c in range(side)]
-    return Network(nodes, "A", "B", edges)
 
 
 def test_routes_match_the_unit_decomposition_on_random_count_networks():
@@ -142,7 +122,7 @@ def test_routes_match_the_unit_decomposition_on_random_count_networks():
 def test_routes_match_the_unit_decomposition_on_count_grids(side, cmax):
     rng = random.Random(f"grid/{side}/{cmax}")
     for _ in range(3):
-        assert_matches_reference(count_grid(rng, side, cmax))
+        assert_matches_reference(grid_network(rng, side, "count", max_count=cmax))
 
 
 def _count_network_files():
@@ -158,9 +138,42 @@ def _count_network_files():
 
 def test_every_sample_count_network_is_held_to_the_reference():
     names = [p.name for p in _count_network_files()]
-    assert names == ["fig2_analog.json", "triangle_counts.json", "grid12_counts.json"]
+    assert names == [
+        "fig2_analog.json", "triangle_counts.json", "count_cyclic_flow.json", "grid12_counts.json",
+    ]
     for path in _count_network_files():
         assert_matches_reference(parse_network(path.read_text()))
+
+
+def test_a_cyclic_flow_is_cancelled_and_held_to_the_reference():
+    # the Dinic flow of this network runs a 2-cycle over the parallel channels
+    # e6 and e8; the walk cancels it and still lists the reference's unit paths
+    net = load_network(DATA_DIR / "count_cyclic_flow.json")
+    bell = build_bell_network(net)
+    flow = _ResidualSolver(bell).net_flow()
+    assert (flow["e6"][:2], flow["e8"][:2]) == (("C1", "C0"), ("C0", "C1"))
+    assert assert_matches_reference(net) == (10, 16)
+    check_path_set(bell, max_disjoint_paths(bell))
+
+
+def test_a_cycle_closed_twice_at_one_node_is_cancelled_twice(monkeypatch):
+    # a circulation M -> N -> M over channels mn (2 units), nm1 and nm2 (1 each)
+    # rides on the flow S -> M -> T: the walk closes the cycle at M twice, and
+    # must know M and S as visited after each cancel, before it leaves for T
+    rows = (("sm", "S", "M"), ("mt", "M", "T"), ("mn", "M", "N"), ("nm1", "N", "M"),
+            ("nm2", "N", "M"))
+    bell = FlowGraph(Topology(("S", "M", "N", "T"), "S", "T", rows), (1, 1, 2, 1, 1),
+                     CapacityKind.INTEGER)
+    net_flow = _ResidualSolver.net_flow
+    circulation = {"mn": ("M", "N", 2.0), "nm1": ("N", "M", 1.0), "nm2": ("N", "M", 1.0)}
+    monkeypatch.setattr(_ResidualSolver, "net_flow",
+                        lambda self: {**net_flow(self), **circulation})
+    routes = max_disjoint_paths(bell)
+    assert routes.routes == ((("S", "M", "T"), ("sm", "mt"), 1),)
+    paths, used = reference_unit_paths(bell)
+    assert [(nodes, tuple(ids)) for nodes, ids in routes] == paths
+    assert routes.pairs_used == used
+    check_path_set(bell, routes)
 
 
 def test_only_the_json_and_the_checker_expand_the_routes(monkeypatch):
@@ -172,7 +185,7 @@ def test_only_the_json_and_the_checker_expand_the_routes(monkeypatch):
         return unit_listing(self)
 
     monkeypatch.setattr(PathSet, "__iter__", counting_iter)
-    net = count_grid(random.Random(10), 10, 100)
+    net = grid_network(random.Random(10), 10, "count", max_count=100)
     p = plan(net, EPSILON)
     assert len(p.paths) == p.m > len(p.paths.routes)
     assert len(p.swap_schedules) == p.m
@@ -185,7 +198,7 @@ def test_only_the_json_and_the_checker_expand_the_routes(monkeypatch):
 
 
 def test_plan_json_holds_no_shared_lists():
-    doc = plan_to_dict(plan(count_grid(random.Random(3), 4, 50), EPSILON))
+    doc = plan_to_dict(plan(grid_network(random.Random(3), 4, "count", max_count=50), EPSILON))
     lists = [p["nodes"] for p in doc["paths"]] + [p["bell_edges"] for p in doc["paths"]]
     lists += doc["swap_schedules"]
     assert len(lists) > 3 and len({id(x) for x in lists}) == len(lists)

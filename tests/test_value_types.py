@@ -60,7 +60,7 @@ SAMPLES = [
     sandwich_report(DIAMOND, Regime.PER_CHANNEL_USE),
 ]
 # types with a mapping field compare by value but cannot be hashed
-UNHASHABLE = (PathSet, PerEdgeTable, ProtocolPlan)
+UNHASHABLE = (PerEdgeTable, ProtocolPlan)
 
 
 def _subclasses(cls):
@@ -128,9 +128,10 @@ def test_no_field_holds_a_container_that_can_be_changed():
     with pytest.raises(AttributeError):
         protocol_plan.paths.pairs_used.clear()
     assert protocol_plan.paths.pairs_used == {"ab": 1, "ac": 2, "cb": 2}
-    used = {"ac": 1}
-    paths = PathSet((), used)
-    used["ac"] = 2  # the constructor kept a copy
+    routes = [(("A", "C"), ("ac",), 1)]
+    paths = PathSet(routes)
+    routes.append((("A", "C"), ("ac",), 1))  # the constructor kept a copy
+    assert paths.routes == ((("A", "C"), ("ac",), 1),)
     assert paths.pairs_used == {"ac": 1}
     crossing = ["e"]
     cut = CutResult(1.0, {"A"}, crossing)
