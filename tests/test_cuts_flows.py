@@ -115,7 +115,7 @@ def test_bruteforce_breaks_ties_toward_the_smallest_side():
         fg = flow_graph_from_network(net, kind)
         assert min_cut(fg).v_a == min_cut_bruteforce(fg).v_a == frozenset({"A"})
         sides = (frozenset({"A"}), frozenset({"0", "A"}))
-        assert cuts_flows._side_cut(fg, sides[0]).value == cuts_flows._side_cut(fg, sides[1]).value == 1
+        assert [cuts_flows._side_cut(fg, side).value for side in sides] == [1, 1]
         assert min(sides, key=sorted) == sides[1]  # the old, lexicographic tie-break
 
 

@@ -2,8 +2,9 @@
 
 ``max_disjoint_paths`` walks the net flow once per route or cancelled
 cycle, and takes each path as often as its least arc allows. The reference
-below is the decomposition it replaced, which walks once per Bell pair; both must give the same unit
-paths, pair ids and pair tallies, and the same plan JSON byte for byte.
+below is the decomposition it replaced, which walks once per Bell pair;
+both must give the same unit paths, pair ids and pair tallies, and the
+same plan JSON byte for byte.
 """
 
 import json
