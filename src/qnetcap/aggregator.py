@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Mapping, Union
+from typing import TYPE_CHECKING, Mapping, Sequence, Union
 
 from .capacity import WeightKind, check_epsilon, weight_column
 from .cuts_flows import CapacityKind, FlowGraph
@@ -68,18 +68,24 @@ def _rate_column(net: Network, model: RateModel) -> list:
     An unknown model raises resolve_rate's error, on an edgeless network too.
     """
     if isinstance(model, AsymptoticQCap):
-        return weight_column(net, WeightKind.Q_CAP)
+        return weight_column(net.channels, WeightKind.Q_CAP)
     if isinstance(model, FixedFraction):
-        return [model.alpha * w for w in weight_column(net, WeightKind.Q_CAP)]
+        return [model.alpha * w for w in weight_column(net.channels, WeightKind.Q_CAP)]
     if isinstance(model, PerEdgeTable):
         return [model.rates.get(eid) for eid, _, _ in net.topology.arcs]
     raise ValueError(f"unknown rate model {model!r}")
 
 
+def _pair_counts(budgets: Sequence[float], rates: Sequence[float]) -> list[int]:
+    """floor(floor(l) * R), pointwise.pair_count's arithmetic, for each Count budget l
+    and rate R: TypeError on a rate of None, OverflowError on pairs past the floats."""
+    return [math.floor(math.floor(uses) * rate) for uses, rate in zip(budgets, rates)]
+
+
 def build_bell_network(net: Network, rate_model: RateModel = AsymptoticQCap()) -> FlowGraph:
     """The Bell network on the network's topology: each edge's pointwise.pair_count.
 
-    The counts are computed column-wise with pair_count's arithmetic; where
+    The counts are the _pair_counts of the budget and rate columns; where
     that fails, pair_count itself names the first edge at fault. Budgets and
     rates were checked finite and >= 0 where they were read, and a rate
     table is read-only, so the counts are not checked again.
@@ -90,7 +96,7 @@ def build_bell_network(net: Network, rate_model: RateModel = AsymptoticQCap()) -
         pair_count(net._edge(0), rate_model)  # raises: pair counts need Count budgets
     rates = _rate_column(net, rate_model)
     try:
-        pairs = [math.floor(math.floor(uses) * rate) for uses, rate in zip(net.budgets, rates)]
+        pairs = _pair_counts(net.budgets, rates)
     except (TypeError, OverflowError):  # a rate missing from a table, or pairs past the floats
         from .pointwise import pair_count
 

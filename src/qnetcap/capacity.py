@@ -12,8 +12,9 @@ so esq_upper <= 2 * q_cap for every eta: the converse weight never exceeds
 twice the achievable weight on lossy edges.
 
 All logarithms are base 2 (units of ebits / secret bits) and one channel
-use means one optical mode. ``weight_column`` gives every edge's weight of
-a network at once, read from its channel column; the one-edge references it
+use means one optical mode. ``weight_column`` weighs a channel column at
+once: a network's ``channels``, or the etas of an eta sweep's grid, whose
+points are entries of the swept edge's column. The one-edge references it
 agrees with bit for bit, ``edge_weight`` and ``edge_capacity``, are in
 ``qnetcap.pointwise``.
 
@@ -28,12 +29,9 @@ from __future__ import annotations
 
 import math
 from enum import Enum
-from typing import TYPE_CHECKING, Optional
+from typing import Optional, Sequence
 
-from .values import _require_finite
-
-if TYPE_CHECKING:  # annotations only
-    from .netmodel import Network
+from .values import ChannelParams, _require_finite
 
 
 class WeightKind(Enum):
@@ -60,13 +58,14 @@ def binary_entropy(x: float) -> float:
     return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
 
 
-def weight_column(net: Network, kind: WeightKind) -> list[float]:
-    """pointwise.edge_weight(e, kind) of every edge e of net, in edge order."""
+def weight_column(channels: Sequence[ChannelParams], kind: WeightKind) -> list[float]:
+    """The per-use weight of each channel column entry, in order: an eta's closed
+    form, or a custom channel's own; pointwise.edge_weight of each channel's edge."""
     log2 = math.log2
     if kind is WeightKind.Q_CAP:
-        return [c[0] if type(c) is tuple else log2(1.0 / (1.0 - c)) for c in net.channels]
+        return [c[0] if type(c) is tuple else log2(1.0 / (1.0 - c)) for c in channels]
     if kind is WeightKind.ESQ_UPPER:
-        return [c[1] if type(c) is tuple else log2((1.0 + c) / (1.0 - c)) for c in net.channels]
+        return [c[1] if type(c) is tuple else log2((1.0 + c) / (1.0 - c)) for c in channels]
     raise ValueError(f"kind must be a WeightKind, got {kind!r}")
 
 

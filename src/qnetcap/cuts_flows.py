@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from enum import Enum
-from typing import AbstractSet
+from typing import AbstractSet, Sequence
 
 from .capacity import WeightKind, weight_column
 from .netmodel import Network, Topology, _interleave
@@ -81,18 +81,23 @@ class FlowGraph(Immutable):
         return 0 if self.capacity_kind is CapacityKind.INTEGER else 0.0
 
 
+def _cut_weights(budget_kind, budgets: Sequence, channels: Sequence, kind: WeightKind) -> list:
+    """The cut weight of each (budget, channel) column entry, with the arithmetic of
+    pointwise.edge_capacity: floor(l) x q_cap for a Count budget l in the q_cap
+    weighting, which a protocol spends in whole uses, else l x weight."""
+    if kind is WeightKind.Q_CAP and budget_kind is Count:
+        budgets = [float(math.floor(b)) for b in budgets]
+    return [b * w for b, w in zip(budgets, weight_column(channels, kind))]
+
+
 def flow_graph_from_network(net: Network, kind: WeightKind) -> FlowGraph:
     """Weighted flow instance on the network's topology: each edge's cut weight.
 
-    The capacities are computed column-wise, from the network's budget
-    column and weight_column, with the arithmetic of pointwise.edge_capacity: floor(l)
-    x q_cap for a Count budget l, else l x weight. Both columns were checked
-    as read; a product past the float range goes to the constructor, which names its arc.
+    The capacities are the _cut_weights of the network's budget and channel
+    columns. Both columns were checked as read; a product past the float
+    range goes to the constructor, which names its arc.
     """
-    budgets = net.budgets
-    if kind is WeightKind.Q_CAP and net.budget_kind is Count:
-        budgets = [float(math.floor(b)) for b in budgets]
-    capacities = tuple([b * w for b, w in zip(budgets, weight_column(net, kind))])
+    capacities = tuple(_cut_weights(net.budget_kind, net.budgets, net.channels, kind))
     build = FlowGraph if math.inf in capacities else FlowGraph._from_checked
     return build(net.topology, capacities, CapacityKind.REAL)
 

@@ -1,7 +1,8 @@
 """One-edge references: an edge's weight, cut weight and pair count, and the general edge reader.
 
 The library weighs a network a column at a time (``capacity.weight_column``,
-``flow_graph_from_network``, ``build_bell_network``). The functions here
+``flow_graph_from_network``, ``build_bell_network``), and an η sweep its
+grid as a column of the swept edge with the same rules. The functions here
 weigh one EdgeSpec at a time, with the formulas written out, and the column
 code is held to them bit for bit; neither side is defined through the
 other. The closed forms of the lossy weights are in ``qnetcap.capacity``.
@@ -12,10 +13,9 @@ pairs per use and in all, and ``crossing_edges`` the edges a cut crosses.
 checks every value with the constructors of ``qnetcap.values`` and raises
 their messages.
 
-Loaded only where one edge is weighed or read on its own: by the η sweep,
-whose grid points are EdgeSpecs; by ``parse_network`` for an edge its inline
-checks do not take; by ``build_bell_network`` to name the edge at fault; and
-by callers of the names above.
+Loaded only where one edge is read or named on its own: by ``parse_network``
+for an edge its inline checks do not take, by ``build_bell_network`` to
+name the edge at fault, and by callers of the names above.
 """
 
 from __future__ import annotations

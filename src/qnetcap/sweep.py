@@ -6,9 +6,12 @@ edge, the error budget epsilon, or a common scale of every budget. Each
 reads its regime from the network's budget variant, as ``bound`` does.
 
 An eta sweep cuts every point from two ``ArcSweep`` solves of the base
-network per weight kind. The plan modules, ``qnetcap.aggregator`` and
-``qnetcap.routes``, load only for field m, and the one-edge references of
-``qnetcap.pointwise`` only for eta, whose grid points are edges.
+network per weight kind. Its grid is a column of the swept edge's channel,
+weighed with the rules that weigh a network for ``bound`` and ``plan``:
+``capacity.weight_column``, ``cuts_flows._cut_weights`` and
+``aggregator._pair_counts``, one call each over the whole grid, so no
+point builds an edge of its own. The plan modules, ``qnetcap.aggregator``
+and ``qnetcap.routes``, load only for field m.
 """
 
 from __future__ import annotations
@@ -16,12 +19,12 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from . import cuts_flows
-from .capacity import WeightKind
+from .capacity import WeightKind, weight_column
 from .cuts_flows import (
-    CutResult, FlowGraph, _crossing, _cut, flow_graph_from_network, max_flow_value,
+    CutResult, FlowGraph, _crossing, _cut, _cut_weights, flow_graph_from_network, max_flow_value,
 )
 from .report import SandwichReport, _check_regime_epsilon, lossy_gap_ratio, sandwich_report
-from .values import Count, EdgeSpec, LossyOptical, _require_finite
+from .values import Count, LossyOptical, _require_finite
 
 if TYPE_CHECKING:  # annotations only
     from .netmodel import Network
@@ -60,11 +63,16 @@ class ArcSweep:
         self.sides = [(side, _crossing(rows, capacities, side)) for side in sides]
 
     def min_cut(self, capacity: float) -> CutResult:
-        """A minimum cut with the arc at `capacity`: the smaller side's, the first on a tie."""
+        """A minimum cut with the arc at `capacity`, the side min_cut prints.
+
+        The smaller of the two cuts; on a tie, the one with fewer Alice-side
+        vertices, as the inclusion-minimal minimum cut is then one of the
+        two sides and lies inside the other.
+        """
         cuts = [_cut(side, [(eid, capacity if eid == self.arc_id else c) for eid, c in pairs],
                      self.zero)
                 for side, pairs in self.sides]
-        return min(cuts, key=lambda cut: cut.value)
+        return min(cuts, key=lambda cut: (cut.value, len(cut.v_a)))
 
 
 def _fmt(x: float) -> str:
@@ -76,34 +84,35 @@ def _eta_points(net: Network, grid: Sequence[float], want_m: bool, edge_id: Opti
     """Two max-flows per weight kind (and two for m), whatever the grid size.
 
     Only the swept edge's capacity changes from point to point, so each
-    cut comes from an ArcSweep over the base network. Every point's swept
-    capacities (and pairs) are checked, as ``bound`` checks them, first.
+    cut comes from an ArcSweep over the base network. The grid is a column
+    of the swept edge's channel: every point's capacities (and pairs) come
+    from the column rules that weigh the base network, and each capacity is
+    checked, as ``bound`` checks it, before any cut.
     """
-    from .pointwise import edge_capacity, pair_count
-
-    if want_m:
-        from .aggregator import AsymptoticQCap, build_bell_network
     if edge_id is None:
         raise ValueError("an eta sweep needs the id of the swept edge")
     edge = net.edge_by_id(edge_id)
     if not isinstance(edge.channel, LossyOptical):
         raise ValueError(f"edge {edge_id!r} is not a lossy channel")
-    channels = [LossyOptical(value) for value in grid]  # each eta in [0, 1)
+    etas = [LossyOptical(value).eta for value in grid]  # each eta in [0, 1)
     regime = net.default_regime
     epsilon = _check_regime_epsilon(regime, epsilon)
-    name = f"arc {edge_id!r}: capacity"
-    swept = []  # per point: the swept arc's q_cap and esq_upper capacities and pair count
-    for channel in channels:
-        point = EdgeSpec(edge.id, edge.tail, edge.head, channel, edge.usage)
-        q_cap, esq_upper = [_require_finite(name, edge_capacity(point, kind), nonnegative=True)
-                            for kind in (WeightKind.Q_CAP, WeightKind.ESQ_UPPER)]
-        swept.append((q_cap, esq_upper, pair_count(point, AsymptoticQCap()) if want_m else None))
-    lower = ArcSweep(flow_graph_from_network(net, WeightKind.Q_CAP), edge_id)
-    upper = ArcSweep(flow_graph_from_network(net, WeightKind.ESQ_UPPER), edge_id)
-    pairs = ArcSweep(build_bell_network(net), edge_id) if want_m else None
-    for value, (q_cap, esq_upper, count) in zip(grid, swept):
-        report = SandwichReport(regime, epsilon, lower.min_cut(q_cap), upper.min_cut(esq_upper))
-        yield value, report, pairs.min_cut(count).value if want_m else None
+    budgets = [edge.usage.value] * len(etas)
+    kinds = (WeightKind.Q_CAP, WeightKind.ESQ_UPPER)
+    q_caps, esq_uppers = [_cut_weights(net.budget_kind, budgets, etas, kind) for kind in kinds]
+    # a finite budget times a finite weight fails only as inf: each failure reads the same
+    for capacity in q_caps + esq_uppers:
+        _require_finite(f"arc {edge_id!r}: capacity", capacity, nonnegative=True)
+    lower, upper = [ArcSweep(flow_graph_from_network(net, kind), edge_id) for kind in kinds]
+    if want_m:  # the pairs are the q_cap capacities floored, so they fit a float too
+        from .aggregator import _pair_counts, build_bell_network
+
+        pairs = ArcSweep(build_bell_network(net), edge_id)
+        counts = _pair_counts(budgets, weight_column(etas, WeightKind.Q_CAP))
+    for k, value in enumerate(grid):
+        report = SandwichReport(regime, epsilon, lower.min_cut(q_caps[k]),
+                                upper.min_cut(esq_uppers[k]))
+        yield value, report, pairs.min_cut(counts[k]).value if want_m else None
 
 
 def _epsilon_points(net: Network, grid: Sequence[float], want_m: bool, **_):

@@ -156,7 +156,7 @@ def test_weight_columns_equal_edge_weight_bit_for_bit(channels):
         warnings.simplefilter("ignore")  # q_cap > esq_upper is flagged, and allowed
         net = Network(("A", "B"), "A", "B", edges)
     for kind in WeightKind:
-        got = weight_column(net, kind)
+        got = weight_column(net.channels, kind)
         expected = [edge_weight(e, kind) for e in edges]
         # == alone would let 0.0 stand for -0.0
         assert [(w, math.copysign(1.0, w)) for w in got] == [
@@ -165,7 +165,7 @@ def test_weight_columns_equal_edge_weight_bit_for_bit(channels):
 
 def test_weight_column_rejects_a_kind_that_is_not_a_weight_kind(diamond_net):
     with pytest.raises(ValueError, match="^kind must be a WeightKind, got 'qcap'$"):
-        weight_column(diamond_net, "qcap")
+        weight_column(diamond_net.channels, "qcap")
 
 
 # --- fuzz of the parser's type guards -------------------------------------------
@@ -351,7 +351,7 @@ def test_parse_report_plan_validate_and_sweep_build_no_per_edge_objects(monkeypa
         assert cli.main(["validate", str(path)]) == 0
         sweep_derives_one_topology("budget-scale")
         sweep_derives_one_topology("epsilon")
-    # an eta sweep weighs the swept edge pointwise, as an EdgeSpec per grid point
+    # an eta sweep looks its swept edge up once, as an EdgeSpec
     sweep_derives_one_topology("eta")
 
 

@@ -237,8 +237,17 @@ def test_path_set_checker_catches_violations():
 
     # a route is (nodes, channels, multiplicity)
     bad = PathSet(((("A", "B"), ("A-C",), 1),))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="does not join"):
         check_path_set(bell, bad)
+    stops_short = PathSet(((("A", "C"), ("A-C",), 1),))
+    with pytest.raises(ValueError, match="does not run alice -> bob"):
+        check_path_set(bell, stops_short)
+    loops = PathSet(((("A", "C", "A", "C", "B"), ("A-C", "A-C", "A-C", "C-B"), 1),))
+    with pytest.raises(ValueError, match="repeats a vertex"):
+        check_path_set(bell, loops)
+    one_hop_short = PathSet(((("A", "C", "B"), ("A-C",), 1),))
+    with pytest.raises(ValueError, match="edge count mismatch"):
+        check_path_set(bell, one_hop_short)
     # a doubled route numbers A-C#1 and C-B#1, past each channel's one pair
     doubled = PathSet(paths.routes + paths.routes)
     with pytest.raises(ValueError, match="unknown"):
@@ -407,9 +416,11 @@ def test_topology_rejects_a_repeated_arc_id(vertices, arcs):
         (("A", "B"), "A", "B", (5,), "arc row #0 must be an (id, u, v) triple, got 5"),
         (("A", "B"), "A", "B", (("e", "A", "B"), ("f", "A")),
          "arc row #1 must be an (id, u, v) triple, got ('f', 'A')"),
+        (("A", "B"), "A", "B", (("e", "A", "A"),), "edge 'e': self-loop at 'A' rejected"),
     ],
     ids=["label-not-a-string", "repeated-label", "unhashable-source", "int-arc-id",
-         "empty-arc-id", "arc-row-before-label", "arc-row-not-iterable", "arc-row-of-two"],
+         "empty-arc-id", "arc-row-before-label", "arc-row-not-iterable", "arc-row-of-two",
+         "self-loop"],
 )
 def test_topology_rejects_a_malformed_label(vertices, source, sink, arcs, message):
     with pytest.raises(ValueError) as err:

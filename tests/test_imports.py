@@ -86,15 +86,15 @@ LOADS = {
     "plan": (["plan", FIG2, "--epsilon", "0.001"], PLAN),
     # the DOT writer only for --dot; the file goes to the null device
     "plan-dot": (["plan", FIG2, "--dot", os.devnull], PLAN | {"qnetcap.export"}),
-    # the one-edge references only for eta, whose grid points are edges
+    # an eta sweep weighs its grid with the column rules, not the one-edge references
     "sweep-eta": (["sweep", DIAMOND, "--param", "eta", "--edge", "e1", "--values", "0,0.5"],
-                  SWEEP | {"qnetcap.pointwise"}),
+                  SWEEP),
     "sweep-epsilon": (["sweep", FIG2, "--param", "epsilon", "--values", "0,0.001"], SWEEP),
     "sweep-budget-scale": (["sweep", DIAMOND, "--param", "budget-scale", "--values", "1,2"],
                            SWEEP),
     # the plan modules only for field m
     "sweep-eta-m": (["sweep", FIG2, "--param", "eta", "--edge", "a-c1", "--values", "0,0.5",
-                     "--fields", "m"], SWEEP | PLAN | {"qnetcap.pointwise"}),
+                     "--fields", "m"], SWEEP | PLAN),
     "sweep-epsilon-m": (["sweep", FIG2, "--param", "epsilon", "--values", "0,0.001",
                          "--fields", "m"], SWEEP | PLAN),
     "sweep-budget-scale-m": (["sweep", FIG2, "--param", "budget-scale", "--values", "1,2",

@@ -319,6 +319,21 @@ def test_edge_spec_rejects_bare_usage_budget():
         EdgeSpec("e1", "A", "B", LossyOptical(0.5), UsageBudget(1.0))
 
 
+@pytest.mark.parametrize(
+    "eid, channel, message",
+    [
+        ("", LossyOptical(0.5), "edge id must be a non-empty string, got ''"),
+        (7, LossyOptical(0.5), "edge id must be a non-empty string, got 7"),
+        ("e1", 0.5, "edge 'e1': unknown channel spec 0.5"),
+    ],
+    ids=["empty-id", "int-id", "bare-eta"],
+)
+def test_edge_spec_rejects_a_bad_id_or_channel(eid, channel, message):
+    with pytest.raises(ValueError) as err:
+        EdgeSpec(eid, "A", "B", channel, Count(1.0))
+    assert str(err.value) == message
+
+
 def test_edge_by_id(diamond_net):
     assert diamond_net.edge_by_id("e2").head == "B"
     with pytest.raises(KeyError):

@@ -223,9 +223,24 @@ def test_arc_sweep_matches_bruteforce_bell_cut():
         for pairs in (0, 1, rng.randint(2, 60)):
             caps = [pairs if c == cid else n
                     for (c, _, _), n in zip(bell.topology.arcs, bell.capacities)]
-            expected = min_cut_bruteforce(FlowGraph(bell.topology, caps, bell.capacity_kind)).value
-            value = _sweep_cut(sweep, bell.topology, pairs).value
-            assert value == expected and isinstance(value, int)
+            expected = min_cut_bruteforce(FlowGraph(bell.topology, caps, bell.capacity_kind))
+            cut = _sweep_cut(sweep, bell.topology, pairs)
+            assert cut.value == expected.value and isinstance(cut.value, int)
+            assert cut.v_a == expected.v_a  # the oracle's side is the one min_cut prints
+
+
+def test_arc_sweep_breaks_a_tie_to_the_side_min_cut_prints():
+    # at e1 = 11 both candidate sides cost 15: {A} cuts e0 and e2, {A, C1} cuts e1 and e2
+    net = Network(("A", "B", "C1"), "A", "B", (
+        EdgeSpec("e0", "A", "C1", LossyOptical(0.5), Count(11)),  # q_cap 1: 11 pairs
+        EdgeSpec("e1", "C1", "B", LossyOptical(0.5), Count(11)),
+        EdgeSpec("e2", "A", "B", LossyOptical(0.5), Count(4)),
+    ))
+    bell = build_bell_network(net)
+    assert bell.capacities == (11, 11, 4)
+    cut = _sweep_cut(ArcSweep(bell, "e1"), bell.topology, 11)
+    assert cut == cuts_flows.min_cut(bell)
+    assert (cut.value, cut.v_a) == (15, {"A"})
 
 
 def test_arc_sweep_direct_edge_is_crossed_by_every_cut():
@@ -240,6 +255,31 @@ def test_arc_sweep_direct_edge_is_crossed_by_every_cut():
         assert sweep.min_cut(w).value == 2.0 + w
     with pytest.raises(KeyError, match="nope"):
         ArcSweep(flow_graph_from_network(net, WeightKind.Q_CAP), "nope")
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("a one-edge reference on the eta sweep's path")
+
+
+@pytest.mark.parametrize("points", [1, 10, 100])
+def test_an_eta_sweep_looks_its_edge_up_once_and_weighs_no_edge_on_its_own(
+        monkeypatch, triangle_net, points):
+    made = []
+    init = EdgeSpec.__init__
+
+    def counting_init(self, *args):
+        made.append(args[0])
+        init(self, *args)
+
+    monkeypatch.setattr(EdgeSpec, "__init__", counting_init)
+    for name in ("edge_weight", "edge_capacity", "pair_count", "resolve_rate"):
+        monkeypatch.setattr(f"qnetcap.pointwise.{name}", _refuse)
+    grid = [0.9 * i / points for i in range(points)]
+    for fields in (LOSSY_FIELDS, list(SWEEP_FIELDS)):
+        made.clear()
+        csv = sweep_csv(triangle_net, "eta", grid, fields, edge="cb", epsilon=1e-4)
+        assert csv.count("\r\n") == points + 1
+        assert made == ["cb"]  # edge_by_id's view of the swept edge
 
 
 # --- large capacities -----------------------------------------------------------
