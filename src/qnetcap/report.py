@@ -69,6 +69,12 @@ class SandwichReport(Immutable):
         return self.upper_witness.value
 
     @property
+    def crossed(self) -> bool:
+        """True when the lower bound exceeds the upper one: the sandwich does
+        not hold, as only an edge whose q_cap exceeds its esq_upper can make it."""
+        return self.lower > self.upper_esq
+
+    @property
     def upper_eps_corrected(self) -> Optional[float]:
         """The finite-error converse bound, or None once epsilon >= 1/256 makes it vacuous."""
         return epsilon_corrected_upper(self.upper_esq, self.epsilon)
@@ -125,6 +131,7 @@ def sandwich_report_to_dict(report: SandwichReport) -> dict:
         "upper_esq": report.upper_esq,
         "upper_eps_corrected": corrected,
         "vacuous": corrected is None,
+        "crossed": report.crossed,
         "lower_witness": cut_to_dict(report.lower_witness),
         "upper_witness": cut_to_dict(report.upper_witness),
     }

@@ -242,6 +242,15 @@ def test_sandwich_report_single_edge(single_edge_net):
     assert report.upper_esq == pytest.approx(1.5849625007211562, abs=1e-9)
 
 
+def test_sandwich_report_says_when_its_bounds_cross(diamond_net):
+    # a custom channel may carry q_cap > esq_upper: parse warns, the report says crossed
+    crossed = Network(("A", "B"), "A", "B", (
+        EdgeSpec("e", "A", "B", CustomChannel(2.0, 1.0), Frequency(1.0)),))
+    report = sandwich_report(crossed, Regime.PER_CHANNEL_USE)
+    assert (report.lower, report.upper_esq, report.crossed) == (2.0, 1.0, True)
+    assert sandwich_report(diamond_net, Regime.PER_CHANNEL_USE).crossed is False
+
+
 def test_sandwich_report_regime_mismatch(diamond_net):
     with pytest.raises(ValueError, match="regime"):
         sandwich_report(diamond_net, Regime.PER_PROTOCOL)
@@ -399,6 +408,7 @@ def test_sandwich_order_on_custom_weight_networks():
         net = random_custom_network(rng, max_nodes=9, max_edges=16)
         report = sandwich_report(net, Regime.PER_CHANNEL_USE)
         assert report.lower <= report.upper_esq + 1e-9
+        assert report.crossed is False
 
 
 def test_plan_m_matches_bruteforce_cut_on_random_count_networks():

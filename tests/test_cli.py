@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import random
@@ -66,16 +67,25 @@ def test_validate_rejects_non_string_node_references(tmp_path, where, value, nam
     assert f"error: {named} must be a non-empty string node label" in err
 
 
+def cli_in_child(*argv) -> subprocess.CompletedProcess:
+    """Run the CLI as a process of its own, through the exit path the console script takes.
+
+    Its stdout is block-buffered, as a pipe's is by default, so output that
+    the exit fails to flush is missing.
+    """
+    env = {k: v for k, v in src_env().items() if k != "PYTHONUNBUFFERED"}
+    return subprocess.run([sys.executable, "-m", "qnetcap.cli", *map(str, argv)],
+                          env=env, capture_output=True)
+
+
 def cli_in_child_fails(*argv) -> str:
     """Run the CLI in a fresh interpreter; require exit 1, no stdout, no traceback."""
-    result = subprocess.run(
-        [sys.executable, "-m", "qnetcap.cli", *map(str, argv)],
-        env=src_env(), capture_output=True, text=True,
-    )
+    result = cli_in_child(*argv)
     assert result.returncode == 1
-    assert result.stdout == ""
-    assert "Traceback" not in result.stderr
-    return result.stderr
+    assert result.stdout == b""
+    err = result.stderr.decode()
+    assert "Traceback" not in err
+    return err
 
 
 @pytest.mark.parametrize(
@@ -175,6 +185,11 @@ def test_bound_weight_filters(capsys):
     assert "upper_esq" not in qcap_only and "lower" in qcap_only
     esq_only = run_json(capsys, "bound", DIAMOND, "--weights", "esq")
     assert "lower" not in esq_only and "upper_esq" in esq_only
+    # crossing compares both sides, so one side alone cannot say it
+    assert "crossed" not in qcap_only and "crossed" not in esq_only
+    schema = load_schema("sandwich_report.schema.json")
+    for doc in (qcap_only, esq_only):
+        jsonschema.validate(doc, schema)
 
 
 # --- plan --------------------------------------------------------------------
@@ -203,18 +218,32 @@ def test_plan_dot_to_an_unwritable_path_prints_nothing_and_exits_two(capsys, tmp
     assert err == f"io error: [Errno 2] No such file or directory: '{dot_path}'\n"
 
 
+CROSSED_NET = {"nodes": ["A", "B"], "alice": "A", "bob": "B", "edges": [
+    {"id": "e", "tail": "A", "head": "B", "usage": {"freq": 1.0},
+     "channel": {"type": "custom", "q_cap": 2.0, "esq_upper": 1.0}},
+]}
+CROSSED_WARNING = ("warning: edge 'e': q_cap=2.0 exceeds esq_upper=1.0; "
+                   "the sandwich guarantee does not apply\n")
+
+
 @pytest.mark.parametrize("command", ["validate", "bound"])
 def test_sandwich_warning_is_one_plain_line(capsys, tmp_path, command):
-    doc = {"nodes": ["A", "B"], "alice": "A", "bob": "B", "edges": [
-        {"id": "e", "tail": "A", "head": "B", "usage": {"freq": 1.0},
-         "channel": {"type": "custom", "q_cap": 2.0, "esq_upper": 1.0}},
-    ]}
     path = tmp_path / "net.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(CROSSED_NET))
     code, out, err = run(capsys, command, str(path))
     assert code == 0 and out
-    assert err == ("warning: edge 'e': q_cap=2.0 exceeds esq_upper=1.0; "
-                   "the sandwich guarantee does not apply\n")
+    assert err == CROSSED_WARNING
+
+
+def test_bound_says_when_the_sandwich_crosses(capsys, tmp_path):
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps(CROSSED_NET))
+    code, out, err = run(capsys, "bound", str(path))
+    assert (code, err) == (0, CROSSED_WARNING)
+    doc = json.loads(out)
+    assert (doc["lower"], doc["upper_esq"], doc["crossed"]) == (2.0, 1.0, True)
+    assert doc["vacuous"] is False
+    jsonschema.validate(doc, load_schema("sandwich_report.schema.json"))
 
 
 def test_plan_disconnected(capsys, tmp_path):
@@ -803,10 +832,8 @@ GOLDEN_SWAPS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN_SWAPS))
-def test_simulate_swap_stdout_matches_golden(capsys, name):
+def assert_matches_swap_golden(doc: dict, name: str) -> None:
     """Same verdicts as the pinned report, and every float within 1e-12 of it."""
-    doc = run_json(capsys, "simulate-swap", *GOLDEN_SWAPS[name])
     golden = json.loads((DATA_DIR / "simulate_swap.json").read_text())[name]
     assert doc.keys() == golden.keys()
     for key in ("chain", "pass", "precondition_violations"):
@@ -814,6 +841,70 @@ def test_simulate_swap_stdout_matches_golden(capsys, name):
     for key in ("final_fidelity", "trace_distance", "budget", "per_pair_distances",
                 "per_pair_eps"):
         assert doc[key] == pytest.approx(golden[key], rel=0, abs=1e-12)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SWAPS))
+def test_simulate_swap_stdout_matches_golden(capsys, name):
+    assert_matches_swap_golden(run_json(capsys, "simulate-swap", *GOLDEN_SWAPS[name]), name)
+
+
+# --- one process per command: the exit path of the console script -------------
+
+GOLDEN_COMMANDS = {
+    **{f"plan_{name}": ("plan", network, "--epsilon", "0.001")
+       for name, network in GOLDEN_PLANS.items()},
+    **{name: ("bound", *argv) for name, argv in GOLDEN_BOUNDS.items()},
+    **{name: ("sweep", str(NETWORKS_DIR / f"{network}.json"), *rest)
+       for name, (network, *rest) in GOLDEN_SWEEPS.items()},
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_COMMANDS))
+def test_a_cli_process_prints_the_golden_bytes(name):
+    result = cli_in_child(*GOLDEN_COMMANDS[name])
+    assert (result.returncode, result.stderr) == (0, b"")
+    suffix = ".csv" if name.startswith("sweep_") else ".json"
+    assert result.stdout == (DATA_DIR / f"{name}{suffix}").read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SWAPS))
+def test_a_cli_process_matches_the_simulate_swap_golden(name):
+    result = cli_in_child("simulate-swap", *GOLDEN_SWAPS[name])
+    assert (result.returncode, result.stderr) == (0, b"")
+    assert_matches_swap_golden(json.loads(result.stdout), name)
+
+
+@pytest.mark.parametrize("argv", [
+    ("plan", TRIANGLE, "--epsilon", "0.001", "--dot"),
+    ("sweep", DIAMOND, "--param", "eta", "--edge", "e3", *ETA_GRID, "--out"),
+], ids=["plan-dot", "sweep-out"])
+def test_a_cli_process_writes_the_file_main_writes(capsys, tmp_path, argv):
+    in_process, child = tmp_path / "main.out", tmp_path / "child.out"
+    code, out, err = run(capsys, *argv, str(in_process))
+    assert code == 0, err
+    result = cli_in_child(*argv, child)
+    assert (result.returncode, result.stdout, result.stderr) == (0, out.encode(), b"")
+    assert child.read_bytes() == in_process.read_bytes()
+
+
+def test_a_cli_process_exits_two_with_no_stdout_for_an_unwritable_dot(tmp_path):
+    dot_path = tmp_path / "missing" / "x.dot"
+    result = cli_in_child("plan", TRIANGLE, "--dot", dot_path)
+    assert (result.returncode, result.stdout) == (2, b"")
+    assert result.stderr == f"io error: [Errno 2] No such file or directory: '{dot_path}'\n".encode()
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (("bound", DIAMOND), 0),
+    (("bound", DIAMOND, "--regime", "per-protocol"), 1),
+    (("validate", str(DATA_DIR / "bad_networks.json")), 1),  # fails inside the paused parse
+    (("validate", "/nonexistent/net.json"), 2),
+])
+def test_main_in_process_leaves_the_collector_alone(capsys, argv, expected):
+    before = gc.get_freeze_count(), gc.isenabled()
+    assert main(list(argv)) == expected
+    capsys.readouterr()
+    assert (gc.get_freeze_count(), gc.isenabled()) == before
 
 
 FIG1 = str(NETWORKS_DIR / "fig1_sample.json")
