@@ -2,15 +2,30 @@
 
 It enumerates every bipartition, so it is exact and slow, and it shares
 nothing with the solver in ``qnetcap.cuts_flows`` but the helper that sums
-a side's crossing capacities. No CLI subcommand loads it; the tests do.
+a side's crossing capacities. It finds the rows a side crosses by testing
+each row's end labels against the side, which no solve does: a solve
+reads them off its own search. No CLI subcommand loads it; the tests do.
 """
 
 from __future__ import annotations
 
-from .cuts_flows import CutResult, FlowGraph, _side_cut
+from typing import AbstractSet
+
+from .cuts_flows import CutResult, FlowGraph, _cut
 from .values import NodeId
 
 BRUTEFORCE_MAX_VERTICES = 20
+
+
+def _crossing(rows: tuple, capacities: tuple, side: AbstractSet[NodeId]) -> list[tuple]:
+    """(id, capacity) of each (id, u, v) row the cut with Alice side `side` crosses."""
+    return [(row[0], c) for row, c in zip(rows, capacities)
+            if (row[1] in side) != (row[2] in side)]
+
+
+def _side_cut(fg: FlowGraph, side: AbstractSet[NodeId]) -> CutResult:
+    """The cut of fg with Alice side `side`."""
+    return _cut(side, _crossing(fg.topology.arcs, fg.capacities, side), fg.zero)
 
 
 def _enumerate_min_cut(fg: FlowGraph) -> frozenset[NodeId]:

@@ -10,11 +10,14 @@ any capacity of its arc or from the brute-force oracle in
 capacities of the arc rows a side crosses, left to right in arc order.
 The side a solve reports is the set its residual graph reaches from the
 source, the minimal minimum cut, which is the same for every maximum
-flow; only a plan reads the flow itself, through ``qnetcap.routes``. The
-Bell network is a FlowGraph too, with integer capacities: each channel's
-capacity is the number of Bell pairs it holds, so integer flow realizes
-the edge-disjoint path count, which equals the minimum number of Bell
-pairs crossing any Alice/Bob cut.
+flow; only a plan reads the flow itself, through ``qnetcap.routes``. A
+solve reads its cut's crossing rows off the arc lists of the cut's
+smaller side, its Alice side or the complement, and sorts them into arc
+order; only the brute-force oracle tests each row's end labels against a
+side. The Bell network is a FlowGraph too, with integer capacities: each
+channel's capacity is the number of Bell pairs it holds, so integer flow
+realizes the edge-disjoint path count, which equals the minimum number of
+Bell pairs crossing any Alice/Bob cut.
 
 A FlowGraph is a Topology plus one capacity per arc. The topology holds
 the vertices, terminals, arc rows and the solver's residual arc order,
@@ -30,6 +33,7 @@ from __future__ import annotations
 
 import math
 from enum import Enum
+from operator import mul
 from typing import AbstractSet, Sequence
 
 from .capacity import WeightKind, weight_column
@@ -45,11 +49,12 @@ class CapacityKind(Enum):
 class FlowGraph(Immutable):
     """Undirected flow instance: a topology and one capacity per arc, in arc order.
 
-    Capacities are finite and >= 0, never booleans, and ints on an INTEGER
-    graph; capacity_kind is a CapacityKind. The constructor checks that;
-    ``_from_checked``, for a capacity tuple computed from checked columns,
-    does not. Two flow graphs share a residual arc order exactly when they
-    share a topology object.
+    Capacities are finite and >= 0, never booleans, ints on an INTEGER
+    graph and floats on a REAL one; capacity_kind is a CapacityKind. The
+    constructor checks that, and a REAL graph keeps each capacity as the
+    float the check returns; ``_from_checked``, for a capacity tuple
+    computed from checked columns, does neither. Two flow graphs share a
+    residual arc order exactly when they share a topology object.
     """
 
     __slots__ = ("topology", "capacities", "capacity_kind")
@@ -62,10 +67,13 @@ class FlowGraph(Immutable):
         integer = capacity_kind is CapacityKind.INTEGER
         if not integer and capacity_kind is not CapacityKind.REAL:
             raise ValueError(f"capacity_kind must be a CapacityKind, got {capacity_kind!r}")
+        checked = []
         for (eid, _, _), cap in zip(topology.arcs, capacities):
             if integer and (isinstance(cap, bool) or not isinstance(cap, int)):
                 raise ValueError(f"arc {eid!r}: capacity must be an integer, got {cap!r}")
-            _require_finite(f"arc {eid!r}: capacity", cap, nonnegative=True)
+            checked.append(_require_finite(f"arc {eid!r}: capacity", cap, nonnegative=True))
+        if not integer:
+            capacities = tuple(checked)
         object.__setattr__(self, "topology", topology)
         object.__setattr__(self, "capacities", capacities)
         object.__setattr__(self, "capacity_kind", capacity_kind)
@@ -86,8 +94,8 @@ def _cut_weights(budget_kind, budgets: Sequence, channels: Sequence, kind: Weigh
     pointwise.edge_capacity: floor(l) x q_cap for a Count budget l in the q_cap
     weighting, which a protocol spends in whole uses, else l x weight."""
     if kind is WeightKind.Q_CAP and budget_kind is Count:
-        budgets = [float(math.floor(b)) for b in budgets]
-    return [b * w for b, w in zip(budgets, weight_column(channels, kind))]
+        budgets = map(float, map(math.floor, budgets))
+    return list(map(mul, budgets, weight_column(channels, kind)))
 
 
 def flow_graph_from_network(net: Network, kind: WeightKind) -> FlowGraph:
@@ -121,9 +129,13 @@ class _ResidualSolver:
     paths by a depth-first search that keeps a current-arc pointer per
     vertex, trying arcs in the topology's order, which is arc order. A
     solve writes only its own cap list and its per-phase level and
-    current-arc lists, never the topology. The level set of the last BFS,
-    which fails to reach the sink, is `reachable`, the Alice side of a
-    minimum cut. Both arcs of row `_unbounded_row`, if given, start at inf.
+    current-arc lists, never the topology. A BFS tests an arc's level
+    before its residual, and so does the push, which picks the same arcs
+    either way. The last BFS, which fails to reach the sink, keeps its
+    level list and the list of vertices it reached; the labels of those are
+    `reachable`, the Alice side of a minimum cut, and ``crossing_rows``
+    reads the rows that cut crosses off the same two lists. Both arcs of
+    row `_unbounded_row`, if given, start at inf.
     """
 
     def __init__(self, fg: FlowGraph, _unbounded_row: int | None = None):
@@ -131,11 +143,10 @@ class _ResidualSolver:
         self.source, self.sink = topology._terminals
         self.to, self.adj = topology._to, topology._adj
         self.low = {}
+        caps = list(fg.capacities)  # floats on a REAL graph, ints on an INTEGER one
         if fg.capacity_kind is CapacityKind.INTEGER:
-            caps = list(fg.capacities)
             self.tol = 0  # min(0, c / 2) is 0 for c >= 0
         else:
-            caps = [float(c) for c in fg.capacities]
             self.tol = tol = 1e-12 * max(1.0, sum(fg.capacities))
             if tol == math.inf:  # the sum is past the float range: scale before summing
                 self.tol = tol = sum([1e-12 * c for c in caps])
@@ -150,13 +161,14 @@ class _ResidualSolver:
         self.flow_value = fg.zero
         self._run()
 
-    def _levels(self) -> list[int]:
-        """BFS distance from the source over open arcs, -1 if none, up to the sink's level."""
+    def _levels(self) -> tuple[list[int], list[int]]:
+        """BFS distance from the source over open arcs, -1 if none, up to the sink's
+        level, and the vertices the search reached, in the order it reached them."""
         adj, to, cap, tol, low = self.adj, self.to, self.cap, self.tol, self.low
         sink = self.sink
         level = [-1] * len(adj)
         level[self.source] = 0
-        frontier = [self.source]
+        frontier = visited = [self.source]
         depth = 0
         while frontier and level[sink] < 0:
             depth += 1
@@ -168,7 +180,8 @@ class _ResidualSolver:
                         level[w] = depth
                         found.append(w)
             frontier = found
-        return level
+            visited += found
+        return level, visited
 
     def _push_blocking_flow(self, level: list[int]) -> None:
         """Augment along level-increasing paths until none reaches the sink."""
@@ -197,8 +210,8 @@ class _ResidualSolver:
             n = len(arcs)
             while k < n:
                 i = arcs[k]
-                if ((cap[i] > tol or low and cap[i] > low.get(i, tol))
-                        and level[to[i]] == next_level):
+                if (level[to[i]] == next_level
+                        and (cap[i] > tol or low and cap[i] > low.get(i, tol))):
                     break
                 k += 1
             current[u] = k
@@ -215,12 +228,29 @@ class _ResidualSolver:
 
     def _run(self) -> None:
         while True:
-            level = self._levels()
+            level, visited = self._levels()
             if level[self.sink] < 0:
-                names = self.topology.vertices
-                self.reachable = frozenset(names[k] for k, d in enumerate(level) if d >= 0)
+                self.level, self.visited = level, visited
+                self.reachable = frozenset(map(self.topology.vertices.__getitem__, visited))
                 return
             self._push_blocking_flow(level)
+
+    def crossing_rows(self) -> list[int]:
+        """Indices of the rows the cut with Alice side `reachable` crosses, in arc order.
+
+        A crossing row has one end on each side, so the arcs leaving one side
+        find each such row once: the side's own arcs when it holds at most
+        half the vertices, else its complement's. Either way the rows are
+        sorted into arc order.
+        """
+        level, adj, to, visited = self.level, self.adj, self.to, self.visited
+        if 2 * len(visited) <= len(level):
+            rows = [i >> 1 for x in visited for i in adj[x] if level[to[i]] < 0]
+        else:
+            rows = [i >> 1 for x, d in enumerate(level) if d < 0
+                    for i in adj[x] if level[to[i]] >= 0]
+        rows.sort()
+        return rows
 
     def net_flow(self) -> dict[str, tuple[NodeId, NodeId, float]]:
         """Map of edge id -> (from, to, amount) for arcs carrying net flow."""
@@ -251,28 +281,21 @@ class CutResult(Immutable):
         object.__setattr__(self, "crossing", tuple(crossing))
 
 
-def _crossing(rows: tuple, capacities: tuple, side: AbstractSet[NodeId]) -> list[tuple]:
-    """(id, capacity) of each (id, u, v) row the cut with Alice side `side` crosses."""
-    return [(row[0], c) for row, c in zip(rows, capacities)
-            if (row[1] in side) != (row[2] in side)]
-
-
 def _cut(side: AbstractSet[NodeId], crossing: list[tuple], zero: float) -> CutResult:
     """The cut with Alice side `side` and (id, capacity) pairs `crossing`, summed in order."""
     value = _sum_in_order([c for _, c in crossing], zero)
     return CutResult(value, side, tuple([eid for eid, _ in crossing]))
 
 
-def _side_cut(fg: FlowGraph, side: AbstractSet[NodeId]) -> CutResult:
-    """The cut of fg with Alice side `side`."""
-    return _cut(side, _crossing(fg.topology.arcs, fg.capacities, side), fg.zero)
-
-
 def min_cut(fg: FlowGraph) -> CutResult:
     """Minimum-capacity source/sink cut via max-flow duality.
 
-    The witness side is the residual-reachable set from the source; the
-    value is summed over the crossing arcs rather than taken from the flow,
-    to keep floating-point drift out of the reported number.
+    The witness side is the residual-reachable set from the source, and
+    its crossing rows are read off the solve; the value is summed over
+    them rather than taken from the flow, to keep floating-point drift out
+    of the reported number.
     """
-    return _side_cut(fg, _ResidualSolver(fg).reachable)
+    solver = _ResidualSolver(fg)
+    rows, capacities = fg.topology.arcs, fg.capacities
+    return _cut(solver.reachable, [(rows[k][0], capacities[k]) for k in solver.crossing_rows()],
+                fg.zero)

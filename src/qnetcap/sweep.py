@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Optional, Sequence
 from . import cuts_flows
 from .capacity import WeightKind, weight_column
 from .cuts_flows import (
-    CutResult, FlowGraph, _crossing, _cut, _cut_weights, flow_graph_from_network, max_flow_value,
+    CutResult, FlowGraph, _cut, _cut_weights, flow_graph_from_network, max_flow_value,
 )
 from .report import SandwichReport, _check_regime_epsilon, lossy_gap_ratio, sandwich_report
 from .values import Count, LossyOptical, _require_finite
@@ -54,13 +54,15 @@ class ArcSweep:
         self.zero = fg.zero
         at_zero = FlowGraph._from_checked(
             fg.topology, capacities[:k] + (self.zero,) + capacities[k + 1:], fg.capacity_kind)
-        sides = [cuts_flows._ResidualSolver(at_zero).reachable]
+        solvers = [cuts_flows._ResidualSolver(at_zero)]
         ends = (fg.topology.source, fg.topology.sink)
         _, u, v = rows[k]
         if not (u in ends and v in ends):
-            sides.append(cuts_flows._ResidualSolver(at_zero, k).reachable)
+            solvers.append(cuts_flows._ResidualSolver(at_zero, k))
         # a side crosses the same rows at every w: only the swept arc's capacity changes
-        self.sides = [(side, _crossing(rows, capacities, side)) for side in sides]
+        self.sides = [(solver.reachable,
+                       [(rows[j][0], capacities[j]) for j in solver.crossing_rows()])
+                      for solver in solvers]
 
     def min_cut(self, capacity: float) -> CutResult:
         """A minimum cut with the arc at `capacity`, the side min_cut prints.

@@ -27,16 +27,17 @@ from qnetcap import (
     min_cut,
     min_cut_bruteforce,
     plan,
+    sandwich_report,
 )
-from qnetcap import cuts_flows
+from qnetcap import bruteforce, cuts_flows
 from qnetcap.pointwise import edge_capacity
 from qnetcap.cli import main
 from qnetcap.generators import (
     random_count_network, random_custom_network, random_lossy_network,
 )
-from qnetcap.sweep import sweep_csv
+from qnetcap.sweep import ArcSweep, sweep_csv
 
-from conftest import bell_shapes, edge_with, network_with
+from conftest import bell_shapes, edge_with, grid_network, network_with
 
 
 def in_order_sum(values):
@@ -115,7 +116,7 @@ def test_bruteforce_breaks_ties_toward_the_smallest_side():
         fg = flow_graph_from_network(net, kind)
         assert min_cut(fg).v_a == min_cut_bruteforce(fg).v_a == frozenset({"A"})
         sides = (frozenset({"A"}), frozenset({"0", "A"}))
-        assert [cuts_flows._side_cut(fg, side).value for side in sides] == [1, 1]
+        assert [bruteforce._side_cut(fg, side).value for side in sides] == [1, 1]
         assert min(sides, key=sorted) == sides[1]  # the old, lexicographic tie-break
 
 
@@ -351,6 +352,16 @@ def test_flow_graph_rejects_a_capacity_kind_that_is_not_a_capacity_kind():
     message = r"^capacity_kind must be a CapacityKind, got 'integer'$"
     with pytest.raises(ValueError, match=message):
         FlowGraph(AB, (2,), "integer")
+
+
+def test_a_real_graph_holds_floats_and_an_integer_graph_ints():
+    top = Topology(("A", "B"), "A", "B", (("e", "A", "B"), ("f", "B", "A")))
+    real = FlowGraph(top, (1, 2), CapacityKind.REAL)
+    assert real.capacities == (1.0, 2.0)
+    assert [type(c) for c in real.capacities] == [float, float]
+    integer = FlowGraph(top, (1, 2), CapacityKind.INTEGER)
+    assert integer.capacities == (1, 2)
+    assert [type(c) for c in integer.capacities] == [int, int]
 
 
 @pytest.mark.parametrize("capacities", [(), (1, 1)], ids=["none", "two"])
@@ -689,6 +700,75 @@ def test_library_code_reads_the_topology_not_the_arc_rows(monkeypatch):
 
     monkeypatch.setattr(FlowGraph, "arcs", property(no_rows))
     assert outcomes() == expected
+
+
+def test_the_oracle_alone_tests_labels(monkeypatch):
+    # the solver reads its cut's rows off its own search; only the brute-force
+    # oracle tests each row's end labels against a side
+    rng = random.Random(34)
+    count = grid_network(rng, 4, "count", max_count=20)
+    lossy = random_lossy_network(rng, max_nodes=8)
+    sweeps = {"eta": ([0.0, 0.3, 0.9], {"edge": "e5", "epsilon": 1e-4}),
+              "epsilon": ([0.0, 1e-4], {}),
+              "budget-scale": ([0.5, 1.0, 2.0], {"epsilon": 1e-4})}
+
+    def outcomes():
+        found = [min_cut(flow_graph_from_network(net, kind))
+                 for net in (count, lossy) for kind in WeightKind]
+        found += [sandwich_report(count, count.default_regime, 1e-4),
+                  sandwich_report(lossy, lossy.default_regime), list(plan(count, 1e-3).paths)]
+        found += [sweep_csv(count, param, grid, ["lower", "upper_esq", "m"], **flags)
+                  for param, (grid, flags) in sweeps.items()]
+        return found
+
+    expected = outcomes()
+
+    def no_labels(rows, capacities, side):
+        raise AssertionError("bruteforce._crossing was called")
+
+    monkeypatch.setattr(bruteforce, "_crossing", no_labels)
+    assert outcomes() == expected
+    with pytest.raises(AssertionError, match="_crossing was called"):
+        min_cut_bruteforce(flow_graph_from_network(lossy, WeightKind.Q_CAP))
+
+
+def bob_corner_grid(rng, side):
+    """A lossy grid whose edges at Bob carry tiny budgets, so its minimum cut
+    isolates Bob and the Alice side holds more than half the vertices."""
+    net = grid_network(rng, side, "freq")
+    return network_with(net, [edge_with(e, usage=Frequency(1e-3)) if "B" in (e.tail, e.head)
+                              else e for e in net.edges])
+
+
+def cut_graphs(rng):
+    """Weighted graphs of random, count, custom and Bob-corner networks, and Bell graphs."""
+    for _ in range(80):
+        nets = [random_lossy_network(rng, max_nodes=9),
+                random_count_network(rng, max_nodes=9, max_count=20),
+                random_custom_network(rng, max_nodes=9),
+                bob_corner_grid(rng, rng.randint(2, 4))]
+        for net in nets:
+            yield from (flow_graph_from_network(net, kind) for kind in WeightKind)
+        yield build_bell_network(nets[1])
+
+
+def test_the_solvers_cut_is_the_label_readers_cut():
+    rng = random.Random(3401)
+    shapes, large = set(), 0
+    for fg in cut_graphs(rng):
+        cut = min_cut(fg)
+        by_labels = bruteforce._side_cut(fg, cut.v_a)
+        assert (cut.value, type(cut.value)) == (by_labels.value, type(by_labels.value)), fg
+        assert (cut.crossing, cut.v_a) == (by_labels.crossing, by_labels.v_a), fg
+        large += 2 * len(cut.v_a) > len(fg.topology.vertices)
+        if fg.capacity_kind is CapacityKind.INTEGER:
+            shapes |= bell_shapes(fg)
+        rows, capacities = fg.topology.arcs, fg.capacities
+        for eid, _, _ in rng.sample(rows, min(2, len(rows))):
+            for side, pairs in ArcSweep(fg, eid).sides:
+                assert pairs == bruteforce._crossing(rows, capacities, side), (fg, eid)
+    assert shapes == {"parallel", "zero"}
+    assert large > 0
 
 
 HUGE_CAPACITIES = (0.0, 1e-300, 1.0, 3e307, 5e307, 1e308, 1.7e308)
