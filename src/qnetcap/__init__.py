@@ -39,8 +39,7 @@ _EXPORTS = {
     "bruteforce": ("min_cut_bruteforce",),
     "capacity": ("WeightKind", "binary_entropy", "check_epsilon", "epsilon_corrected_upper"),
     "cuts_flows": (
-        "CapacityKind", "CutResult", "FlowGraph", "flow_graph_from_network", "max_flow_value",
-        "min_cut",
+        "CapacityKind", "CutResult", "FlowGraph", "flow_graph_from_network", "min_cut",
     ),
     "export": ("export_dot", "plan_to_dot", "serialize_network"),
     "netmodel": ("Network", "NetworkFormatError", "Topology", "load_network", "parse_network"),

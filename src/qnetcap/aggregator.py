@@ -55,9 +55,6 @@ class PerEdgeTable(Immutable):
                  for eid, r in dict(rates).items()}
         object.__setattr__(self, "rates", MappingProxyType(table))
 
-    def __reduce__(self):
-        return type(self), (dict(self.rates),)
-
 
 RateModel = Union[AsymptoticQCap, FixedFraction, PerEdgeTable]
 
@@ -138,9 +135,6 @@ class ProtocolPlan(Immutable):
         object.__setattr__(self, "epsilon", epsilon)
         object.__setattr__(self, "counted_edges", counted_edges)
         object.__setattr__(self, "unused_pairs", MappingProxyType(unused_pairs))
-
-    def __reduce__(self):
-        return type(self), (self.paths, self.epsilon, self.counted_edges, dict(self.unused_pairs))
 
     @property
     def m(self) -> int:

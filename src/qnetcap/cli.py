@@ -7,9 +7,12 @@ error.
 
 Each handler imports the library modules it runs when it is called, so a
 process loads, and compiles, only what its subcommand needs: ``plan``
-loads the DOT writer only for ``--dot``. The handlers only read flags and
-files: the library checks what the values mean (a sweep, a rate table, a
-Werner chain), and its message is the one printed.
+loads the DOT writer only for ``--dot``. The handlers read flags and
+files and check only their shape: a sweep grid must be non-empty and
+strictly monotone (the handler sorts it), and a rate table file must hold
+a JSON object. The library checks what the values mean (each sweep point,
+a rate table's entries, a Werner chain), and its message is the one
+printed.
 
 A process enters through ``run``, which freezes the collector's objects
 once ``main`` has returned, so the interpreter's exit-time collection has

@@ -8,16 +8,18 @@ deterministic). Every cut, from a solve here, from ``sweep.ArcSweep`` at
 any capacity of its arc or from the brute-force oracle in
 ``qnetcap.bruteforce``, is reported through one helper that sums the
 capacities of the arc rows a side crosses, left to right in arc order.
-The side a solve reports is the set its residual graph reaches from the
-source, the minimal minimum cut, which is the same for every maximum
-flow; only a plan reads the flow itself, through ``qnetcap.routes``. A
-solve reads its cut's crossing rows off the arc lists of the cut's
-smaller side, its Alice side or the complement, and sorts them into arc
-order; only the brute-force oracle tests each row's end labels against a
-side. The Bell network is a FlowGraph too, with integer capacities: each
-channel's capacity is the number of Bell pairs it holds, so integer flow
-realizes the edge-disjoint path count, which equals the minimum number of
-Bell pairs crossing any Alice/Bob cut.
+A solve reports a cut and a net flow, and sums no flow value: every flow
+value qnetcap prints is a cut sum. The cut's side is the set the residual
+graph reaches from the source, the minimal minimum cut, which is the same
+for every maximum flow. A solve reads the cut's crossing rows off the arc
+lists of the cut's smaller side, its Alice side or the complement, and
+sorts them into arc order; only the brute-force oracle tests each row's
+end labels against a side. Only a plan reads the net flow, through
+``qnetcap.routes``. The Bell network is a FlowGraph too, with integer
+capacities: each channel's capacity is the number of Bell pairs it holds,
+so integer flow realizes the edge-disjoint path count m, which equals the
+minimum number of Bell pairs crossing any Alice/Bob cut (Menger's
+theorem); m is read as that minimum cut.
 
 A FlowGraph is a Topology plus one capacity per arc. The topology holds
 the vertices, terminals, arc rows and the solver's residual arc order,
@@ -134,8 +136,10 @@ class _ResidualSolver:
     either way. The last BFS, which fails to reach the sink, keeps its
     level list and the list of vertices it reached; the labels of those are
     `reachable`, the Alice side of a minimum cut, and ``crossing_rows``
-    reads the rows that cut crosses off the same two lists. Both arcs of
-    row `_unbounded_row`, if given, start at inf.
+    reads the rows that cut crosses off the same two lists. Those and
+    ``net_flow`` are what a solve reports: it sums no flow value of its
+    own, so a flow's value is read as its cut's. Both arcs of row
+    `_unbounded_row`, if given, start at inf.
     """
 
     def __init__(self, fg: FlowGraph, _unbounded_row: int | None = None):
@@ -158,7 +162,6 @@ class _ResidualSolver:
         self.cap = _interleave(caps, caps)
         if _unbounded_row is not None:
             self.cap[2 * _unbounded_row] = self.cap[2 * _unbounded_row + 1] = math.inf
-        self.flow_value = fg.zero
         self._run()
 
     def _levels(self) -> tuple[list[int], list[int]]:
@@ -196,7 +199,6 @@ class _ResidualSolver:
                 for i in path:
                     cap[i] -= bottleneck
                     cap[i ^ 1] += bottleneck
-                self.flow_value += bottleneck
                 # resume from the tail of the first arc the push saturated
                 k = 0
                 for i in path:
@@ -263,11 +265,6 @@ class _ResidualSolver:
             elif amount < -tol:
                 used[eid] = (v, u, -amount)
         return used
-
-
-def max_flow_value(fg: FlowGraph) -> float:
-    """Value of a maximum source-sink flow on the undirected instance."""
-    return _ResidualSolver(fg).flow_value
 
 
 class CutResult(Immutable):

@@ -77,14 +77,16 @@ def max_disjoint_paths(bell: FlowGraph) -> PathSet:
     the cycle carries nothing end to end, and walks on from the revisited
     node. A walk that reaches Bob is taken as often as its least arc
     allows, as one route. Either way the least arc empties, so there are
-    at most as many routes as arcs carrying flow. The path count, len() of
-    the PathSet, matches the minimum number of Bell pairs crossing any cut.
-    More than MAX_PLAN_PATHS paths is an error, raised before any walk.
+    at most as many routes as arcs carrying flow. The path count m, len()
+    of the PathSet, is the Bell network's minimum cut: the sum of the pair
+    counts on the solve's crossing rows, an exact integer, so the walks
+    stop once m paths are taken. More than MAX_PLAN_PATHS paths is an
+    error, raised before any walk.
     """
     if bell.capacity_kind is not CapacityKind.INTEGER:
         raise ValueError("edge-disjoint paths need a Bell network (integer capacities)")
     solver = cuts_flows._ResidualSolver(bell)
-    count = int(solver.flow_value)
+    count = sum([bell.capacities[k] for k in solver.crossing_rows()])
     if count > MAX_PLAN_PATHS:
         raise ValueError(
             f"m = {count} edge-disjoint paths exceeds the limit of {MAX_PLAN_PATHS} "

@@ -1,33 +1,35 @@
 """Parametric sweeps: the sandwich report's fields over a grid of one parameter.
 
-``sweep_csv`` checks every rule of a sweep; the CLI's ``sweep`` only reads
-its flags. The swept parameter is the transmittance eta of one lossy
-edge, the error budget epsilon, or a common scale of every budget. Each
-reads its regime from the network's budget variant, as ``bound`` does.
+``sweep_csv`` checks every rule of a sweep at each grid value; the
+grid's own shape (non-empty, strictly monotone) is a rule of the CLI's
+``sweep``, which also sorts the grid, so a library caller gets one row
+per given value, in the given order, and the header alone for an empty
+grid. The swept parameter is the transmittance eta of one lossy edge,
+the error budget epsilon, or a common scale of every budget. Each reads
+its regime from the network's budget variant, as ``bound`` does.
 
-An eta sweep cuts every point from two ``ArcSweep`` solves of the base
-network per weight kind. Its grid is a column of the swept edge's channel,
-weighed with the rules that weigh a network for ``bound`` and ``plan``:
-``capacity.weight_column``, ``cuts_flows._cut_weights`` and
-``aggregator._pair_counts``, one call each over the whole grid, so no
-point builds an edge of its own. The plan modules, ``qnetcap.aggregator``
-and ``qnetcap.routes``, load only for field m.
+An eta sweep cuts every point from two ``ArcSweep`` solves per weight
+kind of the network with the swept edge at eta 0, where its weights and
+pairs are 0: the file's own eta reaches no row. Its grid is a column of
+the swept edge's channel, weighed with the rules that weigh a network for
+``bound`` and ``plan``: ``capacity.weight_column``,
+``cuts_flows._cut_weights`` and ``aggregator._pair_counts``, one call each
+over the whole grid, so no point builds an edge of its own. Field m is
+the Bell network's minimum cut at every point, as for a plan. The plan
+modules, ``qnetcap.aggregator`` and ``qnetcap.routes``, load only for
+field m.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import Optional, Sequence
 
 from . import cuts_flows
 from .capacity import WeightKind, weight_column
-from .cuts_flows import (
-    CutResult, FlowGraph, _cut, _cut_weights, flow_graph_from_network, max_flow_value,
-)
+from .cuts_flows import CutResult, FlowGraph, _cut, _cut_weights, flow_graph_from_network, min_cut
+from .netmodel import Network
 from .report import SandwichReport, _check_regime_epsilon, lossy_gap_ratio, sandwich_report
 from .values import Count, LossyOptical, _require_finite
-
-if TYPE_CHECKING:  # annotations only
-    from .netmodel import Network
 
 
 class ArcSweep:
@@ -86,10 +88,12 @@ def _eta_points(net: Network, grid: Sequence[float], want_m: bool, edge_id: Opti
     """Two max-flows per weight kind (and two for m), whatever the grid size.
 
     Only the swept edge's capacity changes from point to point, so each
-    cut comes from an ArcSweep over the base network. The grid is a column
-    of the swept edge's channel: every point's capacities (and pairs) come
-    from the column rules that weigh the base network, and each capacity is
-    checked, as ``bound`` checks it, before any cut.
+    cut comes from an ArcSweep over the network with that edge at eta 0,
+    whose capacities there are 0: only the other edges' capacities are
+    read, at the file's values. The grid is a column of the swept edge's
+    channel: every point's capacities (and pairs) come from the column
+    rules that weigh the network, and each capacity is checked, as
+    ``bound`` checks it, before any cut.
     """
     if edge_id is None:
         raise ValueError("an eta sweep needs the id of the swept edge")
@@ -105,11 +109,14 @@ def _eta_points(net: Network, grid: Sequence[float], want_m: bool, edge_id: Opti
     # a finite budget times a finite weight fails only as inf: each failure reads the same
     for capacity in q_caps + esq_uppers:
         _require_finite(f"arc {edge_id!r}: capacity", capacity, nonnegative=True)
-    lower, upper = [ArcSweep(flow_graph_from_network(net, kind), edge_id) for kind in kinds]
+    channels = [0.0 if row[0] == edge_id else c
+                for row, c in zip(net.topology.arcs, net.channels)]
+    base = Network._from_checked(net.topology, net.budget_kind, tuple(channels), net.budgets)
+    lower, upper = [ArcSweep(flow_graph_from_network(base, kind), edge_id) for kind in kinds]
     if want_m:  # the pairs are the q_cap capacities floored, so they fit a float too
         from .aggregator import _pair_counts, build_bell_network
 
-        pairs = ArcSweep(build_bell_network(net), edge_id)
+        pairs = ArcSweep(build_bell_network(base), edge_id)
         counts = _pair_counts(budgets, weight_column(etas, WeightKind.Q_CAP))
     for k, value in enumerate(grid):
         report = SandwichReport(regime, epsilon, lower.min_cut(q_caps[k]),
@@ -126,7 +133,7 @@ def _epsilon_points(net: Network, grid: Sequence[float], want_m: bool, **_):
     regime = net.default_regime
     epsilons = [_check_regime_epsilon(regime, value) for value in grid]
     report = sandwich_report(net, regime)
-    m = max_flow_value(build_bell_network(net)) if want_m else None
+    m = min_cut(build_bell_network(net)).value if want_m else None
     lower, upper = report.lower_witness, report.upper_witness
     for value, epsilon in zip(grid, epsilons):
         yield value, SandwichReport._from_checked(regime, epsilon, lower, upper), m
@@ -147,7 +154,7 @@ def _budget_scale_points(net: Network, grid: Sequence[float], want_m: bool, epsi
     for value in grid:
         point_net = net._scaled(value)
         report = sandwich_report(point_net, regime, epsilon)
-        m = max_flow_value(build_bell_network(point_net)) if want_m else None
+        m = min_cut(build_bell_network(point_net)).value if want_m else None
         yield value, report, m
 
 
@@ -186,7 +193,10 @@ def sweep_csv(
     KeyError for an unknown edge, else ValueError) leaves no output. Each
     row is a SandwichReport, so a minimum cut past the float range, known
     only once the cuts ran, fails as ``bound`` fails and leaves none either.
-    ``edge`` and ``epsilon`` are ignored where moot.
+    ``edge`` and ``epsilon`` are ignored where moot. The grid is taken as
+    given: one row per value, in its order, repeats included, and the
+    header alone for an empty grid; the CLI rejects an empty or not
+    strictly monotone grid and sorts the rest.
     """
     points = _POINTS.get(param)
     if points is None:

@@ -22,6 +22,7 @@ import math
 from enum import Enum
 from functools import reduce
 from operator import add
+from types import MappingProxyType
 from typing import ClassVar, Union
 
 NodeId = str
@@ -77,9 +78,11 @@ class Immutable:
     there with ``object.__setattr__``. Any other assignment or deletion
     raises AttributeError. The repr reads ``Name(field=value, ...)``, and
     pickling and copying go through the constructor, so a copy is validated
-    like the original. A slot whose name starts with an underscore is not a
-    field: it holds state the constructor derives from the fields, and
-    takes no part in equality, hashing, repr or pickling.
+    like the original; a field held as a read-only MappingProxyType view
+    goes to it as a dict, since a view cannot be pickled. A slot whose name
+    starts with an underscore is not a field: it holds state the
+    constructor derives from the fields, and takes no part in equality,
+    hashing, repr or pickling.
     """
 
     __slots__ = ()
@@ -118,7 +121,8 @@ class Immutable:
         return f"{type(self).__qualname__}({args})"
 
     def __reduce__(self):
-        return type(self), self._values()
+        return type(self), tuple([dict(value) if type(value) is MappingProxyType else value
+                                  for value in self._values()])
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to {name!r}: {type(self).__name__} is immutable")

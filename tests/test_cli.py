@@ -301,7 +301,7 @@ def test_plan_with_an_overflowing_rate_table_exits_one(capsys, tmp_path):
 @pytest.mark.parametrize("argv", [
     ("bound",),
     ("sweep", "--param", "eta", "--edge", "e2", "--values", "0.5"),
-    ("sweep", "--param", "eta", "--edge", "e1", "--values", "0.5"),
+    ("sweep", "--param", "eta", "--edge", "e1", "--values", "0.9"),
     ("sweep", "--param", "epsilon", "--values", "0"),
     ("sweep", "--param", "budget-scale", "--values", "1"),
 ])
@@ -403,6 +403,13 @@ def test_plan_rejects_a_rate_table_integer_past_the_float_range(capsys, tmp_path
     assert code == 1 and out == ""
     assert err == ("error: rate for edge 'ac' must be finite and >= 0, "
                    "got an integer of 1329 bits\n")
+
+
+def test_plan_rejects_a_rate_table_that_is_not_an_object(capsys, tmp_path):
+    table = tmp_path / "table.json"
+    table.write_text("[1, 2]")
+    assert run(capsys, "plan", TRIANGLE, "--rate-model", f"table:{table}") == (
+        1, "", f"error: rate table {str(table)!r} must be a JSON object\n")
 
 
 def test_plan_rejects_frequency_budgets(capsys):
@@ -507,9 +514,11 @@ def test_simulate_swap_chain_rejects_plan_flags(flags, named):
         (("plan", TRIANGLE, "--rate-model", "table:{bad_json}"), "--rate-model"),
         (("sweep", SINGLE, "--param", "eta", "--edge", "ab", "--values", "abc"), "--values"),
         (("sweep", SINGLE, "--param", "eta", "--edge", "ab", "--grid", "0.1:x:0.1"), "--grid"),
+        (("sweep", SINGLE, "--param", "eta", "--edge", "ab", "--grid", "0:1:0"), "grid '0:1:0'"),
+        (("sweep", SINGLE, "--param", "epsilon", "--grid", "0:inf:0.1"), "grid '0:inf:0.1'"),
     ],
     ids=["eps-word", "eps-trailing-comma", "fraction-word", "table-not-json", "values-word",
-         "grid-word"],
+         "grid-word", "grid-zero-step", "grid-infinite-stop"],
 )
 def test_bad_flag_value_names_the_flag(capsys, tmp_path, argv, flag):
     bad_json = tmp_path / "bad_json.json"

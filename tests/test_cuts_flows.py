@@ -23,7 +23,6 @@ from qnetcap import (
     crossing_edges,
     flow_graph_from_network,
     max_disjoint_paths,
-    max_flow_value,
     min_cut,
     min_cut_bruteforce,
     plan,
@@ -204,17 +203,24 @@ def test_min_cut_agrees_with_bruteforce_on_random_weighted_networks():
             assert abs(fast.value - brute.value) <= 1e-9 * scale
 
 
+def flow_leaving_alice(fg):
+    """The value of a solve's flow, read off its net flow rather than its cut."""
+    flow = cuts_flows._ResidualSolver(fg).net_flow().values()
+    alice = fg.topology.source
+    return sum([a for u, _, a in flow if u == alice]) - sum([a for _, v, a in flow if v == alice])
+
+
 def test_flow_equals_cut_duality():
     rng = random.Random(303)
     for _ in range(60):
         net = random_lossy_network(rng, max_nodes=8, max_edges=14)
         fg = flow_graph_from_network(net, WeightKind.Q_CAP)
-        flow = max_flow_value(fg)
+        flow = flow_leaving_alice(fg)
         cut = min_cut(flow_graph_from_network(net, WeightKind.Q_CAP))
         assert flow == pytest.approx(cut.value, abs=1e-9 * max(1.0, cut.value))
     for _ in range(60):
         bell = build_bell_network(random_count_network(rng, max_nodes=8, max_edges=12))
-        flow = max_flow_value(bell)
+        flow = flow_leaving_alice(bell)
         brute = min_cut_bruteforce(bell)
         assert flow == brute.value  # integers, exact
         assert min_cut(bell).v_a == brute.v_a  # ties are exact too
@@ -314,7 +320,7 @@ def test_flow_graph_rejects_a_fractional_capacity_on_an_integer_graph():
     with pytest.raises(ValueError, match=r"^arc 'e': capacity must be an integer, got 2\.5$"):
         FlowGraph(AB, (2.5,), CapacityKind.INTEGER)
     fg = FlowGraph(AB, (2,), CapacityKind.INTEGER)
-    assert min_cut(fg).value == max_flow_value(fg) == len(max_disjoint_paths(fg)) == 2
+    assert min_cut(fg).value == flow_leaving_alice(fg) == len(max_disjoint_paths(fg)) == 2
 
 
 @pytest.mark.parametrize("kind", list(CapacityKind))

@@ -27,11 +27,11 @@ EPSILON = 1e-3
 def reference_unit_paths(bell):
     """One walk per Bell pair: the unit paths as (nodes, pair ids), and pairs_used."""
     solver = _ResidualSolver(bell)
-    count = int(solver.flow_value)
     source, sink = bell.topology.source, bell.topology.sink
     out = {v: [] for v in bell.topology.vertices}
     for cid, (u, v, amount) in solver.net_flow().items():
         out[u].append([v, cid, int(amount)])
+    count = sum([arc[2] for arc in out[source]])  # the flow leaving Alice; none enters it
     for arcs in out.values():
         arcs.sort()
     cursor = {v: 0 for v in out}

@@ -27,6 +27,7 @@ from qnetcap import (
     build_bell_network,
     flow_graph_from_network,
     lossy_gap_ratio,
+    min_cut,
     min_cut_bruteforce,
     parse_network,
     plan,
@@ -179,6 +180,23 @@ def test_parametric_sweep_matches_pointwise_on_generated_networks():
             assert sweep_csv(net, "eta", grid, fields, edge=edge) == pointwise_sweep_csv(
                 net, "eta", grid, fields, edge=edge
             )
+
+
+@pytest.mark.parametrize("budget", [Frequency, Count])
+def test_an_eta_sweep_never_weighs_the_swept_edge_at_the_files_eta(budget):
+    # 1e308 uses of e overflow its capacities at eta 0.999, but at no grid point
+    net = Network(("A", "B"), "A", "B", (
+        EdgeSpec("e", "A", "B", LossyOptical(0.999), budget(1e308)),
+        EdgeSpec("f", "A", "B", LossyOptical(0.5), budget(1.0)),
+    ))
+    grid = [0.1, 0.2]
+    assert sweep_csv(net, "eta", grid, LOSSY_FIELDS, edge="e") == pointwise_sweep_csv(
+        net, "eta", grid, LOSSY_FIELDS, edge="e")
+    if budget is Count:  # m is past what a plan lists: compare it with the Bell cut
+        rows = sweep_csv(net, "eta", grid, ["lower", "m"], edge="e").split("\r\n")[1:-1]
+        assert [row.split(",")[2] for row in rows] == [
+            str(min_cut(build_bell_network(_network_at(net, "eta", "e", eta))).value)
+            for eta in grid]
 
 
 # --- ArcSweep against the brute-force cut oracle ---------------------------------
